@@ -55,7 +55,7 @@ report = triangularity_report(5)
 print("triangularity at n = 5:", "clean" if report.ok else report.failures[:3])
 
 cert = verify_tl_faithful(5)
-print(f"exact rank of the 42 word matrices at n = 5: {cert.rank}/{cert.basis_size}",
+print(f"rank of the 42 word matrices at n = 5: {cert.rank}/{cert.basis_size}",
       f"({cert.method})")
 
 overlays = verify_mask_independence(4, trials=10)

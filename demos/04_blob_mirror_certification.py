@@ -42,7 +42,7 @@ for diagram, word in table.items():
 # The explicit blob representation on 2n tensor factors: the blob image is a
 # weighted middle placement, each cup-cap image factors into mirrored left
 # and right placements.  Certification needs only the supports of those
-# factors plus one exact rank computation.
+# factors plus one rank certificate (a modular full-rank witness).
 # ---------------------------------------------------------------------------
 print()
 for m in (1, 2, 3):

@@ -15,6 +15,8 @@ from .rings import (
     CycloInt,
     CycloLaurent,
     LaurentInt,
+    check_full_rank_witness,
+    full_rank_witness,
     quantum_integer,
     rank_exact,
     rank_modular,

@@ -24,6 +24,13 @@ from .walks import WalkPair, enumerate_pairs, hasse_edges, linear_extension, \
 from .words import eval_word, format_word, verify_presentation
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tlblob",
@@ -36,8 +43,8 @@ def _build_parser():
     def common(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized screens (default %(default)s)")
-        p.add_argument("--jobs", type=int, default=1,
+                       help="seed for the modular rank witness (default %(default)s)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for exhaustive sweeps")
         return p
 
@@ -227,6 +234,12 @@ def main(argv=None):
         payload, ok = _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, not a falsified claim: never exit 1
+        import traceback  # only on this path: it adds to every start-up
+
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 2
     text = dumps_canonical(payload)
     if args.out:

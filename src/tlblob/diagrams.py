@@ -380,13 +380,14 @@ def enumerate_blob(n):
     return out
 
 
-def _label_to_node(label, n):
-    kind, idx = label[0], int(label[1:])
-    if kind == "t":
-        return idx - 1
-    if kind == "b":
-        return n + idx - 1
-    raise ValueError(f"bad node label {label!r}")
+def _label_to_node(label, n, m):
+    """Node of a label t1..tn (north) or b1..bm (south); ValueError otherwise."""
+    kind, digits = (label[:1], label[1:]) if isinstance(label, str) else ("", "")
+    size = {"t": n, "b": m}.get(kind)
+    if size is None or not (digits.isascii() and digits.isdigit()) \
+            or not 1 <= int(digits) <= size:
+        raise ValueError(f"bad node label {label!r}")
+    return int(digits) - 1 + (0 if kind == "t" else n)
 
 
 def diagram_to_json(d):
@@ -406,13 +407,15 @@ def diagram_to_json(d):
 
 def diagram_from_json(obj):
     n, m = int(obj["n"]), int(obj["m"])
+    if n < 0 or m < 0:
+        raise ValueError(f"node counts must be >= 0, got n={n}, m={m}")
     pairs = tuple(
-        (_label_to_node(a, n), _label_to_node(b, n)) for a, b in obj["pairs"]
+        (_label_to_node(a, n, m), _label_to_node(b, n, m)) for a, b in obj["pairs"]
     )
     base = Pairing(n, m, pairs)
     if "blobs" in obj:
         blobs = frozenset(
-            tuple(sorted((_label_to_node(a, n), _label_to_node(b, n))))
+            tuple(sorted((_label_to_node(a, n, m), _label_to_node(b, n, m))))
             for a, b in obj["blobs"]
         )
         return BlobPairing(base, blobs)

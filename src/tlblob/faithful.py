@@ -1,9 +1,11 @@
 """Verification engine: triangularity, rank certificates, mirror checks.
 
-Everything here is exact.  Ranks are computed by fraction-free elimination
-over the coefficient ring's fraction field; the randomized modular screen
-is only ever used as a lower-bound accelerator and its result is never
-recorded as the certified rank.
+Everything here is exact.  A full rank is certified by a modular witness:
+a point x -> x0, a -> a0 mod p and a minor that is nonzero there.  The
+substitution is a ring map, so that minor is nonzero over the ring too; the
+witness goes into the certificate and is re-checked before it is trusted.
+When no witness is found, the rank comes from fraction-free (Bareiss)
+elimination over the coefficient ring's fraction field.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from math import comb
 from . import __version__
 from ._parallel import parallel_map
 from .diagrams import compose_blob, compose_tl, enumerate_tl, generator_u
-from .rings import LaurentInt, dumps_canonical, quantum_integer, rank_exact, rank_modular
+from .rings import (
+    LaurentInt,
+    check_full_rank_witness,
+    dumps_canonical,
+    full_rank_witness,
+    quantum_integer,
+    rank_exact,
+)
 from .tensorrep import (
     SparseRepMatrix,
     index_to_seq,
@@ -122,6 +131,11 @@ def _triangularity_pair_check(args):
     return failures, nonwalk
 
 
+def _require_size(n):
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def triangularity_report(n, jobs=1):
     """Check that each walk pair's matrix is supported below the pair.
 
@@ -129,6 +143,7 @@ def triangularity_report(n, jobs=1):
     every nonzero entry whose row and column are valid walks sits at a pair
     dominated by the defining pair.
     """
+    _require_size(n)
     report = TriangularityReport(n)
     tasks = [(n, p.a.steps, p.b.steps) for p in enumerate_pairs(n)]
     for failures, nonwalk in parallel_map(_triangularity_pair_check, tasks, jobs):
@@ -144,12 +159,12 @@ class FaithfulnessCertificate:
     rank: int
     method: str
     mask_checks: list = field(default_factory=list)
-    residual_report: object = None
+    witness: dict | None = None
     tool_version: str = __version__
 
     @property
     def valid(self):
-        return self.rank == self.basis_size and \
+        return self.basis_size >= 1 and self.rank == self.basis_size and \
             all(c["ok"] for c in self.mask_checks)
 
     def to_json(self):
@@ -159,7 +174,7 @@ class FaithfulnessCertificate:
             "rank": self.rank,
             "method": self.method,
             "mask_checks": self.mask_checks,
-            "residual_report": self.residual_report,
+            "witness": self.witness,
             "tool_version": self.tool_version,
             "valid": self.valid,
         }
@@ -168,18 +183,29 @@ class FaithfulnessCertificate:
         return dumps_canonical(self.to_json())
 
 
-def verify_tl_faithful(n, screen=True, seed=DEFAULT_SEED):
-    """Exact rank of the walk-pair word matrices; full rank means faithful."""
+def _certified_rank(vectors, seed):
+    """(rank, method, witness) of a family of sparse vectors.
+
+    A full-rank witness that re-checks gives rank len(vectors) with method
+    "modular-witness"; otherwise Bareiss elimination gives the rank, with
+    method "exact" and no witness.
+    """
+    vectors = list(vectors)
+    witness = full_rank_witness(vectors, trials=5, seed=seed)
+    if witness is not None and check_full_rank_witness(vectors, witness):
+        return len(vectors), "modular-witness", witness
+    return rank_exact(vectors), "exact", None
+
+
+def verify_tl_faithful(n, seed=DEFAULT_SEED):
+    """Rank of the walk-pair word matrices; full rank means faithful."""
+    _require_size(n)
     pairs = enumerate_pairs(n)
     cache = _tl_letter_matrices(n)
     vectors = [tl_word_matrix(pair_word(p), cache).flatten() for p in pairs]
-    method = "exact"
-    if screen:
-        rank_modular(vectors, trials=5, seed=seed)
-        method = "modular-screened-then-exact"
-    rank = rank_exact(vectors)
+    rank, method, witness = _certified_rank(vectors, seed)
     return FaithfulnessCertificate(n=n, basis_size=len(pairs), rank=rank,
-                                   method=method)
+                                   method=method, witness=witness)
 
 
 @dataclass
@@ -199,7 +225,7 @@ def verify_mask_independence(n, trials=25, seed=DEFAULT_SEED):
     """Overlay every nonzero entry with random nonzero scalars; rank must hold.
 
     Draws come from a fixed menu of units and small integers; each trial
-    re-runs the exact rank on the overlaid family.
+    certifies the rank of the overlaid family afresh.
     """
     import random
 
@@ -213,7 +239,7 @@ def verify_mask_independence(n, trials=25, seed=DEFAULT_SEED):
             {pos: rng.choice(OVERLAY_MENU) for pos in positions}
             for positions in masks
         ]
-        report.ranks.append(rank_exact(vectors))
+        report.ranks.append(_certified_rank(vectors, seed)[0])
     return report
 
 
@@ -235,21 +261,21 @@ def _composition_pair_check(args):
 
 def verify_r_composition(n, jobs=1):
     """The multiplicative identity R(D) R(D') = [2]^loops R(D o D'), swept."""
+    _require_size(n)
     count = len(_diagram_matrix_table(n)[0])
     tasks = [(n, i, j) for i in range(count) for j in range(count)]
     results = parallel_map(_composition_pair_check, tasks, jobs)
     return [r for r in results if r is not None]
 
 
-def certify_mirror(e_matrix, factored_u, n, screen=True, include_rank=True,
-                   seed=DEFAULT_SEED, unfactored_u=None):
+def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED, unfactored_u=None):
     """Certify a blob representation given by masks of mirrored generators.
 
     ``factored_u`` maps i -> (X_i, Y_i); the definition constrains the two
     factors separately, so they are checked against the shifted-index
     generator matrices at positions -i and +i before the product is formed.
     On mask success the basis words are evaluated through the representation
-    and their exact rank must reach the blob diagram count.
+    and their certified rank must reach the blob diagram count.
 
     A convenience mode takes ``unfactored_u`` (i -> product matrix) instead
     and compares each product's mask against the composed two-generator
@@ -293,27 +319,22 @@ def certify_mirror(e_matrix, factored_u, n, screen=True, include_rank=True,
                 "weaker": True,
             })
             images[i] = u_i
-    basis_size = comb(2 * n, n)
-    rank = 0
-    method = "masks-only"
-    if include_rank and all(c["ok"] for c in checks):
+    rank, method, witness = 0, "masks-only", None
+    if all(c["ok"] for c in checks):
         ring = e_matrix.ring
         vectors = [
             rep_word_matrix(word, images, total, ring).flatten()
             for word in blob_basis_words(n).values()
         ]
-        method = "exact"
-        if screen:
-            rank_modular(vectors, trials=5, seed=seed)
-            method = "modular-screened-then-exact"
-        rank = rank_exact(vectors)
-    return FaithfulnessCertificate(n=n, basis_size=basis_size, rank=rank,
-                                   method=method, mask_checks=checks)
+        rank, method, witness = _certified_rank(vectors, seed)
+    return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
+                                   method=method, mask_checks=checks,
+                                   witness=witness)
 
 
-def certify_rho0(n, m, screen=True, seed=DEFAULT_SEED):
+def certify_rho0(n, m, seed=DEFAULT_SEED):
     rep = rho0(Rho0Config(n, m))
-    return certify_mirror(rep.e, rep.u_factors, n, screen=screen, seed=seed)
+    return certify_mirror(rep.e, rep.u_factors, n, seed=seed)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Exact coefficient rings and exact/randomized rank computation.
+"""Exact coefficient rings, exact rank and modular full-rank witnesses.
 
 Two rings cover every scalar in the package:
 
@@ -25,6 +25,8 @@ __all__ = [
     "quantum_integer",
     "rank_exact",
     "rank_modular",
+    "full_rank_witness",
+    "check_full_rank_witness",
 ]
 
 
@@ -655,9 +657,31 @@ def _modular_eighth_root(rng, p):
             return a
 
 
+def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
+    """Each vector's image under x -> x_val, a -> a_val, as {col: residue}.
+
+    With ``cols`` given, only those columns are evaluated.
+    """
+    rows = []
+    for v in vectors:
+        keys = v if cols is None else (c for c in cols if c in v)
+        row = {}
+        for k in keys:
+            val = v[k].evaluate_mod(x_val, a_val, p)
+            if val:
+                row[k] = val
+        rows.append(row)
+    return rows
+
+
 def _rank_mod_p(int_rows, p):
+    """Pivot columns of Gaussian elimination mod p; their count is the rank.
+
+    When every row yields a pivot, the minor on the pivot columns is nonzero
+    mod p: the eliminated matrix restricted to them is unit triangular.
+    """
     rows = [dict(r) for r in int_rows if any(v % p for v in r.values())]
-    rank = 0
+    pivots = []
     while rows:
         row = rows.pop()
         row = {k: v % p for k, v in row.items() if v % p}
@@ -666,45 +690,88 @@ def _rank_mod_p(int_rows, p):
         col = min(row)
         inv = pow(row[col], p - 2, p)
         row = {k: (v * inv) % p for k, v in row.items()}
-        rank += 1
+        pivots.append(col)
         for other in rows:
             f = other.get(col)
             if f:
                 for k, v in row.items():
                     other[k] = (other.get(k, 0) - f * v) % p
                 other.pop(col, None)
-    return rank
+    return pivots
+
+
+def _trial_points(trials, seed, p):
+    """Seeded (x, a) points: x a unit mod p, a a root of a^4 + 1 mod p."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    return [(rng.randrange(2, p - 1), _modular_eighth_root(rng, p))
+            for _ in range(trials)]
 
 
 def rank_modular(vectors, trials=5, seed=0):
-    """Lower-bound rank witness: evaluate x (and a) at random residues mod p.
+    """Rank lower bound: evaluate x (and a) at random residues mod p.
 
-    Specializing can only lose rank, so the maximum over trials is <= the
-    true rank, with equality overwhelmingly likely.  Used only as a fast
-    screen; ``rank_exact`` is the authority.
+    Specializing is a ring map, so it can only lose rank: the maximum over
+    trials is <= the true rank, with equality overwhelmingly likely.  A
+    result equal to the number of vectors is a proof of full rank;
+    ``full_rank_witness`` records the point so that it can be re-checked.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    vecs = [dict(v) for v in vectors]
-    vecs = [v for v in vecs if any(v.values())]
+    p = _MODULAR_PRIME
+    points = _trial_points(trials, seed, p)
+    vecs = [v for v in map(dict, vectors) if any(v.values())]
     if not vecs:
         return 0
-    rng = random.Random(seed)
+    return max(len(_rank_mod_p(_evaluate_rows(vecs, x_val, a_val, p), p))
+               for x_val, a_val in points)
+
+
+def full_rank_witness(vectors, trials=5, seed=0):
+    """A re-checkable proof that ``vectors`` are independent, or None.
+
+    x -> x0 != 0 and a -> a0 with a0^4 = -1 (mod p) is a ring map from
+    Z[a, x, x^-1]/(a^4 + 1) to F_p, so a nonzero minor mod p is the image of
+    a nonzero minor over the ring.  The witness names the point and the
+    columns of one such minor: {"p", "x", "a", "pivots"}.  None means no
+    trial reached full rank; it proves nothing either way.
+    """
     p = _MODULAR_PRIME
-    best = 0
-    for _ in range(trials):
-        x_val = rng.randrange(2, p - 1)
-        a_val = _modular_eighth_root(rng, p)
-        int_rows = []
-        for v in vecs:
-            row = {}
-            for k, elem in v.items():
-                val = elem.evaluate_mod(x_val, a_val, p)
-                if val:
-                    row[k] = val
-            int_rows.append(row)
-        best = max(best, _rank_mod_p(int_rows, p))
-    return best
+    points = _trial_points(trials, seed, p)
+    vecs = list(vectors)
+    if not vecs:
+        return None
+    for x_val, a_val in points:
+        pivots = _rank_mod_p(_evaluate_rows(vecs, x_val, a_val, p), p)
+        if len(pivots) == len(vecs):
+            return {"p": p, "x": x_val, "a": a_val, "pivots": sorted(pivots)}
+    return None
+
+
+def _column_key(col):
+    # JSON turns (row, col) keys into lists; compare them as tuples.
+    return tuple(col) if isinstance(col, list) else col
+
+
+def check_full_rank_witness(vectors, witness):
+    """True iff ``witness`` proves that ``vectors`` have full rank.
+
+    Checks the prime, that x is a unit and a a root of a^4 + 1 mod p, that
+    the pivots are one distinct column per vector, and that the minor on
+    those columns is nonzero mod p.  Accepts a witness read back from JSON.
+    """
+    vecs = list(vectors)
+    try:
+        p, x_val, a_val = (witness[k] for k in ("p", "x", "a"))
+        pivots = [_column_key(c) for c in witness["pivots"]]
+        one_per_vector = len(set(pivots)) == len(pivots) == len(vecs)
+    except (KeyError, TypeError):  # missing field, or an unhashable column
+        return False
+    if not one_per_vector or not all(type(v) is int for v in (p, x_val, a_val)):
+        return False
+    if p != _MODULAR_PRIME or x_val % p == 0 or pow(a_val, 4, p) != p - 1:
+        return False
+    minor = _evaluate_rows(vecs, x_val, a_val, p, cols=pivots)
+    return len(_rank_mod_p(minor, p)) == len(vecs)
 
 
 def element_to_json(elem):

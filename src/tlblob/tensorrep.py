@@ -151,15 +151,6 @@ class SparseRepMatrix:
         """The matrix as a sparse vector keyed by (row, col)."""
         return dict(self.entries)
 
-    def to_cyclo(self):
-        if self.ring == "cyclo":
-            return self
-        return SparseRepMatrix(
-            self.rows_log2, self.cols_log2,
-            {k: CycloLaurent.from_laurent(v) for k, v in self.entries.items()},
-            "cyclo",
-        )
-
 
 def mask(a):
     """The set of nonzero positions of a matrix."""

@@ -166,12 +166,6 @@ def leq(p, q):
         all(x <= y for x, y in zip(p.b.profile, q.b.profile))
 
 
-def lowest_walk(n, c):
-    """The minimum of the endpoint-(n,c) lattice: (12)^k followed by 1s."""
-    k = (n - c) // 2
-    return Walk((1, 2) * k + (1,) * (n - 2 * k))
-
-
 def pair_word(p):
     """The generator word of a walk pair.
 

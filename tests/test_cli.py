@@ -142,3 +142,60 @@ class TestSmallCommands:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        assert main(["verify-tl", "--n", "2", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_negative_n_is_usage_error(self, capsys):
+        assert main(["verify-tl", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_empty_label_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 2, "m": 2, "pairs": [["", "b1"], ["t2", "b2"]]}))
+        assert main(["compose", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_unexpected_exception_exit_2(self, capsys, monkeypatch):
+        import tlblob.cli as cli
+
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "lattice", boom)
+        assert main(["lattice", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unexpected RuntimeError: boom\n")
+        assert "Traceback" in err
+
+
+class TestWitnessOutput:
+    @pytest.mark.parametrize("argv,family", [
+        (["verify-tl", "--n", "3"], "tl"),
+        (["certify-rho0", "--n", "2", "--m", "2"], "rho0"),
+    ])
+    def test_emitted_witness_rechecks(self, capsys, argv, family):
+        from tlblob.faithful import rep_word_matrix, tl_word_matrix
+        from tlblob.rings import check_full_rank_witness
+        from tlblob.tensorrep import Rho0Config, rho0
+        from tlblob.walks import enumerate_pairs, pair_word
+        from tlblob.words import blob_basis_words
+
+        code, out = run(capsys, *argv, "--seed", "11")
+        assert code == 0
+        _, again = run(capsys, *argv, "--seed", "11")
+        assert again == out
+        cert = json.loads(out)["certificate"]
+        assert cert["method"] == "modular-witness"
+        if family == "tl":
+            vectors = [tl_word_matrix(pair_word(p)).flatten() for p in enumerate_pairs(3)]
+        else:
+            images = rho0(Rho0Config(2, 2)).letter_images()
+            vectors = [rep_word_matrix(w, images, 4, "cyclo").flatten()
+                       for w in blob_basis_words(2).values()]
+        assert check_full_rank_witness(vectors, cert["witness"])

@@ -3,6 +3,7 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlblob.diagrams import (
     BlobPairing,
@@ -287,3 +288,28 @@ class TestJson:
     def test_labels(self):
         obj = diagram_to_json(identity(2))
         assert obj == {"n": 2, "m": 2, "pairs": [["t1", "b1"], ["t2", "b2"]]}
+
+
+class TestJsonValidation:
+    @pytest.mark.parametrize("label", ["", "t", "b", "x1", "t0", "t3", "b3", "t-1",
+                                       "t1.5", "t١", 1, None, ["t1"]])
+    def test_bad_label_is_value_error(self, label):
+        obj = {"n": 2, "m": 2, "pairs": [[label, "b1"], ["t2", "b2"]]}
+        with pytest.raises(ValueError):
+            diagram_from_json(obj)
+
+    def test_negative_size_is_value_error(self):
+        with pytest.raises(ValueError):
+            diagram_from_json({"n": -1, "m": 1, "pairs": []})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2, 4), st.integers(-2, 4),
+           st.lists(st.lists(st.one_of(st.text(max_size=3), st.sampled_from(
+               ["t1", "t2", "t3", "b1", "b2", "b3"])), min_size=2, max_size=2),
+               max_size=4))
+    def test_fuzz_value_error_or_diagram(self, n, m, pairs):
+        try:
+            d = diagram_from_json({"n": n, "m": m, "pairs": pairs})
+        except ValueError:
+            return
+        assert diagram_from_json(diagram_to_json(d)) == d

@@ -1,7 +1,13 @@
 import pytest
 
 from tlblob.diagrams import generator_u
-from tlblob.rings import BlobParams, LaurentInt, quantum_integer, rank_exact
+from tlblob.rings import (
+    BlobParams,
+    LaurentInt,
+    check_full_rank_witness,
+    full_rank_witness,
+    rank_exact,
+)
 from tlblob.tensorrep import (
     Rho0Config,
     SparseRepMatrix,
@@ -10,6 +16,8 @@ from tlblob.tensorrep import (
     seq_to_index,
 )
 from tlblob.faithful import (
+    FaithfulnessCertificate,
+    _certified_rank,
     certify_mirror,
     certify_rho0,
     rep_word_matrix,
@@ -20,8 +28,24 @@ from tlblob.faithful import (
     verify_r_composition,
     verify_tl_faithful,
 )
-from tlblob.walks import WalkPair, pair_word, tl_basis_word_table, walk_from_string
-from tlblob.words import GenWord
+from tlblob.walks import (
+    WalkPair,
+    enumerate_pairs,
+    pair_word,
+    tl_basis_word_table,
+    walk_from_string,
+)
+from tlblob.words import GenWord, blob_basis_words
+
+
+def tl_vectors(n):
+    return [tl_word_matrix(pair_word(p)).flatten() for p in enumerate_pairs(n)]
+
+
+def rho0_vectors(n, m):
+    images = rho0(Rho0Config(n, m)).letter_images()
+    return [rep_word_matrix(w, images, 2 * n, "cyclo").flatten()
+            for w in blob_basis_words(n).values()]
 
 
 class TestTriangularity:
@@ -68,11 +92,42 @@ class TestTlFaithful:
         cert = verify_tl_faithful(n)
         assert cert.rank == rank == cert.basis_size
         assert cert.valid
-        assert cert.method == "modular-screened-then-exact"
+        assert cert.method == "modular-witness"
+        assert check_full_rank_witness(tl_vectors(n), cert.witness)
 
-    def test_screen_off_records_exact(self):
-        cert = verify_tl_faithful(2, screen=False)
-        assert cert.method == "exact" and cert.valid
+    def test_duplicated_row_falls_back_to_exact(self):
+        vectors = tl_vectors(3)
+        vectors.append(dict(vectors[0]))
+        assert full_rank_witness(vectors, trials=5, seed=7) is None
+        assert _certified_rank(vectors, 7) == (5, "exact", None)
+
+    def test_failed_witness_search_gives_exact_certificate(self, monkeypatch):
+        import tlblob.faithful as faithful
+
+        monkeypatch.setattr(faithful, "full_rank_witness", lambda *a, **k: None)
+        cert = verify_tl_faithful(3)
+        assert cert.method == "exact" and cert.rank == 5 and cert.valid
+        assert cert.to_json()["witness"] is None
+
+    def test_rejected_witness_gives_exact(self, monkeypatch):
+        import tlblob.faithful as faithful
+
+        vectors = tl_vectors(3)
+        forged = dict(full_rank_witness(vectors, seed=7), x=0)
+        monkeypatch.setattr(faithful, "full_rank_witness", lambda *a, **k: forged)
+        assert _certified_rank(vectors, 7) == (5, "exact", None)
+
+    def test_empty_basis_is_never_valid(self):
+        for method in ("exact", "modular-witness"):
+            cert = FaithfulnessCertificate(n=0, basis_size=0, rank=0, method=method)
+            assert not cert.valid
+            assert cert.to_json()["valid"] is False
+
+    @pytest.mark.parametrize("check", [verify_tl_faithful, triangularity_report,
+                                       verify_r_composition])
+    def test_negative_n_rejected(self, check):
+        with pytest.raises(ValueError):
+            check(-1)
 
     def test_certificates_reproducible(self):
         a = verify_tl_faithful(3).dumps()
@@ -230,3 +285,72 @@ class TestCrossChecks:
                        for m in masks]
             assert rank_exact(vectors) == comb(2 * n, n)
         assert certify_rho0(n, 1).rank == comb(2 * n, n)
+
+
+class TestFullRankWitness:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_tl_agrees_with_exact(self, n):
+        vectors = tl_vectors(n)
+        assert _certified_rank(vectors, 7)[0] == rank_exact(vectors) == len(vectors)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_rho0_agrees_with_exact(self, n, m):
+        vectors = rho0_vectors(n, m)
+        rank, method, witness = _certified_rank(vectors, 7)
+        assert method == "modular-witness"
+        assert check_full_rank_witness(vectors, witness)
+        assert rank == rank_exact(vectors) == len(vectors)
+
+    def test_seed_determines_witness(self):
+        vectors = rho0_vectors(2, 1)
+        assert full_rank_witness(vectors, seed=3) == full_rank_witness(vectors, seed=3)
+        assert full_rank_witness(vectors, seed=3) != full_rank_witness(vectors, seed=4)
+
+    def test_json_roundtrip_rechecks(self):
+        import json
+
+        vectors = rho0_vectors(2, 2)
+        witness = json.loads(json.dumps(full_rank_witness(vectors, seed=7)))
+        assert check_full_rank_witness(vectors, witness)
+
+    @pytest.fixture
+    def family(self):
+        vectors = tl_vectors(3)
+        return vectors, full_rank_witness(vectors, seed=7)
+
+    def test_wrong_prime_rejected(self, family):
+        vectors, w = family
+        assert check_full_rank_witness(vectors, w)
+        assert not check_full_rank_witness(vectors, dict(w, p=1000000007))
+
+    def test_x_divisible_by_p_rejected(self, family):
+        vectors, w = family
+        assert not check_full_rank_witness(vectors, dict(w, x=0))
+        assert not check_full_rank_witness(vectors, dict(w, x=w["p"]))
+
+    def test_a_not_root_of_a4_plus_1_rejected(self, family):
+        vectors, w = family
+        assert not check_full_rank_witness(vectors, dict(w, a=w["a"] + 1))
+        assert not check_full_rank_witness(vectors, dict(w, a=1))
+
+    def test_pivot_count_and_distinctness_rejected(self, family):
+        vectors, w = family
+        pivots = w["pivots"]
+        assert not check_full_rank_witness(vectors, dict(w, pivots=pivots[:-1]))
+        assert not check_full_rank_witness(vectors, dict(w, pivots=pivots + [(0, 0)]))
+        duplicated = pivots[:-1] + [pivots[0]]
+        assert not check_full_rank_witness(vectors, dict(w, pivots=duplicated))
+
+    def test_zero_minor_rejected(self, family):
+        vectors, w = family
+        # a column outside every support makes the minor zero
+        absent = w["pivots"][:-1] + [(99, 99)]
+        assert not check_full_rank_witness(vectors, dict(w, pivots=absent))
+        # a dependent family has every maximal minor zero
+        dependent = vectors[:-1] + [dict(vectors[0])]
+        assert not check_full_rank_witness(dependent, w)
+
+    def test_malformed_witness_rejected(self, family):
+        vectors, w = family
+        for bad in (None, {}, dict(w, x="1"), dict(w, p=True), dict(w, pivots=[[[0]]] * 5)):
+            assert not check_full_rank_witness(vectors, bad)

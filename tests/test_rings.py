@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlblob.rings import (
     BlobParams,
@@ -256,3 +257,47 @@ class TestRank:
             for i, row in enumerate(rows)
         ]
         assert rank_exact(scaled) == rank_exact(rows) == 5
+
+
+P = 998244353  # the modular witness prime
+# a root of a^4 + 1 mod P: 3 generates F_P^*, so 3^((P-1)/8) has order 8
+A8 = pow(3, (P - 1) // 8, P)
+
+exponents = st.integers(min_value=-6, max_value=6)
+laurents = st.dictionaries(exponents, st.integers(-50, 50), max_size=5).map(LaurentInt)
+cyclos = st.dictionaries(
+    exponents,
+    st.tuples(*[st.integers(-20, 20)] * 4).map(CycloInt.from_tuple),
+    max_size=4,
+).map(CycloLaurent)
+# x ranges over the units mod P; a over the four roots of a^4 + 1
+points = st.tuples(st.integers(1, P - 1), st.sampled_from([1, 3, 5, 7]).map(
+    lambda k: pow(A8, k, P)))
+
+
+class TestEvaluateModIsHomomorphism:
+    """x -> x0, a -> a0 (a0^4 = -1) is a ring map to F_p; witnesses rest on it."""
+
+    def test_root(self):
+        assert pow(A8, 4, P) == P - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.tuples(laurents, laurents), st.tuples(cyclos, cyclos)), points)
+    def test_add_and_mul(self, pair, point):
+        f, g = pair
+        x0, a0 = point
+
+        def ev(u):
+            return u.evaluate_mod(x0, a0, P)
+
+        assert ev(f + g) == (ev(f) + ev(g)) % P
+        assert ev(f * g) == ev(f) * ev(g) % P
+        assert ev(-f) == -ev(f) % P
+        assert ev(type(f).one()) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(laurents, points)
+    def test_cyclo_injection_commutes(self, f, point):
+        x0, a0 = point
+        assert CycloLaurent.from_laurent(f).evaluate_mod(x0, a0, P) == \
+            f.evaluate_mod(x0, a0, P)
