@@ -343,6 +343,8 @@ def cut(d):
 
 def enumerate_tl(n, m):
     """All planar (n,m) diagrams, as non-crossing matchings of the boundary."""
+    if n < 0 or m < 0:
+        raise ValueError(f"sizes must be >= 0, got ({n}, {m})")
     total = n + m
     if total % 2:
         return []

@@ -35,7 +35,7 @@ from .tensorrep import (
     seq_to_index,
 )
 from .walks import Walk, WalkPair, enumerate_pairs, leq, pair_word
-from .words import blob_basis_words, verify_presentation
+from .words import blob_basis_words
 
 DEFAULT_SEED = 7
 
@@ -70,17 +70,54 @@ def _tl_letter_matrices(n):
     return {i: r_matrix(generator_u(i, n)) for i in range(1, n)}
 
 
+def _prefix_products(start, words, images):
+    """Yield start * image(w) for each word in turn, one product per prefix.
+
+    Products are memoised on letter-tuple prefixes: the product for
+    w + (l,) is the product for w times images[l].  The table need not be
+    prefix closed; a missing prefix is built on the way.  A prefix is
+    dropped after the last word that starts with it, so only the products
+    still needed are held.
+    """
+    words = [w.letters for w in words]
+    expiring = {}
+    for i, letters in enumerate(words):
+        for k in range(len(letters) + 1):
+            expiring[letters[:k]] = i
+    memo = {(): start}
+    for i, letters in enumerate(words):
+        k = len(letters)
+        while letters[:k] not in memo:
+            k -= 1
+        cur = memo[letters[:k]]
+        for j in range(k, len(letters)):
+            cur = cur.mul(images[letters[j]])
+            memo[letters[:j + 1]] = cur
+        yield cur
+        for prefix in [p for p in memo if expiring[p] == i]:
+            del memo[prefix]
+
+
+def _rep_word_matrices(words, images, dim_log2, ring):
+    return _prefix_products(SparseRepMatrix.identity(dim_log2, ring),
+                            words, images)
+
+
 def rep_word_matrix(word, images, dim_log2, ring):
     """Evaluate a generator word through matrix images of the generators."""
-    out = SparseRepMatrix.identity(dim_log2, ring)
-    for letter in word.letters:
-        out = out.mul(images[letter])
-    return out
+    return next(_rep_word_matrices([word], images, dim_log2, ring))
 
 
 def tl_word_matrix(word, cache=None):
     images = cache if cache is not None else _tl_letter_matrices(word.n)
     return rep_word_matrix(word, images, word.n, "laurent")
+
+
+def _pair_word_matrices(n):
+    """The word matrices of all walk pairs of size n, in enumeration order."""
+    pairs = enumerate_pairs(n)
+    words = [pair_word(p) for p in pairs]
+    return pairs, _rep_word_matrices(words, _tl_letter_matrices(n), n, "laurent")
 
 
 def _is_walk(seq):
@@ -200,9 +237,8 @@ def _certified_rank(vectors, seed):
 def verify_tl_faithful(n, seed=DEFAULT_SEED):
     """Rank of the walk-pair word matrices; full rank means faithful."""
     _require_size(n)
-    pairs = enumerate_pairs(n)
-    cache = _tl_letter_matrices(n)
-    vectors = [tl_word_matrix(pair_word(p), cache).flatten() for p in pairs]
+    pairs, mats = _pair_word_matrices(n)
+    vectors = [m.flatten() for m in mats]
     rank, method, witness = _certified_rank(vectors, seed)
     return FaithfulnessCertificate(n=n, basis_size=len(pairs), rank=rank,
                                    method=method, witness=witness)
@@ -230,9 +266,8 @@ def verify_mask_independence(n, trials=25, seed=DEFAULT_SEED):
     import random
 
     rng = random.Random(seed)
-    pairs = enumerate_pairs(n)
-    cache = _tl_letter_matrices(n)
-    masks = [sorted(tl_word_matrix(pair_word(p), cache).entries) for p in pairs]
+    pairs, mats = _pair_word_matrices(n)
+    masks = [sorted(m.entries) for m in mats]
     report = MaskIndependenceReport(n, trials, seed, len(pairs))
     for _ in range(trials):
         vectors = [
@@ -321,11 +356,9 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED, unfactored_u=None
             images[i] = u_i
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
-        ring = e_matrix.ring
-        vectors = [
-            rep_word_matrix(word, images, total, ring).flatten()
-            for word in blob_basis_words(n).values()
-        ]
+        words = blob_basis_words(n).values()
+        vectors = [m.flatten() for m in
+                   _rep_word_matrices(words, images, total, e_matrix.ring)]
         rank, method, witness = _certified_rank(vectors, seed)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,
@@ -364,16 +397,44 @@ class BlobRepReport:
         }
 
 
-def _structure_constants_hold(rep_of, basis, params):
-    failures = []
+def _scaled(base, scalar, products):
+    """scalar * base, taking entry products from ``products`` (entry -> product).
+
+    ``products`` belongs to this scalar and is shared across calls: basis
+    images have few distinct entries, so it stays far smaller than the
+    scaled matrices would.
+    """
+    entries = {}
+    for pos, value in base.entries.items():
+        prod = products.get(value)
+        if prod is None:
+            prod = products[value] = scalar * value
+        entries[pos] = prod
+    return SparseRepMatrix(base.rows_log2, base.cols_log2, entries, base.ring)
+
+
+def _structure_constant_failures(rep_of, basis, images, params):
+    """Failing pairs under ``params`` and under its sign flip, in one sweep.
+
+    Each left-hand side rep(D) rep(D') is rep(D) pushed through the letters
+    of D''s word (the same matrix, by associativity).
+    """
+    conventions = (params, params.sign_flipped())
+    words = list(basis.values())
+    scalars = {}
+    failures = ([], [])
     for d1, w1 in basis.items():
-        m1 = rep_of[d1]
-        for d2, w2 in basis.items():
-            res, scalar = compose_blob(d1, d2, params)
-            lhs = m1.mul(rep_of[d2])
-            rhs = rep_of[res.diagram].scalar_mul(scalar)
-            if lhs != rhs:
-                failures.append((w1, w2))
+        row = _prefix_products(rep_of[d1], words, images)
+        for (d2, w2), lhs in zip(basis.items(), row):
+            res, _ = compose_blob(d1, d2)
+            counts = (res.plain_loops, res.blob_loops, res.blob_merges)
+            if counts not in scalars:
+                scalars[counts] = [(p.composition_scalar(*counts), {})
+                                   for p in conventions]
+            base = rep_of[res.diagram]
+            for failed, (scalar, products) in zip(failures, scalars[counts]):
+                if lhs != _scaled(base, scalar, products):
+                    failed.append((w1, w2))
     return failures
 
 
@@ -394,21 +455,20 @@ def verify_blob_representation(images, n, params, basis=None):
         raise ValueError("generator images must share one dimension")
     dim_log2 = dims.pop()
     ring = next(iter(images.values())).ring
-    rep_of = {
-        d: rep_word_matrix(w, images, dim_log2, ring) for d, w in basis.items()
-    }
-    failures = _structure_constants_hold(rep_of, basis, params)
-    sign_normalized = False
-    if failures:
-        flipped = params.sign_flipped()
-        refailures = _structure_constants_hold(rep_of, basis, flipped)
-        if not refailures:
-            failures = []
-            sign_normalized = True
+    rep_of = dict(zip(basis, _rep_word_matrices(basis.values(), images,
+                                                 dim_log2, ring)))
+    failures, refailures = _structure_constant_failures(rep_of, basis, images,
+                                                        params)
+    sign_normalized = bool(failures) and not refailures
+    if sign_normalized:
+        failures = []
     report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
                            failures=failures, sign_normalized=sign_normalized)
     report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
     if "e" in images:
-        pres = verify_presentation(images, n, params.delta, params)
-        report.empirical_scalars = pres.empirical_scalars
+        e = images["e"]
+        report.empirical_scalars["delta_e"] = e.mul(e).ratio_to(e)
+        if 1 in images:
+            u1 = images[1]
+            report.empirical_scalars["gamma"] = u1.mul(e).mul(u1).ratio_to(u1)
     return report

@@ -35,7 +35,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 def _coerce_int(value):
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"expected int, got {type(value).__name__}")
 
@@ -49,8 +49,8 @@ class LaurentInt:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                if c:
-                    clean[int(e)] = _coerce_int(c)
+                if _coerce_int(c):
+                    clean[int(e)] = c
         self.coeffs = clean
 
     @classmethod

@@ -121,6 +121,8 @@ def enumerate_walks(n, c):
 
 def enumerate_pairs(n):
     """All same-endpoint walk pairs of length n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     out = []
     for c in range(n % 2, n + 1, 2):
         walks = enumerate_walks(n, c)

@@ -50,7 +50,7 @@ class GenWord:
                 if self.convention != "standard":
                     raise ValueError("the blob letter lives in the standard convention")
                 continue
-            if not isinstance(letter, int):
+            if not isinstance(letter, int) or isinstance(letter, bool):
                 raise ValueError(f"bad letter {letter!r}")
             # Range check once, at construction.
             _probe_index(letter, self.n, self.convention)

@@ -155,6 +155,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "-2"],
+        ["enumerate", "--n", "2", "--m", "-2"],
+        ["enumerate", "--blob", "--n", "-1"],
+        ["lattice", "--n", "-1"],
+    ])
+    def test_negative_enumeration_size_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_empty_label_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 2, "m": 2, "pairs": [["", "b1"], ["t2", "b2"]]}))

@@ -199,6 +199,15 @@ class TestEnumeration:
     def test_parity_gives_empty(self):
         assert enumerate_tl(2, 3) == []
 
+    @pytest.mark.parametrize("n,m", [(-2, -2), (-1, 3), (2, -2)])
+    def test_negative_size_rejected(self, n, m):
+        with pytest.raises(ValueError):
+            enumerate_tl(n, m)
+
+    def test_negative_blob_size_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_blob(-1)
+
     @pytest.mark.parametrize("n,count", [(1, 2), (2, 6), (3, 20), (4, 70)])
     def test_blob_counts_match_central_binomial(self, n, count):
         diagrams = enumerate_blob(n)

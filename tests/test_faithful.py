@@ -1,6 +1,6 @@
 import pytest
 
-from tlblob.diagrams import generator_u
+from tlblob.diagrams import compose_blob, generator_u
 from tlblob.rings import (
     BlobParams,
     LaurentInt,
@@ -18,6 +18,7 @@ from tlblob.tensorrep import (
 from tlblob.faithful import (
     FaithfulnessCertificate,
     _certified_rank,
+    _prefix_products,
     certify_mirror,
     certify_rho0,
     rep_word_matrix,
@@ -35,7 +36,43 @@ from tlblob.walks import (
     tl_basis_word_table,
     walk_from_string,
 )
-from tlblob.words import GenWord, blob_basis_words
+from tlblob.words import GenWord, blob_basis_words, verify_presentation
+
+
+def fold_word(start, word, images):
+    out = start
+    for letter in word.letters:
+        out = out.mul(images[letter])
+    return out
+
+
+def two_pass_sweep(images, basis, params):
+    """(failures, sign_normalized) from two sweeps of whole-matrix products."""
+    some = next(iter(images.values()))
+    start = SparseRepMatrix.identity(some.rows_log2, some.ring)
+    rep_of = {d: fold_word(start, w, images) for d, w in basis.items()}
+
+    def sweep(p):
+        failures = []
+        for d1, w1 in basis.items():
+            for d2, w2 in basis.items():
+                res, scalar = compose_blob(d1, d2, p)
+                if rep_of[d1].mul(rep_of[d2]) != \
+                        rep_of[res.diagram].scalar_mul(scalar):
+                    failures.append((w1, w2))
+        return failures
+
+    failures = sweep(params)
+    if failures and not sweep(params.sign_flipped()):
+        return [], True
+    return failures, False
+
+
+def broken_e_images(n, m):
+    images = rho0(Rho0Config(n, m)).letter_images()
+    two = next(iter(images["e"].entries.values())).from_int(2)
+    images["e"] = images["e"].scalar_mul(two)
+    return images
 
 
 def tl_vectors(n):
@@ -232,18 +269,72 @@ class TestBlobRepVerification:
         assert report.expected_scalars["delta_e"] == params.delta_e
 
     def test_broken_rep_detected(self):
-        rep = rho0(Rho0Config(2, 1))
-        images = rep.letter_images()
-        images["e"] = images["e"].scalar_mul(
-            rep.e.entries[next(iter(rep.e.entries))].__class__.from_int(2))
         report = verify_blob_representation(
-            images, 2, BlobParams.integral_form(1, cyclo=True))
+            broken_e_images(2, 1), 2, BlobParams.integral_form(1, cyclo=True))
         assert not report.ok
 
     def test_word_evaluator_identity(self):
         images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
         out = rep_word_matrix(GenWord((), 3), images, 3, "laurent")
         assert out == SparseRepMatrix.identity(3)
+
+
+class TestSharedPrefixSweep:
+    @pytest.mark.parametrize("n,m,broken", [
+        (1, 1, False), (1, 2, False), (2, 1, False), (2, 2, False),
+        (3, 1, False), (3, 2, False), (1, 1, True), (2, 2, True), (3, 1, True),
+    ])
+    def test_one_pass_matches_two_pass_reference(self, n, m, broken):
+        images = broken_e_images(n, m) if broken else \
+            rho0(Rho0Config(n, m)).letter_images()
+        params = BlobParams.integral_form(m, cyclo=True)
+        report = verify_blob_representation(images, n, params)
+        failures, sign_normalized = two_pass_sweep(images, blob_basis_words(n),
+                                                   params)
+        assert report.failures == failures
+        assert report.sign_normalized == sign_normalized
+        assert report.ok != broken
+        assert report.pairs_checked == len(blob_basis_words(n)) ** 2
+        presentation = verify_presentation(images, n, params.delta, params)
+        assert report.empirical_scalars == presentation.empirical_scalars
+
+    @pytest.mark.parametrize("scale_u1", [False, True])
+    def test_non_prefix_closed_tl_table(self, scale_u1):
+        basis = tl_basis_word_table(3)
+        words = {w.letters for w in basis.values()}
+        assert any(w[:-1] not in words for w in words if w)
+        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
+        if scale_u1:
+            images[1] = images[1].scalar_mul(LaurentInt.from_int(2))
+        params = BlobParams.integral_form(1)
+        report = verify_blob_representation(images, 3, params, basis=basis)
+        assert (report.failures, report.sign_normalized) == \
+            two_pass_sweep(images, basis, params)
+        assert report.ok != scale_u1
+
+    @pytest.mark.parametrize("family", ["blob-bfs", "pair-word"])
+    def test_memoised_products_match_per_word(self, family):
+        if family == "blob-bfs":
+            words = list(blob_basis_words(3).values())
+            images = rho0(Rho0Config(3, 1)).letter_images()
+            dim_log2, ring = 6, "cyclo"
+        else:
+            words = [pair_word(p) for p in enumerate_pairs(4)]
+            images = {i: r_matrix(generator_u(i, 4)) for i in (1, 2, 3)}
+            dim_log2, ring = 4, "laurent"
+        start = SparseRepMatrix.identity(dim_log2, ring)
+        memoised = list(_prefix_products(start, words, images))
+        assert memoised == [rep_word_matrix(w, images, dim_log2, ring)
+                            for w in words]
+        assert memoised == [fold_word(start, w, images) for w in words]
+
+    def test_empty_word_returns_start(self):
+        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
+        start = images[1].mul(images[2])
+        out = list(_prefix_products(start, [GenWord((), 3), GenWord((1,), 3)],
+                                    images))
+        assert out[0] == start
+        assert out[1] == start.mul(images[1])
 
 
 class TestCrossChecks:

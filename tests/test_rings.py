@@ -106,6 +106,11 @@ class TestLaurentArithmetic:
         with pytest.raises(ExactDivisionError):
             (X + 1).divexact(X + 2)
 
+    @pytest.mark.parametrize("coeff", [True, False])
+    def test_bool_coefficient_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            LaurentInt({1: coeff})
+
     def test_json_roundtrip(self):
         p = LaurentInt({3: -2, 0: 7, -5: 1})
         blob = json.dumps(p.to_json(), sort_keys=True)

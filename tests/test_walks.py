@@ -69,6 +69,10 @@ class TestWalks:
     def test_pair_count_matches_diagram_count(self, n, count):
         assert len(enumerate_pairs(n)) == count == len(enumerate_tl(n, n))
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_pairs(-1)
+
 
 class TestRaiseLower:
     def test_example(self):

@@ -50,6 +50,11 @@ class TestEval:
         with pytest.raises(ValueError):
             GenWord(("e",), 4, "shifted")
 
+    @pytest.mark.parametrize("letter", [True, False])
+    def test_bool_letter_rejected(self, letter):
+        with pytest.raises(ValueError):
+            GenWord((letter,), 3)
+
     def test_monoid_up_to_scalars(self):
         # eval(w . w') composes the evaluated diagrams, with counts adding.
         rng = random.Random(13)
