@@ -7,8 +7,18 @@ Two rings cover every scalar in the package:
 * ``CycloLaurent`` -- Laurent polynomials over Z[a]/(a^4 + 1).  The
   adjoined unit a satisfies a^4 = -1, hence a^2 + a^-2 = 0.
 
-Both are kept in canonical form (no stored zero coefficients), so equality
-is plain map equality and values are hashable and immutable.
+The first is a subring of the second, and one class does the arithmetic of
+both.  An element is a dict {8*e + k: nonzero int} meaning the sum of
+c * a^k * x^e, 0 <= k < 4, so the integer Laurent elements are those whose
+keys are multiples of 8.  A product adds keys, which cannot carry into x as
+k1 + k2 <= 6; only the cyclotomic ring then folds a^k, k >= 4, into
+-a^(k-4).  The classes differ only in their ``ring`` tag, JSON payload and
+``repr``, and a cyclotomic operand makes the result a ``CycloLaurent``.
+Exact division by a divisor with an a-part first multiplies both sides by
+the divisor's images under a -> a^3, a^5, a^7, whose product with it is
+a-free, so plain Laurent long division then runs on the packed keys.  With
+no zero coefficient stored, equality is dict equality, equal elements hash
+equal in either ring, and values are hashable and immutable.
 """
 
 from __future__ import annotations
@@ -18,15 +28,8 @@ import random
 from fractions import Fraction
 
 __all__ = [
-    "LaurentInt",
-    "CycloInt",
-    "CycloLaurent",
-    "BlobParams",
-    "quantum_integer",
-    "rank_exact",
-    "rank_modular",
-    "full_rank_witness",
-    "check_full_rank_witness",
+    "LaurentInt", "CycloInt", "CycloLaurent", "BlobParams", "quantum_integer",
+    "rank_exact", "rank_modular", "full_rank_witness", "check_full_rank_witness",
 ]
 
 
@@ -34,105 +37,124 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact division has a remainder."""
 
 
-def _coerce_int(value):
+def _coerce_int(value, error=TypeError):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise TypeError(f"expected int, got {type(value).__name__}")
+    raise error(f"expected int, got {type(value).__name__} {value!r}")
 
 
-class LaurentInt:
-    """An element of Z[x, x^-1], stored as {exponent: nonzero int}."""
+def _json_exponent(key):
+    if not isinstance(key, str) or str(int(key)) != key:
+        raise ValueError(f"exponent key must be a decimal integer string, got {key!r}")
+    return int(key)
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if _coerce_int(c):
-                    clean[int(e)] = c
-        self.coeffs = clean
+class _Laurent:
+    """Shared arithmetic of both rings on packed keys {8*e + k: nonzero int}."""
+
+    __slots__ = ("terms",)
+    ring = None  # "laurent" or "cyclo"
+
+    @classmethod
+    def _make(cls, terms):
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @classmethod
     def from_int(cls, k):
-        return cls({0: k})
+        return cls._make({0: k} if _coerce_int(k) else {})
 
     @classmethod
     def x_power(cls, e, coeff=1):
-        return cls({e: coeff})
+        return cls._make({8 * e: coeff} if _coerce_int(coeff) else {})
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._make({})
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls._make({0: 1})
+
+    def _join(self, other):
+        """(other's terms, result class), or (None, None) for a non-element."""
+        if isinstance(other, _Laurent):
+            cyclo = self.ring == "cyclo" or other.ring == "cyclo"
+            return other.terms, (CycloLaurent if cyclo else LaurentInt)
+        if isinstance(other, int) and not isinstance(other, bool):
+            return ({0: other} if other else {}), type(self)
+        return None, None
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentInt.from_int(other)
-        if not isinstance(other, LaurentInt):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if type(other) is type(self):
+            return self.terms == other.terms
+        terms, cls = self._join(other)
+        return NotImplemented if cls is None else self.terms == terms
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        t = self.terms
+        if len(t) == 1 and 0 in t:
+            return hash(t[0])  # a constant hashes like the int it equals
+        return hash(frozenset(t.items())) if t else 0
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentInt.from_int(other)
-        if not isinstance(other, LaurentInt):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
+        if type(other) is type(self):
+            g, cls = other.terms, type(self)
+        else:
+            g, cls = self._join(other)
+            if cls is None:
+                return NotImplemented
+        out = dict(self.terms)
+        for k, c in g.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        res = LaurentInt.__new__(LaurentInt)
-        res.coeffs = out
+                del out[k]
+        res = cls.__new__(cls)  # _make, inlined on the hot paths
+        res.terms = out
         return res
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentInt.__new__(LaurentInt)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
+        return type(self)._make({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentInt.from_int(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentInt()
-            res = LaurentInt.__new__(LaurentInt)
-            res.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            return res
-        if not isinstance(other, LaurentInt):
-            return NotImplemented
+        if type(other) is type(self):
+            g, cls = other.terms, type(self)
+        else:
+            g, cls = self._join(other)
+            if cls is None:
+                return NotImplemented
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
+        for k1, c1 in self.terms.items():
+            for k2, c2 in g.items():
+                k = k1 + k2
+                s = out.get(k, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    out.pop(e, None)
-        res = LaurentInt.__new__(LaurentInt)
-        res.coeffs = out
+                    out.pop(k, None)
+        if cls.ring == "cyclo":  # a^k = -a^(k-4) for k >= 4
+            for k in [k for k in out if k & 4]:
+                s = out.get(k - 4, 0) - out.pop(k)
+                if s:
+                    out[k - 4] = s
+                else:
+                    out.pop(k - 4, None)
+        res = cls.__new__(cls)
+        res.terms = out
         return res
 
     __rmul__ = __mul__
@@ -140,8 +162,7 @@ class LaurentInt:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        res = LaurentInt.one()
-        base = self
+        res, base = self.one(), self
         while k:
             if k & 1:
                 res = res * base
@@ -150,32 +171,46 @@ class LaurentInt:
         return res
 
     def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
+        return min(self.terms) >> 3 if self.terms else 0
 
     def is_unit_monomial(self):
-        """True for +-x^k, the monomial units of Z[x, x^-1]."""
-        if len(self.coeffs) != 1:
-            return False
-        (c,) = self.coeffs.values()
-        return c in (1, -1)
+        """True for +-a^k x^e: every unit of Z[x, x^-1], every cyclotomic one we build."""
+        return len(self.terms) == 1 and next(iter(self.terms.values())) in (1, -1)
 
     def unit_inverse(self):
         if not self.is_unit_monomial():
             raise ExactDivisionError(f"{self!r} is not a monomial unit")
-        ((e, c),) = self.coeffs.items()
-        return LaurentInt({-e: c})
+        ((key, c),) = self.terms.items()
+        # (c a^k x^e)^-1 = c a^-k x^-e, and a^-k = -a^(4-k) for 0 < k < 4.
+        return type(self)._make({4 - key: -c} if key & 7 else {-key: c})
+
+    def _adjugate(self):
+        """Self's images under a -> a^3, a^5, a^7, multiplied; times self, a-free."""
+        out = self.one()
+        for j in (3, 5, 7):
+            conj = {}
+            for key, c in self.terms.items():
+                kj = (key & 7) * j % 8  # a^kj = -a^(kj - 4) for kj >= 4
+                conj[(key & ~7) + kj % 4] = -c if kj >= 4 else c
+            out = out * type(self)._make(conj)
+        return out
 
     def divexact(self, other):
         """Exact quotient self / other; raises ExactDivisionError on remainder."""
-        if not isinstance(other, LaurentInt) or not other:
+        if not isinstance(other, _Laurent) or not other:
             raise ExactDivisionError("division by zero or non-ring divisor")
         if other.is_unit_monomial():
             return self * other.unit_inverse()
-        if not self:
-            return LaurentInt()
-        sf, sg = self.min_exp(), other.min_exp()
-        f = {e - sf: c for e, c in self.coeffs.items()}
-        g = {e - sg: c for e, c in other.coeffs.items()}
+        cls = self._join(other)[1]
+        f, g = self.terms, other.terms
+        if any(k & 7 for k in g):
+            adj = other._adjugate()
+            f, g = (self * adj).terms, (other * adj).terms
+        if not f:
+            return cls.zero()
+        sf, sg = min(f) & ~7, min(g) & ~7  # shift by whole powers of x
+        f = {k - sf: c for k, c in f.items()}
+        g = {k - sg: c for k, c in g.items()}
         gd = max(g)
         glead = g[gd]
         quot = {}
@@ -186,48 +221,76 @@ class LaurentInt:
             c, r = divmod(f[fd], glead)
             if r:
                 raise ExactDivisionError("inexact coefficient division")
-            quot[fd - gd] = c
-            for e, gc in g.items():
-                k = e + fd - gd
+            shift = fd - gd
+            quot[shift + sf - sg] = c
+            for k, gc in g.items():
+                k += shift
                 s = f.get(k, 0) - c * gc
                 if s:
                     f[k] = s
                 else:
-                    f.pop(k, None)
-        return LaurentInt({e + sf - sg: c for e, c in quot.items()})
+                    del f[k]
+        return cls._make(quot)
+
+    def evaluate_mod(self, x_val, a_val, p):
+        """Image under x -> x_val, a -> a_val in F_p (a_val unused on Z[x, x^-1])."""
+        acc = 0
+        for key, c in self.terms.items():
+            k = key & 7
+            term = c * pow(x_val, key >> 3, p)
+            acc += term * pow(a_val, k, p) if k else term
+        return acc % p
+
+    def _by_exponent(self):
+        """[(e, [c0, c1, c2, c3])] in increasing e: the coefficient of x^e."""
+        rows = {}
+        for key in sorted(self.terms):
+            rows.setdefault(key >> 3, [0, 0, 0, 0])[key & 7] = self.terms[key]
+        return rows.items()
+
+    def to_json(self):
+        """{str(e): c} over Z[x, x^-1], {str(e): [c0, c1, c2, c3]} with a."""
+        cyclo = self.ring == "cyclo"
+        return {str(e): cs if cyclo else cs[0] for e, cs in self._by_exponent()}
+
+    @classmethod
+    def from_json(cls, obj):
+        """Inverse of to_json; ValueError for anything to_json cannot emit."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"coefficients must be a JSON object, got {obj!r}")
+        terms = {}
+        for key, payload in obj.items():
+            if cls.ring == "laurent":
+                payload = [payload]
+            elif not isinstance(payload, list) or len(payload) != 4:
+                raise ValueError(f"cyclotomic coefficient must be 4 integers, got {payload!r}")
+            e = _json_exponent(key)
+            for k, c in enumerate(payload):
+                if _coerce_int(c, ValueError):
+                    terms[8 * e + k] = c
+        return cls._make(terms)
+
+
+class LaurentInt(_Laurent):
+    """An element of Z[x, x^-1]."""
+
+    __slots__ = ()
+    ring = "laurent"
+
+    def __init__(self, coeffs=None):
+        self.terms = {8 * int(e): c for e, c in (coeffs or {}).items()
+                      if _coerce_int(c)}
 
     def evaluate(self, x0):
         """Evaluate at an exact rational (or integer) point x0 != 0."""
         x0 = Fraction(x0)
-        return sum((c * x0 ** e for e, c in self.coeffs.items()), Fraction(0))
-
-    def evaluate_mod(self, x_val, a_val, p):
-        # a_val is ignored; accepted so both rings share one protocol.
-        acc = 0
-        for e, c in self.coeffs.items():
-            acc = (acc + c * pow(x_val, e, p)) % p
-        return acc
-
-    def to_json(self):
-        return {str(e): c for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({int(e): int(c) for e, c in obj.items()})
+        return sum((c * x0 ** (k >> 3) for k, c in self.terms.items()), Fraction(0))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(f"{c}")
-            elif e == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{e}")
-        return " + ".join(parts)
+        for e, (c, _, _, _) in self._by_exponent():
+            parts.append(f"{c}" if e == 0 else f"{c}*x" if e == 1 else f"{c}*x^{e}")
+        return " + ".join(parts) if parts else "0"
 
 
 def quantum_integer(n):
@@ -242,307 +305,59 @@ def quantum_integer(n):
     return LaurentInt({2 * (n - 1 - 2 * j): 1 for j in range(n)})
 
 
-class CycloInt:
-    """An element of Z[a]/(a^4 + 1), stored as coefficients of 1, a, a^2, a^3."""
+class CycloLaurent(_Laurent):
+    """An element of Z[a, x, x^-1]/(a^4 + 1), built as {e: c} for sum c x^e.
 
-    __slots__ = ("c",)
+    Each c is an int or a ring element, in practice a ``CycloInt`` constant.
+    """
 
-    def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = (c0, c1, c2, c3)
-
-    @classmethod
-    def from_tuple(cls, t):
-        v = cls.__new__(cls)
-        v.c = (int(t[0]), int(t[1]), int(t[2]), int(t[3]))
-        return v
-
-    @classmethod
-    def a_power(cls, k):
-        """a^k reduced into the {1, a, a^2, a^3} basis; a^-1 = -a^3."""
-        k = k % 8
-        sign = 1 if k < 4 else -1
-        out = [0, 0, 0, 0]
-        out[k % 4] = sign
-        return cls.from_tuple(out)
-
-    def __bool__(self):
-        return any(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CycloInt(other)
-        if not isinstance(other, CycloInt):
-            return NotImplemented
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CycloInt(other)
-        return CycloInt.from_tuple(tuple(a + b for a, b in zip(self.c, other.c)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloInt.from_tuple(tuple(-a for a in self.c))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycloInt(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloInt.from_tuple(tuple(a * other for a in self.c))
-        if not isinstance(other, CycloInt):
-            return NotImplemented
-        out = [0, 0, 0, 0]
-        for i, ci in enumerate(self.c):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.c):
-                if not cj:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += ci * cj
-                else:
-                    out[k - 4] -= ci * cj  # a^4 = -1
-        return CycloInt.from_tuple(out)
-
-    __rmul__ = __mul__
-
-    def conj(self, k):
-        """The ring map a -> a^k for odd k (a Galois substitution)."""
-        c0, c1, c2, c3 = self.c
-        if k % 8 == 1:
-            return self
-        if k % 8 == 3:
-            return CycloInt(c0, c3, -c2, c1)
-        if k % 8 == 5:
-            return CycloInt(c0, -c1, c2, -c3)
-        if k % 8 == 7:
-            return CycloInt(c0, -c3, -c2, -c1)
-        raise ValueError("conjugation exponent must be odd")
-
-    def norm(self):
-        """Product of all four conjugates; a nonnegative rational integer."""
-        n = self * self.conj(3) * self.conj(5) * self.conj(7)
-        assert n.c[1] == n.c[2] == n.c[3] == 0
-        return n.c[0]
-
-    def is_unit_monomial(self):
-        """True for +-a^k (not all units of Z[a]/(a^4+1), but all we build)."""
-        nz = [v for v in self.c if v]
-        return len(nz) == 1 and nz[0] in (1, -1)
-
-    def divexact(self, other):
-        if not other:
-            raise ExactDivisionError("division by zero")
-        adj = other.conj(3) * other.conj(5) * other.conj(7)
-        n = other.norm()
-        num = self * adj
-        out = []
-        for v in num.c:
-            q, r = divmod(v, n)
-            if r:
-                raise ExactDivisionError("inexact cyclotomic division")
-            out.append(q)
-        return CycloInt.from_tuple(out)
-
-    def evaluate_mod(self, a_val, p):
-        c0, c1, c2, c3 = self.c
-        return (c0 + c1 * a_val + c2 * a_val * a_val + c3 * pow(a_val, 3, p)) % p
-
-    def __repr__(self):
-        names = ["", "a", "a^2", "a^3"]
-        parts = [f"{v}{('*' + n) if n else ''}" for v, n in zip(self.c, names) if v]
-        return " + ".join(parts) if parts else "0"
-
-
-class CycloLaurent:
-    """An element of Z[a, x, x^-1]/(a^4 + 1), stored as {x-exponent: CycloInt}."""
-
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    ring = "cyclo"
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if isinstance(c, int):
-                    c = CycloInt(c)
-                if c:
-                    clean[int(e)] = c
-        self.coeffs = clean
+        total = CycloLaurent.zero()
+        for e, c in (coeffs or {}).items():
+            total = total + CycloLaurent.x_power(int(e)) * c
+        self.terms = total.terms
 
     @classmethod
     def from_laurent(cls, p):
-        """Ring injection Z[x, x^-1] -> Z[a, x, x^-1]/(a^4+1)."""
-        return cls({e: CycloInt(c) for e, c in p.coeffs.items()})
-
-    @classmethod
-    def from_int(cls, k):
-        return cls({0: CycloInt(k)})
+        """Ring injection Z[x, x^-1] -> Z[a, x, x^-1]/(a^4+1): a new tag only."""
+        return cls._make(p.terms)
 
     @classmethod
     def a_power(cls, k, x_exp=0):
-        return cls({x_exp: CycloInt.a_power(k)})
-
-    @classmethod
-    def x_power(cls, e):
-        return cls({e: CycloInt(1)})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: CycloInt(1)})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CycloLaurent.from_int(other)
-        elif isinstance(other, LaurentInt):
-            other = CycloLaurent.from_laurent(other)
-        if not isinstance(other, CycloLaurent):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, LaurentInt)):
-            other = (CycloLaurent.from_int(other) if isinstance(other, int)
-                     else CycloLaurent.from_laurent(other))
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, CycloInt()) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = CycloLaurent.__new__(CycloLaurent)
-        res.coeffs = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = CycloLaurent.__new__(CycloLaurent)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = CycloLaurent.from_int(other)
-        elif isinstance(other, LaurentInt):
-            other = CycloLaurent.from_laurent(other)
-        if not isinstance(other, CycloLaurent):
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, CycloInt()) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = CycloLaurent.__new__(CycloLaurent)
-        res.coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        res = CycloLaurent.one()
-        base = self
-        while k:
-            if k & 1:
-                res = res * base
-            base = base * base
-            k >>= 1
-        return res
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    def is_unit_monomial(self):
-        if len(self.coeffs) != 1:
-            return False
-        (c,) = self.coeffs.values()
-        return c.is_unit_monomial()
-
-    def unit_inverse(self):
-        if not self.is_unit_monomial():
-            raise ExactDivisionError(f"{self!r} is not a monomial unit")
-        ((e, c),) = self.coeffs.items()
-        # (s*a^k)^-1 = s*a^-k since s = +-1.
-        k = next(i for i, v in enumerate(c.c) if v)
-        sign = c.c[k]
-        inv = CycloInt.a_power(-k) * sign
-        return CycloLaurent({-e: inv})
-
-    def divexact(self, other):
-        if not isinstance(other, CycloLaurent) or not other:
-            raise ExactDivisionError("division by zero or non-ring divisor")
-        if other.is_unit_monomial():
-            return self * other.unit_inverse()
-        if not self:
-            return CycloLaurent()
-        sf, sg = self.min_exp(), other.min_exp()
-        f = {e - sf: c for e, c in self.coeffs.items()}
-        g = {e - sg: c for e, c in other.coeffs.items()}
-        gd = max(g)
-        glead = g[gd]
-        quot = {}
-        while f:
-            fd = max(f)
-            if fd < gd:
-                raise ExactDivisionError("inexact Laurent division")
-            c = f[fd].divexact(glead)
-            quot[fd - gd] = c
-            for e, gc in g.items():
-                k = e + fd - gd
-                s = f.get(k, CycloInt()) - c * gc
-                if s:
-                    f[k] = s
-                else:
-                    f.pop(k, None)
-        return CycloLaurent({e + sf - sg: c for e, c in quot.items()})
-
-    def evaluate_mod(self, x_val, a_val, p):
-        acc = 0
-        for e, c in self.coeffs.items():
-            acc = (acc + c.evaluate_mod(a_val, p) * pow(x_val, e, p)) % p
-        return acc
-
-    def to_json(self):
-        return {str(e): list(c.c) for e, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls({int(e): CycloInt.from_tuple(v) for e, v in obj.items()})
+        """a^k x^x_exp; a^-1 = -a^3."""
+        return cls._make({8 * x_exp + k % 4: 1 if k % 8 < 4 else -1})
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({self.coeffs[e]!r})*x^{e}" for e in sorted(self.coeffs))
+        names = ("", "*a", "*a^2", "*a^3")
+        parts = []
+        for e, cs in self._by_exponent():
+            inner = " + ".join(f"{c}{n}" for c, n in zip(cs, names) if c)
+            parts.append(f"({inner})*x^{e}")
+        return " + ".join(parts) if parts else "0"
+
+
+class CycloInt(CycloLaurent):
+    """The constant c0 + c1 a + c2 a^2 + c3 a^3 of Z[a]/(a^4 + 1).
+
+    ``CycloInt.a_power(k)`` is a^k; arithmetic is that of ``CycloLaurent``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, c0=0, c1=0, c2=0, c3=0):
+        self.terms = {k: c for k, c in enumerate((c0, c1, c2, c3)) if _coerce_int(c)}
+
+    @classmethod
+    def from_tuple(cls, t):
+        c0, c1, c2, c3 = t
+        return cls(c0, c1, c2, c3)
+
+    def norm(self):
+        """Product of all four conjugates; a nonnegative rational integer."""
+        return (self * self._adjugate()).terms.get(0, 0)
 
 
 class BlobParams:
@@ -564,11 +379,8 @@ class BlobParams:
         delta = quantum_integer(2)
         gamma = LaurentInt({2 * (m - 1): 1}) - LaurentInt({-2 * (m - 1): 1})
         delta_e = LaurentInt({2 * m: 1}) - LaurentInt({-2 * m: 1})
-        if cyclo:
-            return cls(CycloLaurent.from_laurent(delta),
-                       CycloLaurent.from_laurent(gamma),
-                       CycloLaurent.from_laurent(delta_e))
-        return cls(delta, gamma, delta_e)
+        lift = CycloLaurent.from_laurent if cyclo else (lambda v: v)
+        return cls(lift(delta), lift(gamma), lift(delta_e))
 
     def sign_flipped(self):
         """Parameters of the twisted algebra where the blob generator is negated."""
@@ -619,25 +431,14 @@ def rank_exact(vectors):
         updated = []
         for row in active:
             a = row.get(col)
-            if a is None:
-                new = {k: p * v for k, v in row.items()}
-            else:
-                new = {}
-                for k in set(row) | set(pivot_row):
-                    v = row.get(k)
-                    w = pivot_row.get(k)
-                    if v is not None and w is not None:
-                        t = p * v - a * w
-                    elif v is not None:
-                        t = p * v
-                    else:
-                        t = -(a * w)
-                    if t:
-                        new[k] = t
-                new.pop(col, None)
+            new = {k: p * v for k, v in row.items()}
+            if a is not None:  # new = p * row - a * pivot_row
+                for k, w in pivot_row.items():
+                    t = a * w
+                    new[k] = new[k] - t if k in new else -t
+            new = _row_cleanup(new)
             if prev_pivot is not None:
                 new = {k: v.divexact(prev_pivot) for k, v in new.items()}
-            new = _row_cleanup(new)
             if new:
                 updated.append(new)
         active = updated
@@ -664,13 +465,8 @@ def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
     """
     rows = []
     for v in vectors:
-        keys = v if cols is None else (c for c in cols if c in v)
-        row = {}
-        for k in keys:
-            val = v[k].evaluate_mod(x_val, a_val, p)
-            if val:
-                row[k] = val
-        rows.append(row)
+        keys = v if cols is None else [c for c in cols if c in v]
+        rows.append({k: r for k in keys if (r := v[k].evaluate_mod(x_val, a_val, p))})
     return rows
 
 
@@ -774,21 +570,24 @@ def check_full_rank_witness(vectors, witness):
     return len(_rank_mod_p(minor, p)) == len(vecs)
 
 
+RINGS = {"laurent": LaurentInt, "cyclo": CycloLaurent}
+
+
 def element_to_json(elem):
     """Tagged JSON form accepted by element_from_json."""
-    if isinstance(elem, LaurentInt):
-        return {"ring": "laurent", "coeffs": elem.to_json()}
-    if isinstance(elem, CycloLaurent):
-        return {"ring": "cyclo", "coeffs": elem.to_json()}
-    raise TypeError(f"not a ring element: {type(elem).__name__}")
+    if not isinstance(elem, _Laurent):
+        raise TypeError(f"not a ring element: {type(elem).__name__}")
+    return {"ring": elem.ring, "coeffs": elem.to_json()}
 
 
 def element_from_json(obj):
-    if obj["ring"] == "laurent":
-        return LaurentInt.from_json(obj["coeffs"])
-    if obj["ring"] == "cyclo":
-        return CycloLaurent.from_json(obj["coeffs"])
-    raise ValueError(f"unknown ring tag {obj['ring']!r}")
+    """Inverse of element_to_json; ValueError for malformed input."""
+    if not isinstance(obj, dict) or "ring" not in obj or "coeffs" not in obj:
+        raise ValueError(f"ring element needs 'ring' and 'coeffs', got {obj!r}")
+    tag = obj["ring"]
+    if not isinstance(tag, str) or tag not in RINGS:
+        raise ValueError(f"unknown ring tag {tag!r}")
+    return RINGS[tag].from_json(obj["coeffs"])
 
 
 def dumps_canonical(obj):

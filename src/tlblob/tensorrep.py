@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .rings import CycloInt, CycloLaurent, LaurentInt, element_from_json, element_to_json
+from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, element_from_json, \
+    element_to_json
 
 __all__ = [
     "SparseRepMatrix",
@@ -34,18 +35,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-_RING_ONE = {"laurent": LaurentInt.one, "cyclo": CycloLaurent.one}
-_RING_ZERO = {"laurent": LaurentInt.zero, "cyclo": CycloLaurent.zero}
-
-
-def _ring_of(elem):
-    if isinstance(elem, LaurentInt):
-        return "laurent"
-    if isinstance(elem, CycloLaurent):
-        return "cyclo"
-    raise TypeError(f"not a ring element: {type(elem).__name__}")
-
 
 def seq_to_index(seq):
     idx = 0
@@ -74,7 +63,7 @@ class SparseRepMatrix:
 
     @classmethod
     def identity(cls, n_log2, ring="laurent"):
-        one = _RING_ONE[ring]()
+        one = RINGS[ring].one()
         return cls(n_log2, n_log2, {(i, i): one for i in range(1 << n_log2)}, ring)
 
     def shape(self):
@@ -125,14 +114,14 @@ class SparseRepMatrix:
         """The scalar c with self == c * other, or None if no such c exists."""
         if not other.entries:
             return None
+        zero = RINGS[self.ring].zero()
         if not self.entries:
-            return _RING_ZERO[self.ring]()
+            return zero
         c = None
         keys = sorted(other.entries)
         for k in keys:
             if other.entries[k].is_unit_monomial():
-                c = self.entries.get(k, _RING_ZERO[self.ring]()) \
-                    * other.entries[k].unit_inverse()
+                c = self.entries.get(k, zero) * other.entries[k].unit_inverse()
                 break
         if c is None:
             for k in keys:
@@ -172,7 +161,7 @@ def r_matrix(d, unit=None):
     """
     if unit is None:
         unit = LaurentInt.x_power(1)
-    ring = _ring_of(unit)
+    ring = unit.ring
     inv = unit.unit_inverse()
     n, m = d.n, d.m
     # One option list per line; an option assigns values and adds an exponent.
@@ -224,7 +213,7 @@ def local_u_matrix(chi, param):
     The middle block is [[q, 1], [1, 1/q]] at q = param; the (22,22) corner
     holds chi (zero in the plain cup-cap case).
     """
-    one = _RING_ONE[_ring_of(param)]()
+    one = param.one()
     entries = {
         (1, 1): param,
         (1, 2): one,
@@ -233,7 +222,7 @@ def local_u_matrix(chi, param):
     }
     if chi:
         entries[(3, 3)] = chi
-    return SparseRepMatrix(2, 2, entries, _ring_of(param))
+    return SparseRepMatrix(2, 2, entries, param.ring)
 
 
 def place_local(local, i, total, sign=-1):
@@ -334,9 +323,33 @@ def matrix_to_json(a):
     }
 
 
+def _json_natural(value, what, bits=None):
+    """value if it is an int >= 0 (and below 2**bits, without building 2**bits)."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0 \
+            and (bits is None or value.bit_length() <= bits):
+        return value
+    bound = "" if bits is None else f" below 2^{bits}"
+    raise ValueError(f"{what} must be an integer >= 0{bound}, got {value!r}")
+
+
 def matrix_from_json(obj):
-    ring = obj["ring"]
+    """Inverse of matrix_to_json; ValueError for malformed input."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"matrix must be a JSON object, got {obj!r}")
+    ring = obj.get("ring")
+    if not isinstance(ring, str) or ring not in RINGS:
+        raise ValueError(f"unknown ring tag {ring!r}")
+    rows = _json_natural(obj.get("rows_log2"), "rows_log2")
+    cols = _json_natural(obj.get("cols_log2"), "cols_log2")
+    if not isinstance(obj.get("entries"), list):
+        raise ValueError("matrix needs an 'entries' list")
     entries = {}
-    for r, c, coeffs in obj["entries"]:
-        entries[(int(r), int(c))] = element_from_json({"ring": ring, "coeffs": coeffs})
-    return SparseRepMatrix(int(obj["rows_log2"]), int(obj["cols_log2"]), entries, ring)
+    for entry in obj["entries"]:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ValueError(f"matrix entry must be [row, col, coeffs], got {entry!r}")
+        r, c, coeffs = entry
+        key = (_json_natural(r, "row", rows), _json_natural(c, "column", cols))
+        if key in entries:
+            raise ValueError(f"duplicate matrix entry at {key}")
+        entries[key] = element_from_json({"ring": ring, "coeffs": coeffs})
+    return SparseRepMatrix(rows, cols, entries, ring)

@@ -11,6 +11,8 @@ from tlblob.rings import (
     CycloLaurent,
     ExactDivisionError,
     LaurentInt,
+    element_from_json,
+    element_to_json,
     quantum_integer,
     rank_exact,
     rank_modular,
@@ -306,3 +308,68 @@ class TestEvaluateModIsHomomorphism:
         x0, a0 = point
         assert CycloLaurent.from_laurent(f).evaluate_mod(x0, a0, P) == \
             f.evaluate_mod(x0, a0, P)
+
+
+class TestBoolCoefficients:
+    @pytest.mark.parametrize("args", [(True,), (0, False), (1, 0, 0, True)])
+    def test_cyclo_int_rejects_bool(self, args):
+        with pytest.raises(TypeError):
+            CycloInt(*args)
+
+    def test_from_tuple_rejects_bool_and_wrong_length(self):
+        with pytest.raises(TypeError):
+            CycloInt.from_tuple((True, 0, 0, 0))
+        with pytest.raises(ValueError):
+            CycloInt.from_tuple((1, 0, 0))
+        with pytest.raises(ValueError):
+            CycloInt.from_tuple((1, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("coeff", [True, False])
+    def test_cyclo_laurent_rejects_bool(self, coeff):
+        with pytest.raises(TypeError):
+            CycloLaurent({0: coeff})
+
+    def test_json_of_a_constant_holds_ints(self):
+        value = CycloLaurent({0: CycloInt(1, 0, -2, 0)})
+        assert value.to_json() == {"0": [1, 0, -2, 0]}
+        assert all(type(c) is int for c in value.to_json()["0"])
+
+
+class TestStrictElementJson:
+    @pytest.mark.parametrize("obj", [
+        {"0": 2.7}, {"0": 2.0}, {"0": "3"}, {"0": True}, {"0": None}, {"0": [1]},
+        {"x": 1}, {"03": 1}, {"+3": 1}, {" 3": 1}, {"": 1}, {0: 1}, [], "0", None,
+    ])
+    def test_laurent_rejects(self, obj):
+        with pytest.raises(ValueError):
+            LaurentInt.from_json(obj)
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2, 3], [1, 2, 3, 4, 5], [], [1, 0, 0, 0.5], [1, 0, 0, "1"],
+        [1, True, 0, 0], 3, {"0": 1}, None,
+    ])
+    def test_cyclo_rejects(self, payload):
+        with pytest.raises(ValueError):
+            CycloLaurent.from_json({"1": payload})
+
+    @pytest.mark.parametrize("obj", [
+        {"coeffs": {}}, {"ring": "laurent"}, {"ring": "real", "coeffs": {}},
+        {"ring": ["cyclo"], "coeffs": {}}, [], None,
+    ])
+    def test_tagged_element_rejects(self, obj):
+        with pytest.raises(ValueError):
+            element_from_json(obj)
+
+    def test_zero_coefficients_are_dropped(self):
+        assert LaurentInt.from_json({"1": 0, "-2": 4}) == LaurentInt({-2: 4})
+        assert CycloLaurent.from_json({"1": [0, 0, 0, 0]}) == CycloLaurent()
+
+    @pytest.mark.parametrize("value", [
+        LaurentInt({3: -2, 0: 7, -5: 1}),
+        CycloLaurent({2: CycloInt(1, 0, -3, 0), -1: CycloInt.a_power(3)}),
+    ])
+    def test_tagged_roundtrip(self, value):
+        obj = json.loads(json.dumps(element_to_json(value)))
+        assert obj["ring"] == value.ring
+        again = element_from_json(obj)
+        assert again == value and type(again) is type(value)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlblob.diagrams import compose_tl, enumerate_tl, generator_u, identity
 from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer
@@ -240,3 +241,62 @@ class TestJson:
         obj = matrix_to_json(rep.e)
         assert obj["ring"] == "cyclo"
         assert matrix_from_json(obj) == rep.e
+
+
+class TestMatrixJsonValidation:
+    def good(self):
+        return matrix_to_json(r_matrix(generator_u(1, 2)))
+
+    @pytest.mark.parametrize("change", [
+        {"rows_log2": -1}, {"cols_log2": -2}, {"rows_log2": 1.0},
+        {"rows_log2": True}, {"rows_log2": "2"}, {"ring": "real"}, {"ring": None},
+        {"entries": [[4, 0, {"0": 1}]]}, {"entries": [[0, 4, {"0": 1}]]},
+        {"entries": [[-1, 0, {"0": 1}]]}, {"entries": [[0, 0]]},
+        {"entries": [[0, 0, {"0": 1}], [0, 0, {"1": 1}]]},
+        {"entries": [[True, 0, {"0": 1}]]}, {"entries": [[0, 0, {"0": 2.5}]]},
+        {"entries": {"0": 1}},
+    ])
+    def test_malformed_is_value_error(self, change):
+        obj = dict(self.good(), **change)
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["ring", "rows_log2", "cols_log2", "entries"])
+    def test_missing_field_is_value_error(self, key):
+        obj = self.good()
+        del obj[key]
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError):
+            matrix_from_json([1, 2])
+
+    def test_huge_shape_is_not_materialised(self):
+        obj = dict(self.good(), rows_log2=10 ** 9, entries=[[3, 0, {"0": 1}]])
+        assert matrix_from_json(obj).rows_log2 == 10 ** 9
+
+    json_values = st.one_of(st.integers(-3, 9), st.booleans(), st.none(),
+                            st.floats(-2, 2), st.text(max_size=2))
+    coeffs = st.one_of(
+        st.dictionaries(st.text("-0123", max_size=3), json_values, max_size=2),
+        st.dictionaries(st.text("-0123", max_size=3),
+                        st.lists(st.integers(-3, 3), min_size=3, max_size=5), max_size=2),
+        json_values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["laurent", "cyclo", "other", None]),
+           st.one_of(st.integers(-1, 3), json_values),
+           st.one_of(st.integers(-1, 3), json_values),
+           st.lists(st.one_of(
+               st.lists(st.one_of(st.integers(-1, 8), coeffs), min_size=3, max_size=3),
+               st.lists(st.integers(0, 3), max_size=4)), max_size=4))
+    def test_fuzz_value_error_or_roundtrip(self, ring, rows, cols, entries):
+        obj = {"ring": ring, "rows_log2": rows, "cols_log2": cols, "entries": entries}
+        try:
+            mat = matrix_from_json(obj)
+        except ValueError:
+            return
+        again = matrix_from_json(json.loads(json.dumps(matrix_to_json(mat))))
+        assert again == mat
+        assert matrix_to_json(again) == matrix_to_json(mat)
