@@ -14,6 +14,12 @@ chords of a planar diagram never interleave.  The same order, read as a
 exposedness test for blobs: a chord may carry a blob exactly when no other
 chord's span strictly encloses it, i.e. nothing separates it from the west
 wall.
+
+Composition stacks a top (n,k) over a bottom (k,m) diagram and numbers the
+nodes of the stack with integers: the top's own numbers 0..n+k-1, then the
+bottom's shifted by n+k.  Top southern node n+j meets bottom northern node
+n+k+j at the middle boundary.  Chains from the outer nodes give the result's
+lines; middle nodes left over lie on closed loops.
 """
 
 from __future__ import annotations
@@ -198,10 +204,6 @@ def reflect(d):
     return Pairing(d.n, d.m, tuple((remap(a), remap(b)) for a, b in d.pairs))
 
 
-def _as_blob(d):
-    return d if isinstance(d, BlobPairing) else BlobPairing(d)
-
-
 def _trace_concatenation(top, bottom):
     """Chain-trace the concatenation of two (blob) diagrams.
 
@@ -209,80 +211,52 @@ def _trace_concatenation(top, bottom):
     open_chain_blobs maps each result pair to the number of blobs its chain
     picked up, and loop_blob_counts lists the blob count of each closed loop.
     """
-    tb, bb = _as_blob(top), _as_blob(bottom)
-    t, b = tb.base, bb.base
+    (t, t_blobs), (b, b_blobs) = (
+        (d.base, d.blobbed) if isinstance(d, BlobPairing) else (d, ())
+        for d in (top, bottom))
     if t.m != b.n:
         raise ValueError(f"inner boundary mismatch: {t.m} vs {b.n}")
-    mid = t.m
-    t_match, b_match = t.match, b.match
+    shift = t.n + t.m
+    end = shift + b.n + b.m
+    partner = [None] * end  # node -> (other end of its line, blob flag)
+    for offset, d, blobbed in ((0, t, t_blobs), (shift, b, b_blobs)):
+        for x, y in d.pairs:
+            blob = (x, y) in blobbed
+            partner[offset + x] = (offset + y, blob)
+            partner[offset + y] = (offset + x, blob)
+    junction = [None] * end  # top south t.n + j <-> bottom north shift + j
+    for j in range(t.m):
+        junction[t.n + j], junction[shift + j] = shift + j, t.n + j
+    visited = [False] * end
 
-    def step(side, node):
-        # Follow the line at (side, node); returns (other end, blob count).
-        if side == "t":
-            other = t_match[node]
-            blob = tuple(sorted((node, other))) in tb.blobbed
-        else:
-            other = b_match[node]
-            blob = tuple(sorted((node, other))) in bb.blobbed
-        return other, int(blob)
+    def chain(node):
+        # Follow lines and junctions: (outer end, or None for a loop, blobs).
+        start, blobs = node, 0
+        while True:
+            visited[node] = True
+            node, blob = partner[node]
+            visited[node] = True
+            blobs += blob
+            across = junction[node]
+            if across is None:
+                return node, blobs
+            if across == start:
+                return None, blobs
+            node = across
 
-    def boundary_id(side, node):
-        # Result node id, or None for a junction node.
-        if side == "t" and node < t.n:
-            return node
-        if side == "b" and node >= b.n:
-            return t.n + (node - b.n)
-        return None
-
-    visited = set()
+    outer = [*range(t.n), *range(shift + b.n, end)]
+    result_id = {node: i for i, node in enumerate(outer)}
     result_pairs = []
     open_chain_blobs = {}
-    starts = [("t", i) for i in range(t.n)] + [("b", b.n + j) for j in range(b.m)]
-    for side, node in starts:
-        if (side, node) in visited:
-            continue
-        visited.add((side, node))
-        blobs = 0
-        cur_side, cur = side, node
-        while True:
-            other, blob = step(cur_side, cur)
-            blobs += blob
-            endpoint = boundary_id(cur_side, other)
-            if endpoint is not None:
-                visited.add((cur_side, other))
-                pair = tuple(sorted((boundary_id(side, node), endpoint)))
-                result_pairs.append(pair)
-                open_chain_blobs[pair] = blobs
-                break
-            # Hop across the junction: top southern node t.n+j <-> bottom northern j.
-            if cur_side == "t":
-                visited.add(("t", other))
-                cur_side, cur = "b", other - t.n
-            else:
-                visited.add(("b", other))
-                cur_side, cur = "t", other + t.n
-            visited.add((cur_side, cur))
-
-    loop_blob_counts = []
-    for j in range(mid):
-        if ("t", t.n + j) in visited:
-            continue
-        blobs = 0
-        cur_side, cur = "t", t.n + j
-        start = (cur_side, cur)
-        while True:
-            visited.add((cur_side, cur))
-            other, blob = step(cur_side, cur)
-            blobs += blob
-            if cur_side == "t":
-                visited.add(("t", other))
-                cur_side, cur = "b", other - t.n
-            else:
-                visited.add(("b", other))
-                cur_side, cur = "t", other + t.n
-            if (cur_side, cur) == start:
-                break
-        loop_blob_counts.append(blobs)
+    for node in outer:
+        if not visited[node]:
+            # The other end is unvisited, so later in outer: the pair is sorted.
+            other, blobs = chain(node)
+            pair = (result_id[node], result_id[other])
+            result_pairs.append(pair)
+            open_chain_blobs[pair] = blobs
+    loop_blob_counts = [chain(node)[1] for node in range(t.n, shift)
+                        if not visited[node]]
     return result_pairs, open_chain_blobs, loop_blob_counts
 
 
@@ -304,9 +278,8 @@ def compose_blob(top, bottom, params=None):
     b = 0 and gamma * delta_e^(b-1) otherwise.  Returns the composition
     result together with the accumulated scalar (None when params is None).
     """
-    tb, bb = _as_blob(top), _as_blob(bottom)
-    pairs, chain_blobs, loop_blobs = _trace_concatenation(tb, bb)
-    base = Pairing(tb.n, bb.m, tuple(pairs))
+    pairs, chain_blobs, loop_blobs = _trace_concatenation(top, bottom)
+    base = Pairing(top.n, bottom.m, tuple(pairs))
     blobbed = frozenset(p for p, cnt in chain_blobs.items() if cnt)
     diagram = BlobPairing(base, blobbed)
     merges = sum(cnt - 1 for cnt in chain_blobs.values() if cnt)

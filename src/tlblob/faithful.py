@@ -289,9 +289,8 @@ def _composition_pair_check(args):
     diagrams, mats = _diagram_matrix_table(n)
     d1, d2 = diagrams[i], diagrams[j]
     res = compose_tl(d1, d2)
-    lhs = mats[d1].mul(mats[d2])
-    rhs = mats[res.diagram].scalar_mul(quantum_integer(2) ** res.plain_loops)
-    return None if lhs == rhs else (d1, d2)
+    ratio = mats[d1].mul(mats[d2]).ratio_to(mats[res.diagram])
+    return None if ratio == quantum_integer(2) ** res.plain_loops else (d1, d2)
 
 
 def verify_r_composition(n, jobs=1):
@@ -303,7 +302,7 @@ def verify_r_composition(n, jobs=1):
     return [r for r in results if r is not None]
 
 
-def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED, unfactored_u=None):
+def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     """Certify a blob representation given by masks of mirrored generators.
 
     ``factored_u`` maps i -> (X_i, Y_i); the definition constrains the two
@@ -311,21 +310,13 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED, unfactored_u=None
     generator matrices at positions -i and +i before the product is formed.
     On mask success the basis words are evaluated through the representation
     and their certified rank must reach the blob diagram count.
-
-    A convenience mode takes ``unfactored_u`` (i -> product matrix) instead
-    and compares each product's mask against the composed two-generator
-    diagram; that only follows from factor masks, not conversely, so those
-    checks carry a ``weaker`` flag in the certificate.
     """
     total = 2 * n
-    if (factored_u is None) == (unfactored_u is None):
-        raise ValueError("provide exactly one of factored_u and unfactored_u")
-    u_map = factored_u if factored_u is not None else unfactored_u
-    if set(u_map) != set(range(1, n)):
+    if set(factored_u) != set(range(1, n)):
         raise ValueError(f"generator images must cover indices 1..{n - 1}")
     mats = [e_matrix]
-    for value in u_map.values():
-        mats.extend(value if factored_u is not None else (value,))
+    for factors in factored_u.values():
+        mats.extend(factors)
     for mat in mats:
         if (mat.rows_log2, mat.cols_log2) != (total, total):
             raise ValueError(f"matrices must act on {total} tensor factors")
@@ -333,27 +324,16 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED, unfactored_u=None
     expected_e = r_matrix(generator_u(0, total, "shifted"))
     checks.append({"name": "e", "ok": mask_eq(e_matrix, expected_e)})
     images = {"e": e_matrix}
-    if factored_u is not None:
-        for i, (x_i, y_i) in sorted(factored_u.items()):
-            checks.append({
-                "name": f"u{i}_left",
-                "ok": mask_eq(x_i, r_matrix(generator_u(-i, total, "shifted"))),
-            })
-            checks.append({
-                "name": f"u{i}_right",
-                "ok": mask_eq(y_i, r_matrix(generator_u(i, total, "shifted"))),
-            })
-            images[i] = x_i.mul(y_i)
-    else:
-        for i, u_i in sorted(unfactored_u.items()):
-            pattern = compose_tl(generator_u(-i, total, "shifted"),
-                                 generator_u(i, total, "shifted")).diagram
-            checks.append({
-                "name": f"u{i}_product",
-                "ok": mask_eq(u_i, r_matrix(pattern)),
-                "weaker": True,
-            })
-            images[i] = u_i
+    for i, (x_i, y_i) in sorted(factored_u.items()):
+        checks.append({
+            "name": f"u{i}_left",
+            "ok": mask_eq(x_i, r_matrix(generator_u(-i, total, "shifted"))),
+        })
+        checks.append({
+            "name": f"u{i}_right",
+            "ok": mask_eq(y_i, r_matrix(generator_u(i, total, "shifted"))),
+        })
+        images[i] = x_i.mul(y_i)
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
         words = blob_basis_words(n).values()
@@ -397,27 +377,13 @@ class BlobRepReport:
         }
 
 
-def _scaled(base, scalar, products):
-    """scalar * base, taking entry products from ``products`` (entry -> product).
-
-    ``products`` belongs to this scalar and is shared across calls: basis
-    images have few distinct entries, so it stays far smaller than the
-    scaled matrices would.
-    """
-    entries = {}
-    for pos, value in base.entries.items():
-        prod = products.get(value)
-        if prod is None:
-            prod = products[value] = scalar * value
-        entries[pos] = prod
-    return SparseRepMatrix(base.rows_log2, base.cols_log2, entries, base.ring)
-
-
 def _structure_constant_failures(rep_of, basis, images, params):
     """Failing pairs under ``params`` and under its sign flip, in one sweep.
 
     Each left-hand side rep(D) rep(D') is rep(D) pushed through the letters
-    of D''s word (the same matrix, by associativity).
+    of D''s word (the same matrix, by associativity).  Its one exact ratio
+    to rep(D o D') is compared with each convention's scalar; when
+    rep(D o D') is zero, the pair holds only if the left-hand side is zero.
     """
     conventions = (params, params.sign_flipped())
     words = list(basis.values())
@@ -429,11 +395,12 @@ def _structure_constant_failures(rep_of, basis, images, params):
             res, _ = compose_blob(d1, d2)
             counts = (res.plain_loops, res.blob_loops, res.blob_merges)
             if counts not in scalars:
-                scalars[counts] = [(p.composition_scalar(*counts), {})
-                                   for p in conventions]
-            base = rep_of[res.diagram]
-            for failed, (scalar, products) in zip(failures, scalars[counts]):
-                if lhs != _scaled(base, scalar, products):
+                scalars[counts] = [p.composition_scalar(*counts) for p in conventions]
+            rhs = rep_of[res.diagram]
+            ratio = lhs.ratio_to(rhs)
+            for failed, scalar in zip(failures, scalars[counts]):
+                holds = ratio == scalar if rhs.entries else not lhs.entries
+                if not holds:
                     failed.append((w1, w2))
     return failures
 

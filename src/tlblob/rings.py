@@ -67,7 +67,7 @@ class _Laurent:
 
     @classmethod
     def x_power(cls, e, coeff=1):
-        return cls._make({8 * e: coeff} if _coerce_int(coeff) else {})
+        return cls._make({8 * _coerce_int(e): coeff} if _coerce_int(coeff) else {})
 
     @classmethod
     def zero(cls):
@@ -278,7 +278,7 @@ class LaurentInt(_Laurent):
     ring = "laurent"
 
     def __init__(self, coeffs=None):
-        self.terms = {8 * int(e): c for e, c in (coeffs or {}).items()
+        self.terms = {8 * _coerce_int(e): c for e, c in (coeffs or {}).items()
                       if _coerce_int(c)}
 
     def evaluate(self, x0):
@@ -317,7 +317,7 @@ class CycloLaurent(_Laurent):
     def __init__(self, coeffs=None):
         total = CycloLaurent.zero()
         for e, c in (coeffs or {}).items():
-            total = total + CycloLaurent.x_power(int(e)) * c
+            total = total + CycloLaurent.x_power(e) * c
         self.terms = total.terms
 
     @classmethod
@@ -417,7 +417,7 @@ def rank_exact(vectors):
                 row = {k: v * xs for k, v in row.items()}
             active.append(row)
     rank = 0
-    prev_pivot = None
+    divide = None  # exact division by the previous pivot
     while active:
         cols = {}
         for i, row in enumerate(active):
@@ -437,12 +437,14 @@ def rank_exact(vectors):
                     t = a * w
                     new[k] = new[k] - t if k in new else -t
             new = _row_cleanup(new)
-            if prev_pivot is not None:
-                new = {k: v.divexact(prev_pivot) for k, v in new.items()}
+            if divide is not None:
+                new = {k: divide(v) for k, v in new.items()}
             if new:
                 updated.append(new)
         active = updated
-        prev_pivot = p
+        # A unit pivot is inverted once per step, not once per entry.
+        divide = p.unit_inverse().__mul__ if p.is_unit_monomial() else \
+            (lambda v, p=p: v.divexact(p))
         rank += 1
     return rank
 

@@ -111,30 +111,28 @@ class SparseRepMatrix:
         return SparseRepMatrix(self.rows_log2, self.cols_log2, out, self.ring)
 
     def ratio_to(self, other):
-        """The scalar c with self == c * other, or None if no such c exists."""
+        """The scalar c with self == c * other, or None if no such c exists.
+
+        The rings are domains, so a nonzero c has self's support equal to
+        other's and is unique: any entry gives it (a unit one is cheapest),
+        and every entry must then agree.
+        """
         if not other.entries:
             return None
-        zero = RINGS[self.ring].zero()
         if not self.entries:
-            return zero
-        c = None
-        keys = sorted(other.entries)
-        for k in keys:
-            if other.entries[k].is_unit_monomial():
-                c = self.entries.get(k, zero) * other.entries[k].unit_inverse()
-                break
-        if c is None:
-            for k in keys:
-                if k not in self.entries:
-                    continue
-                try:
-                    c = self.entries[k].divexact(other.entries[k])
-                    break
-                except ArithmeticError:
-                    continue
-        if c is None:
+            return RINGS[self.ring].zero()
+        if (self.rows_log2, self.cols_log2, self.ring) != \
+                (other.rows_log2, other.cols_log2, other.ring) or \
+                self.entries.keys() != other.entries.keys():
             return None
-        return c if self == other.scalar_mul(c) else None
+        key = next((k for k, v in other.entries.items() if v.is_unit_monomial()),
+                   next(iter(other.entries)))
+        try:
+            c = self.entries[key].divexact(other.entries[key])
+        except ArithmeticError:
+            return None
+        mine = self.entries
+        return c if all(c * v == mine[k] for k, v in other.entries.items()) else None
 
     def flatten(self):
         """The matrix as a sparse vector keyed by (row, col)."""

@@ -12,6 +12,7 @@ every discarded feature; a word is loop free when nothing was discarded.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -157,15 +158,24 @@ def f_map(word):
 
 
 def parse_word(text, n, convention="standard"):
-    """Parse a word from text ("e u1 u-2") or from a JSON-style token list."""
-    tokens = text.split() if isinstance(text, str) else list(text)
+    """Parse a word from text ("e u1 u-2") or from a JSON-style token list.
+
+    A token is "e", "u" followed by an optionally negative ASCII integer, or
+    (in a list or tuple) an int; anything else raises ValueError.
+    """
+    if isinstance(text, str):
+        tokens = text.split()
+    elif isinstance(text, (list, tuple)):
+        tokens = text
+    else:
+        raise ValueError(f"a word is a string or a token list, got {text!r}")
     letters = []
     for tok in tokens:
         if tok == "e":
             letters.append("e")
-        elif isinstance(tok, int):
+        elif isinstance(tok, int) and not isinstance(tok, bool):
             letters.append(tok)
-        elif isinstance(tok, str) and tok.startswith("u"):
+        elif isinstance(tok, str) and re.fullmatch(r"u-?[0-9]+", tok):
             letters.append(int(tok[1:]))
         else:
             raise ValueError(f"bad word token {tok!r}")

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tlblob.diagrams as diagrams_module
 from tlblob.diagrams import (
     BlobPairing,
     Pairing,
@@ -23,6 +24,76 @@ from tlblob.diagrams import (
     reflect,
 )
 from tlblob.rings import BlobParams, LaurentInt
+
+
+def reference_trace(top, bottom):
+    """The side-tagged chain walk that composition used before the integer
+    walk, kept as an independent reference: (result_pairs,
+    open_chain_blobs, loop_blob_counts) of the concatenation."""
+    tb = top if isinstance(top, BlobPairing) else BlobPairing(top)
+    bb = bottom if isinstance(bottom, BlobPairing) else BlobPairing(bottom)
+    t, b = tb.base, bb.base
+    if t.m != b.n:
+        raise ValueError(f"inner boundary mismatch: {t.m} vs {b.n}")
+    t_match, b_match = t.match, b.match
+
+    def step(side, node):
+        if side == "t":
+            other = t_match[node]
+            return other, int(tuple(sorted((node, other))) in tb.blobbed)
+        other = b_match[node]
+        return other, int(tuple(sorted((node, other))) in bb.blobbed)
+
+    def boundary_id(side, node):
+        if side == "t" and node < t.n:
+            return node
+        if side == "b" and node >= b.n:
+            return t.n + (node - b.n)
+        return None
+
+    def hop(side, other):
+        # Across the junction: top southern t.n+j <-> bottom northern j.
+        visited.add((side, other))
+        return ("b", other - t.n) if side == "t" else ("t", other + t.n)
+
+    visited = set()
+    result_pairs = []
+    open_chain_blobs = {}
+    starts = [("t", i) for i in range(t.n)] + [("b", b.n + j) for j in range(b.m)]
+    for side, node in starts:
+        if (side, node) in visited:
+            continue
+        visited.add((side, node))
+        blobs = 0
+        cur_side, cur = side, node
+        while True:
+            other, blob = step(cur_side, cur)
+            blobs += blob
+            endpoint = boundary_id(cur_side, other)
+            if endpoint is not None:
+                visited.add((cur_side, other))
+                pair = tuple(sorted((boundary_id(side, node), endpoint)))
+                result_pairs.append(pair)
+                open_chain_blobs[pair] = blobs
+                break
+            cur_side, cur = hop(cur_side, other)
+            visited.add((cur_side, cur))
+    loop_blob_counts = []
+    for j in range(t.m):
+        if ("t", t.n + j) in visited:
+            continue
+        blobs = 0
+        cur_side, cur = "t", t.n + j
+        start = (cur_side, cur)
+        while True:
+            visited.add((cur_side, cur))
+            other, blob = step(cur_side, cur)
+            blobs += blob
+            cur_side, cur = hop(cur_side, other)
+            if (cur_side, cur) == start:
+                break
+        loop_blob_counts.append(blobs)
+    return result_pairs, open_chain_blobs, loop_blob_counts
 
 
 def brute_force_planar_count(n, m):
@@ -278,6 +349,77 @@ class TestBlobComposition:
             assert not res.diagram.blobbed
             assert res.plain_loops == tl.plain_loops
             assert res.blob_loops == res.blob_merges == 0
+
+
+class TestIntegerChainWalk:
+    """The integer chain walk against the side-tagged reference walk."""
+
+    @staticmethod
+    def assert_matches_reference(top, bottom):
+        got = diagrams_module._trace_concatenation(top, bottom)
+        assert got == reference_trace(top, bottom)
+        assert all(type(c) is int for c in got[1].values())
+        assert all(type(c) is int for c in got[2])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_blob_pairs_match_reference(self, n):
+        diagrams = enumerate_blob(n)
+        for d1, d2 in itertools.product(diagrams, repeat=2):
+            self.assert_matches_reference(d1, d2)
+            res, _ = compose_blob(d1, d2)
+            pairs, chains, loops = reference_trace(d1, d2)
+            blobbed = frozenset(p for p, cnt in chains.items() if cnt)
+            assert res.diagram == BlobPairing(Pairing(n, n, tuple(pairs)), blobbed)
+            assert res.plain_loops == sum(1 for c in loops if not c)
+            assert res.blob_loops == sum(1 for c in loops if c)
+            assert res.blob_merges == sum(c - 1 for c in [*chains.values(), *loops]
+                                          if c)
+
+    def test_tl_shapes_match_reference(self):
+        sizes = range(5)
+        for n, k, m in itertools.product(sizes, repeat=3):
+            for d1 in enumerate_tl(n, k):
+                for d2 in enumerate_tl(k, m):
+                    self.assert_matches_reference(d1, d2)
+                    res = compose_tl(d1, d2)
+                    pairs, _, loops = reference_trace(d1, d2)
+                    assert res.diagram == Pairing(n, m, tuple(pairs))
+                    assert res.plain_loops == len(loops)
+
+    def test_mixed_plain_and_blob_operands(self):
+        for d1, d2 in itertools.product(enumerate_tl(2, 2), enumerate_blob(2)):
+            self.assert_matches_reference(d1, d2)
+            self.assert_matches_reference(d2, d1)
+
+    @pytest.mark.parametrize("top, bottom", [((2, 2), (4, 2)), ((1, 3), (1, 1)),
+                                             ((3, 1), (3, 3)), ((0, 2), (0, 0))])
+    def test_inner_boundary_mismatch_raises(self, top, bottom):
+        d1, d2 = enumerate_tl(*top)[0], enumerate_tl(*bottom)[0]
+        with pytest.raises(ValueError):
+            compose_tl(d1, d2)
+        with pytest.raises(ValueError):
+            compose_blob(BlobPairing(d1), d2)
+
+    def test_compose_tl_builds_no_blob_diagram(self, monkeypatch):
+        calls = {"exposed_lines": 0, "BlobPairing": 0}
+        exposed, post_init = diagrams_module.exposed_lines, BlobPairing.__post_init__
+
+        def counted_exposed(d):
+            calls["exposed_lines"] += 1
+            return exposed(d)
+
+        def counted_post_init(self):
+            calls["BlobPairing"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(diagrams_module, "exposed_lines", counted_exposed)
+        monkeypatch.setattr(BlobPairing, "__post_init__", counted_post_init)
+        diagrams = enumerate_tl(3, 3)
+        for d1, d2 in itertools.product(diagrams, repeat=2):
+            compose_tl(d1, d2)
+        assert calls == {"exposed_lines": 0, "BlobPairing": 0}
+        compose_blob(diagrams[0], diagrams[1])  # the counters do see blob results
+        assert calls == {"exposed_lines": 1, "BlobPairing": 1}
 
 
 class TestJson:

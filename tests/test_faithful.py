@@ -19,6 +19,7 @@ from tlblob.faithful import (
     FaithfulnessCertificate,
     _certified_rank,
     _prefix_products,
+    _structure_constant_failures,
     certify_mirror,
     certify_rho0,
     rep_word_matrix,
@@ -233,19 +234,12 @@ class TestMirror:
     def test_certificate_reproducible(self):
         assert certify_rho0(2, 2).dumps() == certify_rho0(2, 2).dumps()
 
-    def test_unfactored_convenience_mode(self):
+    def test_factored_u_required(self):
         rep = rho0(Rho0Config(2, 1))
-        cert = certify_mirror(rep.e, None, 2, unfactored_u=rep.u)
-        assert cert.valid and cert.rank == 6
-        weaker = [c for c in cert.mask_checks if c.get("weaker")]
-        assert weaker and all(c["name"] == "u1_product" for c in weaker)
-
-    def test_exactly_one_u_form_required(self):
-        rep = rho0(Rho0Config(2, 1))
-        with pytest.raises(ValueError):
-            certify_mirror(rep.e, rep.u_factors, 2, unfactored_u=rep.u)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             certify_mirror(rep.e, None, 2)
+        with pytest.raises(TypeError):
+            certify_mirror(rep.e, rep.u_factors, 2, unfactored_u=rep.u)
 
 
 class TestBlobRepVerification:
@@ -297,6 +291,37 @@ class TestSharedPrefixSweep:
         assert report.pairs_checked == len(blob_basis_words(n)) ** 2
         presentation = verify_presentation(images, n, params.delta, params)
         assert report.empirical_scalars == presentation.empirical_scalars
+
+    def test_zero_rhs_holds_only_for_zero_lhs(self):
+        basis = blob_basis_words(1)
+        images = rho0(Rho0Config(1, 1)).letter_images()
+        (d_id, w_id), (d_e, w_e) = basis.items()
+        assert w_e.letters == ("e",)
+        # rep(D o D') is zero for every pair composing to the blob diagram,
+        # but only (identity, e) has a nonzero left-hand side.
+        rep_of = {d_id: SparseRepMatrix.identity(2, "cyclo"),
+                  d_e: SparseRepMatrix(2, 2, {}, "cyclo")}
+        params = BlobParams.integral_form(1, cyclo=True)
+        failures = _structure_constant_failures(rep_of, basis, images, params)
+        assert failures == ([(w_id, w_e)], [(w_id, w_e)])
+        for p, failed in zip((params, params.sign_flipped()), failures):
+            expected = []
+            for d1, w1 in basis.items():
+                for d2, w2 in basis.items():
+                    res, scalar = compose_blob(d1, d2, p)
+                    lhs = fold_word(rep_of[d1], w2, images)
+                    if lhs != rep_of[res.diagram].scalar_mul(scalar):
+                        expected.append((w1, w2))
+            assert failed == expected
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_zero_blob_image_matches_two_pass_reference(self, n, m):
+        images = rho0(Rho0Config(n, m)).letter_images()
+        images["e"] = SparseRepMatrix(2 * n, 2 * n, {}, "cyclo")
+        params = BlobParams.integral_form(m, cyclo=True)
+        report = verify_blob_representation(images, n, params)
+        assert (report.failures, report.sign_normalized) == \
+            two_pass_sweep(images, blob_basis_words(n), params)
 
     @pytest.mark.parametrize("scale_u1", [False, True])
     def test_non_prefix_closed_tl_table(self, scale_u1):

@@ -335,6 +335,26 @@ class TestBoolCoefficients:
         assert all(type(c) is int for c in value.to_json()["0"])
 
 
+class TestIntExponentKeys:
+    @pytest.mark.parametrize("cls", [LaurentInt, CycloLaurent])
+    @pytest.mark.parametrize("key", [1.5, 2.0, "2", True, False, None, (1,)])
+    def test_non_int_key_rejected(self, cls, key):
+        with pytest.raises(TypeError):
+            cls({key: 1})
+
+    @pytest.mark.parametrize("cls", [LaurentInt, CycloLaurent])
+    @pytest.mark.parametrize("e", [1.5, "2", True])
+    def test_x_power_rejects_non_int_exponent(self, cls, e):
+        with pytest.raises(TypeError):
+            cls.x_power(e)
+
+    def test_int_keys_unchanged(self):
+        assert LaurentInt({-3: 2, 0: 1, 5: 0}) == \
+            LaurentInt.x_power(-3, 2) + LaurentInt.one()
+        assert CycloLaurent({2: CycloInt(0, 1), -1: 3}) == \
+            CycloLaurent.a_power(1, 2) + CycloLaurent.x_power(-1, 3)
+
+
 class TestStrictElementJson:
     @pytest.mark.parametrize("obj", [
         {"0": 2.7}, {"0": 2.0}, {"0": "3"}, {"0": True}, {"0": None}, {"0": [1]},

@@ -145,6 +145,43 @@ class TestRatio:
     def test_not_proportional(self):
         assert SparseRepMatrix.identity(2).ratio_to(r_matrix(generator_u(1, 2))) is None
 
+    def test_support_mismatch(self):
+        u = r_matrix(generator_u(1, 2))
+        extra = SparseRepMatrix(2, 2, {**u.entries, (0, 0): ONE}, "laurent")
+        assert extra.ratio_to(u) is None
+        assert u.ratio_to(extra) is None
+
+    def test_same_support_not_proportional(self):
+        u = r_matrix(generator_u(1, 2))
+        skewed = SparseRepMatrix(2, 2, dict(u.entries), "laurent")
+        skewed.entries[(1, 1)] = skewed.entries[(1, 1)] * DELTA
+        assert skewed.ratio_to(u) is None
+
+    def test_shape_or_ring_mismatch(self):
+        one = SparseRepMatrix.identity(1)
+        assert one.ratio_to(SparseRepMatrix(1, 2, {(0, 0): ONE, (1, 1): ONE},
+                                            "laurent")) is None
+        assert one.ratio_to(SparseRepMatrix.identity(1, "cyclo")) is None
+
+    @pytest.mark.parametrize("ring", ["laurent", "cyclo"])
+    def test_non_monomial_divisor(self, ring):
+        x = LaurentInt.x_power(1)
+        if ring == "laurent":
+            d, c = DELTA, x + 2
+        else:
+            d = CycloLaurent.from_laurent(DELTA) + CycloInt.a_power(1)
+            c = CycloLaurent.a_power(3, 1) + 1
+        other = SparseRepMatrix(1, 1, {(0, 0): d, (1, 1): d * d * x}, ring)
+        assert not any(v.is_unit_monomial() for v in other.entries.values())
+        assert other.scalar_mul(c).ratio_to(other) == c
+        inexact = SparseRepMatrix(1, 1, {(0, 0): x, (1, 1): d * x}, ring)
+        assert inexact.ratio_to(other) is None
+
+    def test_zero_denominator(self):
+        zero = SparseRepMatrix(2, 2, {}, "laurent")
+        assert zero.ratio_to(zero) is None
+        assert SparseRepMatrix.identity(2).ratio_to(zero) is None
+
 
 class TestLocalBlock:
     def test_displayed_entries(self):

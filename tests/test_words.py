@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlblob.diagrams import (
     BlobPairing,
@@ -185,3 +186,38 @@ class TestTextFormat:
     def test_bad_token(self):
         with pytest.raises(ValueError):
             parse_word("e q3", 3)
+
+    @pytest.mark.parametrize("text", ["u+1", "u\uff11", "u\u0663", "u1_0", "u 1",
+                                      "u", "u-", "U1", "e1", "ue", "u1.0", "u--1",
+                                      " u1 x", None, 5, 1.5, {"u1": 1}])
+    def test_malformed_word_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_word(text, 3)
+
+    @pytest.mark.parametrize("token", [True, False, None, 1.0, ["u1"], "u\uff11",
+                                       "u+1", b"u1"])
+    def test_malformed_list_token_rejected(self, token):
+        with pytest.raises(ValueError):
+            parse_word(["e", token], 3)
+
+    def test_tuple_and_whitespace_forms(self):
+        assert parse_word(("e", "u2", 1), 3) == GenWord(("e", 2, 1), 3)
+        assert parse_word("  e\tu2\n u1 ", 3) == GenWord(("e", 2, 1), 3)
+        assert parse_word("", 3) == GenWord((), 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="eu-+0123_ \t\uff11\u0663.U", max_size=12),
+        st.lists(st.one_of(st.sampled_from(["e", "u1", "u-1", "u2", "u0", "u+1",
+                                            "u1_0", "u\u0663"]),
+                           st.integers(-3, 3), st.booleans(), st.none(),
+                           st.floats(allow_nan=False), st.text(max_size=3)),
+                 max_size=5),
+        st.none(), st.integers()),
+        st.integers(1, 4), st.sampled_from(["standard", "shifted"]))
+    def test_fuzz_value_error_or_roundtrip(self, text, n, convention):
+        try:
+            word = parse_word(text, n, convention)
+        except ValueError:
+            return
+        assert parse_word(format_word(word), n, convention) == word
