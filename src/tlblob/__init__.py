@@ -78,6 +78,8 @@ from .faithful import (
     TriangularityReport,
     certify_mirror,
     certify_rho0,
+    prove_blob_representation,
+    prove_r_composition,
     triangularity_report,
     verify_blob_representation,
     verify_mask_independence,

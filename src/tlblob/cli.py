@@ -15,8 +15,8 @@ import sys
 from . import __version__
 from .diagrams import compose_blob, compose_tl, diagram_from_json, diagram_to_json, \
     enumerate_blob, enumerate_tl, generator_u
-from .faithful import DEFAULT_SEED, certify_rho0, triangularity_report, \
-    verify_blob_representation, verify_r_composition, verify_tl_faithful
+from .faithful import DEFAULT_SEED, certify_rho0, prove_blob_representation, \
+    prove_r_composition, triangularity_report, verify_tl_faithful
 from .rings import BlobParams, CycloLaurent, dumps_canonical, quantum_integer
 from .tensorrep import Rho0Config, matrix_to_json, r_matrix, rho0
 from .walks import WalkPair, enumerate_pairs, hasse_edges, linear_extension, \
@@ -164,7 +164,7 @@ def _cmd_lattice(args):
 
 def _cmd_verify_tl(args):
     tri = triangularity_report(args.n, jobs=args.jobs)
-    comp_failures = verify_r_composition(args.n, jobs=args.jobs)
+    comp_failures = prove_r_composition(args.n, jobs=args.jobs)
     cert = verify_tl_faithful(args.n, seed=args.seed)
     ok = tri.ok and not comp_failures and cert.valid
     payload = {
@@ -187,7 +187,7 @@ def _cmd_verify_tl(args):
 def _cmd_verify_blob(args):
     rep = rho0(Rho0Config(args.n, args.m))
     params = BlobParams.integral_form(args.m, cyclo=True)
-    report = verify_blob_representation(rep.letter_images(), args.n, params)
+    report = prove_blob_representation(rep.letter_images(), args.n, params)
     delta = CycloLaurent.from_laurent(quantum_integer(2))
     presentation = verify_presentation(rep.letter_images(), args.n, delta,
                                        params.sign_flipped())

@@ -6,6 +6,11 @@ substitution is a ring map, so that minor is nonzero over the ring too; the
 witness goes into the certificate and is re-checked before it is trusted.
 When no witness is found, the rank comes from fraction-free (Bareiss)
 elimination over the coefficient ring's fraction field.
+
+The two composition identities (TL and blob) hold for every pair of basis
+diagrams once they hold for every basis diagram against every generator:
+the ``prove_*`` paths check those N*g steps and fall back to the exhaustive
+``verify_*`` sweeps, whose results they then return, when a step fails.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from math import comb
 
 from . import __version__
 from ._parallel import parallel_map
-from .diagrams import compose_blob, compose_tl, enumerate_tl, generator_u
+from .diagrams import BlobPairing, compose_blob, compose_tl, enumerate_tl, \
+    generator_u, identity
 from .rings import (
     LaurentInt,
     check_full_rank_witness,
@@ -35,7 +41,7 @@ from .tensorrep import (
     seq_to_index,
 )
 from .walks import Walk, WalkPair, enumerate_pairs, leq, pair_word
-from .words import blob_basis_words
+from .words import _letter_diagram, blob_basis_words
 
 DEFAULT_SEED = 7
 
@@ -59,9 +65,11 @@ __all__ = [
     "verify_tl_faithful",
     "verify_mask_independence",
     "verify_r_composition",
+    "prove_r_composition",
     "certify_mirror",
     "certify_rho0",
     "verify_blob_representation",
+    "prove_blob_representation",
 ]
 
 
@@ -284,13 +292,30 @@ def _diagram_matrix_table(n):
     return diagrams, {d: r_matrix(d) for d in diagrams}
 
 
+def _failing_scalars(lhs, rhs, scalars):
+    """For each scalar s, whether lhs == s * rhs fails.
+
+    One exact ratio serves every s.  When rhs is zero, the identity holds
+    only for a zero lhs.
+    """
+    ratio = lhs.ratio_to(rhs)
+    return [not (ratio == s if rhs.entries else not lhs.entries)
+            for s in scalars]
+
+
+def _tl_step_fails(mats, d1, d2):
+    """(D1 o D2, whether R(D1) R(D2) = [2]^loops R(D1 o D2) fails)."""
+    res = compose_tl(d1, d2)
+    failed, = _failing_scalars(mats[d1].mul(mats[d2]), mats[res.diagram],
+                               [quantum_integer(2) ** res.plain_loops])
+    return res, failed
+
+
 def _composition_pair_check(args):
     n, i, j = args
     diagrams, mats = _diagram_matrix_table(n)
     d1, d2 = diagrams[i], diagrams[j]
-    res = compose_tl(d1, d2)
-    ratio = mats[d1].mul(mats[d2]).ratio_to(mats[res.diagram])
-    return None if ratio == quantum_integer(2) ** res.plain_loops else (d1, d2)
+    return (d1, d2) if _tl_step_fails(mats, d1, d2)[1] else None
 
 
 def verify_r_composition(n, jobs=1):
@@ -300,6 +325,41 @@ def verify_r_composition(n, jobs=1):
     tasks = [(n, i, j) for i in range(count) for j in range(count)]
     results = parallel_map(_composition_pair_check, tasks, jobs)
     return [r for r in results if r is not None]
+
+
+def prove_r_composition(n, jobs=1):
+    """verify_r_composition's failures, proved from N*(n-1) generator steps.
+
+    Checks R(id) = I and R(D) R(u_i) = [2]^loops R(D o u_i) for every
+    diagram D and generator u_i, then that the loop-free steps reach every
+    diagram from id, so each R(D') is a product of generator images.
+    Induction along that product, with composition associative and loop
+    counts additive, gives the identity for every pair: no pair fails.
+    When any check fails, the exhaustive sweep (run with ``jobs``) gives the
+    failures instead.
+    """
+    _require_size(n)
+    diagrams, mats = _diagram_matrix_table(n)
+    start = identity(n)
+    if mats[start] != SparseRepMatrix.identity(n):
+        return verify_r_composition(n, jobs)
+    gens = [generator_u(i, n) for i in range(1, n)]
+    loop_free = {d: [] for d in diagrams}
+    for d in diagrams:
+        for g in gens:
+            res, failed = _tl_step_fails(mats, d, g)
+            if failed:
+                return verify_r_composition(n, jobs)
+            if not res.plain_loops:
+                loop_free[d].append(res.diagram)
+    reached = {start}
+    queue = [start]
+    for d in queue:
+        for nxt in loop_free[d]:
+            if nxt not in reached:
+                reached.add(nxt)
+                queue.append(nxt)
+    return [] if len(reached) == len(diagrams) else verify_r_composition(n, jobs)
 
 
 def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
@@ -377,6 +437,16 @@ class BlobRepReport:
         }
 
 
+def _convention_scalars(params):
+    """Discard counts -> [scalar under params, under its sign flip], memoised."""
+    conventions = (params, params.sign_flipped())
+
+    @lru_cache(maxsize=None)
+    def scalars(counts):
+        return [p.composition_scalar(*counts) for p in conventions]
+    return scalars
+
+
 def _structure_constant_failures(rep_of, basis, images, params):
     """Failing pairs under ``params`` and under its sign flip, in one sweep.
 
@@ -385,24 +455,43 @@ def _structure_constant_failures(rep_of, basis, images, params):
     to rep(D o D') is compared with each convention's scalar; when
     rep(D o D') is zero, the pair holds only if the left-hand side is zero.
     """
-    conventions = (params, params.sign_flipped())
+    scalars = _convention_scalars(params)
     words = list(basis.values())
-    scalars = {}
     failures = ([], [])
     for d1, w1 in basis.items():
         row = _prefix_products(rep_of[d1], words, images)
         for (d2, w2), lhs in zip(basis.items(), row):
             res, _ = compose_blob(d1, d2)
             counts = (res.plain_loops, res.blob_loops, res.blob_merges)
-            if counts not in scalars:
-                scalars[counts] = [p.composition_scalar(*counts) for p in conventions]
-            rhs = rep_of[res.diagram]
-            ratio = lhs.ratio_to(rhs)
-            for failed, scalar in zip(failures, scalars[counts]):
-                holds = ratio == scalar if rhs.entries else not lhs.entries
-                if not holds:
+            fails = _failing_scalars(lhs, rep_of[res.diagram], scalars(counts))
+            for failed, fail in zip(failures, fails):
+                if fail:
                     failed.append((w1, w2))
     return failures
+
+
+def _basis_images(images, basis):
+    """rep(D) for each basis diagram D: its word evaluated through images."""
+    dims = {m.rows_log2 for m in images.values()}
+    if len(dims) != 1:
+        raise ValueError("generator images must share one dimension")
+    dim_log2 = dims.pop()
+    ring = next(iter(images.values())).ring
+    return dict(zip(basis, _rep_word_matrices(basis.values(), images,
+                                              dim_log2, ring)))
+
+
+def _blob_report(images, n, params, basis, failures, sign_normalized):
+    report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
+                           failures=failures, sign_normalized=sign_normalized)
+    report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
+    if "e" in images:
+        e = images["e"]
+        report.empirical_scalars["delta_e"] = e.mul(e).ratio_to(e)
+        if 1 in images:
+            u1 = images[1]
+            report.empirical_scalars["gamma"] = u1.mul(e).mul(u1).ratio_to(u1)
+    return report
 
 
 def verify_blob_representation(images, n, params, basis=None):
@@ -417,25 +506,60 @@ def verify_blob_representation(images, n, params, basis=None):
     """
     if basis is None:
         basis = blob_basis_words(n)
-    dims = {m.rows_log2 for m in images.values()}
-    if len(dims) != 1:
-        raise ValueError("generator images must share one dimension")
-    dim_log2 = dims.pop()
-    ring = next(iter(images.values())).ring
-    rep_of = dict(zip(basis, _rep_word_matrices(basis.values(), images,
-                                                 dim_log2, ring)))
+    rep_of = _basis_images(images, basis)
     failures, refailures = _structure_constant_failures(rep_of, basis, images,
                                                         params)
     sign_normalized = bool(failures) and not refailures
     if sign_normalized:
         failures = []
-    report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
-                           failures=failures, sign_normalized=sign_normalized)
-    report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
-    if "e" in images:
-        e = images["e"]
-        report.empirical_scalars["delta_e"] = e.mul(e).ratio_to(e)
-        if 1 in images:
-            u1 = images[1]
-            report.empirical_scalars["gamma"] = u1.mul(e).mul(u1).ratio_to(u1)
-    return report
+    return _blob_report(images, n, params, basis, failures, sign_normalized)
+
+
+def prove_blob_representation(images, n, params, basis=None):
+    """verify_blob_representation's report, proved from generator steps.
+
+    A step is rep(D) images[l] = s * rep(D o G_l) for a basis diagram D and
+    a letter l of the basis words, with G_l the letter's diagram; each is
+    checked under both sign conventions.  Every basis word must also walk
+    from id through the steps to its own diagram, discarding nothing.
+    Induction along D''s word, with blob composition associative and its
+    discard counts additive, then proves every pair rep(D) rep(D').  So if
+    every stated step holds, no pair fails.  If a stated step fails, G_l is
+    a basis diagram with rep(G_l) = images[l] and every flipped step holds,
+    then the failing step is a failing basis pair and the flipped pairs all
+    hold: the sweep would report sign_normalized.  Otherwise, including a
+    step that leaves the basis, the exhaustive sweep's report is returned.
+    """
+    if basis is None:
+        basis = blob_basis_words(n)
+    rep_of = _basis_images(images, basis)
+    scalars = _convention_scalars(params)
+    gens = {l: _letter_diagram(l, w.n, w.convention)
+            for w in basis.values() for l in w.letters}
+    steps = {}
+    stated_fails = set()
+    flipped_ok = True
+    for d, rep in rep_of.items():
+        for letter, g in gens.items():
+            res, _ = compose_blob(d, g)
+            if res.diagram not in rep_of:
+                return verify_blob_representation(images, n, params, basis)
+            counts = (res.plain_loops, res.blob_loops, res.blob_merges)
+            stated, flipped = _failing_scalars(rep.mul(images[letter]),
+                                               rep_of[res.diagram], scalars(counts))
+            if stated:
+                stated_fails.add(letter)
+            flipped_ok = flipped_ok and not flipped
+            steps[d, letter] = None if any(counts) else res.diagram
+    start = BlobPairing(identity(n))
+    for d, word in basis.items():
+        cur = start
+        for letter in word.letters:
+            cur = steps.get((cur, letter))
+        if cur != d:
+            return verify_blob_representation(images, n, params, basis)
+    if not stated_fails:
+        return _blob_report(images, n, params, basis, [], False)
+    if flipped_ok and any(rep_of.get(gens[l]) == images[l] for l in stated_fails):
+        return _blob_report(images, n, params, basis, [], True)
+    return verify_blob_representation(images, n, params, basis)

@@ -255,6 +255,10 @@ class Rho0Config:
     n: int
     m: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+
     @property
     def r_param(self):
         return CycloLaurent({2 * self.m: CycloInt.a_power(2)})

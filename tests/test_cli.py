@@ -166,6 +166,17 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,n", [
+        (["verify-blob", "--n", "0"], 0),
+        (["certify-rho0", "--n", "-1"], -1),
+        (["certify-rho0", "--n", "0", "--m", "2"], 0),
+    ])
+    def test_rho0_size_below_one_is_usage_error(self, capsys, argv, n):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n must be >= 1, got {n}\n"
+
     def test_empty_label_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 2, "m": 2, "pairs": [["", "b1"], ["t2", "b2"]]}))

@@ -26,6 +26,10 @@ from tlblob.diagrams import (
 from tlblob.rings import BlobParams, LaurentInt
 
 
+def discard_counts(res):
+    return (res.plain_loops, res.blob_loops, res.blob_merges)
+
+
 def reference_trace(top, bottom):
     """The side-tagged chain walk that composition used before the integer
     walk, kept as an independent reference: (result_pairs,
@@ -181,11 +185,12 @@ class TestComposition:
         assert res.plain_loops == 1
 
     def test_identity_neutral(self):
-        for d in enumerate_tl(3, 3):
-            left = compose_tl(identity(3), d)
-            right = compose_tl(d, identity(3))
-            assert left.diagram == right.diagram == d
-            assert left.plain_loops == right.plain_loops == 0
+        for n in range(5):
+            for d in enumerate_tl(n, n):
+                left = compose_tl(identity(n), d)
+                right = compose_tl(d, identity(n))
+                assert left.diagram == right.diagram == d
+                assert left.plain_loops == right.plain_loops == 0
 
     def test_u1_after_u2_traced_by_hand(self):
         res = compose_tl(generator_u(1, 3), generator_u(2, 3))
@@ -202,15 +207,16 @@ class TestComposition:
             compose_tl(identity(2), identity(3))
 
     def test_associative_with_additive_loops(self):
-        diagrams = enumerate_tl(3, 3)
-        for d1, d2, d3 in itertools.product(diagrams, repeat=3):
-            r12 = compose_tl(d1, d2)
-            left = compose_tl(r12.diagram, d3)
-            r23 = compose_tl(d2, d3)
-            right = compose_tl(d1, r23.diagram)
-            assert left.diagram == right.diagram
-            assert r12.plain_loops + left.plain_loops == \
-                r23.plain_loops + right.plain_loops
+        # The generator-step proofs in ``faithful`` rest on this fact.
+        for n in range(5):
+            for d1, d2, d3 in itertools.product(enumerate_tl(n, n), repeat=3):
+                r12 = compose_tl(d1, d2)
+                left = compose_tl(r12.diagram, d3)
+                r23 = compose_tl(d2, d3)
+                right = compose_tl(d1, r23.diagram)
+                assert left.diagram == right.diagram
+                assert r12.plain_loops + left.plain_loops == \
+                    r23.plain_loops + right.plain_loops
 
     def test_propagating_number_submultiplicative(self):
         diagrams = enumerate_tl(4, 4)
@@ -315,6 +321,26 @@ class TestBlobComposition:
         res, scalar = compose_blob(blob_e(2), BlobPairing(identity(2)), params)
         assert res.diagram == blob_e(2)
         assert scalar == LaurentInt.one()
+        for n in range(5):
+            one = BlobPairing(identity(n))
+            for d in enumerate_blob(n):
+                for res, _ in (compose_blob(one, d), compose_blob(d, one)):
+                    assert res.diagram == d
+                    assert discard_counts(res) == (0, 0, 0)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_associative_with_additive_counts(self, n):
+        # The generator-step proof of the blob structure constants rests on
+        # this: stacking order is immaterial, and so is the total of each
+        # discard count, hence the scalar.
+        for d1, d2, d3 in itertools.product(enumerate_blob(n), repeat=3):
+            r12, _ = compose_blob(d1, d2)
+            left, _ = compose_blob(r12.diagram, d3)
+            r23, _ = compose_blob(d2, d3)
+            right, _ = compose_blob(d1, r23.diagram)
+            assert left.diagram == right.diagram
+            assert [a + b for a, b in zip(discard_counts(r12), discard_counts(left))] == \
+                [a + b for a, b in zip(discard_counts(r23), discard_counts(right))]
 
     def test_blobbed_loop_evaluates_to_gamma(self):
         # The blob rides onto the closed loop formed by the two cup-caps.

@@ -1,6 +1,7 @@
 import pytest
 
-from tlblob.diagrams import compose_blob, generator_u
+import tlblob.faithful as faithful
+from tlblob.diagrams import compose_blob, generator_u, identity
 from tlblob.rings import (
     BlobParams,
     LaurentInt,
@@ -22,6 +23,8 @@ from tlblob.faithful import (
     _structure_constant_failures,
     certify_mirror,
     certify_rho0,
+    prove_blob_representation,
+    prove_r_composition,
     rep_word_matrix,
     tl_word_matrix,
     triangularity_report,
@@ -37,7 +40,7 @@ from tlblob.walks import (
     tl_basis_word_table,
     walk_from_string,
 )
-from tlblob.words import GenWord, blob_basis_words, verify_presentation
+from tlblob.words import GenWord, blob_basis_words, eval_word, verify_presentation
 
 
 def fold_word(start, word, images):
@@ -67,6 +70,39 @@ def two_pass_sweep(images, basis, params):
     if failures and not sweep(params.sign_flipped()):
         return [], True
     return failures, False
+
+
+def step_failures(images, basis, params):
+    """(some stated step fails, some flipped step fails), by whole products.
+
+    A step is rep(D) images[l] = s * rep(D o G_l) for a basis diagram D and
+    a letter l of the basis words, G_l being the letter's diagram.
+    """
+    some = next(iter(images.values()))
+    start = SparseRepMatrix.identity(some.rows_log2, some.ring)
+    rep_of = {d: fold_word(start, w, images) for d, w in basis.items()}
+    gens = {l: eval_word(GenWord((l,), w.n)).diagram
+            for w in basis.values() for l in w.letters}
+    out = []
+    for p in (params, params.sign_flipped()):
+        out.append(any(
+            rep_of[d].mul(images[l]) != rep_of[res.diagram].scalar_mul(scalar)
+            for d in basis for l, g in gens.items()
+            for res, scalar in [compose_blob(d, g, p)]))
+    return tuple(out)
+
+
+def count_calls(monkeypatch, name):
+    """Replace faithful.<name> by a wrapper; the list collects its results."""
+    results = []
+    original = getattr(faithful, name)
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(faithful, name, counted)
+    return results
 
 
 def broken_e_images(n, m):
@@ -162,7 +198,7 @@ class TestTlFaithful:
             assert cert.to_json()["valid"] is False
 
     @pytest.mark.parametrize("check", [verify_tl_faithful, triangularity_report,
-                                       verify_r_composition])
+                                       verify_r_composition, prove_r_composition])
     def test_negative_n_rejected(self, check):
         with pytest.raises(ValueError):
             check(-1)
@@ -201,6 +237,132 @@ class TestComposition:
 
     def test_jobs_match_serial(self):
         assert verify_r_composition(3, jobs=2) == []
+
+
+class TestGeneratorStepProof:
+    """The proof paths give the sweeps' results and run them only on a
+    failing step."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_tl_correct_runs_no_sweep(self, monkeypatch, n):
+        expected = verify_r_composition(n)
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(n) == expected == []
+        assert sweeps == []
+
+    @staticmethod
+    def scale_diagram_matrix(monkeypatch, n, diagram):
+        diagrams, mats = faithful._diagram_matrix_table(n)
+        broken = dict(mats)
+        broken[diagram] = mats[diagram].scalar_mul(LaurentInt.from_int(2))
+        monkeypatch.setattr(faithful, "_diagram_matrix_table",
+                            lambda size: (diagrams, broken))
+
+    @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
+                                     (4, 3)])
+    def test_tl_scaled_generator_falls_back(self, monkeypatch, n, i):
+        self.scale_diagram_matrix(monkeypatch, n, generator_u(i, n))
+        expected = verify_r_composition(n)
+        assert expected
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(n, jobs=1) == expected
+        assert sweeps == [expected]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_tl_scaled_identity_falls_back(self, monkeypatch, n):
+        # At n = 1 there is no generator step: only R(id) = I catches it.
+        self.scale_diagram_matrix(monkeypatch, n, identity(n))
+        expected = verify_r_composition(n)
+        assert expected
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(n) == expected
+        assert sweeps == [expected]
+
+    @staticmethod
+    def check_blob(monkeypatch, images, n, params, basis=None):
+        """The proof's report; it is the sweep's, which runs iff it must."""
+        table = blob_basis_words(n) if basis is None else basis
+        stated, flipped = step_failures(images, table, params)
+        sweeps = count_calls(monkeypatch, "verify_blob_representation")
+        report = prove_blob_representation(images, n, params, basis)
+        assert len(sweeps) == int(stated and flipped)
+        if sweeps:
+            assert report is sweeps[0]
+        else:
+            sweep = verify_blob_representation(images, n, params, basis)
+            assert report.to_json() == sweep.to_json()
+            assert report.failures == sweep.failures
+            assert report.empirical_scalars == sweep.empirical_scalars
+        assert report.pairs_checked == len(table) ** 2
+        return report
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rho0_proved_without_sweep(self, monkeypatch, n, m):
+        images = rho0(Rho0Config(n, m)).letter_images()
+        report = self.check_blob(monkeypatch, images, n,
+                                 BlobParams.integral_form(m, cyclo=True))
+        assert report.ok and report.sign_normalized
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_broken_blob_image_falls_back(self, monkeypatch, n):
+        report = self.check_blob(monkeypatch, broken_e_images(n, 1), n,
+                                 BlobParams.integral_form(1, cyclo=True))
+        assert not report.ok
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_zero_blob_image(self, monkeypatch, n, m):
+        images = rho0(Rho0Config(n, m)).letter_images()
+        images["e"] = SparseRepMatrix(2 * n, 2 * n, {}, "cyclo")
+        self.check_blob(monkeypatch, images, n,
+                        BlobParams.integral_form(m, cyclo=True))
+
+    @pytest.mark.parametrize("scale_u1", [False, True])
+    def test_non_prefix_closed_tl_table(self, monkeypatch, scale_u1):
+        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
+        if scale_u1:
+            images[1] = images[1].scalar_mul(LaurentInt.from_int(2))
+        report = self.check_blob(monkeypatch, images, 3,
+                                 BlobParams.integral_form(1),
+                                 basis=tl_basis_word_table(3))
+        assert report.ok != scale_u1
+        assert not report.sign_normalized
+
+    def test_word_off_its_diagram_falls_back(self, monkeypatch):
+        # Zero generator images make every step hold, but two swapped words
+        # no longer walk to their own diagrams: only the sweep may decide.
+        basis = tl_basis_word_table(3)
+        (d1, w1), (d2, w2) = [(d, w) for d, w in basis.items() if w.letters][:2]
+        basis[d1], basis[d2] = w2, w1
+        images = {i: SparseRepMatrix(3, 3, {}, "laurent") for i in (1, 2)}
+        params = BlobParams.integral_form(1)
+        assert step_failures(images, basis, params) == (False, False)
+        sweeps = count_calls(monkeypatch, "verify_blob_representation")
+        report = prove_blob_representation(images, 3, params, basis)
+        assert report is sweeps[0]
+
+    def test_word_with_discard_falls_back(self, monkeypatch):
+        # u1 u1 reaches u1's diagram, but through a loop: every step holds
+        # for zero images, yet the word is no proof that rep(u1) is a
+        # product of generator images.
+        basis = tl_basis_word_table(3)
+        u1 = eval_word(GenWord((1,), 3)).diagram
+        basis[u1] = GenWord((1, 1), 3)
+        images = {i: SparseRepMatrix(3, 3, {}, "laurent") for i in (1, 2)}
+        params = BlobParams.integral_form(1)
+        assert step_failures(images, basis, params) == (False, False)
+        sweeps = count_calls(monkeypatch, "verify_blob_representation")
+        report = prove_blob_representation(images, 3, params, basis)
+        assert report is sweeps[0]
+
+    def test_step_leaving_the_basis_falls_back(self, monkeypatch):
+        basis = blob_basis_words(2)
+        del basis[next(d for d in basis if d.blobbed)]
+        images = rho0(Rho0Config(2, 1)).letter_images()
+        sweeps = count_calls(monkeypatch, "verify_blob_representation")
+        report = prove_blob_representation(
+            images, 2, BlobParams.integral_form(1, cyclo=True), basis)
+        assert report is sweeps[0]
 
 
 class TestMirror:

@@ -24,7 +24,8 @@ SEED = "11"
 COMMANDS = (
     [f"verify-blob --n {n} --m {m}" for n in (1, 2, 3) for m in (1, 2, 3)]
     + [f"certify-rho0 --n {n} --m {m}" for n in (1, 2, 3) for m in (1, 2)]
-    + [f"verify-tl --n {n}" for n in range(5)]
+    + [f"verify-tl --n {n}" for n in range(7)]
+    + ["verify-blob --n 4 --m 1"]
     + ["rmatrix --n 3 --u 1", "rmatrix --n 4 --u 0 --convention shifted",
        "lattice --n 4"]
 )

@@ -258,6 +258,11 @@ class TestRho0:
             u = rep.u[i]
             assert u.mul(u) == u.scalar_mul(CycloLaurent.from_laurent(DELTA))
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            Rho0Config(n, 1)
+
     def test_factors_commute(self):
         rep = rho0(Rho0Config(3, 1))
         for x, y in rep.u_factors.values():
