@@ -45,7 +45,9 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the modular rank witness (default %(default)s)")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for exhaustive sweeps")
+                       help="accepted for compatibility (N >= 1); every command"
+                            " runs in one process, so it changes neither the"
+                            " work nor the output")
         return p
 
     p = common(sub.add_parser("enumerate", help="list diagrams"))
@@ -163,8 +165,8 @@ def _cmd_lattice(args):
 
 
 def _cmd_verify_tl(args):
-    tri = triangularity_report(args.n, jobs=args.jobs)
-    comp_failures = prove_r_composition(args.n, jobs=args.jobs)
+    tri = triangularity_report(args.n)
+    comp_failures = prove_r_composition(args.n)
     cert = verify_tl_faithful(args.n, seed=args.seed)
     ok = tri.ok and not comp_failures and cert.valid
     payload = {

@@ -27,6 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .rings import _coerce_int
+
 __all__ = [
     "Pairing",
     "BlobPairing",
@@ -381,7 +383,13 @@ def diagram_to_json(d):
 
 
 def diagram_from_json(obj):
-    n, m = int(obj["n"]), int(obj["m"])
+    """The diagram of a JSON object; ValueError on anything malformed.
+
+    Node counts must be JSON integers >= 0 (not floats, strings or
+    booleans), and a blob line may be listed once: a second blob on the
+    same line would be a scalar factor, which a diagram cannot carry.
+    """
+    n, m = (_coerce_int(obj[key], ValueError) for key in ("n", "m"))
     if n < 0 or m < 0:
         raise ValueError(f"node counts must be >= 0, got n={n}, m={m}")
     pairs = tuple(
@@ -389,9 +397,11 @@ def diagram_from_json(obj):
     )
     base = Pairing(n, m, pairs)
     if "blobs" in obj:
-        blobs = frozenset(
+        blobs = [
             tuple(sorted((_label_to_node(a, n, m), _label_to_node(b, n, m))))
             for a, b in obj["blobs"]
-        )
-        return BlobPairing(base, blobs)
+        ]
+        if len(set(blobs)) != len(blobs):
+            raise ValueError("a blob line is listed more than once")
+        return BlobPairing(base, frozenset(blobs))
     return base

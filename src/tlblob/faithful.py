@@ -7,6 +7,12 @@ witness goes into the certificate and is re-checked before it is trusted.
 When no witness is found, the rank comes from fraction-free (Bareiss)
 elimination over the coefficient ring's fraction field.
 
+Every word matrix comes from one shared-prefix product chain
+(``_prefix_products``), one product per distinct word prefix.  The
+triangularity report, the rank and the mask overlays all read the walk-pair
+word matrices from the same generator, ``_pair_word_matrices``.  Everything
+runs in one process.
+
 The two composition identities (TL and blob) hold for every pair of basis
 diagrams once they hold for every basis diagram against every generator:
 the ``prove_*`` paths check those N*g steps and fall back to the exhaustive
@@ -20,7 +26,6 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
-from ._parallel import parallel_map
 from .diagrams import BlobPairing, compose_blob, compose_tl, enumerate_tl, \
     generator_u, identity
 from .rings import (
@@ -116,9 +121,8 @@ def rep_word_matrix(word, images, dim_log2, ring):
     return next(_rep_word_matrices([word], images, dim_log2, ring))
 
 
-def tl_word_matrix(word, cache=None):
-    images = cache if cache is not None else _tl_letter_matrices(word.n)
-    return rep_word_matrix(word, images, word.n, "laurent")
+def tl_word_matrix(word):
+    return rep_word_matrix(word, _tl_letter_matrices(word.n), word.n, "laurent")
 
 
 def _pair_word_matrices(n):
@@ -155,45 +159,34 @@ class TriangularityReport:
         return not self.failures
 
 
-def _triangularity_pair_check(args):
-    n, steps_a, steps_b = args
-    p = WalkPair(Walk(steps_a), Walk(steps_b))
-    mat = tl_word_matrix(pair_word(p), _tl_letter_matrices(n))
-    failures = []
-    nonwalk = []
-    own = (seq_to_index(p.a.steps), seq_to_index(p.b.steps))
-    if own not in mat.entries:
-        failures.append((p, own, "diagonal-zero"))
-    for pos in sorted(mat.entries):
-        useq = index_to_seq(pos[0], n)
-        vseq = index_to_seq(pos[1], n)
-        if not (_is_walk(useq) and _is_walk(vseq)):
-            nonwalk.append((p, pos))
-            continue
-        q = WalkPair(Walk(useq), Walk(vseq))
-        if not leq(q, p):
-            failures.append((p, pos, "above-pair"))
-    return failures, nonwalk
-
-
 def _require_size(n):
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
 
 
-def triangularity_report(n, jobs=1):
+def triangularity_report(n):
     """Check that each walk pair's matrix is supported below the pair.
 
     Clause 1: the entry at the pair's own position is nonzero.  Clause 2:
     every nonzero entry whose row and column are valid walks sits at a pair
-    dominated by the defining pair.
+    dominated by the defining pair.  The matrices are read from the same
+    shared-prefix build as ``verify_tl_faithful``, pair by pair in
+    enumeration order.
     """
     _require_size(n)
     report = TriangularityReport(n)
-    tasks = [(n, p.a.steps, p.b.steps) for p in enumerate_pairs(n)]
-    for failures, nonwalk in parallel_map(_triangularity_pair_check, tasks, jobs):
-        report.failures.extend(failures)
-        report.nonwalk_entries.extend(nonwalk)
+    pairs, mats = _pair_word_matrices(n)
+    for p, mat in zip(pairs, mats):
+        own = (seq_to_index(p.a.steps), seq_to_index(p.b.steps))
+        if own not in mat.entries:
+            report.failures.append((p, own, "diagonal-zero"))
+        for pos in sorted(mat.entries):
+            useq = index_to_seq(pos[0], n)
+            vseq = index_to_seq(pos[1], n)
+            if not (_is_walk(useq) and _is_walk(vseq)):
+                report.nonwalk_entries.append((p, pos))
+            elif not leq(WalkPair(Walk(useq), Walk(vseq)), p):
+                report.failures.append((p, pos, "above-pair"))
     return report
 
 
@@ -311,23 +304,15 @@ def _tl_step_fails(mats, d1, d2):
     return res, failed
 
 
-def _composition_pair_check(args):
-    n, i, j = args
-    diagrams, mats = _diagram_matrix_table(n)
-    d1, d2 = diagrams[i], diagrams[j]
-    return (d1, d2) if _tl_step_fails(mats, d1, d2)[1] else None
-
-
-def verify_r_composition(n, jobs=1):
+def verify_r_composition(n):
     """The multiplicative identity R(D) R(D') = [2]^loops R(D o D'), swept."""
     _require_size(n)
-    count = len(_diagram_matrix_table(n)[0])
-    tasks = [(n, i, j) for i in range(count) for j in range(count)]
-    results = parallel_map(_composition_pair_check, tasks, jobs)
-    return [r for r in results if r is not None]
+    diagrams, mats = _diagram_matrix_table(n)
+    return [(d1, d2) for d1 in diagrams for d2 in diagrams
+            if _tl_step_fails(mats, d1, d2)[1]]
 
 
-def prove_r_composition(n, jobs=1):
+def prove_r_composition(n):
     """verify_r_composition's failures, proved from N*(n-1) generator steps.
 
     Checks R(id) = I and R(D) R(u_i) = [2]^loops R(D o u_i) for every
@@ -335,21 +320,20 @@ def prove_r_composition(n, jobs=1):
     diagram from id, so each R(D') is a product of generator images.
     Induction along that product, with composition associative and loop
     counts additive, gives the identity for every pair: no pair fails.
-    When any check fails, the exhaustive sweep (run with ``jobs``) gives the
-    failures instead.
+    When any check fails, the exhaustive sweep gives the failures instead.
     """
     _require_size(n)
     diagrams, mats = _diagram_matrix_table(n)
     start = identity(n)
     if mats[start] != SparseRepMatrix.identity(n):
-        return verify_r_composition(n, jobs)
+        return verify_r_composition(n)
     gens = [generator_u(i, n) for i in range(1, n)]
     loop_free = {d: [] for d in diagrams}
     for d in diagrams:
         for g in gens:
             res, failed = _tl_step_fails(mats, d, g)
             if failed:
-                return verify_r_composition(n, jobs)
+                return verify_r_composition(n)
             if not res.plain_loops:
                 loop_free[d].append(res.diagram)
     reached = {start}
@@ -359,7 +343,7 @@ def prove_r_composition(n, jobs=1):
             if nxt not in reached:
                 reached.add(nxt)
                 queue.append(nxt)
-    return [] if len(reached) == len(diagrams) else verify_r_composition(n, jobs)
+    return [] if len(reached) == len(diagrams) else verify_r_composition(n)
 
 
 def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):

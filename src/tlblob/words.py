@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from math import comb
 
 from .diagrams import (
     BlobPairing,
@@ -116,10 +117,8 @@ def blob_basis_words(n):
     U_{n-1}) extends the frontier; an extension survives only when the
     incremental composition discards nothing.  First word found wins, so the
     table is deterministic.  Completeness over all (2n)!/(n!n!) diagrams is
-    asserted.
+    checked: an incomplete search raises RuntimeError.
     """
-    from math import comb
-
     gens = [("e", blob_e(n))] + [
         (i, BlobPairing(generator_u(i, n))) for i in range(1, n)
     ]
@@ -137,7 +136,8 @@ def blob_basis_words(n):
                 table[res.diagram] = GenWord(word.letters + (letter,), n)
                 queue.append(res.diagram)
     expected = comb(2 * n, n)
-    assert len(table) == expected, f"basis search incomplete: {len(table)}/{expected}"
+    if len(table) != expected:
+        raise RuntimeError(f"basis search incomplete: {len(table)}/{expected}")
     return table
 
 

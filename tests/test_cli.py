@@ -93,6 +93,19 @@ class TestCompose:
         good.write_text(json.dumps(diagram_to_json(identity(2))))
         assert main(["compose", str(bad), str(good)]) == 2
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 2.9, "m": 2.7, "pairs": [["t1", "b1"], ["t2", "b2"]]},
+        {"n": True, "m": 1, "pairs": [["t1", "b1"]]},
+        {"n": "1", "m": 1, "pairs": [["t1", "b1"]]},
+        {"n": 1, "m": 1, "pairs": [["t1", "b1"]],
+         "blobs": [["t1", "b1"], ["b1", "t1"]]},
+    ])
+    def test_malformed_diagram_exit_2(self, capsys, tmp_path, obj):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["compose", str(bad), str(bad)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(diagram_to_json(identity(2))))

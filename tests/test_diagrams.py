@@ -479,6 +479,24 @@ class TestJsonValidation:
         with pytest.raises(ValueError):
             diagram_from_json({"n": -1, "m": 1, "pairs": []})
 
+    @pytest.mark.parametrize("n,m,k", [(2.9, 2.7, 2), (2.0, 2, 2), (2, 2.0, 2),
+                                       (True, 1, 1), (1, True, 1), ("1", 1, 1),
+                                       (1, "1", 1), (None, 1, 1)])
+    def test_non_int_size_is_value_error(self, n, m, k):
+        # k pairs fit the sizes that int() would have read.
+        pairs = [["t1", "b1"], ["t2", "b2"]][:k]
+        with pytest.raises(ValueError):
+            diagram_from_json({"n": n, "m": m, "pairs": pairs})
+
+    @pytest.mark.parametrize("blobs", [[["t1", "b1"], ["t1", "b1"]],
+                                       [["t1", "b1"], ["b1", "t1"]]])
+    def test_blob_line_listed_twice_is_value_error(self, blobs):
+        obj = {"n": 1, "m": 1, "pairs": [["t1", "b1"]], "blobs": blobs}
+        with pytest.raises(ValueError):
+            diagram_from_json(obj)
+        obj["blobs"] = blobs[:1]
+        assert diagram_to_json(diagram_from_json(obj))["blobs"] == [["t1", "b1"]]
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-2, 4), st.integers(-2, 4),
            st.lists(st.lists(st.one_of(st.text(max_size=3), st.sampled_from(

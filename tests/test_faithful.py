@@ -12,6 +12,7 @@ from tlblob.rings import (
 from tlblob.tensorrep import (
     Rho0Config,
     SparseRepMatrix,
+    index_to_seq,
     r_matrix,
     rho0,
     seq_to_index,
@@ -34,8 +35,10 @@ from tlblob.faithful import (
     verify_tl_faithful,
 )
 from tlblob.walks import (
+    Walk,
     WalkPair,
     enumerate_pairs,
+    leq,
     pair_word,
     tl_basis_word_table,
     walk_from_string,
@@ -90,6 +93,33 @@ def step_failures(images, basis, params):
             for d in basis for l, g in gens.items()
             for res, scalar in [compose_blob(d, g, p)]))
     return tuple(out)
+
+
+def reference_triangularity(n):
+    """(failures, nonwalk_entries) of the per-pair triangularity check.
+
+    Each pair's word is folded letter by letter from the identity through
+    the current ``_tl_letter_matrices``; nothing is shared between pairs.
+    """
+    images = faithful._tl_letter_matrices(n)
+
+    def is_walk(seq):
+        return all(seq[:k].count(1) >= seq[:k].count(2)
+                   for k in range(len(seq) + 1))
+
+    failures, nonwalk = [], []
+    for p in enumerate_pairs(n):
+        mat = fold_word(SparseRepMatrix.identity(n), pair_word(p), images)
+        own = (seq_to_index(p.a.steps), seq_to_index(p.b.steps))
+        if own not in mat.entries:
+            failures.append((p, own, "diagonal-zero"))
+        for pos in sorted(mat.entries):
+            useq, vseq = index_to_seq(pos[0], n), index_to_seq(pos[1], n)
+            if not (is_walk(useq) and is_walk(vseq)):
+                nonwalk.append((p, pos))
+            elif not leq(WalkPair(Walk(useq), Walk(vseq)), p):
+                failures.append((p, pos, "above-pair"))
+    return failures, nonwalk
 
 
 def count_calls(monkeypatch, name):
@@ -153,11 +183,46 @@ class TestTriangularity:
         # (21, ...) rows exist but are not walks
         assert report.nonwalk_entries
 
-    def test_jobs_match_serial(self):
-        serial = triangularity_report(4, jobs=1)
-        parallel = triangularity_report(4, jobs=2)
-        assert serial.ok == parallel.ok
-        assert len(serial.nonwalk_entries) == len(parallel.nonwalk_entries)
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_reference(self, n):
+        report = triangularity_report(n)
+        assert (report.failures, report.nonwalk_entries) == \
+            reference_triangularity(n)
+
+    @pytest.mark.parametrize("n,i,j,clauses", [
+        (3, 1, 2, {"above-pair"}),
+        (3, 2, 1, {"diagonal-zero"}),
+        (4, 1, 3, {"above-pair", "diagonal-zero"}),
+        (5, 3, 2, {"above-pair", "diagonal-zero"}),
+        (6, 1, 2, {"above-pair"}),
+        (6, 2, 1, {"diagonal-zero"}),
+    ])
+    def test_swapped_letter_matches_reference(self, monkeypatch, n, i, j,
+                                              clauses):
+        # u_i's image replaced by u_j's: the report must still be the
+        # per-pair check's, failures and informational entries in order.
+        original = faithful._tl_letter_matrices
+        monkeypatch.setattr(faithful, "_tl_letter_matrices",
+                            lambda size: {**original(size), i: original(size)[j]})
+        report = triangularity_report(n)
+        assert (report.failures, report.nonwalk_entries) == \
+            reference_triangularity(n)
+        assert {clause for _, _, clause in report.failures} == clauses
+
+    @pytest.mark.parametrize("n,products", [(5, 52), (6, 156), (7, 500)])
+    def test_one_product_per_prefix(self, monkeypatch, n, products):
+        prefixes = {w.letters[:k] for w in map(pair_word, enumerate_pairs(n))
+                    for k in range(1, len(w.letters) + 1)}
+        calls = []
+        original = SparseRepMatrix.mul
+
+        def counted(self, other):
+            calls.append(None)
+            return original(self, other)
+
+        monkeypatch.setattr(SparseRepMatrix, "mul", counted)
+        assert triangularity_report(n).ok
+        assert len(calls) == len(prefixes) == products
 
 
 class TestTlFaithful:
@@ -235,9 +300,6 @@ class TestComposition:
     def test_identity_sweep(self, n):
         assert verify_r_composition(n) == []
 
-    def test_jobs_match_serial(self):
-        assert verify_r_composition(3, jobs=2) == []
-
 
 class TestGeneratorStepProof:
     """The proof paths give the sweeps' results and run them only on a
@@ -265,7 +327,7 @@ class TestGeneratorStepProof:
         expected = verify_r_composition(n)
         assert expected
         sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(n, jobs=1) == expected
+        assert prove_r_composition(n) == expected
         assert sweeps == [expected]
 
     @pytest.mark.parametrize("n", [1, 3])

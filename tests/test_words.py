@@ -93,6 +93,31 @@ class TestBasisWords:
         t2 = blob_basis_words(3)
         assert list(t1.items()) == list(t2.items())
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_incomplete_search_raises(self, monkeypatch, n):
+        import tlblob.words as words
+
+        monkeypatch.setattr(words, "comb", lambda a, b: comb(a, b) + 1)
+        with pytest.raises(RuntimeError, match="incomplete"):
+            blob_basis_words(n)
+
+    def test_incomplete_search_raises_under_optimize(self):
+        # The check must not be an assert: python -O would strip it.
+        import os
+        import subprocess
+        import sys
+
+        import tlblob
+
+        code = ("import tlblob.words as w; w.comb = lambda a, b: 0; "
+                "w.blob_basis_words(2)")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(tlblob.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "RuntimeError: basis search incomplete" in proc.stderr
+
 
 class TestFMap:
     def test_letter_images(self):
