@@ -25,7 +25,6 @@ lines; middle nodes left over lie on closed loops.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .rings import _coerce_int
 
@@ -53,25 +52,23 @@ def _canonical_pairs(pairs):
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
-@dataclass(frozen=True)
 class Pairing:
     """A planar pairing of n northern and m southern boundary nodes."""
 
-    n: int
-    m: int
-    pairs: tuple = ()
+    __slots__ = ("n", "m", "pairs")
 
-    def __post_init__(self):
-        if (self.n + self.m) % 2:
+    def __init__(self, n, m, pairs=()):
+        if (n + m) % 2:
             raise ValueError("n + m must be even")
-        pairs = _canonical_pairs(self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+        self.n = n
+        self.m = m
+        self.pairs = pairs = _canonical_pairs(pairs)
         seen = set()
         for a, b in pairs:
             if a == b:
                 raise ValueError("fixed point in pairing")
             seen.update((a, b))
-        if seen != set(range(self.n + self.m)):
+        if seen != set(range(n + m)):
             raise ValueError("pairs must partition all boundary nodes")
         spans = sorted(self._span(p) for p in pairs)
         stack = []
@@ -81,6 +78,14 @@ class Pairing:
             if stack and stack[-1] < hi:
                 raise ValueError(f"chords cross: {pairs}")
             stack.append(hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m, self.pairs) == (other.n, other.m, other.pairs)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.pairs))
 
     def _pos(self, node):
         # Position in the linear order t1..tn, bm..b1 (west cut).
@@ -112,23 +117,29 @@ class Pairing:
         return f"Pairing({self.n},{self.m}; {body})"
 
 
-@dataclass(frozen=True)
 class BlobPairing:
     """A planar pairing with blobs on a subset of its exposed lines."""
 
-    base: Pairing
-    blobbed: frozenset = field(default_factory=frozenset)
+    __slots__ = ("base", "blobbed")
 
-    def __post_init__(self):
-        blobbed = frozenset(tuple(sorted(p)) for p in self.blobbed)
-        object.__setattr__(self, "blobbed", blobbed)
-        lines = set(self.base.pairs)
-        exposed = set(exposed_lines(self.base))
+    def __init__(self, base, blobbed=()):
+        self.base = base
+        self.blobbed = blobbed = frozenset(tuple(sorted(p)) for p in blobbed)
+        lines = set(base.pairs)
+        exposed = set(exposed_lines(base))
         for line in blobbed:
             if line not in lines:
                 raise ValueError(f"blob on a non-line {line}")
             if line not in exposed:
                 raise ValueError(f"blob on a covered line {line}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.blobbed) == (other.base, other.blobbed)
+
+    def __hash__(self):
+        return hash((self.base, self.blobbed))
 
     @property
     def n(self):
@@ -147,14 +158,32 @@ class BlobPairing:
         return f"BlobPairing({self.n},{self.m}; {body})"
 
 
-@dataclass(frozen=True)
 class CompositionResult:
     """A composed diagram plus the discarded-feature counts."""
 
-    diagram: object
-    plain_loops: int = 0
-    blob_loops: int = 0
-    blob_merges: int = 0
+    __slots__ = ("diagram", "plain_loops", "blob_loops", "blob_merges")
+
+    def __init__(self, diagram, plain_loops=0, blob_loops=0, blob_merges=0):
+        self.diagram = diagram
+        self.plain_loops = plain_loops
+        self.blob_loops = blob_loops
+        self.blob_merges = blob_merges
+
+    def _fields(self):
+        return (self.diagram, self.plain_loops, self.blob_loops, self.blob_merges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"CompositionResult(diagram={self.diagram!r}, "
+                f"plain_loops={self.plain_loops!r}, blob_loops={self.blob_loops!r}, "
+                f"blob_merges={self.blob_merges!r})")
 
 
 def exposed_lines(d):

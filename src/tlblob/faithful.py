@@ -21,7 +21,6 @@ the ``prove_*`` paths check those N*g steps and fall back to the exhaustive
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -45,7 +44,7 @@ from .tensorrep import (
     Rho0Config,
     seq_to_index,
 )
-from .walks import Walk, WalkPair, enumerate_pairs, leq, pair_word
+from .walks import Walk, _profiles_leq, enumerate_pairs, pair_word
 from .words import _letter_diagram, blob_basis_words
 
 DEFAULT_SEED = 7
@@ -141,7 +140,6 @@ def _is_walk(seq):
     return True
 
 
-@dataclass
 class TriangularityReport:
     """Clause-by-clause outcome of the triangularity sweep at size n.
 
@@ -150,9 +148,22 @@ class TriangularityReport:
     informational, since the order is defined on walks only.
     """
 
-    n: int
-    failures: list = field(default_factory=list)
-    nonwalk_entries: list = field(default_factory=list)
+    __slots__ = ("n", "failures", "nonwalk_entries")
+
+    def __init__(self, n, failures=None, nonwalk_entries=None):
+        self.n = n
+        self.failures = [] if failures is None else failures
+        self.nonwalk_entries = [] if nonwalk_entries is None else nonwalk_entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.failures, self.nonwalk_entries) == \
+            (other.n, other.failures, other.nonwalk_entries)
+
+    def __repr__(self):
+        return (f"TriangularityReport(n={self.n!r}, failures={self.failures!r}, "
+                f"nonwalk_entries={self.nonwalk_entries!r})")
 
     @property
     def ok(self):
@@ -175,30 +186,52 @@ def triangularity_report(n):
     """
     _require_size(n)
     report = TriangularityReport(n)
+    # Column profile of each index's walk, None where the index is no walk.
+    profiles = [Walk(seq).profile if _is_walk(seq) else None
+                for seq in (index_to_seq(i, n) for i in range(1 << n))]
     pairs, mats = _pair_word_matrices(n)
     for p, mat in zip(pairs, mats):
         own = (seq_to_index(p.a.steps), seq_to_index(p.b.steps))
         if own not in mat.entries:
             report.failures.append((p, own, "diagonal-zero"))
+        pa, pb = profiles[own[0]], profiles[own[1]]
         for pos in sorted(mat.entries):
-            useq = index_to_seq(pos[0], n)
-            vseq = index_to_seq(pos[1], n)
-            if not (_is_walk(useq) and _is_walk(vseq)):
+            qa, qb = profiles[pos[0]], profiles[pos[1]]
+            if qa is None or qb is None:
                 report.nonwalk_entries.append((p, pos))
-            elif not leq(WalkPair(Walk(useq), Walk(vseq)), p):
+            elif not _profiles_leq(qa, qb, pa, pb):
                 report.failures.append((p, pos, "above-pair"))
     return report
 
 
-@dataclass
 class FaithfulnessCertificate:
-    n: int
-    basis_size: int
-    rank: int
-    method: str
-    mask_checks: list = field(default_factory=list)
-    witness: dict | None = None
-    tool_version: str = __version__
+    __slots__ = ("n", "basis_size", "rank", "method", "mask_checks", "witness",
+                 "tool_version")
+
+    def __init__(self, n, basis_size, rank, method, mask_checks=None, witness=None,
+                 tool_version=__version__):
+        self.n = n
+        self.basis_size = basis_size
+        self.rank = rank
+        self.method = method
+        self.mask_checks = [] if mask_checks is None else mask_checks
+        self.witness = witness
+        self.tool_version = tool_version
+
+    def _fields(self):
+        return (self.n, self.basis_size, self.rank, self.method, self.mask_checks,
+                self.witness, self.tool_version)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (f"FaithfulnessCertificate(n={self.n!r}, basis_size={self.basis_size!r}, "
+                f"rank={self.rank!r}, method={self.method!r}, "
+                f"mask_checks={self.mask_checks!r}, witness={self.witness!r}, "
+                f"tool_version={self.tool_version!r})")
 
     @property
     def valid(self):
@@ -245,13 +278,28 @@ def verify_tl_faithful(n, seed=DEFAULT_SEED):
                                    method=method, witness=witness)
 
 
-@dataclass
 class MaskIndependenceReport:
-    n: int
-    trials: int
-    seed: int
-    basis_size: int
-    ranks: list = field(default_factory=list)
+    __slots__ = ("n", "trials", "seed", "basis_size", "ranks")
+
+    def __init__(self, n, trials, seed, basis_size, ranks=None):
+        self.n = n
+        self.trials = trials
+        self.seed = seed
+        self.basis_size = basis_size
+        self.ranks = [] if ranks is None else ranks
+
+    def _fields(self):
+        return (self.n, self.trials, self.seed, self.basis_size, self.ranks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (f"MaskIndependenceReport(n={self.n!r}, trials={self.trials!r}, "
+                f"seed={self.seed!r}, basis_size={self.basis_size!r}, "
+                f"ranks={self.ranks!r})")
 
     @property
     def ok(self):
@@ -394,16 +442,35 @@ def certify_rho0(n, m, seed=DEFAULT_SEED):
     return certify_mirror(rep.e, rep.u_factors, n, seed=seed)
 
 
-@dataclass
 class BlobRepReport:
     """Structure-constant verification of a representation on a diagram basis."""
 
-    n: int
-    pairs_checked: int
-    failures: list
-    sign_normalized: bool
-    empirical_scalars: dict = field(default_factory=dict)
-    expected_scalars: dict = field(default_factory=dict)
+    __slots__ = ("n", "pairs_checked", "failures", "sign_normalized",
+                 "empirical_scalars", "expected_scalars")
+
+    def __init__(self, n, pairs_checked, failures, sign_normalized,
+                 empirical_scalars=None, expected_scalars=None):
+        self.n = n
+        self.pairs_checked = pairs_checked
+        self.failures = failures
+        self.sign_normalized = sign_normalized
+        self.empirical_scalars = {} if empirical_scalars is None else empirical_scalars
+        self.expected_scalars = {} if expected_scalars is None else expected_scalars
+
+    def _fields(self):
+        return (self.n, self.pairs_checked, self.failures, self.sign_normalized,
+                self.empirical_scalars, self.expected_scalars)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (f"BlobRepReport(n={self.n!r}, pairs_checked={self.pairs_checked!r}, "
+                f"failures={self.failures!r}, sign_normalized={self.sign_normalized!r}, "
+                f"empirical_scalars={self.empirical_scalars!r}, "
+                f"expected_scalars={self.expected_scalars!r})")
 
     @property
     def ok(self):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 __all__ = [
     "LaurentInt", "CycloInt", "CycloLaurent", "BlobParams", "quantum_integer",
@@ -283,6 +282,8 @@ class LaurentInt(_Laurent):
 
     def evaluate(self, x0):
         """Evaluate at an exact rational (or integer) point x0 != 0."""
+        from fractions import Fraction
+
         x0 = Fraction(x0)
         return sum((c * x0 ** (k >> 3) for k, c in self.terms.items()), Fraction(0))
 

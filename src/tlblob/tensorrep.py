@@ -14,7 +14,6 @@ generator is q.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, element_from_json, \
     element_to_json
@@ -47,19 +46,21 @@ def index_to_seq(idx, n):
     return tuple(((idx >> (n - 1 - i)) & 1) + 1 for i in range(n))
 
 
-@dataclass(frozen=True, eq=False)
 class SparseRepMatrix:
     """A sparse matrix on ({1,2}^rows) x ({1,2}^cols) over one of the rings."""
 
-    rows_log2: int
-    cols_log2: int
-    entries: dict
-    ring: str
+    __slots__ = ("rows_log2", "cols_log2", "entries", "ring")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", {k: v for k, v in self.entries.items() if v}
-        )
+    def __init__(self, rows_log2, cols_log2, entries, ring):
+        self.rows_log2 = rows_log2
+        self.cols_log2 = cols_log2
+        self.entries = {k: v for k, v in entries.items() if v}
+        self.ring = ring
+
+    def __repr__(self):
+        return (f"SparseRepMatrix(rows_log2={self.rows_log2!r}, "
+                f"cols_log2={self.cols_log2!r}, entries={self.entries!r}, "
+                f"ring={self.ring!r})")
 
     @classmethod
     def identity(cls, n_log2, ring="laurent"):
@@ -244,7 +245,6 @@ def place_local(local, i, total, sign=-1):
     return SparseRepMatrix(total, total, entries, local.ring)
 
 
-@dataclass(frozen=True)
 class Rho0Config:
     """Size and weight parameters of the explicit blob tensor representation.
 
@@ -252,12 +252,24 @@ class Rho0Config:
     placement weights are r = a^2 q^m, s = a^5 x and t = a^3 x.
     """
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+    def __init__(self, n, m):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.n = n
+        self.m = m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m) == (other.n, other.m)
+
+    def __hash__(self):
+        return hash((self.n, self.m))
+
+    def __repr__(self):
+        return f"Rho0Config(n={self.n!r}, m={self.m!r})"
 
     @property
     def r_param(self):
@@ -272,7 +284,6 @@ class Rho0Config:
         return CycloLaurent({1: CycloInt.a_power(3)})
 
 
-@dataclass(frozen=True)
 class Rho0Rep:
     """Generator images of rho0 on 2n tensor factors.
 
@@ -280,10 +291,25 @@ class Rho0Rep:
     mirror certification constrains the factors, not just their product.
     """
 
-    config: Rho0Config
-    e: SparseRepMatrix
-    u_factors: dict = field(default_factory=dict)
-    u: dict = field(default_factory=dict)
+    __slots__ = ("config", "e", "u_factors", "u")
+
+    def __init__(self, config, e, u_factors=None, u=None):
+        self.config = config
+        self.e = e
+        self.u_factors = {} if u_factors is None else u_factors
+        self.u = {} if u is None else u
+
+    def _fields(self):
+        return (self.config, self.e, self.u_factors, self.u)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (f"Rho0Rep(config={self.config!r}, e={self.e!r}, "
+                f"u_factors={self.u_factors!r}, u={self.u!r})")
 
     def letter_images(self):
         images = {"e": self.e}

@@ -13,8 +13,6 @@ across different endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .words import GenWord
 
 __all__ = [
@@ -31,13 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Walk:
-    steps: tuple
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        steps = tuple(int(s) for s in self.steps)
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps):
+        self.steps = steps = tuple(int(s) for s in steps)
         h = 0
         for s in steps:
             if s not in (1, 2):
@@ -45,6 +41,14 @@ class Walk:
             h += 1 if s == 1 else -1
             if h < 0:
                 raise ValueError(f"walk {steps} leaves the nonnegative columns")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.steps,))
 
     def __len__(self):
         return len(self.steps)
@@ -69,16 +73,24 @@ def walk_from_string(text):
     return Walk(tuple(int(ch) for ch in text.strip()))
 
 
-@dataclass(frozen=True)
 class WalkPair:
-    a: Walk
-    b: Walk
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
+    def __init__(self, a, b):
+        if len(a) != len(b):
             raise ValueError("walks must have equal length")
-        if self.a.endpoint != self.b.endpoint:
+        if a.endpoint != b.endpoint:
             raise ValueError("walks must share an endpoint")
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @property
     def n(self):
@@ -162,10 +174,15 @@ def leq(p, q):
     """Envelope order: domination at equal endpoints, else endpoint order."""
     if p.n != q.n:
         raise ValueError("pairs must have equal length")
-    if p.endpoint != q.endpoint:
-        return p.endpoint < q.endpoint
-    return all(x <= y for x, y in zip(p.a.profile, q.a.profile)) and \
-        all(x <= y for x, y in zip(p.b.profile, q.b.profile))
+    return _profiles_leq(p.a.profile, p.b.profile, q.a.profile, q.b.profile)
+
+
+def _profiles_leq(pa, pb, qa, qb):
+    """leq of the pairs whose walks have column profiles (pa, pb) and (qa, qb)."""
+    if pa[-1] != qa[-1]:
+        return pa[-1] < qa[-1]
+    return all(x <= y for x, y in zip(pa, qa)) and \
+        all(x <= y for x, y in zip(pb, qb))
 
 
 def pair_word(p):

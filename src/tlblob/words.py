@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from math import comb
 
 from .diagrams import (
@@ -37,25 +36,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GenWord:
     """A word in {e, U_i}; the empty word denotes the algebra unit."""
 
-    letters: tuple
-    n: int
-    convention: str = "standard"
+    __slots__ = ("letters", "n", "convention")
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
+    def __init__(self, letters, n, convention="standard"):
+        self.letters = letters = tuple(letters)
+        self.n = n
+        self.convention = convention
+        for letter in letters:
             if letter == "e":
-                if self.convention != "standard":
+                if convention != "standard":
                     raise ValueError("the blob letter lives in the standard convention")
                 continue
             if not isinstance(letter, int) or isinstance(letter, bool):
                 raise ValueError(f"bad letter {letter!r}")
             # Range check once, at construction.
-            _probe_index(letter, self.n, self.convention)
+            _probe_index(letter, n, convention)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters, self.n, self.convention) == \
+            (other.letters, other.n, other.convention)
+
+    def __hash__(self):
+        return hash((self.letters, self.n, self.convention))
 
     def __mul__(self, other):
         if self.n != other.n or self.convention != other.convention:
@@ -71,14 +78,32 @@ def _probe_index(i, n, convention):
     generator_u(i, n, convention)
 
 
-@dataclass(frozen=True)
 class WordEval:
     """Evaluation of a word: final diagram plus accumulated discard counts."""
 
-    diagram: BlobPairing
-    plain_loops: int
-    blob_loops: int
-    blob_merges: int
+    __slots__ = ("diagram", "plain_loops", "blob_loops", "blob_merges")
+
+    def __init__(self, diagram, plain_loops, blob_loops, blob_merges):
+        self.diagram = diagram
+        self.plain_loops = plain_loops
+        self.blob_loops = blob_loops
+        self.blob_merges = blob_merges
+
+    def _fields(self):
+        return (self.diagram, self.plain_loops, self.blob_loops, self.blob_merges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"WordEval(diagram={self.diagram!r}, "
+                f"plain_loops={self.plain_loops!r}, blob_loops={self.blob_loops!r}, "
+                f"blob_merges={self.blob_merges!r})")
 
     @property
     def loop_free(self):
@@ -186,12 +211,24 @@ def format_word(word):
     return " ".join("e" if l == "e" else f"u{l}" for l in word.letters)
 
 
-@dataclass
 class PresentationReport:
     """Outcome of checking the defining relations against matrices."""
 
-    violations: list
-    empirical_scalars: dict
+    __slots__ = ("violations", "empirical_scalars")
+
+    def __init__(self, violations, empirical_scalars):
+        self.violations = violations
+        self.empirical_scalars = empirical_scalars
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.violations, self.empirical_scalars) == \
+            (other.violations, other.empirical_scalars)
+
+    def __repr__(self):
+        return (f"PresentationReport(violations={self.violations!r}, "
+                f"empirical_scalars={self.empirical_scalars!r})")
 
     @property
     def ok(self):

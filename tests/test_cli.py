@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -234,3 +237,16 @@ class TestWitnessOutput:
             vectors = [rep_word_matrix(w, images, 4, "cyclo").flatten()
                        for w in blob_basis_words(2).values()]
         assert check_full_rank_witness(vectors, cert["witness"])
+
+
+def test_import_skips_slow_stdlib_modules():
+    # dataclasses (with inspect, ast and dis) and fractions cost more to
+    # import than a small certificate takes to compute; -S keeps site hooks
+    # from importing them on their own.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tlblob.cli; print(sorted({'dataclasses', 'inspect', " \
+        "'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

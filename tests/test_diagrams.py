@@ -428,18 +428,18 @@ class TestIntegerChainWalk:
 
     def test_compose_tl_builds_no_blob_diagram(self, monkeypatch):
         calls = {"exposed_lines": 0, "BlobPairing": 0}
-        exposed, post_init = diagrams_module.exposed_lines, BlobPairing.__post_init__
+        exposed, init = diagrams_module.exposed_lines, BlobPairing.__init__
 
         def counted_exposed(d):
             calls["exposed_lines"] += 1
             return exposed(d)
 
-        def counted_post_init(self):
+        def counted_init(self, *args, **kwargs):
             calls["BlobPairing"] += 1
-            post_init(self)
+            init(self, *args, **kwargs)
 
         monkeypatch.setattr(diagrams_module, "exposed_lines", counted_exposed)
-        monkeypatch.setattr(BlobPairing, "__post_init__", counted_post_init)
+        monkeypatch.setattr(BlobPairing, "__init__", counted_init)
         diagrams = enumerate_tl(3, 3)
         for d1, d2 in itertools.product(diagrams, repeat=2):
             compose_tl(d1, d2)

@@ -66,6 +66,10 @@ class TestQuantumInteger:
     def test_classical_specialization(self, n):
         assert quantum_integer(n).evaluate(1) == n
 
+    def test_evaluate_is_an_exact_fraction(self):
+        value = LaurentInt({1: 1, -1: 1}).evaluate(2)
+        assert type(value) is Fraction and value == Fraction(5, 2)
+
 
 class TestLaurentArithmetic:
     def test_x_times_inverse_is_one(self):
