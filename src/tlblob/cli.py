@@ -138,6 +138,8 @@ def _cmd_rmatrix(args):
         diagram = generator_u(args.u, args.n, args.convention)
     else:
         raise ValueError("rmatrix needs --file or both --n and --u")
+    if hasattr(diagram, "blobbed"):
+        raise ValueError("rmatrix takes a plain diagram; this one has blobs")
     return {"matrix": matrix_to_json(r_matrix(diagram))}, True
 
 

@@ -136,8 +136,15 @@ class _Laurent:
             g, cls = self._join(other)
             if cls is None:
                 return NotImplemented
+        f = self.terms
+        if len(g) == 1:
+            ((key, coeff),) = g.items()
+            return cls._shifted(f, key, coeff)
+        if len(f) == 1:
+            ((key, coeff),) = f.items()
+            return cls._shifted(g, key, coeff)
         out = {}
-        for k1, c1 in self.terms.items():
+        for k1, c1 in f.items():
             for k2, c2 in g.items():
                 k = k1 + k2
                 s = out.get(k, 0) + c1 * c2
@@ -157,6 +164,28 @@ class _Laurent:
         return res
 
     __rmul__ = __mul__
+
+    @classmethod
+    def _shifted(cls, terms, key, coeff):
+        """terms times the monomial coeff * a^k x^e, key = 8e + k.
+
+        Every key moves by ``key``; a sum with a-part k >= 4 folds to
+        -a^(k-4).  No two terms merge: their a-parts differ by less than 4.
+        ``SparseRepMatrix.mul`` calls this directly for one-term entries.
+        """
+        if key & 7:
+            out = {}
+            for k, c in terms.items():
+                k += key
+                if k & 4:
+                    out[k - 4] = -c * coeff
+                else:
+                    out[k] = c * coeff
+        else:
+            out = {k + key: c * coeff for k, c in terms.items()}
+        res = cls.__new__(cls)
+        res.terms = out
+        return res
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -464,12 +493,24 @@ def _modular_eighth_root(rng, p):
 def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
     """Each vector's image under x -> x_val, a -> a_val, as {col: residue}.
 
-    With ``cols`` given, only those columns are evaluated.
+    With ``cols`` given, only those columns are evaluated.  Each packed key
+    8e + k is turned into x_val^e a_val^k mod p once per call, through a
+    table filled as keys appear; the residues are those of ``evaluate_mod``.
     """
+    table = {}
     rows = []
     for v in vectors:
-        keys = v if cols is None else [c for c in cols if c in v]
-        rows.append({k: r for k in keys if (r := v[k].evaluate_mod(x_val, a_val, p))})
+        row = {}
+        for col in (v if cols is None else [c for c in cols if c in v]):
+            acc = 0
+            for key, c in v[col].terms.items():
+                m = table.get(key)
+                if m is None:
+                    m = table[key] = pow(x_val, key >> 3, p) * pow(a_val, key & 7, p) % p
+                acc += c * m
+            if acc % p:
+                row[col] = acc % p
+        rows.append(row)
     return rows
 
 

@@ -83,16 +83,30 @@ class SparseRepMatrix:
     def mul(self, other):
         if self.cols_log2 != other.rows_log2 or self.ring != other.ring:
             raise ValueError("shape or ring mismatch in matrix product")
+        # A one-term right entry c a^k x^e is kept as its packed key and c:
+        # the product then shifts the left terms instead of running the
+        # ring's double loop, and reuses the left element itself for 1
+        # (ring elements are never mutated).  Mixed element classes take
+        # the ring product, which picks the result class.
         rows_of_b = {}
         for (r, c), v in other.entries.items():
-            rows_of_b.setdefault(r, []).append((c, v))
+            key = coeff = None
+            if len(v.terms) == 1:
+                ((key, coeff),) = v.terms.items()
+            rows_of_b.setdefault(r, []).append((c, v, type(v), key, coeff))
         out = {}
         for (u, w), a in self.entries.items():
-            for c, b in rows_of_b.get(w, ()):
-                key = (u, c)
-                s = out.get(key)
-                t = a * b
-                out[key] = t if s is None else s + t
+            a_cls = type(a)
+            for c, b, b_cls, key, coeff in rows_of_b.get(w, ()):
+                if key is None or b_cls is not a_cls:
+                    t = a * b
+                elif key or coeff != 1:
+                    t = a_cls._shifted(a.terms, key, coeff)
+                else:
+                    t = a
+                pos = (u, c)
+                s = out.get(pos)
+                out[pos] = t if s is None else s + t
         return SparseRepMatrix(self.rows_log2, other.cols_log2, out, self.ring)
 
     def scalar_mul(self, c):
@@ -133,6 +147,8 @@ class SparseRepMatrix:
         except ArithmeticError:
             return None
         mine = self.entries
+        if c.terms == {0: 1}:  # every loop-free step
+            return c if mine == other.entries else None
         return c if all(c * v == mine[k] for k, v in other.entries.items()) else None
 
     def flatten(self):
@@ -178,6 +194,7 @@ def r_matrix(d, unit=None):
             options.append([(((0, a, 1), (1, j, 1)), 0),
                             (((0, a, 2), (1, j, 2)), 0)])
     entries = {}
+    powers = {}  # exponent -> unit power, shared by every entry that uses it
     for combo in itertools.product(*options):
         v = [0] * n
         w = [0] * m
@@ -189,7 +206,9 @@ def r_matrix(d, unit=None):
                     v[pos] = val
                 else:
                     w[pos] = val
-        coeff = unit ** exp if exp >= 0 else inv ** (-exp)
+        coeff = powers.get(exp)
+        if coeff is None:
+            coeff = powers[exp] = unit ** exp if exp >= 0 else inv ** (-exp)
         entries[(seq_to_index(v), seq_to_index(w))] = coeff
     return SparseRepMatrix(n, m, entries, ring)
 

@@ -147,6 +147,17 @@ class TestSmallCommands:
         assert code == 0
         assert len(json.loads(out)["matrix"]["entries"]) == 4
 
+    @pytest.mark.parametrize("blobs", [[], [["t1", "t2"]]])
+    def test_rmatrix_blob_diagram_is_usage_error(self, capsys, tmp_path, blobs):
+        path = tmp_path / "blob.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "pairs": [["t1", "t2"], ["b1", "b2"]],
+                                    "blobs": blobs}))
+        code = main(["rmatrix", "--file", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "rmatrix takes a plain diagram" in err
+        assert "Traceback" not in err and "unexpected" not in err
+
     def test_rmatrix_without_input_is_error(self, capsys):
         assert main(["rmatrix"]) == 2
 

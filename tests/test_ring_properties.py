@@ -92,6 +92,59 @@ class TestAgainstSympy:
         assert expand(to_sympy(f) + to_sympy(g) - to_sympy(f + g)) == 0
 
 
+def convolve(f, g):
+    """The terms of f * g by the double loop over packed keys 8e + k."""
+    out = {}
+    for k1, c1 in f.terms.items():
+        for k2, c2 in g.terms.items():
+            e, k = (k1 >> 3) + (k2 >> 3), (k1 & 7) + (k2 & 7)
+            key, c = (8 * e + k - 4, -c1 * c2) if k >= 4 else (8 * e + k, c1 * c2)
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def product_class(f, g):
+    if type(f) is type(g):
+        return type(f)
+    return CycloLaurent if is_cyclo(f) or is_cyclo(g) else LaurentInt
+
+
+coefficients = st.one_of(signs, st.integers(-7, 7).filter(bool))
+a_parts = st.integers(0, 3)
+one_terms = st.one_of(
+    st.builds(lambda e, c: LaurentInt({e: c}), exponents, coefficients),
+    st.builds(lambda k, e, c: CycloLaurent.from_json({str(e): [c * (i == k) for i in range(4)]}),
+              a_parts, exponents, coefficients),
+    st.builds(lambda k, c: CycloInt(*[c * (i == k) for i in range(4)]), a_parts, coefficients),
+)
+
+
+class TestOneTermProducts:
+    """A one-term operand shifts the other's keys; it must agree with convolution."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_terms, st.one_of(elements, one_terms, cyclo_constants))
+    def test_either_side_matches_convolution(self, m, f):
+        assert len(m.terms) == 1
+        expected = convolve(f, m)
+        for product in (m * f, f * m):
+            assert product.terms == expected
+            assert type(product) is product_class(m, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_terms, st.integers(-9, 9))
+    def test_int_operand(self, m, k):
+        expected = convolve(m, LaurentInt.from_int(k))
+        assert (m * k).terms == (k * m).terms == expected
+        assert type(m * k) is type(k * m) is type(m)
+
+    def test_fold_past_a_cubed(self):
+        a3 = CycloLaurent.a_power(3, -2)
+        f = CycloLaurent.from_json({"1": [1, 2, 3, 4]})
+        assert (a3 * f).to_json() == {"-1": [-2, -3, -4, 1]}
+        assert (f * a3).terms == convolve(f, a3)
+
+
 class TestDivision:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(st.tuples(laurents, laurents), st.tuples(cyclos, cyclos)))

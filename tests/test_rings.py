@@ -17,6 +17,7 @@ from tlblob.rings import (
     rank_exact,
     rank_modular,
 )
+from tlblob.rings import _evaluate_rows
 
 X = LaurentInt.x_power(1)
 Q = LaurentInt.x_power(2)
@@ -312,6 +313,20 @@ class TestEvaluateModIsHomomorphism:
         x0, a0 = point
         assert CycloLaurent.from_laurent(f).evaluate_mod(x0, a0, P) == \
             f.evaluate_mod(x0, a0, P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(0, 5), st.one_of(laurents, cyclos),
+                                    max_size=5), max_size=4),
+           points, st.booleans())
+    def test_evaluate_rows_table_matches_evaluate_mod(self, vectors, point, some_cols):
+        x0, a0 = point
+        cols = [5, 0, 3, 9] if some_cols else None
+        rows = _evaluate_rows(vectors, x0, a0, P, cols)
+        assert len(rows) == len(vectors)
+        for v, row in zip(vectors, rows):
+            keys = v if cols is None else [c for c in cols if c in v]
+            expected = {k: v[k].evaluate_mod(x0, a0, P) for k in keys}
+            assert row == {k: r for k, r in expected.items() if r}
 
 
 class TestBoolCoefficients:

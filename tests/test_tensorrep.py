@@ -132,6 +132,81 @@ class TestMasks:
             assert mask(x.mul(y)) == mask(r_matrix(res.diagram))
 
 
+def reference_product(a, b):
+    """a * b from ring * and + alone, one position at a time."""
+    out = {}
+    for (u, w), x in a.entries.items():
+        for (v, c), y in b.entries.items():
+            if v == w:
+                out[(u, c)] = out[(u, c)] + x * y if (u, c) in out else x * y
+    return {k: v for k, v in out.items() if v}
+
+
+X = LaurentInt.x_power(1)
+A = CycloLaurent.a_power(1)
+# Right entries 1, -1, +-a^k x^e (k + k' >= 4 against the left menu, negative
+# e) and non-monomials such as [2], in each ring; CycloInt keeps the class rule
+# of mixed products in play.
+KERNEL_MENUS = {
+    "laurent": [ONE, -ONE, X, -X ** 3, X.unit_inverse(), DELTA, X + 2, 3 * X.unit_inverse() ** 2],
+    "cyclo": [CycloLaurent.one(), -CycloLaurent.one(), A ** 3, -(A ** 2) * X ** 2,
+              CycloLaurent.a_power(-1, -1), CycloLaurent.from_laurent(DELTA), A + X,
+              CycloInt(0, 0, 5), CycloInt(1), 2 * A ** 3 * X],
+}
+
+
+def kernel_matrices(ring):
+    dims = st.integers(0, 2)
+    menu = st.sampled_from(KERNEL_MENUS[ring])
+
+    def matrix(rows, cols):
+        keys = st.tuples(st.integers(0, (1 << rows) - 1), st.integers(0, (1 << cols) - 1))
+        return st.dictionaries(keys, menu, max_size=10).map(
+            lambda entries: SparseRepMatrix(rows, cols, entries, ring))
+
+    return st.tuples(dims, dims, dims).flatmap(
+        lambda d: st.tuples(matrix(d[0], d[1]), matrix(d[1], d[2])))
+
+
+class TestProductKernel:
+    """``mul`` shifts keys for one-term right entries; it must match the ring."""
+
+    @pytest.mark.parametrize("ring", ["laurent", "cyclo"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_product(self, ring, data):
+        a, b = data.draw(kernel_matrices(ring))
+        product = a.mul(b)
+        expected = reference_product(a, b)
+        assert product.entries == expected
+        assert {k: type(v) for k, v in product.entries.items()} == \
+            {k: type(v) for k, v in expected.items()}
+        assert (product.rows_log2, product.cols_log2, product.ring) == \
+            (a.rows_log2, b.cols_log2, ring)
+
+    @pytest.mark.parametrize("unit", [X, CycloLaurent.a_power(3, -1)])
+    def test_cancelled_position_is_absent(self, unit):
+        ring = unit.ring
+        a = SparseRepMatrix(1, 1, {(0, 0): unit, (0, 1): -unit, (1, 1): unit}, ring)
+        b = SparseRepMatrix(1, 1, {(0, 0): unit, (1, 0): unit, (1, 1): unit}, ring)
+        product = a.mul(b)
+        assert (0, 0) not in product.entries
+        assert product.entries == {(0, 1): -unit * unit, (1, 0): unit * unit,
+                                   (1, 1): unit * unit}
+
+    def test_empty_rows(self):
+        a = SparseRepMatrix(1, 1, {(0, 1): X, (1, 1): DELTA}, "laurent")
+        b = SparseRepMatrix(1, 1, {(0, 0): ONE, (0, 1): X}, "laurent")
+        assert a.mul(b).entries == {}
+        assert b.mul(a).entries == {(0, 1): X + X * DELTA}
+
+    def test_unit_entry_shares_the_left_element(self):
+        a = r_matrix(generator_u(1, 3))
+        product = a.mul(SparseRepMatrix.identity(3))
+        assert product == a
+        assert all(product.entries[k] is v for k, v in a.entries.items())
+
+
 class TestRatio:
     def test_unit_entry_path(self):
         u = r_matrix(generator_u(1, 2))
