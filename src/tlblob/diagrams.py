@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 
+from ._record import Record
 from .rings import _coerce_int
 
 __all__ = [
@@ -52,7 +53,7 @@ def _canonical_pairs(pairs):
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
 
 
-class Pairing:
+class Pairing(Record):
     """A planar pairing of n northern and m southern boundary nodes."""
 
     __slots__ = ("n", "m", "pairs")
@@ -78,14 +79,6 @@ class Pairing:
             if stack and stack[-1] < hi:
                 raise ValueError(f"chords cross: {pairs}")
             stack.append(hi)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m, self.pairs) == (other.n, other.m, other.pairs)
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.pairs))
 
     def _pos(self, node):
         # Position in the linear order t1..tn, bm..b1 (west cut).
@@ -117,7 +110,7 @@ class Pairing:
         return f"Pairing({self.n},{self.m}; {body})"
 
 
-class BlobPairing:
+class BlobPairing(Record):
     """A planar pairing with blobs on a subset of its exposed lines."""
 
     __slots__ = ("base", "blobbed")
@@ -132,14 +125,6 @@ class BlobPairing:
                 raise ValueError(f"blob on a non-line {line}")
             if line not in exposed:
                 raise ValueError(f"blob on a covered line {line}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.blobbed) == (other.base, other.blobbed)
-
-    def __hash__(self):
-        return hash((self.base, self.blobbed))
 
     @property
     def n(self):
@@ -158,7 +143,7 @@ class BlobPairing:
         return f"BlobPairing({self.n},{self.m}; {body})"
 
 
-class CompositionResult:
+class CompositionResult(Record):
     """A composed diagram plus the discarded-feature counts."""
 
     __slots__ = ("diagram", "plain_loops", "blob_loops", "blob_merges")
@@ -168,22 +153,6 @@ class CompositionResult:
         self.plain_loops = plain_loops
         self.blob_loops = blob_loops
         self.blob_merges = blob_merges
-
-    def _fields(self):
-        return (self.diagram, self.plain_loops, self.blob_loops, self.blob_merges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"CompositionResult(diagram={self.diagram!r}, "
-                f"plain_loops={self.plain_loops!r}, blob_loops={self.blob_loops!r}, "
-                f"blob_merges={self.blob_merges!r})")
 
 
 def exposed_lines(d):

@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
+from ._record import Record
 from .diagrams import BlobPairing, compose_blob, compose_tl, enumerate_tl, \
     generator_u, identity
 from .rings import (
@@ -140,7 +141,7 @@ def _is_walk(seq):
     return True
 
 
-class TriangularityReport:
+class TriangularityReport(Record):
     """Clause-by-clause outcome of the triangularity sweep at size n.
 
     ``failures`` holds (pair, position, clause) triples; nonzero entries at
@@ -149,21 +150,12 @@ class TriangularityReport:
     """
 
     __slots__ = ("n", "failures", "nonwalk_entries")
+    __hash__ = None
 
     def __init__(self, n, failures=None, nonwalk_entries=None):
         self.n = n
         self.failures = [] if failures is None else failures
         self.nonwalk_entries = [] if nonwalk_entries is None else nonwalk_entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.failures, self.nonwalk_entries) == \
-            (other.n, other.failures, other.nonwalk_entries)
-
-    def __repr__(self):
-        return (f"TriangularityReport(n={self.n!r}, failures={self.failures!r}, "
-                f"nonwalk_entries={self.nonwalk_entries!r})")
 
     @property
     def ok(self):
@@ -204,9 +196,10 @@ def triangularity_report(n):
     return report
 
 
-class FaithfulnessCertificate:
+class FaithfulnessCertificate(Record):
     __slots__ = ("n", "basis_size", "rank", "method", "mask_checks", "witness",
                  "tool_version")
+    __hash__ = None
 
     def __init__(self, n, basis_size, rank, method, mask_checks=None, witness=None,
                  tool_version=__version__):
@@ -217,21 +210,6 @@ class FaithfulnessCertificate:
         self.mask_checks = [] if mask_checks is None else mask_checks
         self.witness = witness
         self.tool_version = tool_version
-
-    def _fields(self):
-        return (self.n, self.basis_size, self.rank, self.method, self.mask_checks,
-                self.witness, self.tool_version)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (f"FaithfulnessCertificate(n={self.n!r}, basis_size={self.basis_size!r}, "
-                f"rank={self.rank!r}, method={self.method!r}, "
-                f"mask_checks={self.mask_checks!r}, witness={self.witness!r}, "
-                f"tool_version={self.tool_version!r})")
 
     @property
     def valid(self):
@@ -278,8 +256,9 @@ def verify_tl_faithful(n, seed=DEFAULT_SEED):
                                    method=method, witness=witness)
 
 
-class MaskIndependenceReport:
+class MaskIndependenceReport(Record):
     __slots__ = ("n", "trials", "seed", "basis_size", "ranks")
+    __hash__ = None
 
     def __init__(self, n, trials, seed, basis_size, ranks=None):
         self.n = n
@@ -287,19 +266,6 @@ class MaskIndependenceReport:
         self.seed = seed
         self.basis_size = basis_size
         self.ranks = [] if ranks is None else ranks
-
-    def _fields(self):
-        return (self.n, self.trials, self.seed, self.basis_size, self.ranks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (f"MaskIndependenceReport(n={self.n!r}, trials={self.trials!r}, "
-                f"seed={self.seed!r}, basis_size={self.basis_size!r}, "
-                f"ranks={self.ranks!r})")
 
     @property
     def ok(self):
@@ -442,11 +408,12 @@ def certify_rho0(n, m, seed=DEFAULT_SEED):
     return certify_mirror(rep.e, rep.u_factors, n, seed=seed)
 
 
-class BlobRepReport:
+class BlobRepReport(Record):
     """Structure-constant verification of a representation on a diagram basis."""
 
     __slots__ = ("n", "pairs_checked", "failures", "sign_normalized",
                  "empirical_scalars", "expected_scalars")
+    __hash__ = None
 
     def __init__(self, n, pairs_checked, failures, sign_normalized,
                  empirical_scalars=None, expected_scalars=None):
@@ -456,21 +423,6 @@ class BlobRepReport:
         self.sign_normalized = sign_normalized
         self.empirical_scalars = {} if empirical_scalars is None else empirical_scalars
         self.expected_scalars = {} if expected_scalars is None else expected_scalars
-
-    def _fields(self):
-        return (self.n, self.pairs_checked, self.failures, self.sign_normalized,
-                self.empirical_scalars, self.expected_scalars)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (f"BlobRepReport(n={self.n!r}, pairs_checked={self.pairs_checked!r}, "
-                f"failures={self.failures!r}, sign_normalized={self.sign_normalized!r}, "
-                f"empirical_scalars={self.empirical_scalars!r}, "
-                f"expected_scalars={self.expected_scalars!r})")
 
     @property
     def ok(self):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 
+from ._record import Record
 from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, element_from_json, \
     element_to_json
 
@@ -46,21 +47,17 @@ def index_to_seq(idx, n):
     return tuple(((idx >> (n - 1 - i)) & 1) + 1 for i in range(n))
 
 
-class SparseRepMatrix:
+class SparseRepMatrix(Record):
     """A sparse matrix on ({1,2}^rows) x ({1,2}^cols) over one of the rings."""
 
     __slots__ = ("rows_log2", "cols_log2", "entries", "ring")
+    __hash__ = None
 
     def __init__(self, rows_log2, cols_log2, entries, ring):
         self.rows_log2 = rows_log2
         self.cols_log2 = cols_log2
         self.entries = {k: v for k, v in entries.items() if v}
         self.ring = ring
-
-    def __repr__(self):
-        return (f"SparseRepMatrix(rows_log2={self.rows_log2!r}, "
-                f"cols_log2={self.cols_log2!r}, entries={self.entries!r}, "
-                f"ring={self.ring!r})")
 
     @classmethod
     def identity(cls, n_log2, ring="laurent"):
@@ -72,13 +69,6 @@ class SparseRepMatrix:
 
     def nnz(self):
         return len(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseRepMatrix):
-            return NotImplemented
-        return (self.rows_log2, self.cols_log2, self.ring) == \
-            (other.rows_log2, other.cols_log2, other.ring) and \
-            self.entries == other.entries
 
     def mul(self, other):
         if self.cols_log2 != other.rows_log2 or self.ring != other.ring:
@@ -132,13 +122,12 @@ class SparseRepMatrix:
         other's and is unique: any entry gives it (a unit one is cheapest),
         and every entry must then agree.
         """
-        if not other.entries:
+        if not other.entries or (self.rows_log2, self.cols_log2, self.ring) != \
+                (other.rows_log2, other.cols_log2, other.ring):
             return None
         if not self.entries:
             return RINGS[self.ring].zero()
-        if (self.rows_log2, self.cols_log2, self.ring) != \
-                (other.rows_log2, other.cols_log2, other.ring) or \
-                self.entries.keys() != other.entries.keys():
+        if self.entries.keys() != other.entries.keys():
             return None
         key = next((k for k, v in other.entries.items() if v.is_unit_monomial()),
                    next(iter(other.entries)))
@@ -264,7 +253,7 @@ def place_local(local, i, total, sign=-1):
     return SparseRepMatrix(total, total, entries, local.ring)
 
 
-class Rho0Config:
+class Rho0Config(Record):
     """Size and weight parameters of the explicit blob tensor representation.
 
     The coefficient ring is Z[a, x, x^-1]/(a^4 + 1) with q = x^2; the three
@@ -279,17 +268,6 @@ class Rho0Config:
         self.n = n
         self.m = m
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.m) == (other.n, other.m)
-
-    def __hash__(self):
-        return hash((self.n, self.m))
-
-    def __repr__(self):
-        return f"Rho0Config(n={self.n!r}, m={self.m!r})"
-
     @property
     def r_param(self):
         return CycloLaurent({2 * self.m: CycloInt.a_power(2)})
@@ -303,7 +281,7 @@ class Rho0Config:
         return CycloLaurent({1: CycloInt.a_power(3)})
 
 
-class Rho0Rep:
+class Rho0Rep(Record):
     """Generator images of rho0 on 2n tensor factors.
 
     ``u_factors`` keeps the two placements of each cup-cap image separately;
@@ -311,24 +289,13 @@ class Rho0Rep:
     """
 
     __slots__ = ("config", "e", "u_factors", "u")
+    __hash__ = None
 
     def __init__(self, config, e, u_factors=None, u=None):
         self.config = config
         self.e = e
         self.u_factors = {} if u_factors is None else u_factors
         self.u = {} if u is None else u
-
-    def _fields(self):
-        return (self.config, self.e, self.u_factors, self.u)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (f"Rho0Rep(config={self.config!r}, e={self.e!r}, "
-                f"u_factors={self.u_factors!r}, u={self.u!r})")
 
     def letter_images(self):
         images = {"e": self.e}

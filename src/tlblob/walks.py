@@ -13,7 +13,8 @@ across different endpoints.
 
 from __future__ import annotations
 
-from .words import GenWord
+from ._record import Record
+from .words import GenWord, eval_word
 
 __all__ = [
     "Walk",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 
-class Walk:
+class Walk(Record):
     __slots__ = ("steps",)
 
     def __init__(self, steps):
@@ -41,14 +42,6 @@ class Walk:
             h += 1 if s == 1 else -1
             if h < 0:
                 raise ValueError(f"walk {steps} leaves the nonnegative columns")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.steps,))
 
     def __len__(self):
         return len(self.steps)
@@ -73,7 +66,7 @@ def walk_from_string(text):
     return Walk(tuple(int(ch) for ch in text.strip()))
 
 
-class WalkPair:
+class WalkPair(Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
@@ -83,14 +76,6 @@ class WalkPair:
             raise ValueError("walks must share an endpoint")
         self.a = a
         self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
     @property
     def n(self):
@@ -170,6 +155,15 @@ def _lowest_legal_lowering(walk):
     return None
 
 
+def _lower_fully(walk):
+    """(positions, lowest walk): lower at the smallest legal position until none is."""
+    positions = []
+    while (i := _lowest_legal_lowering(walk)) is not None:
+        positions.append(i)
+        walk = lower_at(walk, i)
+    return positions, walk
+
+
 def leq(p, q):
     """Envelope order: domination at equal endpoints, else endpoint order."""
     if p.n != q.n:
@@ -194,16 +188,8 @@ def pair_word(p):
     legal position first, left walk before right; any other chain yields the
     same diagram.
     """
-    left = []
-    a = p.a
-    while (i := _lowest_legal_lowering(a)) is not None:
-        left.append(i)
-        a = lower_at(a, i)
-    right = []
-    b = p.b
-    while (i := _lowest_legal_lowering(b)) is not None:
-        right.append(i)
-        b = lower_at(b, i)
+    left, a = _lower_fully(p.a)
+    right, _ = _lower_fully(p.b)
     k = sum(1 for s in a.steps if s == 2)
     base = [2 * j + 1 for j in range(k)]
     letters = tuple(left) + tuple(base) + tuple(reversed(right))
@@ -241,8 +227,6 @@ def hasse_edges(pairs):
 
 def tl_basis_word_table(n):
     """One loop-free word per plain diagram, indexed by walk pairs."""
-    from .words import eval_word
-
     table = {}
     for p in enumerate_pairs(n):
         word = pair_word(p)

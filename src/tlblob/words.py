@@ -16,8 +16,10 @@ import re
 from collections import deque
 from math import comb
 
+from ._record import Record
 from .diagrams import (
     BlobPairing,
+    _absolute_index,
     blob_e,
     compose_blob,
     generator_u,
@@ -36,7 +38,7 @@ __all__ = [
 ]
 
 
-class GenWord:
+class GenWord(Record):
     """A word in {e, U_i}; the empty word denotes the algebra unit."""
 
     __slots__ = ("letters", "n", "convention")
@@ -53,16 +55,7 @@ class GenWord:
             if not isinstance(letter, int) or isinstance(letter, bool):
                 raise ValueError(f"bad letter {letter!r}")
             # Range check once, at construction.
-            _probe_index(letter, n, convention)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.letters, self.n, self.convention) == \
-            (other.letters, other.n, other.convention)
-
-    def __hash__(self):
-        return hash((self.letters, self.n, self.convention))
+            _absolute_index(letter, n, convention)
 
     def __mul__(self, other):
         if self.n != other.n or self.convention != other.convention:
@@ -73,12 +66,7 @@ class GenWord:
         return f"GenWord({format_word(self)!r}, n={self.n}, {self.convention})"
 
 
-def _probe_index(i, n, convention):
-    # Delegates range validation to the diagram constructor.
-    generator_u(i, n, convention)
-
-
-class WordEval:
+class WordEval(Record):
     """Evaluation of a word: final diagram plus accumulated discard counts."""
 
     __slots__ = ("diagram", "plain_loops", "blob_loops", "blob_merges")
@@ -88,22 +76,6 @@ class WordEval:
         self.plain_loops = plain_loops
         self.blob_loops = blob_loops
         self.blob_merges = blob_merges
-
-    def _fields(self):
-        return (self.diagram, self.plain_loops, self.blob_loops, self.blob_merges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"WordEval(diagram={self.diagram!r}, "
-                f"plain_loops={self.plain_loops!r}, blob_loops={self.blob_loops!r}, "
-                f"blob_merges={self.blob_merges!r})")
 
     @property
     def loop_free(self):
@@ -211,24 +183,15 @@ def format_word(word):
     return " ".join("e" if l == "e" else f"u{l}" for l in word.letters)
 
 
-class PresentationReport:
+class PresentationReport(Record):
     """Outcome of checking the defining relations against matrices."""
 
     __slots__ = ("violations", "empirical_scalars")
+    __hash__ = None
 
     def __init__(self, violations, empirical_scalars):
         self.violations = violations
         self.empirical_scalars = empirical_scalars
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.violations, self.empirical_scalars) == \
-            (other.violations, other.empirical_scalars)
-
-    def __repr__(self):
-        return (f"PresentationReport(violations={self.violations!r}, "
-                f"empirical_scalars={self.empirical_scalars!r})")
 
     @property
     def ok(self):

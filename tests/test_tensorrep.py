@@ -238,6 +238,12 @@ class TestRatio:
                                             "laurent")) is None
         assert one.ratio_to(SparseRepMatrix.identity(1, "cyclo")) is None
 
+    def test_zero_numerator_shape_or_ring_mismatch(self):
+        zero_1x1 = SparseRepMatrix(0, 0, {}, "laurent")
+        assert zero_1x1.ratio_to(SparseRepMatrix.identity(1)) is None
+        zero_cyclo = SparseRepMatrix(1, 1, {}, "cyclo")
+        assert zero_cyclo.ratio_to(SparseRepMatrix.identity(1)) is None
+
     @pytest.mark.parametrize("ring", ["laurent", "cyclo"])
     def test_non_monomial_divisor(self, ring):
         x = LaurentInt.x_power(1)
