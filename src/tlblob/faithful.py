@@ -13,10 +13,12 @@ triangularity report, the rank and the mask overlays all read the walk-pair
 word matrices from the same generator, ``_pair_word_matrices``.  Everything
 runs in one process.
 
-The two composition identities (TL and blob) hold for every pair of basis
-diagrams once they hold for every basis diagram against every generator:
-the ``prove_*`` paths check those N*g steps and fall back to the exhaustive
-``verify_*`` sweeps, whose results they then return, when a step fails.
+The two composition identities (TL and blob) are proved from the algebra
+presentations: generator images that satisfy the defining relations define
+an algebra map, and a complete table of loop-free basis words carries it to
+every basis diagram.  The ``prove_*`` paths check the relations and the
+table and fall back to the exhaustive ``verify_*`` sweeps, whose results
+they then return, when either check fails.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from math import comb
 
 from . import __version__
 from ._record import Record
-from .diagrams import BlobPairing, compose_blob, compose_tl, enumerate_tl, \
-    generator_u, identity
+from .diagrams import compose_blob, compose_tl, enumerate_tl, generator_u
 from .rings import (
     LaurentInt,
     check_full_rank_witness,
@@ -46,7 +47,7 @@ from .tensorrep import (
     seq_to_index,
 )
 from .walks import Walk, _profiles_leq, enumerate_pairs, pair_word
-from .words import _letter_diagram, blob_basis_words
+from .words import blob_basis_words, eval_word, verify_presentation
 
 DEFAULT_SEED = 7
 
@@ -310,12 +311,12 @@ def _failing_scalars(lhs, rhs, scalars):
             for s in scalars]
 
 
-def _tl_step_fails(mats, d1, d2):
-    """(D1 o D2, whether R(D1) R(D2) = [2]^loops R(D1 o D2) fails)."""
+def _tl_pair_fails(mats, d1, d2):
+    """Whether R(D1) R(D2) = [2]^loops R(D1 o D2) fails."""
     res = compose_tl(d1, d2)
     failed, = _failing_scalars(mats[d1].mul(mats[d2]), mats[res.diagram],
                                [quantum_integer(2) ** res.plain_loops])
-    return res, failed
+    return failed
 
 
 def verify_r_composition(n):
@@ -323,41 +324,30 @@ def verify_r_composition(n):
     _require_size(n)
     diagrams, mats = _diagram_matrix_table(n)
     return [(d1, d2) for d1 in diagrams for d2 in diagrams
-            if _tl_step_fails(mats, d1, d2)[1]]
+            if _tl_pair_fails(mats, d1, d2)]
 
 
 def prove_r_composition(n):
-    """verify_r_composition's failures, proved from N*(n-1) generator steps.
+    """verify_r_composition's failures, proved from the TL_n presentation.
 
-    Checks R(id) = I and R(D) R(u_i) = [2]^loops R(D o u_i) for every
-    diagram D and generator u_i, then that the loop-free steps reach every
-    diagram from id, so each R(D') is a product of generator images.
-    Induction along that product, with composition associative and loop
-    counts additive, gives the identity for every pair: no pair fails.
-    When any check fails, the exhaustive sweep gives the failures instead.
+    When the R(u_i) satisfy the TL_n relations at delta = [2], u_i -> R(u_i)
+    defines an algebra map.  The walk-pair words are loop free and evaluate
+    to all Catalan(n) diagrams, so the map sends each diagram D to its
+    word's matrix, which must equal R(D) (for id, the empty word:
+    R(id) = I).  Then R is that algebra map and no pair fails.  When any
+    check fails, the exhaustive sweep gives the failures instead.
     """
     _require_size(n)
     diagrams, mats = _diagram_matrix_table(n)
-    start = identity(n)
-    if mats[start] != SparseRepMatrix.identity(n):
-        return verify_r_composition(n)
-    gens = [generator_u(i, n) for i in range(1, n)]
-    loop_free = {d: [] for d in diagrams}
-    for d in diagrams:
-        for g in gens:
-            res, failed = _tl_step_fails(mats, d, g)
-            if failed:
-                return verify_r_composition(n)
-            if not res.plain_loops:
-                loop_free[d].append(res.diagram)
-    reached = {start}
-    queue = [start]
-    for d in queue:
-        for nxt in loop_free[d]:
-            if nxt not in reached:
-                reached.add(nxt)
-                queue.append(nxt)
-    return [] if len(reached) == len(diagrams) else verify_r_composition(n)
+    letters = _tl_letter_matrices(n)
+    words = [pair_word(p) for p in enumerate_pairs(n)]
+    evals = [eval_word(w) for w in words]
+    proved = verify_presentation(letters, n, quantum_integer(2)).ok and \
+        all(ev.loop_free for ev in evals) and \
+        len({ev.diagram for ev in evals}) == len(diagrams) and \
+        all(mats[ev.tl_diagram] == m for ev, m in
+            zip(evals, _rep_word_matrices(words, letters, n, "laurent")))
+    return [] if proved else verify_r_composition(n)
 
 
 def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
@@ -473,15 +463,18 @@ def _structure_constant_failures(rep_of, basis, images, params):
     return failures
 
 
-def _basis_images(images, basis):
-    """rep(D) for each basis diagram D: its word evaluated through images."""
+def _image_dimension(images):
     dims = {m.rows_log2 for m in images.values()}
     if len(dims) != 1:
         raise ValueError("generator images must share one dimension")
-    dim_log2 = dims.pop()
+    return dims.pop()
+
+
+def _basis_images(images, basis):
+    """rep(D) for each basis diagram D: its word evaluated through images."""
     ring = next(iter(images.values())).ring
     return dict(zip(basis, _rep_word_matrices(basis.values(), images,
-                                              dim_log2, ring)))
+                                              _image_dimension(images), ring)))
 
 
 def _blob_report(images, n, params, basis, failures, sign_normalized):
@@ -518,51 +511,42 @@ def verify_blob_representation(images, n, params, basis=None):
     return _blob_report(images, n, params, basis, failures, sign_normalized)
 
 
-def prove_blob_representation(images, n, params, basis=None):
-    """verify_blob_representation's report, proved from generator steps.
+def _is_loop_free_table(basis, n):
+    """Whether each word is a standard word on n strands that evaluates,
+    discarding nothing, to its own key."""
+    for d, word in basis.items():
+        if word.n != n or word.convention != "standard":
+            return False
+        ev = eval_word(word)
+        if not ev.loop_free or ev.diagram != d:
+            return False
+    return True
 
-    A step is rep(D) images[l] = s * rep(D o G_l) for a basis diagram D and
-    a letter l of the basis words, with G_l the letter's diagram; each is
-    checked under both sign conventions.  Every basis word must also walk
-    from id through the steps to its own diagram, discarding nothing.
-    Induction along D''s word, with blob composition associative and its
-    discard counts additive, then proves every pair rep(D) rep(D').  So if
-    every stated step holds, no pair fails.  If a stated step fails, G_l is
-    a basis diagram with rep(G_l) = images[l] and every flipped step holds,
-    then the failing step is a failing basis pair and the flipped pairs all
-    hold: the sweep would report sign_normalized.  Otherwise, including a
-    step that leaves the basis, the exhaustive sweep's report is returned.
+
+def prove_blob_representation(images, n, params, basis=None):
+    """verify_blob_representation's report, proved from the presentation.
+
+    The basis must be a complete loop-free table: comb(2n, n) blob diagrams
+    when some word uses e, else the Catalan(n) TL diagrams.  When the images
+    of its letters satisfy the stated defining relations, they define an
+    algebra map that sends each diagram to rep(D), so no pair fails.  The
+    sign flip changes only e.e = delta_e e and u1 e u1 = gamma u1, and
+    (e, e) and (u1, D(e u1)) are basis pairs of a blob basis: when the
+    stated relations fail there but the flipped ones hold, the sweep finds
+    a stated failure and no flipped one, so the report is sign_normalized.
+    In every other case the exhaustive sweep's report is returned.
     """
     if basis is None:
         basis = blob_basis_words(n)
-    rep_of = _basis_images(images, basis)
-    scalars = _convention_scalars(params)
-    gens = {l: _letter_diagram(l, w.n, w.convention)
-            for w in basis.values() for l in w.letters}
-    steps = {}
-    stated_fails = set()
-    flipped_ok = True
-    for d, rep in rep_of.items():
-        for letter, g in gens.items():
-            res, _ = compose_blob(d, g)
-            if res.diagram not in rep_of:
-                return verify_blob_representation(images, n, params, basis)
-            counts = (res.plain_loops, res.blob_loops, res.blob_merges)
-            stated, flipped = _failing_scalars(rep.mul(images[letter]),
-                                               rep_of[res.diagram], scalars(counts))
-            if stated:
-                stated_fails.add(letter)
-            flipped_ok = flipped_ok and not flipped
-            steps[d, letter] = None if any(counts) else res.diagram
-    start = BlobPairing(identity(n))
-    for d, word in basis.items():
-        cur = start
-        for letter in word.letters:
-            cur = steps.get((cur, letter))
-        if cur != d:
-            return verify_blob_representation(images, n, params, basis)
-    if not stated_fails:
-        return _blob_report(images, n, params, basis, [], False)
-    if flipped_ok and any(rep_of.get(gens[l]) == images[l] for l in stated_fails):
-        return _blob_report(images, n, params, basis, [], True)
+    _image_dimension(images)  # images of two sizes raise, as in the sweep
+    blob = any("e" in w.letters for w in basis.values())
+    size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
+    if len(basis) == size and _is_loop_free_table(basis, n):
+        rep = {i: images[i] for i in range(1, n)}
+        if blob:
+            rep["e"] = images["e"]
+        if verify_presentation(rep, n, params.delta, params).ok:
+            return _blob_report(images, n, params, basis, [], False)
+        if verify_presentation(rep, n, params.delta, params.sign_flipped()).ok:
+            return _blob_report(images, n, params, basis, [], True)
     return verify_blob_representation(images, n, params, basis)

@@ -210,11 +210,15 @@ def verify_presentation(rep, n, delta, blob_params=None):
     matrices supporting mul/scalar_mul/sub.  Every violated identity is
     reported with its residual matrix.  For the two scalar-shaped blob
     relations the empirically observed scalar is recorded next to the
-    expected one.
+    expected one.  Any other set of keys raises ValueError: relations
+    checked on a missing generator would prove nothing.
     """
     violations = []
     empirical = {}
     idx = [i for i in rep if i != "e"]
+    if set(idx) != set(range(1, n)):
+        raise ValueError(f"generator images must be indexed 1..{n - 1} "
+                         f"(and optionally 'e'), got {sorted(map(repr, idx))}")
     for i in idx:
         u = rep[i]
         _check(violations, f"u{i}.u{i} = delta u{i}", u.mul(u), u.scalar_mul(delta))

@@ -1,9 +1,11 @@
 import pytest
 
 import tlblob.faithful as faithful
-from tlblob.diagrams import compose_blob, generator_u, identity
+from tlblob.diagrams import BlobPairing, compose_blob, enumerate_blob, \
+    enumerate_tl, generator_u, identity
 from tlblob.rings import (
     BlobParams,
+    CycloLaurent,
     LaurentInt,
     check_full_rank_witness,
     full_rank_witness,
@@ -43,7 +45,8 @@ from tlblob.walks import (
     tl_basis_word_table,
     walk_from_string,
 )
-from tlblob.words import GenWord, blob_basis_words, eval_word, verify_presentation
+from tlblob.words import GenWord, WordEval, blob_basis_words, eval_word, \
+    verify_presentation
 
 
 def fold_word(start, word, images):
@@ -75,24 +78,26 @@ def two_pass_sweep(images, basis, params):
     return failures, False
 
 
-def step_failures(images, basis, params):
-    """(some stated step fails, some flipped step fails), by whole products.
+def sweep_required(images, n, params, basis):
+    """Whether the presentation proof must fall back to the sweep.
 
-    A step is rep(D) images[l] = s * rep(D o G_l) for a basis diagram D and
-    a letter l of the basis words, G_l being the letter's diagram.
+    It must when the basis is not one loop-free word per diagram of its
+    algebra (blob diagrams when some word uses e, TL diagrams otherwise),
+    or when the relations on the basis letters fail in both conventions.
     """
-    some = next(iter(images.values()))
-    start = SparseRepMatrix.identity(some.rows_log2, some.ring)
-    rep_of = {d: fold_word(start, w, images) for d, w in basis.items()}
-    gens = {l: eval_word(GenWord((l,), w.n)).diagram
-            for w in basis.values() for l in w.letters}
-    out = []
-    for p in (params, params.sign_flipped()):
-        out.append(any(
-            rep_of[d].mul(images[l]) != rep_of[res.diagram].scalar_mul(scalar)
-            for d in basis for l, g in gens.items()
-            for res, scalar in [compose_blob(d, g, p)]))
-    return tuple(out)
+    blob = any("e" in w.letters for w in basis.values())
+    diagrams = enumerate_blob(n) if blob else \
+        [BlobPairing(d) for d in enumerate_tl(n, n)]
+    if set(basis) != set(diagrams) or any(
+            eval_word(w) != WordEval(d, 0, 0, 0) for d, w in basis.items()):
+        return True
+    rep = {i: images[i] for i in range(1, n)}
+    conventions = [None]
+    if blob:
+        rep["e"] = images["e"]
+        conventions = [params, params.sign_flipped()]
+    return not any(verify_presentation(rep, n, params.delta, p).ok
+                   for p in conventions)
 
 
 def reference_triangularity(n):
@@ -302,8 +307,8 @@ class TestComposition:
 
 
 class TestGeneratorStepProof:
-    """The proof paths give the sweeps' results and run them only on a
-    failing step."""
+    """The presentation proofs give the sweeps' results and run them only
+    when the relations or the basis word table fail."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_tl_correct_runs_no_sweep(self, monkeypatch, n):
@@ -344,10 +349,10 @@ class TestGeneratorStepProof:
     def check_blob(monkeypatch, images, n, params, basis=None):
         """The proof's report; it is the sweep's, which runs iff it must."""
         table = blob_basis_words(n) if basis is None else basis
-        stated, flipped = step_failures(images, table, params)
+        required = sweep_required(images, n, params, table)
         sweeps = count_calls(monkeypatch, "verify_blob_representation")
         report = prove_blob_representation(images, n, params, basis)
-        assert len(sweeps) == int(stated and flipped)
+        assert len(sweeps) == int(required)
         if sweeps:
             assert report is sweeps[0]
         else:
@@ -391,28 +396,28 @@ class TestGeneratorStepProof:
         assert not report.sign_normalized
 
     def test_word_off_its_diagram_falls_back(self, monkeypatch):
-        # Zero generator images make every step hold, but two swapped words
-        # no longer walk to their own diagrams: only the sweep may decide.
+        # Zero generator images satisfy every relation, but two swapped words
+        # no longer evaluate to their own diagrams: only the sweep may decide.
         basis = tl_basis_word_table(3)
         (d1, w1), (d2, w2) = [(d, w) for d, w in basis.items() if w.letters][:2]
         basis[d1], basis[d2] = w2, w1
         images = {i: SparseRepMatrix(3, 3, {}, "laurent") for i in (1, 2)}
         params = BlobParams.integral_form(1)
-        assert step_failures(images, basis, params) == (False, False)
+        assert verify_presentation(images, 3, params.delta).ok
         sweeps = count_calls(monkeypatch, "verify_blob_representation")
         report = prove_blob_representation(images, 3, params, basis)
         assert report is sweeps[0]
 
     def test_word_with_discard_falls_back(self, monkeypatch):
-        # u1 u1 reaches u1's diagram, but through a loop: every step holds
-        # for zero images, yet the word is no proof that rep(u1) is a
-        # product of generator images.
+        # u1 u1 reaches u1's diagram, but through a loop: every relation
+        # holds for zero images, yet the word's matrix is the image of
+        # [2] u1, not of u1.
         basis = tl_basis_word_table(3)
         u1 = eval_word(GenWord((1,), 3)).diagram
         basis[u1] = GenWord((1, 1), 3)
         images = {i: SparseRepMatrix(3, 3, {}, "laurent") for i in (1, 2)}
         params = BlobParams.integral_form(1)
-        assert step_failures(images, basis, params) == (False, False)
+        assert verify_presentation(images, 3, params.delta).ok
         sweeps = count_calls(monkeypatch, "verify_blob_representation")
         report = prove_blob_representation(images, 3, params, basis)
         assert report is sweeps[0]
@@ -425,6 +430,123 @@ class TestGeneratorStepProof:
         report = prove_blob_representation(
             images, 2, BlobParams.integral_form(1, cyclo=True), basis)
         assert report is sweeps[0]
+
+    @pytest.mark.parametrize("n,i", [(2, 1), (3, 2), (4, 1)])
+    def test_tl_scaled_letter_falls_back(self, monkeypatch, n, i):
+        # R(D) is unchanged, so the sweep finds no failure; but the scaled
+        # letter breaks u_i.u_i = [2] u_i, so only the sweep may say so.
+        letters = dict(faithful._tl_letter_matrices(n))
+        letters[i] = letters[i].scalar_mul(LaurentInt.from_int(2))
+        monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(n) == []
+        assert sweeps == [[]]
+
+    def test_tl_words_missing_a_diagram_fall_back(self, monkeypatch):
+        # Every word is loop free and its matrix is its diagram's R(D), but
+        # one diagram has no word: R(D) of that diagram is not checked.
+        dropped = next(p for p in enumerate_pairs(3)
+                       if pair_word(p) == GenWord((1,), 3))
+        monkeypatch.setattr(faithful, "pair_word", lambda p: GenWord((), 3)
+                            if p == dropped else pair_word(p))
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(3) == []
+        assert sweeps == [[]]
+
+    @pytest.mark.parametrize("flaw", ["doubled-letters", "looped-word"])
+    def test_tl_table_matching_its_words_is_not_enough(self, monkeypatch,
+                                                       flaw):
+        # R(D) is replaced by its word's matrix, so every word matches its
+        # diagram; but doubled letters break u_i.u_i = [2] u_i, and the word
+        # u1 u1 evaluates to u1 through a loop.  The sweep finds failures,
+        # and only the relations or the loop check keep the proof from [].
+        n = 3
+        letters = dict(faithful._tl_letter_matrices(n))
+        if flaw == "doubled-letters":
+            letters = {i: m.scalar_mul(LaurentInt.from_int(2))
+                       for i, m in letters.items()}
+        looped = next(p for p in enumerate_pairs(n)
+                      if pair_word(p) == GenWord((1,), n))
+
+        def word(p):
+            if flaw == "looped-word" and p == looped:
+                return GenWord((1, 1), n)
+            return pair_word(p)
+
+        diagrams, _ = faithful._diagram_matrix_table(n)
+        mats = {eval_word(word(p)).tl_diagram:
+                rep_word_matrix(word(p), letters, n, "laurent")
+                for p in enumerate_pairs(n)}
+        monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
+        monkeypatch.setattr(faithful, "_diagram_matrix_table",
+                            lambda size: (diagrams, mats))
+        monkeypatch.setattr(faithful, "pair_word", word)
+        expected = verify_r_composition(n)
+        assert expected
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(n) == expected
+        assert sweeps == [expected]
+
+    def test_missing_letter_or_mixed_sizes_raise(self):
+        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
+        params = BlobParams.integral_form(1)
+        with pytest.raises(KeyError):
+            prove_blob_representation({1: images[1]}, 3, params,
+                                      basis=tl_basis_word_table(3))
+        images[2] = r_matrix(generator_u(1, 2))
+        with pytest.raises(ValueError):
+            prove_blob_representation(images, 3, params,
+                                      basis=tl_basis_word_table(3))
+
+
+def image_variant(n, m, variant):
+    """rho0(n, m)'s letter images, with e or u1 replaced as named."""
+    images = rho0(Rho0Config(n, m)).letter_images()
+    minus = CycloLaurent.from_int(-1)
+    if variant == "zero-e":
+        images["e"] = SparseRepMatrix(2 * n, 2 * n, {}, "cyclo")
+    elif variant == "minus-e":
+        images["e"] = images["e"].scalar_mul(minus)
+    elif variant == "a2-e":
+        images["e"] = images["e"].scalar_mul(CycloLaurent.a_power(2))
+    elif variant == "identity-e":
+        images["e"] = SparseRepMatrix.identity(2 * n, "cyclo")
+    elif variant == "e-is-u1":
+        images["e"] = images[1]
+    elif variant == "minus-u1":
+        images[1] = images[1].scalar_mul(minus)
+    return images
+
+
+VARIANTS = ("as-built", "zero-e", "minus-e", "a2-e", "identity-e", "e-is-u1",
+            "minus-u1")
+
+
+class TestProofEqualsSweep:
+    """The presentation proof's report is the exhaustive sweep's."""
+
+    @pytest.mark.parametrize("n,m,variant", [
+        (n, m, v) for n in (1, 2, 3) for m in (-1, 0, 1, 2, 3)
+        for v in VARIANTS if n > 1 or "u1" not in v
+    ] + [(4, 1, v) for v in ("as-built", "zero-e", "minus-e")])
+    def test_blob(self, n, m, variant):
+        images = image_variant(n, m, variant)
+        params = BlobParams.integral_form(m, cyclo=True)
+        proof = prove_blob_representation(images, n, params)
+        sweep = verify_blob_representation(images, n, params)
+        assert proof.to_json() == sweep.to_json()
+        assert proof.failures == sweep.failures
+
+    def test_tl_table_ignores_the_blob_image(self):
+        # rho0's stated blob relations fail, but no TL pair involves e: the
+        # sweep finds nothing to normalize, and neither may the proof.
+        images = rho0(Rho0Config(3, 1)).letter_images()
+        params = BlobParams.integral_form(1, cyclo=True)
+        basis = tl_basis_word_table(3)
+        proof = prove_blob_representation(images, 3, params, basis)
+        sweep = verify_blob_representation(images, 3, params, basis)
+        assert proof.to_json() == sweep.to_json()
+        assert proof.ok and not proof.sign_normalized
 
 
 class TestMirror:

@@ -170,6 +170,12 @@ class TestPresentation:
         report = verify_presentation(rep, n, quantum_integer(2))
         assert not report.ok
 
+    @pytest.mark.parametrize("keys", [(1,), (1, 2, 3), (0, 1, 2), (1, 2, "f")])
+    def test_generator_keys_must_be_one_to_n_minus_one(self, keys):
+        u1 = r_matrix(generator_u(1, 3))
+        with pytest.raises(ValueError):
+            verify_presentation({k: u1 for k in keys}, 3, quantum_integer(2))
+
     def test_blob_relations_need_params(self):
         from tlblob.tensorrep import Rho0Config, rho0
 
