@@ -84,6 +84,8 @@ from .faithful import (
     verify_blob_representation,
     verify_mask_independence,
     verify_r_composition,
+    verify_rho0,
+    verify_tl,
     verify_tl_faithful,
 )
 

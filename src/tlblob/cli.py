@@ -15,13 +15,12 @@ import sys
 from . import __version__
 from .diagrams import compose_blob, compose_tl, diagram_from_json, diagram_to_json, \
     enumerate_blob, enumerate_tl, generator_u
-from .faithful import DEFAULT_SEED, certify_rho0, prove_blob_representation, \
-    prove_r_composition, triangularity_report, verify_tl_faithful
-from .rings import BlobParams, CycloLaurent, dumps_canonical, quantum_integer
-from .tensorrep import Rho0Config, matrix_to_json, r_matrix, rho0
+from .faithful import DEFAULT_SEED, certify_rho0, verify_rho0, verify_tl
+from .rings import dumps_canonical
+from .tensorrep import matrix_to_json, r_matrix
 from .walks import WalkPair, enumerate_pairs, hasse_edges, linear_extension, \
     pair_word, walk_from_string
-from .words import eval_word, format_word, verify_presentation
+from .words import eval_word, format_word
 
 
 def _positive_int(text):
@@ -167,9 +166,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_verify_tl(args):
-    tri = triangularity_report(args.n)
-    comp_failures = prove_r_composition(args.n)
-    cert = verify_tl_faithful(args.n, seed=args.seed)
+    tri, comp_failures, cert = verify_tl(args.n, seed=args.seed)
     ok = tri.ok and not comp_failures and cert.valid
     payload = {
         "n": args.n,
@@ -189,18 +186,13 @@ def _cmd_verify_tl(args):
 
 
 def _cmd_verify_blob(args):
-    rep = rho0(Rho0Config(args.n, args.m))
-    params = BlobParams.integral_form(args.m, cyclo=True)
-    report = prove_blob_representation(rep.letter_images(), args.n, params)
-    delta = CycloLaurent.from_laurent(quantum_integer(2))
-    presentation = verify_presentation(rep.letter_images(), args.n, delta,
-                                       params.sign_flipped())
+    report, flipped_ok = verify_rho0(args.n, args.m)
     payload = {
         "n": args.n,
         "m": args.m,
         "seed": args.seed,
         "structure_constants": report.to_json(),
-        "relations_ok_after_sign_flip": presentation.ok,
+        "relations_ok_after_sign_flip": flipped_ok,
     }
     return payload, report.ok
 

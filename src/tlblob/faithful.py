@@ -9,16 +9,20 @@ elimination over the coefficient ring's fraction field.
 
 Every word matrix comes from one shared-prefix product chain
 (``_prefix_products``), one product per distinct word prefix.  The
-triangularity report, the rank and the mask overlays all read the walk-pair
-word matrices from the same generator, ``_pair_word_matrices``.  Everything
-runs in one process.
+triangularity report, the composition proof, the rank and the mask overlays
+all read the walk-pair words and word matrices from ``_pair_word_matrices``.
+``verify_tl`` builds them once and hands that one list to all three of its
+stages; each public function builds its own list when called alone.
+Everything runs in one process.
 
 The two composition identities (TL and blob) are proved from the algebra
 presentations: generator images that satisfy the defining relations define
 an algebra map, and a complete table of loop-free basis words carries it to
 every basis diagram.  The ``prove_*`` paths check the relations and the
-table and fall back to the exhaustive ``verify_*`` sweeps, whose results
-they then return, when either check fails.
+table (each word evaluated by ``eval_word``'s partner-array fold) and fall
+back to the exhaustive ``verify_*`` sweeps, whose results they then return,
+when either check fails.  One stated relation check also decides the
+sign-flipped relations (``PresentationReport.ok_with``).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from . import __version__
 from ._record import Record
 from .diagrams import compose_blob, compose_tl, enumerate_tl, generator_u
 from .rings import (
+    BlobParams,
     LaurentInt,
     check_full_rank_witness,
     dumps_canonical,
@@ -69,6 +74,7 @@ __all__ = [
     "rep_word_matrix",
     "triangularity_report",
     "verify_tl_faithful",
+    "verify_tl",
     "verify_mask_independence",
     "verify_r_composition",
     "prove_r_composition",
@@ -76,6 +82,7 @@ __all__ = [
     "certify_rho0",
     "verify_blob_representation",
     "prove_blob_representation",
+    "verify_rho0",
 ]
 
 
@@ -127,10 +134,15 @@ def tl_word_matrix(word):
 
 
 def _pair_word_matrices(n):
-    """The word matrices of all walk pairs of size n, in enumeration order."""
+    """(pairs, words, word matrices) of all walk pairs of size n.
+
+    The lists are in enumeration order.  One build serves triangularity,
+    the composition proof and the rank (``verify_tl``).
+    """
     pairs = enumerate_pairs(n)
     words = [pair_word(p) for p in pairs]
-    return pairs, _rep_word_matrices(words, _tl_letter_matrices(n), n, "laurent")
+    mats = list(_rep_word_matrices(words, _tl_letter_matrices(n), n, "laurent"))
+    return pairs, words, mats
 
 
 def _is_walk(seq):
@@ -178,11 +190,15 @@ def triangularity_report(n):
     enumeration order.
     """
     _require_size(n)
+    return _triangularity(n, _pair_word_matrices(n))
+
+
+def _triangularity(n, build):
     report = TriangularityReport(n)
     # Column profile of each index's walk, None where the index is no walk.
     profiles = [Walk(seq).profile if _is_walk(seq) else None
                 for seq in (index_to_seq(i, n) for i in range(1 << n))]
-    pairs, mats = _pair_word_matrices(n)
+    pairs, _, mats = build
     for p, mat in zip(pairs, mats):
         own = (seq_to_index(p.a.steps), seq_to_index(p.b.steps))
         if own not in mat.entries:
@@ -250,9 +266,12 @@ def _certified_rank(vectors, seed):
 def verify_tl_faithful(n, seed=DEFAULT_SEED):
     """Rank of the walk-pair word matrices; full rank means faithful."""
     _require_size(n)
-    pairs, mats = _pair_word_matrices(n)
-    vectors = [m.flatten() for m in mats]
-    rank, method, witness = _certified_rank(vectors, seed)
+    return _tl_certificate(n, seed, _pair_word_matrices(n))
+
+
+def _tl_certificate(n, seed, build):
+    pairs, _, mats = build
+    rank, method, witness = _certified_rank([m.entries for m in mats], seed)
     return FaithfulnessCertificate(n=n, basis_size=len(pairs), rank=rank,
                                    method=method, witness=witness)
 
@@ -282,7 +301,7 @@ def verify_mask_independence(n, trials=25, seed=DEFAULT_SEED):
     import random
 
     rng = random.Random(seed)
-    pairs, mats = _pair_word_matrices(n)
+    pairs, _, mats = _pair_word_matrices(n)
     masks = [sorted(m.entries) for m in mats]
     report = MaskIndependenceReport(n, trials, seed, len(pairs))
     for _ in range(trials):
@@ -338,16 +357,30 @@ def prove_r_composition(n):
     check fails, the exhaustive sweep gives the failures instead.
     """
     _require_size(n)
+    return _prove_r_composition(n, _pair_word_matrices(n))
+
+
+def _prove_r_composition(n, build):
     diagrams, mats = _diagram_matrix_table(n)
-    letters = _tl_letter_matrices(n)
-    words = [pair_word(p) for p in enumerate_pairs(n)]
+    _, words, word_mats = build
     evals = [eval_word(w) for w in words]
-    proved = verify_presentation(letters, n, quantum_integer(2)).ok and \
-        all(ev.loop_free for ev in evals) and \
+    proved = verify_presentation(_tl_letter_matrices(n), n, quantum_integer(2)).ok \
+        and all(ev.loop_free for ev in evals) and \
         len({ev.diagram for ev in evals}) == len(diagrams) and \
-        all(mats[ev.tl_diagram] == m for ev, m in
-            zip(evals, _rep_word_matrices(words, letters, n, "laurent")))
+        all(mats[ev.tl_diagram] == m for ev, m in zip(evals, word_mats))
     return [] if proved else verify_r_composition(n)
+
+
+def verify_tl(n, seed=DEFAULT_SEED):
+    """(triangularity_report, prove_r_composition, verify_tl_faithful) of n.
+
+    The three results are those of the three functions, read from one
+    walk-pair build instead of three.
+    """
+    _require_size(n)
+    build = _pair_word_matrices(n)
+    return (_triangularity(n, build), _prove_r_composition(n, build),
+            _tl_certificate(n, seed, build))
 
 
 def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
@@ -385,7 +418,7 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
         words = blob_basis_words(n).values()
-        vectors = [m.flatten() for m in
+        vectors = [m.entries for m in
                    _rep_word_matrices(words, images, total, e_matrix.ring)]
         rank, method, witness = _certified_rank(vectors, seed)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
@@ -536,6 +569,15 @@ def prove_blob_representation(images, n, params, basis=None):
     a stated failure and no flipped one, so the report is sign_normalized.
     In every other case the exhaustive sweep's report is returned.
     """
+    return _prove_blob(images, n, params, basis)[0]
+
+
+def _prove_blob(images, n, params, basis):
+    """(prove_blob_representation's report, the stated relation check).
+
+    The check is None when the basis table failed and the relations were
+    never checked.
+    """
     if basis is None:
         basis = blob_basis_words(n)
     _image_dimension(images)  # images of two sizes raise, as in the sweep
@@ -545,8 +587,24 @@ def prove_blob_representation(images, n, params, basis=None):
         rep = {i: images[i] for i in range(1, n)}
         if blob:
             rep["e"] = images["e"]
-        if verify_presentation(rep, n, params.delta, params).ok:
-            return _blob_report(images, n, params, basis, [], False)
-        if verify_presentation(rep, n, params.delta, params.sign_flipped()).ok:
-            return _blob_report(images, n, params, basis, [], True)
-    return verify_blob_representation(images, n, params, basis)
+        relations = verify_presentation(rep, n, params.delta, params)
+        if relations.ok:
+            return _blob_report(images, n, params, basis, [], False), relations
+        if relations.ok_with(params.sign_flipped()):
+            return _blob_report(images, n, params, basis, [], True), relations
+        return verify_blob_representation(images, n, params, basis), relations
+    return verify_blob_representation(images, n, params, basis), None
+
+
+def verify_rho0(n, m):
+    """rho0(n, m)'s structure-constant report, and whether its generator
+    images satisfy the blob relations with the sign-flipped parameters.
+
+    The report is prove_blob_representation's on the default basis, a
+    complete loop-free table, so the relations are always checked; that one
+    check serves the proof and the sign-flip verdict.
+    """
+    images = rho0(Rho0Config(n, m)).letter_images()
+    params = BlobParams.integral_form(m, cyclo=True)
+    report, relations = _prove_blob(images, n, params, None)
+    return report, relations.ok_with(params.sign_flipped())

@@ -13,8 +13,6 @@ generator is q.
 
 from __future__ import annotations
 
-import itertools
-
 from ._record import Record
 from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, element_from_json, \
     element_to_json
@@ -168,37 +166,26 @@ def r_matrix(d, unit=None):
     ring = unit.ring
     inv = unit.unit_inverse()
     n, m = d.n, d.m
-    # One option list per line; an option assigns values and adds an exponent.
-    options = []
+    # (row bits, column bits, exponent) of every value assignment, doubled
+    # line by line: each line takes its first option, then its second, in
+    # the order of a product over the lines with the last varying fastest.
+    triples = [(0, 0, 0)]
     for a, b in d.pairs:
-        if b < n:  # northern arc
-            options.append([(((0, a, 1), (0, b, 2)), 1),
-                            (((0, a, 2), (0, b, 1)), -1)])
-        elif a >= n:  # southern arc
-            i, j = a - n, b - n
-            options.append([(((1, i, 1), (1, j, 2)), 1),
-                            (((1, i, 2), (1, j, 1)), -1)])
-        else:  # propagating line: equal values, no weight
-            j = b - n
-            options.append([(((0, a, 1), (1, j, 1)), 0),
-                            (((0, a, 2), (1, j, 2)), 0)])
+        if b < n:  # northern arc: v_a = 1, v_b = 2 gives u, the swap 1/u
+            options = ((1 << (n - 1 - b), 0, 1), (1 << (n - 1 - a), 0, -1))
+        elif a >= n:  # southern arc, the same on w
+            options = ((0, 1 << (n + m - 1 - b), 1), (0, 1 << (n + m - 1 - a), -1))
+        else:  # propagating line: v_a = w_j = 1 or both 2, no weight
+            options = ((0, 0, 0), (1 << (n - 1 - a), 1 << (n + m - 1 - b), 0))
+        triples = [(r | dr, c | dc, e + de) for r, c, e in triples
+                   for dr, dc, de in options]
     entries = {}
     powers = {}  # exponent -> unit power, shared by every entry that uses it
-    for combo in itertools.product(*options):
-        v = [0] * n
-        w = [0] * m
-        exp = 0
-        for assigns, e in combo:
-            exp += e
-            for which, pos, val in assigns:
-                if which == 0:
-                    v[pos] = val
-                else:
-                    w[pos] = val
+    for r, c, exp in triples:
         coeff = powers.get(exp)
         if coeff is None:
             coeff = powers[exp] = unit ** exp if exp >= 0 else inv ** (-exp)
-        entries[(seq_to_index(v), seq_to_index(w))] = coeff
+        entries[(r, c)] = coeff
     return SparseRepMatrix(n, m, entries, ring)
 
 

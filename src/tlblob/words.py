@@ -19,6 +19,7 @@ from math import comb
 from ._record import Record
 from .diagrams import (
     BlobPairing,
+    Pairing,
     _absolute_index,
     blob_e,
     compose_blob,
@@ -51,6 +52,8 @@ class GenWord(Record):
             if letter == "e":
                 if convention != "standard":
                     raise ValueError("the blob letter lives in the standard convention")
+                if n < 1:
+                    raise ValueError("the blob letter needs n >= 1")
                 continue
             if not isinstance(letter, int) or isinstance(letter, bool):
                 raise ValueError(f"bad letter {letter!r}")
@@ -88,23 +91,47 @@ class WordEval(Record):
         return self.diagram.base
 
 
-def _letter_diagram(letter, n, convention):
-    if letter == "e":
-        return blob_e(n)
-    return BlobPairing(generator_u(letter, n, convention))
-
-
 def eval_word(word):
-    """Left-to-right fold of the word's generator diagrams."""
-    cur = BlobPairing(identity(word.n))
+    """Left-to-right fold of the word's letters, one O(1) update per letter.
+
+    The running diagram is a partner array on its top nodes 0..n-1 and
+    bottom nodes n..2n-1, with a blob flag on both ends of each blobbed
+    line.  Stacking U_k below joins the lines at bottom nodes k-1 and k and
+    re-cups those two nodes: when they already form a bottom cup, that cup
+    closes into a (blob) loop; when both joined lines carry a blob, the
+    blobs merge.  Stacking e below flags the line through bottom node 0,
+    which is always exposed; a line already flagged merges.  The counts
+    are those of composing the generator diagrams one by one.
+    """
+    n = word.n
+    partner = [*range(n, 2 * n), *range(n)]
+    blob = [False] * (2 * n)
+    offset = n + (n // 2 if word.convention == "shifted" else 0) - 1
     plain = loops = merges = 0
     for letter in word.letters:
-        res, _ = compose_blob(cur, _letter_diagram(letter, word.n, word.convention))
-        cur = res.diagram
-        plain += res.plain_loops
-        loops += res.blob_loops
-        merges += res.blob_merges
-    return WordEval(cur, plain, loops, merges)
+        if letter == "e":
+            if blob[n]:
+                merges += 1
+            blob[n] = blob[partner[n]] = True
+            continue
+        a = offset + letter  # bottom nodes a and a + 1
+        b = a + 1
+        x, y = partner[a], partner[b]
+        if x == b:
+            if blob[a]:
+                loops += 1
+            else:
+                plain += 1
+        else:
+            if blob[x] and blob[y]:
+                merges += 1
+            partner[x], partner[y] = y, x
+            blob[x] = blob[y] = blob[x] or blob[y]
+        partner[a], partner[b] = b, a
+        blob[a] = blob[b] = False
+    pairs = [(i, j) for i, j in enumerate(partner) if i < j]
+    diagram = BlobPairing(Pairing(n, n, pairs), [p for p in pairs if blob[p[0]]])
+    return WordEval(diagram, plain, loops, merges)
 
 
 def blob_basis_words(n):
@@ -183,6 +210,10 @@ def format_word(word):
     return " ".join("e" if l == "e" else f"u{l}" for l in word.letters)
 
 
+# The two blob relations with a scalar side, by the parameter they name.
+_SCALAR_RELATIONS = {"delta_e": "e.e = delta_e e", "gamma": "u1 e u1 = gamma u1"}
+
+
 class PresentationReport(Record):
     """Outcome of checking the defining relations against matrices."""
 
@@ -196,6 +227,22 @@ class PresentationReport(Record):
     @property
     def ok(self):
         return not self.violations
+
+    def ok_with(self, blob_params):
+        """Whether the relations hold with blob_params' gamma and delta_e.
+
+        Only the two scalar-shaped relations name them.  An empirical
+        scalar c means lhs = c * base with base nonzero, so such a relation
+        holds exactly at c.  None means either no scalar works or base and
+        lhs are zero and every scalar does: the checked verdict carries over.
+        """
+        violated = {name for name, _ in self.violations}
+        for key, ratio in self.empirical_scalars.items():
+            if ratio is not None:
+                violated.discard(_SCALAR_RELATIONS[key])
+                if ratio != getattr(blob_params, key):
+                    violated.add(_SCALAR_RELATIONS[key])
+        return not violated
 
 
 def _check(violations, name, lhs, rhs):
@@ -235,12 +282,13 @@ def verify_presentation(rep, n, delta, blob_params=None):
         e = rep["e"]
         ee = e.mul(e)
         empirical["delta_e"] = ee.ratio_to(e)
-        _check(violations, "e.e = delta_e e", ee, e.scalar_mul(blob_params.delta_e))
+        _check(violations, _SCALAR_RELATIONS["delta_e"], ee,
+               e.scalar_mul(blob_params.delta_e))
         if 1 in rep:
             u1 = rep[1]
             ueu = u1.mul(e).mul(u1)
             empirical["gamma"] = ueu.ratio_to(u1)
-            _check(violations, "u1 e u1 = gamma u1",
+            _check(violations, _SCALAR_RELATIONS["gamma"],
                    ueu, u1.scalar_mul(blob_params.gamma))
         for i in idx:
             if i >= 2:

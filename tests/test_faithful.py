@@ -34,6 +34,8 @@ from tlblob.faithful import (
     verify_blob_representation,
     verify_mask_independence,
     verify_r_composition,
+    verify_rho0,
+    verify_tl,
     verify_tl_faithful,
 )
 from tlblob.walks import (
@@ -277,6 +279,22 @@ class TestTlFaithful:
         a = verify_tl_faithful(3).dumps()
         b = verify_tl_faithful(3).dumps()
         assert a == b
+
+
+class TestOneBuild:
+    @pytest.mark.parametrize("n", range(6))
+    def test_verify_tl_gives_the_three_results(self, n):
+        assert verify_tl(n, seed=3) == (triangularity_report(n),
+                                        prove_r_composition(n),
+                                        verify_tl_faithful(n, seed=3))
+
+    def test_cli_builds_the_word_matrices_once(self, monkeypatch, capsys):
+        from tlblob import cli
+
+        builds = count_calls(monkeypatch, "_rep_word_matrices")
+        assert cli.main(["verify-tl", "--n", "5"]) == 0
+        assert '"valid":true' in capsys.readouterr().out
+        assert len(builds) == 1
 
 
 class TestMaskIndependence:
@@ -547,6 +565,52 @@ class TestProofEqualsSweep:
         sweep = verify_blob_representation(images, 3, params, basis)
         assert proof.to_json() == sweep.to_json()
         assert proof.ok and not proof.sign_normalized
+
+
+class TestOneRelationPass:
+    """One stated relation check decides the sign-flipped relations too."""
+
+    @pytest.mark.parametrize("n,m,variant", [
+        (n, m, v) for n in (1, 2, 3) for m in (-1, 0, 1, 2, 3)
+        for v in VARIANTS + ("zero-u1",) if n > 1 or "u1" not in v])
+    def test_ok_with_is_a_second_pass(self, n, m, variant):
+        images = image_variant(n, m, variant)
+        if variant == "zero-u1":
+            images[1] = SparseRepMatrix(2 * n, 2 * n, {}, "cyclo")
+        params = BlobParams.integral_form(m, cyclo=True)
+        stated = verify_presentation(images, n, params.delta, params)
+        for other in (params, params.sign_flipped()):
+            assert stated.ok_with(other) == \
+                verify_presentation(images, n, params.delta, other).ok
+
+    def test_tl_relations_ignore_blob_params(self):
+        letters = faithful._tl_letter_matrices(3)
+        report = verify_presentation(letters, 3, LaurentInt.from_int(2))
+        assert not report.ok
+        assert not report.ok_with(BlobParams.integral_form(1))
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 1)])
+    def test_verify_blob_checks_the_relations_once(self, monkeypatch, capsys,
+                                                   n, m):
+        from tlblob import cli
+
+        calls = count_calls(monkeypatch, "verify_presentation")
+        original = getattr(cli, "verify_presentation", None)
+        if original is not None:
+            monkeypatch.setattr(cli, "verify_presentation",
+                                lambda *a: calls.append(original(*a)) or calls[-1])
+        assert cli.main(["verify-blob", "--n", str(n), "--m", str(m)]) == 0
+        assert '"relations_ok_after_sign_flip":true' in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_verify_rho0(self):
+        images = rho0(Rho0Config(3, 2)).letter_images()
+        params = BlobParams.integral_form(2, cyclo=True)
+        report, flipped_ok = verify_rho0(3, 2)
+        assert report.to_json() == \
+            prove_blob_representation(images, 3, params).to_json()
+        assert flipped_ok == verify_presentation(
+            images, 3, params.delta, params.sign_flipped()).ok
 
 
 class TestMirror:

@@ -92,6 +92,58 @@ class TestRMatrix:
             assert counts and set(counts.values()) == {1}
 
 
+def reference_r_matrix(d, unit=None):
+    """r_matrix as a product over the lines' value options."""
+    if unit is None:
+        unit = LaurentInt.x_power(1)
+    inv = unit.unit_inverse()
+    n, m = d.n, d.m
+    options = []
+    for a, b in d.pairs:
+        if b < n:
+            options.append([(((0, a, 1), (0, b, 2)), 1),
+                            (((0, a, 2), (0, b, 1)), -1)])
+        elif a >= n:
+            i, j = a - n, b - n
+            options.append([(((1, i, 1), (1, j, 2)), 1),
+                            (((1, i, 2), (1, j, 1)), -1)])
+        else:
+            j = b - n
+            options.append([(((0, a, 1), (1, j, 1)), 0),
+                            (((0, a, 2), (1, j, 2)), 0)])
+    entries = {}
+    for combo in itertools.product(*options):
+        v = [0] * n
+        w = [0] * m
+        exp = 0
+        for assigns, e in combo:
+            exp += e
+            for which, pos, val in assigns:
+                (v if which == 0 else w)[pos] = val
+        entries[(seq_to_index(v), seq_to_index(w))] = \
+            unit ** exp if exp >= 0 else inv ** (-exp)
+    return SparseRepMatrix(n, m, entries, unit.ring)
+
+
+class TestRMatrixMatchesReference:
+    """The bit-doubling build gives the option product's entries, in order."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(7) for m in range(7)
+                                     if (n + m) % 2 == 0])
+    def test_every_diagram(self, n, m):
+        for d in enumerate_tl(n, m):
+            got, want = r_matrix(d), reference_r_matrix(d)
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert got == want
+
+    def test_cyclotomic_unit(self):
+        unit = CycloLaurent({1: CycloInt.a_power(1)})  # a*x
+        for d in enumerate_tl(4, 4):
+            got, want = r_matrix(d, unit), reference_r_matrix(d, unit)
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert got.ring == want.ring == "cyclo"
+
+
 class TestMasks:
     def test_scaling_preserves_mask(self):
         a = r_matrix(generator_u(1, 3))

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tlblob.diagrams import (
     BlobPairing,
@@ -16,6 +16,7 @@ from tlblob.rings import BlobParams, CycloLaurent, quantum_integer
 from tlblob.tensorrep import r_matrix
 from tlblob.words import (
     GenWord,
+    WordEval,
     blob_basis_words,
     eval_word,
     f_map,
@@ -50,6 +51,8 @@ class TestEval:
             GenWord((3,), 3)
         with pytest.raises(ValueError):
             GenWord(("e",), 4, "shifted")
+        with pytest.raises(ValueError):
+            GenWord(("e",), 0)
 
     @pytest.mark.parametrize("letter", [True, False])
     def test_bool_letter_rejected(self, letter):
@@ -70,6 +73,48 @@ class TestEval:
             assert whole.plain_loops == left.plain_loops + right.plain_loops + res.plain_loops
             assert whole.blob_loops == left.blob_loops + right.blob_loops + res.blob_loops
             assert whole.blob_merges == left.blob_merges + right.blob_merges + res.blob_merges
+
+
+def reference_eval_word(word):
+    """eval_word as a left-to-right fold of composed generator diagrams."""
+    cur = BlobPairing(identity(word.n))
+    plain = loops = merges = 0
+    for letter in word.letters:
+        gen = blob_e(word.n) if letter == "e" else \
+            BlobPairing(generator_u(letter, word.n, word.convention))
+        res, _ = compose_blob(cur, gen)
+        cur = res.diagram
+        plain += res.plain_loops
+        loops += res.blob_loops
+        merges += res.blob_merges
+    return WordEval(cur, plain, loops, merges)
+
+
+@st.composite
+def standard_words(draw):
+    n = draw(st.integers(1, 6))
+    letters = st.sampled_from(["e", *range(1, n)])
+    return GenWord(draw(st.lists(letters, max_size=14)), n)
+
+
+class TestEvalMatchesComposition:
+    """The partner-array fold gives the composed diagrams' WordEval."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_basis_words_and_their_f_map_images(self, n):
+        for word in blob_basis_words(n).values():
+            assert eval_word(word) == reference_eval_word(word)
+            folded = f_map(word)
+            assert eval_word(folded) == reference_eval_word(folded)
+
+    @settings(max_examples=300, deadline=None)
+    @given(standard_words())
+    @example(GenWord((1, 1), 2))  # a loop
+    @example(GenWord((1, "e", 1), 2))  # a blob loop
+    @example(GenWord(("e", "e"), 2))  # a merge at e
+    @example(GenWord(("e", 2, 1, "e", 2), 3))  # a merge where U_2 joins lines
+    def test_random_words(self, word):
+        assert eval_word(word) == reference_eval_word(word)
 
 
 class TestBasisWords:
