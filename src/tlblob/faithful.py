@@ -9,11 +9,17 @@ elimination over the coefficient ring's fraction field.
 
 Every word matrix comes from one shared-prefix product chain
 (``_prefix_products``), one product per distinct word prefix.  The
-triangularity report, the composition proof, the rank and the mask overlays
-all read the walk-pair words and word matrices from ``_pair_word_matrices``.
-``verify_tl`` builds them once and hands that one list to all three of its
-stages; each public function builds its own list when called alone.
-Everything runs in one process.
+certificate chains (``_word_vectors``) run it on ``CodedMatrix``: each
+entry is the int code of a signed unit monomial under a packed key
+row << dim_log2 | col, which sorts like (row, col), so the modular witness
+picks the same pivots; they become (row, col) again for the JSON.  When an
+image entry has no code or two summands meet at one position, the chain
+runs on ring elements instead, with the same packed keys.  The
+triangularity report, the composition proof (against ``R(D)`` in codes),
+the rank and the mask overlays all read the walk-pair words and vectors
+from ``_pair_word_vectors``.  ``verify_tl`` builds them once and hands
+that one list to all three of its stages; each public function builds its
+own list when called alone.  Everything runs in one process.
 
 The two composition identities (TL and blob) are proved from the algebra
 presentations: generator images that satisfy the defining relations define
@@ -43,10 +49,13 @@ from .rings import (
     rank_exact,
 )
 from .tensorrep import (
+    CodedMatrix,
     SparseRepMatrix,
+    SummandCollision,
     index_to_seq,
     mask_eq,
     r_matrix,
+    r_matrix_codes,
     rho0,
     Rho0Config,
     seq_to_index,
@@ -133,16 +142,34 @@ def tl_word_matrix(word):
     return rep_word_matrix(word, _tl_letter_matrices(word.n), word.n, "laurent")
 
 
-def _pair_word_matrices(n):
-    """(pairs, words, word matrices) of all walk pairs of size n.
+def _word_vectors(words, images, dim_log2, ring):
+    """Each word's matrix as a vector {row << dim_log2 | col: entry}.
+
+    The entries are codes (``CodedMatrix``) when every image entry is a
+    signed unit monomial and no product position gets two summands; else
+    they are ring elements from ``_rep_word_matrices``.
+    """
+    words = list(words)
+    coded = {letter: CodedMatrix.from_matrix(m) for letter, m in images.items()}
+    if all(m is not None for m in coded.values()):
+        try:
+            return [m.entries for m in _prefix_products(
+                CodedMatrix.identity(dim_log2), words, coded)]
+        except SummandCollision:
+            pass
+    return [{r << dim_log2 | c: v for (r, c), v in m.entries.items()}
+            for m in _rep_word_matrices(words, images, dim_log2, ring)]
+
+
+def _pair_word_vectors(n):
+    """(pairs, words, word-matrix vectors) of all walk pairs of size n.
 
     The lists are in enumeration order.  One build serves triangularity,
     the composition proof and the rank (``verify_tl``).
     """
     pairs = enumerate_pairs(n)
     words = [pair_word(p) for p in pairs]
-    mats = list(_rep_word_matrices(words, _tl_letter_matrices(n), n, "laurent"))
-    return pairs, words, mats
+    return pairs, words, _word_vectors(words, _tl_letter_matrices(n), n, "laurent")
 
 
 def _is_walk(seq):
@@ -190,7 +217,7 @@ def triangularity_report(n):
     enumeration order.
     """
     _require_size(n)
-    return _triangularity(n, _pair_word_matrices(n))
+    return _triangularity(n, _pair_word_vectors(n))
 
 
 def _triangularity(n, build):
@@ -198,18 +225,20 @@ def _triangularity(n, build):
     # Column profile of each index's walk, None where the index is no walk.
     profiles = [Walk(seq).profile if _is_walk(seq) else None
                 for seq in (index_to_seq(i, n) for i in range(1 << n))]
-    pairs, _, mats = build
-    for p, mat in zip(pairs, mats):
-        own = (seq_to_index(p.a.steps), seq_to_index(p.b.steps))
-        if own not in mat.entries:
-            report.failures.append((p, own, "diagonal-zero"))
-        pa, pb = profiles[own[0]], profiles[own[1]]
-        for pos in sorted(mat.entries):
-            qa, qb = profiles[pos[0]], profiles[pos[1]]
+    low = (1 << n) - 1
+    pairs, _, vectors = build
+    for p, vec in zip(pairs, vectors):
+        row, col = seq_to_index(p.a.steps), seq_to_index(p.b.steps)
+        if row << n | col not in vec:
+            report.failures.append((p, (row, col), "diagonal-zero"))
+        pa, pb = profiles[row], profiles[col]
+        for key in sorted(vec):
+            row, col = key >> n, key & low
+            qa, qb = profiles[row], profiles[col]
             if qa is None or qb is None:
-                report.nonwalk_entries.append((p, pos))
+                report.nonwalk_entries.append((p, (row, col)))
             elif not _profiles_leq(qa, qb, pa, pb):
-                report.failures.append((p, pos, "above-pair"))
+                report.failures.append((p, (row, col), "above-pair"))
     return report
 
 
@@ -249,16 +278,21 @@ class FaithfulnessCertificate(Record):
         return dumps_canonical(self.to_json())
 
 
-def _certified_rank(vectors, seed):
+def _certified_rank(vectors, seed, cols_log2=None):
     """(rank, method, witness) of a family of sparse vectors.
 
     A full-rank witness that re-checks gives rank len(vectors) with method
     "modular-witness"; otherwise Bareiss elimination gives the rank, with
-    method "exact" and no witness.
+    method "exact" and no witness.  With ``cols_log2`` the keys are packed
+    row << cols_log2 | col, and the witness names its pivots as (row, col).
     """
     vectors = list(vectors)
     witness = full_rank_witness(vectors, trials=5, seed=seed)
     if witness is not None and check_full_rank_witness(vectors, witness):
+        if cols_log2 is not None:
+            low = (1 << cols_log2) - 1
+            witness = dict(witness, pivots=[(k >> cols_log2, k & low)
+                                            for k in witness["pivots"]])
         return len(vectors), "modular-witness", witness
     return rank_exact(vectors), "exact", None
 
@@ -266,12 +300,12 @@ def _certified_rank(vectors, seed):
 def verify_tl_faithful(n, seed=DEFAULT_SEED):
     """Rank of the walk-pair word matrices; full rank means faithful."""
     _require_size(n)
-    return _tl_certificate(n, seed, _pair_word_matrices(n))
+    return _tl_certificate(n, seed, _pair_word_vectors(n))
 
 
 def _tl_certificate(n, seed, build):
-    pairs, _, mats = build
-    rank, method, witness = _certified_rank([m.entries for m in mats], seed)
+    pairs, _, vectors = build
+    rank, method, witness = _certified_rank(vectors, seed, n)
     return FaithfulnessCertificate(n=n, basis_size=len(pairs), rank=rank,
                                    method=method, witness=witness)
 
@@ -301,8 +335,8 @@ def verify_mask_independence(n, trials=25, seed=DEFAULT_SEED):
     import random
 
     rng = random.Random(seed)
-    pairs, _, mats = _pair_word_matrices(n)
-    masks = [sorted(m.entries) for m in mats]
+    pairs, _, vectors = _pair_word_vectors(n)
+    masks = [sorted(v) for v in vectors]
     report = MaskIndependenceReport(n, trials, seed, len(pairs))
     for _ in range(trials):
         vectors = [
@@ -357,17 +391,19 @@ def prove_r_composition(n):
     check fails, the exhaustive sweep gives the failures instead.
     """
     _require_size(n)
-    return _prove_r_composition(n, _pair_word_matrices(n))
+    return _prove_r_composition(n, _pair_word_vectors(n))
 
 
 def _prove_r_composition(n, build):
-    diagrams, mats = _diagram_matrix_table(n)
-    _, words, word_mats = build
+    _, words, vectors = build
     evals = [eval_word(w) for w in words]
+    # R(D) is compared in codes.  It has an entry 1 (code 0: north arcs at
+    # u, south arcs at 1/u), which no nonzero ring element equals, so a
+    # build on ring elements (the guard fired) is left to the sweep.
     proved = verify_presentation(_tl_letter_matrices(n), n, quantum_integer(2)).ok \
         and all(ev.loop_free for ev in evals) and \
-        len({ev.diagram for ev in evals}) == len(diagrams) and \
-        all(mats[ev.tl_diagram] == m for ev, m in zip(evals, word_mats))
+        len({ev.diagram for ev in evals}) == comb(2 * n, n) // (n + 1) and \
+        all(r_matrix_codes(ev.tl_diagram) == v for ev, v in zip(evals, vectors))
     return [] if proved else verify_r_composition(n)
 
 
@@ -378,7 +414,7 @@ def verify_tl(n, seed=DEFAULT_SEED):
     walk-pair build instead of three.
     """
     _require_size(n)
-    build = _pair_word_matrices(n)
+    build = _pair_word_vectors(n)
     return (_triangularity(n, build), _prove_r_composition(n, build),
             _tl_certificate(n, seed, build))
 
@@ -417,10 +453,9 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
         images[i] = x_i.mul(y_i)
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
-        words = blob_basis_words(n).values()
-        vectors = [m.entries for m in
-                   _rep_word_matrices(words, images, total, e_matrix.ring)]
-        rank, method, witness = _certified_rank(vectors, seed)
+        vectors = _word_vectors(blob_basis_words(n).values(), images, total,
+                                e_matrix.ring)
+        rank, method, witness = _certified_rank(vectors, seed, total)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,
                                    witness=witness)
@@ -510,11 +545,16 @@ def _basis_images(images, basis):
                                               _image_dimension(images), ring)))
 
 
-def _blob_report(images, n, params, basis, failures, sign_normalized):
+def _blob_report(images, n, params, basis, failures, sign_normalized,
+                 scalars=None):
+    """The report; ``scalars`` are the empirical scalars when already known
+    (a relation check on images' own e and u1), else they are computed."""
     report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
                            failures=failures, sign_normalized=sign_normalized)
     report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
-    if "e" in images:
+    if scalars is not None:
+        report.empirical_scalars = dict(scalars)
+    elif "e" in images:
         e = images["e"]
         report.empirical_scalars["delta_e"] = e.mul(e).ratio_to(e)
         if 1 in images:
@@ -588,10 +628,16 @@ def _prove_blob(images, n, params, basis):
         if blob:
             rep["e"] = images["e"]
         relations = verify_presentation(rep, n, params.delta, params)
+        # The relations computed the report's scalars from the same e and u1
+        # unless the table has no e or images hold a u1 the relations skip.
+        scalars = relations.empirical_scalars \
+            if blob and (n > 1 or 1 not in images) else None
         if relations.ok:
-            return _blob_report(images, n, params, basis, [], False), relations
+            return _blob_report(images, n, params, basis, [], False,
+                                scalars), relations
         if relations.ok_with(params.sign_flipped()):
-            return _blob_report(images, n, params, basis, [], True), relations
+            return _blob_report(images, n, params, basis, [], True,
+                                scalars), relations
         return verify_blob_representation(images, n, params, basis), relations
     return verify_blob_representation(images, n, params, basis), None
 

@@ -19,6 +19,11 @@ the divisor's images under a -> a^3, a^5, a^7, whose product with it is
 a-free, so plain Laurent long division then runs on the packed keys.  With
 no zero coefficient stored, equality is dict equality, equal elements hash
 equal in either ring, and values are hashable and immutable.
+
+A signed unit monomial +-a^k x^e also has a one-int form, its code
+(8e + k) << 1 | sign (``_unit_code``), which the certificate word chains
+multiply without building elements.  The rank functions take vectors of
+codes as well as of elements.
 """
 
 from __future__ import annotations
@@ -422,6 +427,30 @@ class BlobParams:
             * (self.delta_e ** blob_merges)
 
 
+def _unit_code(elem):
+    """(8e + k) << 1 | sign for elem = +-a^k x^e (sign 1 for minus), else None."""
+    terms = elem.terms
+    if len(terms) == 1:
+        ((key, c),) = terms.items()
+        if c == 1 or c == -1:
+            return key << 1 | (c < 0)
+    return None
+
+
+def _code_element(code):
+    """The element +-a^k x^e of a code; integer Laurent when k = 0."""
+    key = code >> 1
+    return (CycloLaurent if key & 7 else LaurentInt)._make({key: -1 if code & 1 else 1})
+
+
+def _holds_codes(vectors):
+    """Whether the vectors' entries are codes (ints) rather than ring elements."""
+    for vec in vectors:
+        for value in vec.values():
+            return type(value) is int
+    return False
+
+
 def _row_cleanup(row):
     return {k: v for k, v in row.items() if v}
 
@@ -436,9 +465,12 @@ def rank_exact(vectors):
     first, so the near-triangular matrices this package produces eliminate
     with almost no fill-in.  Since x is a unit, each row is first normalized
     by a power of x (clearing denominators cannot change the rank).
+    Entries that are codes (``_unit_code``) are decoded first.
     """
     active = []
     for vec in vectors:
+        if _holds_codes([vec]):
+            vec = {k: _code_element(c) for k, c in vec.items()}
         row = _row_cleanup(dict(vec))
         if row:
             shift = -min(v.min_exp() for v in row.values())
@@ -514,6 +546,22 @@ def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
     return rows
 
 
+def _evaluate_codes(vectors, x_val, a_val, p, cols=None):
+    """``_evaluate_rows`` for vectors of codes.
+
+    Each distinct code is evaluated once.  A unit is never zero mod p, so
+    every entry is kept.
+    """
+    if cols is not None:
+        vectors = [{c: v[c] for c in cols if c in v} for v in vectors]
+    table = {}
+    for code in set().union(*(v.values() for v in vectors)):
+        key = code >> 1
+        m = pow(x_val, key >> 3, p) * pow(a_val, key & 7, p) % p
+        table[code] = p - m if code & 1 else m
+    return [{k: table[c] for k, c in v.items()} for v in vectors]
+
+
 def _rank_mod_p(int_rows, p):
     """Pivot columns of Gaussian elimination mod p; their count is the rank.
 
@@ -573,15 +621,17 @@ def full_rank_witness(vectors, trials=5, seed=0):
     Z[a, x, x^-1]/(a^4 + 1) to F_p, so a nonzero minor mod p is the image of
     a nonzero minor over the ring.  The witness names the point and the
     columns of one such minor: {"p", "x", "a", "pivots"}.  None means no
-    trial reached full rank; it proves nothing either way.
+    trial reached full rank; it proves nothing either way.  The entries may
+    be ring elements or codes (``_unit_code``).
     """
     p = _MODULAR_PRIME
     points = _trial_points(trials, seed, p)
     vecs = list(vectors)
     if not vecs:
         return None
+    evaluate = _evaluate_codes if _holds_codes(vecs) else _evaluate_rows
     for x_val, a_val in points:
-        pivots = _rank_mod_p(_evaluate_rows(vecs, x_val, a_val, p), p)
+        pivots = _rank_mod_p(evaluate(vecs, x_val, a_val, p), p)
         if len(pivots) == len(vecs):
             return {"p": p, "x": x_val, "a": a_val, "pivots": sorted(pivots)}
     return None
@@ -610,7 +660,8 @@ def check_full_rank_witness(vectors, witness):
         return False
     if p != _MODULAR_PRIME or x_val % p == 0 or pow(a_val, 4, p) != p - 1:
         return False
-    minor = _evaluate_rows(vecs, x_val, a_val, p, cols=pivots)
+    evaluate = _evaluate_codes if _holds_codes(vecs) else _evaluate_rows
+    minor = evaluate(vecs, x_val, a_val, p, cols=pivots)
     return len(_rank_mod_p(minor, p)) == len(vecs)
 
 

@@ -9,19 +9,27 @@ and contributes u^+1 on (1,2) and u^-1 on (2,1), where u is the arc unit
 (u = x by default, so u^2 = q); southern arcs act the same on w.  The
 orientation is calibrated so that the (12,12) entry of a single cup-cap
 generator is q.
+
+Every entry of a generator image is a signed unit monomial +-a^k x^e, and
+along a loop-free word each product position gets one summand.  So the
+certificate word chains run on ``CodedMatrix``: entries are the ints of
+``rings._unit_code`` under packed keys row << dim_log2 | col.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, element_from_json, \
-    element_to_json
+from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, _unit_code, \
+    element_from_json, element_to_json
 
 __all__ = [
     "SparseRepMatrix",
+    "CodedMatrix",
+    "SummandCollision",
     "seq_to_index",
     "index_to_seq",
     "r_matrix",
+    "r_matrix_codes",
     "mask",
     "mask_eq",
     "product_summand_counts",
@@ -56,6 +64,14 @@ class SparseRepMatrix(Record):
         self.cols_log2 = cols_log2
         self.entries = {k: v for k, v in entries.items() if v}
         self.ring = ring
+
+    @classmethod
+    def _unchecked(cls, rows_log2, cols_log2, entries, ring):
+        """The matrix of ``entries``, which must hold no zero."""
+        res = cls.__new__(cls)
+        res.rows_log2, res.cols_log2, res.entries, res.ring = \
+            rows_log2, cols_log2, entries, ring
+        return res
 
     @classmethod
     def identity(cls, n_log2, ring="laurent"):
@@ -94,8 +110,15 @@ class SparseRepMatrix(Record):
                     t = a
                 pos = (u, c)
                 s = out.get(pos)
-                out[pos] = t if s is None else s + t
-        return SparseRepMatrix(self.rows_log2, other.cols_log2, out, self.ring)
+                if s is None:
+                    out[pos] = t  # a product of nonzero elements of a domain
+                else:
+                    s = s + t
+                    if s:
+                        out[pos] = s
+                    else:
+                        del out[pos]
+        return SparseRepMatrix._unchecked(self.rows_log2, other.cols_log2, out, self.ring)
 
     def scalar_mul(self, c):
         return SparseRepMatrix(
@@ -143,6 +166,71 @@ class SparseRepMatrix(Record):
         return dict(self.entries)
 
 
+class SummandCollision(ArithmeticError):
+    """Two summands met at one position of a ``CodedMatrix`` product."""
+
+
+class CodedMatrix:
+    """A square matrix of signed unit monomials +-a^k x^e, held as ints.
+
+    ``entries`` maps row << dim_log2 | col to the code (8e + k) << 1 | sign
+    (``rings._unit_code``); packed keys sort like (row, col) tuples.  When
+    each product position gets one summand, a product entry is the product
+    of two codes: their keys add, their signs XOR, and a^k with k >= 4
+    folds to -a^(k-4) (only cyclotomic codes have k > 0).  A position
+    reached twice would need a sum: ``mul`` raises ``SummandCollision``,
+    and the caller takes the ring path.
+    """
+
+    __slots__ = ("dim_log2", "entries")
+
+    def __init__(self, dim_log2, entries):
+        self.dim_log2 = dim_log2
+        self.entries = entries
+
+    @classmethod
+    def identity(cls, dim_log2):
+        return cls(dim_log2, {i << dim_log2 | i: 0 for i in range(1 << dim_log2)})
+
+    @classmethod
+    def from_matrix(cls, mat):
+        """mat's codes, or None unless mat is square with every entry +-a^k x^e."""
+        if mat.rows_log2 != mat.cols_log2:
+            return None
+        shift = mat.cols_log2
+        entries = {}
+        for (r, c), v in mat.entries.items():
+            code = _unit_code(v)
+            if code is None:
+                return None
+            entries[r << shift | c] = code
+        return cls(shift, entries)
+
+    def mul(self, other):
+        shift = self.dim_log2
+        if other.dim_log2 != shift:
+            raise ValueError("shape mismatch in matrix product")
+        low = (1 << shift) - 1
+        rows_of_b = {}
+        for key, code in other.entries.items():
+            rows_of_b.setdefault(key >> shift, []).append((key & low, code & 1, code & -2))
+        out = {}
+        summands = 0
+        for key, code in self.entries.items():
+            row = rows_of_b.get(key & low)
+            if row:
+                base = key ^ (key & low)
+                summands += len(row)
+                for col, sign, even in row:
+                    t = (code ^ sign) + even
+                    if t & 8:  # a^k with k >= 4
+                        t = (t - 8) ^ 1
+                    out[base | col] = t
+        if len(out) != summands:
+            raise SummandCollision("two summands at one product position")
+        return CodedMatrix(shift, out)
+
+
 def mask(a):
     """The set of nonzero positions of a matrix."""
     return frozenset(a.entries)
@@ -154,21 +242,14 @@ def mask_eq(a, b):
     return mask(a) == mask(b)
 
 
-def r_matrix(d, unit=None):
-    """The tensor-space matrix of a planar diagram.
+def _r_triples(d):
+    """(row bits, column bits, exponent of the arc unit) of R(d)'s entries.
 
-    ``unit`` is the invertible arc weight (default: x over the integer
-    Laurent ring); passing a different unit, possibly in the cyclotomic
-    ring, realizes the same matrix at an independent formal parameter.
+    The table is doubled line by line: each line takes its first option,
+    then its second, in the order of a product over the lines with the last
+    varying fastest.
     """
-    if unit is None:
-        unit = LaurentInt.x_power(1)
-    ring = unit.ring
-    inv = unit.unit_inverse()
     n, m = d.n, d.m
-    # (row bits, column bits, exponent) of every value assignment, doubled
-    # line by line: each line takes its first option, then its second, in
-    # the order of a product over the lines with the last varying fastest.
     triples = [(0, 0, 0)]
     for a, b in d.pairs:
         if b < n:  # northern arc: v_a = 1, v_b = 2 gives u, the swap 1/u
@@ -179,14 +260,33 @@ def r_matrix(d, unit=None):
             options = ((0, 0, 0), (1 << (n - 1 - a), 1 << (n + m - 1 - b), 0))
         triples = [(r | dr, c | dc, e + de) for r, c, e in triples
                    for dr, dc, de in options]
+    return triples
+
+
+def r_matrix(d, unit=None):
+    """The tensor-space matrix of a planar diagram.
+
+    ``unit`` is the invertible arc weight (default: x over the integer
+    Laurent ring); passing a different unit, possibly in the cyclotomic
+    ring, realizes the same matrix at an independent formal parameter.
+    """
+    if unit is None:
+        unit = LaurentInt.x_power(1)
+    inv = unit.unit_inverse()
     entries = {}
     powers = {}  # exponent -> unit power, shared by every entry that uses it
-    for r, c, exp in triples:
+    for r, c, exp in _r_triples(d):
         coeff = powers.get(exp)
         if coeff is None:
             coeff = powers[exp] = unit ** exp if exp >= 0 else inv ** (-exp)
         entries[(r, c)] = coeff
-    return SparseRepMatrix(n, m, entries, ring)
+    return SparseRepMatrix._unchecked(d.n, d.m, entries, unit.ring)
+
+
+def r_matrix_codes(d):
+    """``r_matrix(d)`` as codes: {row << d.m | col: code of x^exp}."""
+    m = d.m
+    return {r << m | c: exp << 4 for r, c, exp in _r_triples(d)}
 
 
 def product_summand_counts(a, b):

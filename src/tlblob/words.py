@@ -17,15 +17,7 @@ from collections import deque
 from math import comb
 
 from ._record import Record
-from .diagrams import (
-    BlobPairing,
-    Pairing,
-    _absolute_index,
-    blob_e,
-    compose_blob,
-    generator_u,
-    identity,
-)
+from .diagrams import BlobPairing, Pairing, _absolute_index
 
 __all__ = [
     "GenWord",
@@ -96,42 +88,51 @@ def eval_word(word):
 
     The running diagram is a partner array on its top nodes 0..n-1 and
     bottom nodes n..2n-1, with a blob flag on both ends of each blobbed
-    line.  Stacking U_k below joins the lines at bottom nodes k-1 and k and
-    re-cups those two nodes: when they already form a bottom cup, that cup
-    closes into a (blob) loop; when both joined lines carry a blob, the
-    blobs merge.  Stacking e below flags the line through bottom node 0,
-    which is always exposed; a line already flagged merges.  The counts
-    are those of composing the generator diagrams one by one.
+    line (``_stack``).  The counts are those of composing the generator
+    diagrams one by one.
     """
     n = word.n
     partner = [*range(n, 2 * n), *range(n)]
     blob = [False] * (2 * n)
     offset = n + (n // 2 if word.convention == "shifted" else 0) - 1
-    plain = loops = merges = 0
+    counts = [0, 0, 0, 0]  # nothing, plain loops, blob loops, blob merges
     for letter in word.letters:
-        if letter == "e":
-            if blob[n]:
-                merges += 1
-            blob[n] = blob[partner[n]] = True
-            continue
-        a = offset + letter  # bottom nodes a and a + 1
-        b = a + 1
-        x, y = partner[a], partner[b]
-        if x == b:
-            if blob[a]:
-                loops += 1
-            else:
-                plain += 1
-        else:
-            if blob[x] and blob[y]:
-                merges += 1
-            partner[x], partner[y] = y, x
-            blob[x] = blob[y] = blob[x] or blob[y]
-        partner[a], partner[b] = b, a
-        blob[a] = blob[b] = False
+        counts[_stack(partner, blob, n, None if letter == "e" else offset + letter)] += 1
+    return WordEval(_partner_diagram(partner, blob, n), *counts[1:])
+
+
+def _stack(partner, blob, n, a):
+    """Stack one generator below the partner-array diagram, in place.
+
+    ``a`` is None for e, else U_k's left bottom node n + k - 1.  Stacking
+    U_k below joins the lines at bottom nodes a and a + 1 and re-cups those
+    two nodes: when they already form a bottom cup, that cup closes into a
+    (blob) loop; when both joined lines carry a blob, the blobs merge.
+    Stacking e below flags the line through bottom node n, which is always
+    exposed; a line already flagged merges.  Returns what was discarded:
+    0 nothing, 1 a plain loop, 2 a blob loop, 3 a blob merge.
+    """
+    if a is None:
+        merged = blob[n]
+        blob[n] = blob[partner[n]] = True
+        return 3 if merged else 0
+    b = a + 1
+    x, y = partner[a], partner[b]
+    if x == b:
+        discarded = 2 if blob[a] else 1
+    else:
+        discarded = 3 if blob[x] and blob[y] else 0
+        partner[x], partner[y] = y, x
+        blob[x] = blob[y] = blob[x] or blob[y]
+    partner[a], partner[b] = b, a
+    blob[a] = blob[b] = False
+    return discarded
+
+
+def _partner_diagram(partner, blob, n):
+    """The blob diagram of a partner array and its blob flags."""
     pairs = [(i, j) for i, j in enumerate(partner) if i < j]
-    diagram = BlobPairing(Pairing(n, n, pairs), [p for p in pairs if blob[p[0]]])
-    return WordEval(diagram, plain, loops, merges)
+    return BlobPairing(Pairing(n, n, pairs), [p for p in pairs if blob[p[0]]])
 
 
 def blob_basis_words(n):
@@ -139,26 +140,31 @@ def blob_basis_words(n):
 
     Right-multiplication by the generators (fixed order: e, U_1, ..,
     U_{n-1}) extends the frontier; an extension survives only when the
-    incremental composition discards nothing.  First word found wins, so the
-    table is deterministic.  Completeness over all (2n)!/(n!n!) diagrams is
-    checked: an incomplete search raises RuntimeError.
+    stacked letter discards nothing (``_stack`` on the frontier diagram's
+    partner array, so a diagram is built only when it is new).  First word
+    found wins, so the table is deterministic.  Completeness over all
+    (2n)!/(n!n!) diagrams is checked: an incomplete search raises
+    RuntimeError.
     """
-    gens = [("e", blob_e(n))] + [
-        (i, BlobPairing(generator_u(i, n))) for i in range(1, n)
-    ]
-    start = BlobPairing(identity(n))
-    table = {start: GenWord((), n)}
-    queue = deque([start])
+    if n < 1:
+        raise ValueError("the blob letter needs n >= 1")
+    letters = [("e", None)] + [(i, n + i - 1) for i in range(1, n)]
+    partner, blob = [*range(n, 2 * n), *range(n)], [False] * (2 * n)
+    table = {_partner_diagram(partner, blob, n): GenWord((), n)}
+    seen = {(*partner, *blob)}
+    queue = deque([(partner, blob, ())])
     while queue:
-        diag = queue.popleft()
-        word = table[diag]
-        for letter, gd in gens:
-            res, _ = compose_blob(diag, gd)
-            if res.plain_loops or res.blob_loops or res.blob_merges:
+        partner, blob, word = queue.popleft()
+        for letter, a in letters:
+            p, b = partner[:], blob[:]
+            if _stack(p, b, n, a):
                 continue
-            if res.diagram not in table:
-                table[res.diagram] = GenWord(word.letters + (letter,), n)
-                queue.append(res.diagram)
+            state = (*p, *b)
+            if state not in seen:
+                seen.add(state)
+                longer = word + (letter,)
+                table[_partner_diagram(p, b, n)] = GenWord(longer, n)
+                queue.append((p, b, longer))
     expected = comb(2 * n, n)
     if len(table) != expected:
         raise RuntimeError(f"basis search incomplete: {len(table)}/{expected}")

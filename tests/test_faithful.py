@@ -7,11 +7,13 @@ from tlblob.rings import (
     BlobParams,
     CycloLaurent,
     LaurentInt,
+    _code_element,
     check_full_rank_witness,
     full_rank_witness,
     rank_exact,
 )
 from tlblob.tensorrep import (
+    CodedMatrix,
     Rho0Config,
     SparseRepMatrix,
     index_to_seq,
@@ -20,6 +22,7 @@ from tlblob.tensorrep import (
     seq_to_index,
 )
 from tlblob.faithful import (
+    DEFAULT_SEED,
     FaithfulnessCertificate,
     _certified_rank,
     _prefix_products,
@@ -221,13 +224,13 @@ class TestTriangularity:
         prefixes = {w.letters[:k] for w in map(pair_word, enumerate_pairs(n))
                     for k in range(1, len(w.letters) + 1)}
         calls = []
-        original = SparseRepMatrix.mul
+        original = CodedMatrix.mul
 
         def counted(self, other):
             calls.append(None)
             return original(self, other)
 
-        monkeypatch.setattr(SparseRepMatrix, "mul", counted)
+        monkeypatch.setattr(CodedMatrix, "mul", counted)
         assert triangularity_report(n).ok
         assert len(calls) == len(prefixes) == products
 
@@ -291,10 +294,112 @@ class TestOneBuild:
     def test_cli_builds_the_word_matrices_once(self, monkeypatch, capsys):
         from tlblob import cli
 
-        builds = count_calls(monkeypatch, "_rep_word_matrices")
+        builds = count_calls(monkeypatch, "_word_vectors")
         assert cli.main(["verify-tl", "--n", "5"]) == 0
         assert '"valid":true' in capsys.readouterr().out
         assert len(builds) == 1
+
+
+def ring_vectors(words, images, dim_log2, ring):
+    """Each word's matrix entries, (row, col)-keyed, from the ring chain."""
+    return [m.entries for m in
+            faithful._rep_word_matrices(words, images, dim_log2, ring)]
+
+
+def decoded(vectors, dim_log2):
+    low = (1 << dim_log2) - 1
+    return [{(k >> dim_log2, k & low): _code_element(c) for k, c in v.items()}
+            for v in vectors]
+
+
+def tl_family(n):
+    return [pair_word(p) for p in enumerate_pairs(n)], \
+        faithful._tl_letter_matrices(n), n, "laurent"
+
+
+def rho0_family(n, m):
+    images = rho0(Rho0Config(n, m)).letter_images()
+    return list(blob_basis_words(n).values()), images, 2 * n, "cyclo"
+
+
+class TestCodedChains:
+    """The certificate chains on codes decode to the ring chains' matrices."""
+
+    @staticmethod
+    def check(words, images, dim_log2, ring):
+        coded = faithful._word_vectors(words, images, dim_log2, ring)
+        assert all(type(c) is int for v in coded for c in v.values())
+        assert decoded(coded, dim_log2) == \
+            ring_vectors(words, images, dim_log2, ring)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_tl(self, n):
+        self.check(*tl_family(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rho0(self, n, m):
+        self.check(*rho0_family(n, m))
+
+    @pytest.mark.parametrize("family", [tl_family(5), rho0_family(3, 1)])
+    def test_packed_pivots_are_the_tuple_pivots(self, family):
+        words, images, dim_log2, ring = family
+        packed = faithful._word_vectors(words, images, dim_log2, ring)
+        tuples = ring_vectors(words, images, dim_log2, ring)
+        w_packed = full_rank_witness(packed, seed=DEFAULT_SEED)
+        w_tuple = full_rank_witness(tuples, seed=DEFAULT_SEED)
+        low = (1 << dim_log2) - 1
+        assert [(k >> dim_log2, k & low) for k in w_packed["pivots"]] == \
+            w_tuple["pivots"]
+        assert dict(w_packed, pivots=None) == dict(w_tuple, pivots=None)
+        assert check_full_rank_witness(packed, w_packed)
+
+
+class TestExactnessGuard:
+    """Images that are not all unit monomials, or a product position with two
+    summands, send the chain through the ring product; the certificate is
+    then the ring chain's."""
+
+    @staticmethod
+    def tl_with_letters(monkeypatch, n, letters):
+        monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
+        builds = count_calls(monkeypatch, "_rep_word_matrices")
+        cert = verify_tl_faithful(n)
+        assert len(builds) == 1
+        words = [pair_word(p) for p in enumerate_pairs(n)]
+        expected = _certified_rank(ring_vectors(words, letters, n, "laurent"),
+                                   DEFAULT_SEED)
+        assert (cert.rank, cert.method, cert.witness) == expected
+        return cert
+
+    def test_scaled_generator_image(self, monkeypatch):
+        letters = dict(faithful._tl_letter_matrices(4))
+        letters[2] = letters[2].scalar_mul(LaurentInt.from_int(2))
+        cert = self.tl_with_letters(monkeypatch, 4, letters)
+        assert cert.valid and cert.method == "modular-witness"
+
+    def test_collision(self, monkeypatch):
+        # u1's image replaced by u2's: the word u1 u2 becomes u2 u2, a loop.
+        letters = dict(faithful._tl_letter_matrices(3))
+        letters[1] = letters[2]
+        cert = self.tl_with_letters(monkeypatch, 3, letters)
+        assert not cert.valid and cert.method == "exact"
+
+    def test_scaled_blob_image(self, monkeypatch):
+        n = 2
+        rep = rho0(Rho0Config(n, 1))
+        e = rep.e.scalar_mul(CycloLaurent.from_int(2))
+        builds = count_calls(monkeypatch, "_rep_word_matrices")
+        cert = certify_mirror(e, rep.u_factors, n)
+        assert len(builds) == 1
+        images = {"e": e, **rep.u}
+        rank, method, witness = _certified_rank(
+            ring_vectors(blob_basis_words(n).values(), images, 2 * n, "cyclo"),
+            DEFAULT_SEED)
+        assert cert.dumps() == FaithfulnessCertificate(
+            n=n, basis_size=6, rank=rank, method=method,
+            mask_checks=cert.mask_checks, witness=witness).dumps()
+        assert cert.valid and all(c["ok"] for c in cert.mask_checks)
 
 
 class TestMaskIndependence:
@@ -337,11 +442,16 @@ class TestGeneratorStepProof:
 
     @staticmethod
     def scale_diagram_matrix(monkeypatch, n, diagram):
+        # Both R(D) sources: the sweep's matrix table and the proof's codes,
+        # where 2 R(D) has no code form.
         diagrams, mats = faithful._diagram_matrix_table(n)
         broken = dict(mats)
         broken[diagram] = mats[diagram].scalar_mul(LaurentInt.from_int(2))
         monkeypatch.setattr(faithful, "_diagram_matrix_table",
                             lambda size: (diagrams, broken))
+        codes = faithful.r_matrix_codes
+        monkeypatch.setattr(faithful, "r_matrix_codes",
+                            lambda d: None if d == diagram else codes(d))
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
                                      (4, 3)])

@@ -17,7 +17,7 @@ from tlblob.rings import (
     rank_exact,
     rank_modular,
 )
-from tlblob.rings import _evaluate_rows
+from tlblob.rings import _code_element, _evaluate_codes, _evaluate_rows, _unit_code
 
 X = LaurentInt.x_power(1)
 Q = LaurentInt.x_power(2)
@@ -327,6 +327,43 @@ class TestEvaluateModIsHomomorphism:
             keys = v if cols is None else [c for c in cols if c in v]
             expected = {k: v[k].evaluate_mod(x0, a0, P) for k in keys}
             assert row == {k: r for k, r in expected.items() if r}
+
+
+unit_codes = st.builds(lambda e, k, minus: (8 * e + k) << 1 | minus,
+                       st.integers(-4, 4), st.integers(0, 3), st.integers(0, 1))
+
+
+class TestUnitCodes:
+    """A code (8e + k) << 1 | sign stands for +-a^k x^e."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(unit_codes)
+    def test_roundtrip(self, code):
+        elem = _code_element(code)
+        key = code >> 1
+        assert elem == (-1 if code & 1 else 1) * CycloLaurent.a_power(key & 7, key >> 3)
+        assert _unit_code(elem) == code
+        assert type(elem) is (CycloLaurent if key & 7 else LaurentInt)
+
+    @pytest.mark.parametrize("elem", [LaurentInt.zero(), quantum_integer(2), 2 * X,
+                                      CycloInt(0, 3), CycloInt(1, 1)])
+    def test_non_units_have_no_code(self, elem):
+        assert _unit_code(elem) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.dictionaries(st.integers(0, 5), unit_codes, max_size=5),
+                    max_size=4), points, st.booleans())
+    def test_evaluate_codes_matches_evaluate_rows(self, vectors, point, some_cols):
+        x0, a0 = point
+        cols = [5, 0, 3, 9] if some_cols else None
+        elements = [{k: _code_element(c) for k, c in v.items()} for v in vectors]
+        assert _evaluate_codes(vectors, x0, a0, P, cols) == \
+            _evaluate_rows(elements, x0, a0, P, cols)
+
+    def test_rank_exact_decodes(self):
+        codes = [{0: 0, 1: 16}, {0: 3, 1: 19}, {1: 2}]  # [1, x], [-a, -a x], [0, a]
+        elements = [{k: _code_element(c) for k, c in v.items()} for v in codes]
+        assert rank_exact(codes) == rank_exact(elements) == 2
 
 
 class TestBoolCoefficients:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlblob.diagrams import compose_tl, enumerate_tl, generator_u, identity
-from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer
+from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer, \
+    _code_element, _unit_code
 from tlblob.tensorrep import (
+    CodedMatrix,
     Rho0Config,
     SparseRepMatrix,
+    SummandCollision,
     index_to_seq,
     local_u_matrix,
     mask,
@@ -19,6 +22,7 @@ from tlblob.tensorrep import (
     place_local,
     product_summand_counts,
     r_matrix,
+    r_matrix_codes,
     rho0,
     seq_to_index,
 )
@@ -257,6 +261,89 @@ class TestProductKernel:
         product = a.mul(SparseRepMatrix.identity(3))
         assert product == a
         assert all(product.entries[k] is v for k, v in a.entries.items())
+
+
+def decode(coded):
+    """A CodedMatrix as the SparseRepMatrix of its decoded entries."""
+    shift = coded.dim_log2
+    low = (1 << shift) - 1
+    entries = {(k >> shift, k & low): _code_element(c) for k, c in coded.entries.items()}
+    ring = "cyclo" if any(c & 14 for c in coded.entries.values()) else "laurent"
+    return SparseRepMatrix(shift, shift, entries, ring)
+
+
+# +-a^k x^e with negative and positive e; a-parts up to 3, so k1 + k2 >= 4
+# (the fold) is drawn often.
+unit_monomials = st.builds(
+    lambda e, k, minus: (-1 if minus else 1) * CycloLaurent.a_power(k, e),
+    st.integers(-3, 3), st.integers(0, 3), st.booleans())
+
+
+@st.composite
+def coded_pairs(draw):
+    dim = draw(st.integers(0, 2))
+    side = 1 << dim
+
+    def matrix():
+        keys = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+        entries = draw(st.dictionaries(keys, unit_monomials, max_size=8))
+        return SparseRepMatrix(dim, dim, entries, "cyclo")
+
+    return matrix(), matrix()
+
+
+class TestCodedProduct:
+    """``CodedMatrix.mul`` is the ring product while no position collides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coded_pairs())
+    def test_matches_ring_product_or_collides(self, pair):
+        a, b = pair
+        ca, cb = CodedMatrix.from_matrix(a), CodedMatrix.from_matrix(b)
+        assert decode(ca).entries == a.entries
+        if any(v > 1 for v in product_summand_counts(a, b).values()):
+            with pytest.raises(SummandCollision):
+                ca.mul(cb)
+        else:
+            product = ca.mul(cb)
+            assert decode(product).entries == a.mul(b).entries
+            assert all(c & 8 == 0 for c in product.entries.values())
+
+    def test_fold_and_negative_exponents(self):
+        a3 = CycloLaurent.a_power(3, -2)
+        a = SparseRepMatrix(1, 1, {(0, 1): -a3, (1, 0): a3}, "cyclo")
+        b = SparseRepMatrix(1, 1, {(1, 1): CycloLaurent.a_power(2, -1),
+                                   (0, 0): -CycloLaurent.a_power(1, 5)}, "cyclo")
+        product = CodedMatrix.from_matrix(a).mul(CodedMatrix.from_matrix(b))
+        # -a^3 x^-2 * a^2 x^-1 = -a^5 x^-3 = a x^-3
+        assert decode(product).entries == {
+            (0, 1): CycloLaurent.a_power(1, -3), (1, 0): a3 * -CycloLaurent.a_power(1, 5)}
+        assert product.entries[1] == _unit_code(CycloLaurent.a_power(1, -3))
+
+    def test_colliding_pair(self):
+        # u1 u1 closes a loop: position (12, 12) gets q and 1.
+        u = CodedMatrix.from_matrix(r_matrix(generator_u(1, 2)))
+        with pytest.raises(SummandCollision):
+            u.mul(u)
+
+    @pytest.mark.parametrize("entry", [DELTA, 2 * X, LaurentInt.zero() + X + 1])
+    def test_non_unit_entry_has_no_code(self, entry):
+        mat = SparseRepMatrix(1, 1, {(0, 0): ONE, (1, 0): entry}, "laurent")
+        assert CodedMatrix.from_matrix(mat) is None
+        assert CodedMatrix.from_matrix(r_matrix(enumerate_tl(2, 4)[0])) is None
+
+    def test_identity_and_shape(self):
+        u = CodedMatrix.from_matrix(r_matrix(generator_u(1, 3)))
+        assert CodedMatrix.identity(3).mul(u).entries == u.entries
+        with pytest.raises(ValueError):
+            u.mul(CodedMatrix.identity(2))
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (2, 2), (3, 3), (2, 4), (4, 2)])
+    def test_r_matrix_codes(self, n, m):
+        for d in enumerate_tl(n, m):
+            mat = r_matrix(d)
+            assert r_matrix_codes(d) == {r << m | c: _unit_code(v)
+                                         for (r, c), v in mat.entries.items()}
 
 
 class TestRatio:

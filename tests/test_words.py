@@ -90,6 +90,25 @@ def reference_eval_word(word):
     return WordEval(cur, plain, loops, merges)
 
 
+def reference_blob_basis_words(n):
+    """blob_basis_words as a breadth-first search that composes diagrams."""
+    gens = [("e", blob_e(n))] + [
+        (i, BlobPairing(generator_u(i, n))) for i in range(1, n)
+    ]
+    start = BlobPairing(identity(n))
+    table = {start: GenWord((), n)}
+    queue = [start]
+    for diag in queue:
+        for letter, gd in gens:
+            res, _ = compose_blob(diag, gd)
+            if res.plain_loops or res.blob_loops or res.blob_merges:
+                continue
+            if res.diagram not in table:
+                table[res.diagram] = GenWord(table[diag].letters + (letter,), n)
+                queue.append(res.diagram)
+    return table
+
+
 @st.composite
 def standard_words(draw):
     n = draw(st.integers(1, 6))
@@ -137,6 +156,17 @@ class TestBasisWords:
         t1 = blob_basis_words(3)
         t2 = blob_basis_words(3)
         assert list(t1.items()) == list(t2.items())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_composition_search(self, n):
+        # Same keys, same words, same insertion order as the search that
+        # composes whole diagrams on every edge.
+        assert list(blob_basis_words(n).items()) == \
+            list(reference_blob_basis_words(n).items())
+
+    def test_n0_rejected(self):
+        with pytest.raises(ValueError):
+            blob_basis_words(0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_incomplete_search_raises(self, monkeypatch, n):
