@@ -30,7 +30,17 @@ def _positive_int(text):
     return value
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The CLI parser, with options only for the subcommand ``argv`` names.
+
+    Every subcommand is registered with its help, so usage, help and an
+    invalid choice read the same; the command is the first word of ``argv``
+    without a leading "-" (the top level has no option taking a value).
+    Options go to that subcommand only, or to all when it is missing or
+    unknown.
+    """
+    words = [w for w in argv if not w.startswith("-")]
+    wanted = words[0] if words and words[0] in _COMMANDS else None
     parser = argparse.ArgumentParser(
         prog="tlblob",
         description="Exact diagram-algebra workbench: enumeration, composition,"
@@ -39,7 +49,10 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        if wanted not in (None, name):
+            return None
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the modular rank witness (default %(default)s)")
@@ -49,42 +62,39 @@ def _build_parser():
                             " work nor the output")
         return p
 
-    p = common(sub.add_parser("enumerate", help="list diagrams"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, help="southern node count (default n)")
-    p.add_argument("--blob", action="store_true", help="blob diagrams on (n,n)")
+    if p := command("enumerate", "list diagrams"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, help="southern node count (default n)")
+        p.add_argument("--blob", action="store_true", help="blob diagrams on (n,n)")
 
-    p = common(sub.add_parser("compose", help="compose two diagram JSON files"))
-    p.add_argument("left")
-    p.add_argument("right")
+    if p := command("compose", "compose two diagram JSON files"):
+        p.add_argument("left")
+        p.add_argument("right")
 
-    p = common(sub.add_parser("rmatrix", help="tensor-space matrix of a diagram"))
-    p.add_argument("--file", help="diagram JSON file")
-    p.add_argument("--n", type=int, help="ambient size for --u")
-    p.add_argument("--u", type=int, help="generator index instead of a file")
-    p.add_argument("--convention", choices=("standard", "shifted"),
-                   default="standard")
+    if p := command("rmatrix", "tensor-space matrix of a diagram"):
+        p.add_argument("--file", help="diagram JSON file")
+        p.add_argument("--n", type=int, help="ambient size for --u")
+        p.add_argument("--u", type=int, help="generator index instead of a file")
+        p.add_argument("--convention", choices=("standard", "shifted"),
+                       default="standard")
 
-    p = common(sub.add_parser("walkword", help="generator word of a walk pair"))
-    p.add_argument("--a", required=True, help="left walk, e.g. 112")
-    p.add_argument("--b", required=True, help="right walk, e.g. 121")
+    if p := command("walkword", "generator word of a walk pair"):
+        p.add_argument("--a", required=True, help="left walk, e.g. 112")
+        p.add_argument("--b", required=True, help="right walk, e.g. 121")
 
-    p = common(sub.add_parser("lattice", help="walk-pair order as JSON edges"))
-    p.add_argument("--n", type=int, required=True)
+    if p := command("lattice", "walk-pair order as JSON edges"):
+        p.add_argument("--n", type=int, required=True)
 
-    p = common(sub.add_parser("verify-tl",
-                              help="triangularity, composition identity and rank"))
-    p.add_argument("--n", type=int, required=True)
+    if p := command("verify-tl", "triangularity, composition identity and rank"):
+        p.add_argument("--n", type=int, required=True)
 
-    p = common(sub.add_parser("verify-blob",
-                              help="structure constants of the blob tensor rep"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1, help="weight exponent (default 1)")
+    if p := command("verify-blob", "structure constants of the blob tensor rep"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, default=1, help="weight exponent (default 1)")
 
-    p = common(sub.add_parser("certify-rho0",
-                              help="mirror-mask and rank certificate"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1, help="weight exponent (default 1)")
+    if p := command("certify-rho0", "mirror-mask and rank certificate"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, default=1, help="weight exponent (default 1)")
     return parser
 
 
@@ -221,7 +231,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

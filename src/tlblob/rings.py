@@ -522,6 +522,12 @@ def _modular_eighth_root(rng, p):
             return a
 
 
+def _restrict(vectors, cols):
+    """The vectors' entries in ``cols``, one pass over each vector's keys."""
+    cols = set(cols)
+    return [{c: e for c, e in v.items() if c in cols} for v in vectors]
+
+
 def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
     """Each vector's image under x -> x_val, a -> a_val, as {col: residue}.
 
@@ -529,13 +535,15 @@ def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
     8e + k is turned into x_val^e a_val^k mod p once per call, through a
     table filled as keys appear; the residues are those of ``evaluate_mod``.
     """
+    if cols is not None:
+        vectors = _restrict(vectors, cols)
     table = {}
     rows = []
     for v in vectors:
         row = {}
-        for col in (v if cols is None else [c for c in cols if c in v]):
+        for col, elem in v.items():
             acc = 0
-            for key, c in v[col].terms.items():
+            for key, c in elem.terms.items():
                 m = table.get(key)
                 if m is None:
                     m = table[key] = pow(x_val, key >> 3, p) * pow(a_val, key & 7, p) % p
@@ -553,7 +561,7 @@ def _evaluate_codes(vectors, x_val, a_val, p, cols=None):
     every entry is kept.
     """
     if cols is not None:
-        vectors = [{c: v[c] for c in cols if c in v} for v in vectors]
+        vectors = _restrict(vectors, cols)
     table = {}
     for code in set().union(*(v.values() for v in vectors)):
         key = code >> 1
@@ -563,29 +571,53 @@ def _evaluate_codes(vectors, x_val, a_val, p, cols=None):
 
 
 def _rank_mod_p(int_rows, p):
-    """Pivot columns of Gaussian elimination mod p; their count is the rank.
+    """Pivot columns of an echelon form mod p; their count is the rank.
 
-    When every row yields a pivot, the minor on the pivot columns is nonzero
-    mod p: the eliminated matrix restricted to them is unit triangular.
+    Each row is keyed by its leading (smallest) column with a nonzero
+    residue.  While a pivot row owns that column, the row is reduced by the
+    multiple of the pivot row that clears it; a row that vanishes is
+    dependent, any other becomes the pivot row of its leading column.  Only
+    the row being reduced is written to (a copy, made at its first
+    reduction); the input rows are never copied up front or mutated.
+
+    The pivot set depends only on the span V of the rows mod p.  Every
+    pivot row lies in V and the pivot rows have distinct leading columns,
+    so they are rank(V) distinct leading columns of vectors in V.  V has
+    exactly dim V leading columns (the pivots of its reduced echelon form),
+    so the two sets are equal, whatever the order of the rows or of the
+    reduction.  Eager Gaussian elimination meets the same conditions and
+    names the same set, so a sorted witness keeps its bytes.  When every
+    row yields a pivot, the minor on the pivot columns is nonzero mod p:
+    ordered by leading column, the pivot rows restricted to them are
+    triangular with nonzero diagonal.
     """
-    rows = [dict(r) for r in int_rows if any(v % p for v in r.values())]
-    pivots = []
-    while rows:
-        row = rows.pop()
-        row = {k: v % p for k, v in row.items() if v % p}
-        if not row:
-            continue
-        col = min(row)
-        inv = pow(row[col], p - 2, p)
-        row = {k: (v * inv) % p for k, v in row.items()}
-        pivots.append(col)
-        for other in rows:
-            f = other.get(col)
-            if f:
-                for k, v in row.items():
-                    other[k] = (other.get(k, 0) - f * v) % p
-                other.pop(col, None)
-    return pivots
+    pivot_rows = {}
+    inverses = {}
+    for row in int_rows:
+        lead = min(row, default=None)
+        if lead is not None and not row[lead] % p:
+            lead = min((k for k, v in row.items() if v % p), default=None)
+        copied = False
+        while lead in pivot_rows:
+            if not copied:
+                row = {k: v % p for k, v in row.items() if v % p}
+                copied = True
+            pivot = pivot_rows[lead]
+            inv = inverses.get(lead)
+            if inv is None:
+                inv = inverses[lead] = pow(pivot[lead], p - 2, p)
+            f = row[lead] * inv % p
+            for k, v in pivot.items():
+                r = (row.get(k, 0) - f * v) % p
+                if r:
+                    row[k] = r
+                else:
+                    row.pop(k, None)
+            row.pop(lead, None)  # already cancelled; dropping it ensures progress
+            lead = min(row, default=None)
+        if lead is not None:
+            pivot_rows[lead] = row
+    return list(pivot_rows)
 
 
 def _trial_points(trials, seed, p):

@@ -223,6 +223,37 @@ class TestUsageErrors:
         assert "Traceback" in err
 
 
+class TestParserPruning:
+    """Options are built for the named subcommand only, with the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["--version"],
+        ["bogus"],
+        ["verify-tl"],
+        ["verify-tl", "--n", "x"],
+        ["verify-tl", "--n", "3", "--bogus"],
+        ["verify-tl", "--help"],
+        ["certify-rho0", "--help"],
+        ["rmatrix", "--n", "3", "--u", "1", "--convention", "x"],
+    ])
+    def test_matches_full_parser(self, capsys, argv):
+        from tlblob.cli import _build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            _build_parser([]).parse_args(argv)
+        full = (exc.value.code or 0, capsys.readouterr())
+        assert (main(argv), capsys.readouterr()) == full
+
+    def test_other_subcommands_have_no_options(self):
+        from tlblob.cli import _build_parser
+
+        parser = _build_parser(["verify-tl", "--n", "3"])
+        assert parser.parse_args(["verify-tl", "--n", "3"]).n == 3
+        with pytest.raises(SystemExit):
+            parser.parse_args(["certify-rho0", "--n", "3"])
+
+
 class TestWitnessOutput:
     @pytest.mark.parametrize("argv,family", [
         (["verify-tl", "--n", "3"], "tl"),

@@ -187,6 +187,15 @@ class TestTriangularity:
             useq = index_to_seq(u, 4)
             assert sum(1 for s in useq if s == 2) >= 2
 
+    @pytest.mark.parametrize("family", [(n,) for n in range(1, 8)] +
+                             [(n, m) for n in range(1, 6) for m in (1, 2, 3)],
+                             ids=lambda f: "-".join(map(str, f)))
+    def test_leading_columns_are_distinct(self, family):
+        # The modular witness then takes every image as a pivot row as it is.
+        build = tl_family if len(family) == 1 else rho0_family
+        vectors = faithful._word_vectors(*build(*family))
+        assert len({min(v) for v in vectors}) == len(vectors)
+
     def test_nonwalk_entries_are_informational(self):
         report = triangularity_report(2)
         assert report.ok

@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import random
 from fractions import Fraction
@@ -17,7 +19,8 @@ from tlblob.rings import (
     rank_exact,
     rank_modular,
 )
-from tlblob.rings import _code_element, _evaluate_codes, _evaluate_rows, _unit_code
+from tlblob.rings import _code_element, _evaluate_codes, _evaluate_rows, _rank_mod_p, \
+    _trial_points, _unit_code
 
 X = LaurentInt.x_power(1)
 Q = LaurentInt.x_power(2)
@@ -331,6 +334,94 @@ class TestEvaluateModIsHomomorphism:
 
 unit_codes = st.builds(lambda e, k, minus: (8 * e + k) << 1 | minus,
                        st.integers(-4, 4), st.integers(0, 3), st.integers(0, 1))
+
+
+def eager_rank_mod_p(int_rows, p):
+    """Eager Gaussian elimination mod p, the reference for ``_rank_mod_p``.
+
+    Each popped row is normalized and its leading column cleared from every
+    remaining row, so the remaining rows fill in.
+    """
+    rows = [dict(r) for r in int_rows if any(v % p for v in r.values())]
+    pivots = []
+    while rows:
+        row = rows.pop()
+        row = {k: v % p for k, v in row.items() if v % p}
+        if not row:
+            continue
+        col = min(row)
+        inv = pow(row[col], p - 2, p)
+        row = {k: (v * inv) % p for k, v in row.items()}
+        pivots.append(col)
+        for other in rows:
+            f = other.get(col)
+            if f:
+                for k, v in row.items():
+                    other[k] = (other.get(k, 0) - f * v) % p
+                other.pop(col, None)
+    return pivots
+
+
+@st.composite
+def int_row_families(draw):
+    """(p, rows): sparse int rows with zero residues, negative entries,
+    int or tuple keys, and dependent or duplicate rows, shuffled."""
+    p = draw(st.sampled_from([2, 3, 7, P]))
+    keys = draw(st.sampled_from([st.integers(0, 7),
+                                 st.tuples(st.integers(0, 2), st.integers(0, 2))]))
+    values = st.one_of(st.integers(-30, 30), st.integers(-2, 2).map(lambda k: k * p))
+    rows = draw(st.lists(st.dictionaries(keys, values, max_size=6), max_size=6))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        c, d = (draw(st.integers(-3, 3)) for _ in range(2))
+        rows.append({k: c * rows[i].get(k, 0) + d * rows[j].get(k, 0)
+                     for k in rows[i].keys() | rows[j].keys()})
+    return p, draw(st.permutations(rows))
+
+
+@functools.lru_cache(maxsize=None)
+def family_vectors(n, m=None):
+    """Coded word-matrix vectors: TL walk pairs, or rho0(n, m) basis words."""
+    from tlblob import faithful
+    from tlblob.tensorrep import Rho0Config, rho0
+    from tlblob.words import blob_basis_words
+
+    if m is None:
+        return faithful._pair_word_vectors(n)[2]
+    images = rho0(Rho0Config(n, m)).letter_images()
+    return faithful._word_vectors(blob_basis_words(n).values(), images, 2 * n, "cyclo")
+
+
+class TestEchelonRank:
+    """``_rank_mod_p`` names the pivot set of eager elimination."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_row_families())
+    def test_matches_eager_elimination(self, family):
+        p, rows = family
+        before = copy.deepcopy(rows)
+        pivots = _rank_mod_p(rows, p)
+        assert rows == before
+        assert len(set(pivots)) == len(pivots)
+        assert sorted(pivots) == sorted(eager_rank_mod_p(rows, p))
+
+    def test_reduces_to_later_columns(self):
+        rows = [{0: 1, 1: 2, 2: 3}, {0: 3, 1: 6, 2: 1}, {0: 5, 1: 4, 2: 1}]
+        assert sorted(_rank_mod_p(rows, 7)) == [0, 1, 2]
+        rows[2] = {0: 4, 1: 1, 2: 4}  # rows[0] + rows[1] mod 7
+        assert sorted(_rank_mod_p(rows, 7)) == [0, 2]
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("family", [(n,) for n in range(1, 8)] +
+                             [(n, m) for n in range(1, 6) for m in (1, 2, 3)],
+                             ids=lambda f: "-".join(map(str, f)))
+    def test_word_matrices_match_eager_elimination(self, family, seed):
+        vectors = family_vectors(*family)
+        (x0, a0), = _trial_points(1, seed, P)
+        rows = _evaluate_codes(vectors, x0, a0, P)
+        pivots = _rank_mod_p(rows, P)
+        assert len(pivots) == len(vectors)
+        assert sorted(pivots) == sorted(eager_rank_mod_p(rows, P))
 
 
 class TestUnitCodes:
