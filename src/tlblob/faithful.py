@@ -54,9 +54,11 @@ from .tensorrep import (
     SummandCollision,
     index_to_seq,
     mask_eq,
+    Placed,
     r_matrix,
     r_matrix_codes,
     rho0,
+    rho0_placed,
     Rho0Config,
     seq_to_index,
 )
@@ -532,7 +534,8 @@ def _structure_constant_failures(rep_of, basis, images, params):
 
 
 def _image_dimension(images):
-    dims = {m.rows_log2 for m in images.values()}
+    dims = {(m.block if isinstance(m, Placed) else m).rows_log2
+            for m in images.values()}
     if len(dims) != 1:
         raise ValueError("generator images must share one dimension")
     return dims.pop()
@@ -616,13 +619,15 @@ def _prove_blob(images, n, params, basis):
     """(prove_blob_representation's report, the stated relation check).
 
     The check is None when the basis table failed and the relations were
-    never checked.
+    never checked.  ``images`` may be ``Placed``; they are expanded to full
+    matrices only for a sweep or for scalars the relations did not compute.
     """
     if basis is None:
         basis = blob_basis_words(n)
     _image_dimension(images)  # images of two sizes raise, as in the sweep
     blob = any("e" in w.letters for w in basis.values())
     size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
+    relations = None
     if len(basis) == size and _is_loop_free_table(basis, n):
         rep = {i: images[i] for i in range(1, n)}
         if blob:
@@ -632,14 +637,18 @@ def _prove_blob(images, n, params, basis):
         # unless the table has no e or images hold a u1 the relations skip.
         scalars = relations.empirical_scalars \
             if blob and (n > 1 or 1 not in images) else None
-        if relations.ok:
-            return _blob_report(images, n, params, basis, [], False,
+        if relations.ok or relations.ok_with(params.sign_flipped()):
+            return _blob_report(images if scalars else _expanded(images), n,
+                                params, basis, [], not relations.ok,
                                 scalars), relations
-        if relations.ok_with(params.sign_flipped()):
-            return _blob_report(images, n, params, basis, [], True,
-                                scalars), relations
-        return verify_blob_representation(images, n, params, basis), relations
-    return verify_blob_representation(images, n, params, basis), None
+    return verify_blob_representation(_expanded(images), n, params, basis), \
+        relations
+
+
+def _expanded(images):
+    """images with each ``Placed`` image replaced by its full matrix."""
+    return {k: m.expand() if isinstance(m, Placed) else m
+            for k, m in images.items()}
 
 
 def verify_rho0(n, m):
@@ -650,7 +659,7 @@ def verify_rho0(n, m):
     complete loop-free table, so the relations are always checked; that one
     check serves the proof and the sign-flip verdict.
     """
-    images = rho0(Rho0Config(n, m)).letter_images()
     params = BlobParams.integral_form(m, cyclo=True)
-    report, relations = _prove_blob(images, n, params, None)
+    report, relations = _prove_blob(rho0_placed(Rho0Config(n, m)), n, params,
+                                    None)
     return report, relations.ok_with(params.sign_flipped())

@@ -14,6 +14,8 @@ Every entry of a generator image is a signed unit monomial +-a^k x^e, and
 along a loop-free word each product position gets one summand.  So the
 certificate word chains run on ``CodedMatrix``: entries are the ints of
 ``rings._unit_code`` under packed keys row << dim_log2 | col.
+
+``Placed`` holds an image as a block on a few factors tensored with I.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ __all__ = [
     "product_summand_counts",
     "local_u_matrix",
     "place_local",
+    "Placed",
     "Rho0Config",
     "Rho0Rep",
     "rho0",
+    "rho0_placed",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -319,25 +323,76 @@ def local_u_matrix(chi, param):
     return SparseRepMatrix(2, 2, entries, param.ring)
 
 
+def _tensor_identity(entries, free):
+    """(r, c) -> v as (r | x, c | x) -> v for each submask x of free, in order."""
+    xs, x = [0], 0
+    while x != free:
+        x = (x - free) & free
+        xs.append(x)
+    return {(r | x, c | x): v for (r, c), v in entries.items() for x in xs}
+
+
+class Placed(Record):
+    """block (x) I, where block has the full shape and acts on the factors
+    of the bit mask ``support`` only."""
+
+    __slots__ = ("support", "block")
+    __hash__ = None
+
+    def __init__(self, support, block):
+        self.support = support
+        self.block = block
+
+    @classmethod
+    def factor(cls, mat):
+        """Square mat as block (x) I on S, the OR of row ^ col, when the
+        entries with one (row & S, col & S) agree and number
+        |block| * 2^(dim - |S|); else as mat itself on every factor."""
+        dim = mat.rows_log2
+        full = (1 << dim) - 1
+        support = 0
+        for r, c in mat.entries:
+            support |= r ^ c
+        if support != full:
+            block = {}
+            for (r, c), v in mat.entries.items():
+                w = block.setdefault((r & support, c & support), v)
+                if w is not v and w != v:
+                    break
+            else:
+                if len(block) << (dim - support.bit_count()) == len(mat.entries):
+                    return cls(support, SparseRepMatrix._unchecked(
+                        dim, dim, block, mat.ring))
+        return cls(full, mat)
+
+    def on(self, bits):
+        """The block tensored with I up to ``bits`` (a superset of support)."""
+        b = self.block
+        return b if bits == self.support else SparseRepMatrix._unchecked(
+            b.rows_log2, b.cols_log2,
+            _tensor_identity(b.entries, bits & ~self.support), b.ring)
+
+    def expand(self):
+        """The full matrix, block (x) I."""
+        return self.on((1 << self.block.rows_log2) - 1)
+
+
+def _placed_local(local, i, total, sign=-1):
+    if not 1 <= i <= total - 1:
+        raise ValueError(f"position {i} out of range 1..{total - 1}")
+    shift = total - 1 - i
+    entries = {(r << shift, c << shift): -v if sign == -1 else v
+               for (r, c), v in local.entries.items()}
+    return Placed(3 << shift, SparseRepMatrix(total, total, entries, local.ring))
+
+
 def place_local(local, i, total, sign=-1):
     """Embed a 4x4 block at tensor positions (i, i+1) of ``total`` factors.
 
     Acts as the identity on every other factor; ``sign=-1`` places the
     negated block.
     """
-    if not 1 <= i <= total - 1:
-        raise ValueError(f"position {i} out of range 1..{total - 1}")
-    high_bits = i - 1
-    low_bits = total - 1 - i
-    entries = {}
-    for (r, c), v in local.entries.items():
-        val = -v if sign == -1 else v
-        for high in range(1 << high_bits):
-            for low in range(1 << low_bits):
-                row = (high << (total - high_bits)) | (r << low_bits) | low
-                col = (high << (total - high_bits)) | (c << low_bits) | low
-                entries[(row, col)] = val
-    return SparseRepMatrix(total, total, entries, local.ring)
+    return _placed_local(local, i, total, sign).expand()
 
 
 class Rho0Config(Record):
@@ -390,25 +445,39 @@ class Rho0Rep(Record):
         return images
 
 
-def rho0(config):
-    """Build the blob tensor representation on 2n factors.
+def _rho0_placed(config):
+    """(letter images, {i: (X_i, Y_i)}) of rho0 as ``Placed`` blocks.
 
     The blob image is a^-2 times the weight-r placement at the middle
     position; the i-th cup-cap image is the product of the weight-s
-    placement at position n-i and the weight-t placement at position n+i
-    (disjoint positions, so the factor order is immaterial).
+    placement X_i at position n-i and the weight-t placement Y_i at
+    position n+i (disjoint positions, so the factor order is immaterial).
     """
     n, total = config.n, 2 * config.n
-    a_inv2 = CycloLaurent.a_power(-2)
-    e_mat = place_local(local_u_matrix(None, config.r_param), n, total).scalar_mul(a_inv2)
+    e = _placed_local(local_u_matrix(None, config.r_param), n, total)
+    images = {"e": Placed(e.support,
+                          e.block.scalar_mul(CycloLaurent.a_power(-2)))}
     factors = {}
-    products = {}
     for i in range(1, n):
-        x_i = place_local(local_u_matrix(None, config.s_param), n - i, total)
-        y_i = place_local(local_u_matrix(None, config.t_param), n + i, total)
-        factors[i] = (x_i, y_i)
-        products[i] = x_i.mul(y_i)
-    return Rho0Rep(config, e_mat, factors, products)
+        x = _placed_local(local_u_matrix(None, config.s_param), n - i, total)
+        y = _placed_local(local_u_matrix(None, config.t_param), n + i, total)
+        factors[i] = (x, y)
+        bits = x.support | y.support
+        images[i] = Placed(bits, x.on(bits).mul(y.on(bits)))
+    return images, factors
+
+
+def rho0_placed(config):
+    """rho0(config).letter_images() as blocks of at most 16 entries."""
+    return _rho0_placed(config)[0]
+
+
+def rho0(config):
+    """The blob tensor representation on 2n factors."""
+    images, factors = _rho0_placed(config)
+    return Rho0Rep(config, images.pop("e").expand(),
+                   {i: (x.expand(), y.expand()) for i, (x, y) in factors.items()},
+                   {i: p.expand() for i, p in images.items()})
 
 
 def matrix_to_json(a):

@@ -18,6 +18,7 @@ from math import comb
 
 from ._record import Record
 from .diagrams import BlobPairing, Pairing, _absolute_index
+from .tensorrep import Placed
 
 __all__ = [
     "GenWord",
@@ -251,52 +252,73 @@ class PresentationReport(Record):
         return not violated
 
 
-def _check(violations, name, lhs, rhs):
-    if lhs != rhs:
-        violations.append((name, lhs.sub(rhs)))
-
-
 def verify_presentation(rep, n, delta, blob_params=None):
     """Check the cup-cap relations (and blob relations when "e" is present).
 
     ``rep`` maps generator indices 1..n-1 (and optionally "e") to square
-    matrices supporting mul/scalar_mul/sub.  Every violated identity is
-    reported with its residual matrix.  For the two scalar-shaped blob
-    relations the empirically observed scalar is recorded next to the
-    expected one.  Any other set of keys raises ValueError: relations
-    checked on a missing generator would prove nothing.
+    matrices or ``Placed`` images of one size and one ring.  Every violated
+    identity is reported with its full residual matrix.  For the two
+    scalar-shaped blob relations the empirically observed scalar is
+    recorded next to the expected one.  Other keys, shapes or rings raise
+    ValueError: relations checked on a missing generator prove nothing.
+
+    Each relation is computed on the union of its images' supports
+    (``Placed.factor``): (A(x)I)(B(x)I) = AB(x)I, X(x)I = Y(x)I iff X = Y,
+    and operators on disjoint factors commute without a product.
     """
-    violations = []
-    empirical = {}
     idx = [i for i in rep if i != "e"]
     if set(idx) != set(range(1, n)):
         raise ValueError(f"generator images must be indexed 1..{n - 1} "
                          f"(and optionally 'e'), got {sorted(map(repr, idx))}")
+    shapes = {(m.rows_log2, m.cols_log2, m.ring) for m in
+              (m.block if isinstance(m, Placed) else m for m in rep.values())}
+    if len(shapes) > 1 or any(r != c for r, c, _ in shapes):
+        raise ValueError("generator images must be square, of one size, "
+                         "over one ring")
+    placed = {k: m if isinstance(m, Placed) else Placed.factor(m)
+              for k, m in rep.items()}
+    violations = []
+    empirical = {}
+
+    def on_union(*keys):
+        bits = 0
+        for k in keys:
+            bits |= placed[k].support
+        return bits, [placed[k].on(bits) for k in keys]
+
+    def check(name, bits, lhs, rhs):
+        if lhs != rhs:
+            violations.append((name, Placed(bits, lhs.sub(rhs)).expand()))
+
+    def commute(name, x, y):
+        if placed[x].support & placed[y].support:
+            bits, (a, b) = on_union(x, y)
+            check(name, bits, a.mul(b), b.mul(a))
+
     for i in idx:
-        u = rep[i]
-        _check(violations, f"u{i}.u{i} = delta u{i}", u.mul(u), u.scalar_mul(delta))
+        bits, (u,) = on_union(i)
+        check(f"u{i}.u{i} = delta u{i}", bits, u.mul(u), u.scalar_mul(delta))
         for j in idx:
             if abs(i - j) == 1:
-                _check(violations, f"u{i} u{j} u{i} = u{i}",
-                       u.mul(rep[j]).mul(u), u)
+                bits, (u, v) = on_union(i, j)
+                check(f"u{i} u{j} u{i} = u{i}", bits, u.mul(v).mul(u), u)
             elif i != j:
-                _check(violations, f"u{i} u{j} = u{j} u{i}",
-                       u.mul(rep[j]), rep[j].mul(u))
+                commute(f"u{i} u{j} = u{j} u{i}", i, j)
     if "e" in rep:
         if blob_params is None:
             raise ValueError("blob relations need blob parameters")
-        e = rep["e"]
+        bits, (e,) = on_union("e")
         ee = e.mul(e)
         empirical["delta_e"] = ee.ratio_to(e)
-        _check(violations, _SCALAR_RELATIONS["delta_e"], ee,
-               e.scalar_mul(blob_params.delta_e))
+        check(_SCALAR_RELATIONS["delta_e"], bits, ee,
+              e.scalar_mul(blob_params.delta_e))
         if 1 in rep:
-            u1 = rep[1]
+            bits, (u1, e) = on_union(1, "e")
             ueu = u1.mul(e).mul(u1)
             empirical["gamma"] = ueu.ratio_to(u1)
-            _check(violations, _SCALAR_RELATIONS["gamma"],
-                   ueu, u1.scalar_mul(blob_params.gamma))
+            check(_SCALAR_RELATIONS["gamma"], bits, ueu,
+                  u1.scalar_mul(blob_params.gamma))
         for i in idx:
             if i >= 2:
-                _check(violations, f"e u{i} = u{i} e", e.mul(rep[i]), rep[i].mul(e))
+                commute(f"e u{i} = u{i} e", "e", i)
     return PresentationReport(violations, empirical)

@@ -14,11 +14,13 @@ from tlblob.rings import (
 )
 from tlblob.tensorrep import (
     CodedMatrix,
+    Placed,
     Rho0Config,
     SparseRepMatrix,
     index_to_seq,
     r_matrix,
     rho0,
+    rho0_placed,
     seq_to_index,
 )
 from tlblob.faithful import (
@@ -684,6 +686,61 @@ class TestProofEqualsSweep:
         sweep = verify_blob_representation(images, 3, params, basis)
         assert proof.to_json() == sweep.to_json()
         assert proof.ok and not proof.sign_normalized
+
+
+class TestPlacedImages:
+    """verify-blob checks the relations on blocks and builds no full image."""
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (4, 1)])
+    def test_verify_blob_builds_no_full_image(self, monkeypatch, capsys, n, m):
+        import tlblob.tensorrep as tensorrep
+        from tlblob import cli
+
+        params = BlobParams.integral_form(m, cyclo=True)
+        residuals = [res for _, res in verify_presentation(
+            rho0_placed(Rho0Config(n, m)), n, params.delta, params).violations]
+        assert residuals  # the stated blob relations fail for rho0
+        built = []
+        for owner, name in ((Placed, "expand"), (tensorrep, "place_local")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, **kwargs):
+                built.append(_original(*args, **kwargs))
+                return built[-1]
+            monkeypatch.setattr(owner, name, counted)
+        assert cli.main(["verify-blob", "--n", str(n), "--m", str(m)]) == 0
+        assert '"ok":true' in capsys.readouterr().out
+        # Only the report's violation residuals are full matrices.
+        assert built == residuals
+
+    def test_relation_products_stay_on_the_touched_factors(self, monkeypatch):
+        operands = []
+        original = SparseRepMatrix.mul
+
+        def counted(a, b):
+            operands.append((a.nnz(), b.nnz()))
+            return original(a, b)
+        monkeypatch.setattr(SparseRepMatrix, "mul", counted)
+        n = 5
+        verify_rho0(n, 1)
+        assert max(max(pair) for pair in operands) <= 64
+        # One Kronecker block per u_i, then u_i u_i, two products for each
+        # ordered adjacent pair, e.e and u1 e u1; the commutations u_i u_j
+        # (|i - j| > 1) and e u_i (i > 1) act on disjoint factors.
+        assert len(operands) == (n - 1) + (n - 1) + 2 * 2 * (n - 2) + 1 + 2
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (3, 0)])
+    def test_fallbacks_expand_the_images(self, n, m):
+        params = BlobParams.integral_form(m, cyclo=True)
+        placed = rho0_placed(Rho0Config(n, m))
+        full = rho0(Rho0Config(n, m)).letter_images()
+        assert {k: p.expand() for k, p in placed.items()} == full
+        incomplete = dict(list(blob_basis_words(n).items())[1:])
+        for basis in (tl_basis_word_table(n), incomplete):
+            got = prove_blob_representation(placed, n, params, basis)
+            want = prove_blob_representation(full, n, params, basis)
+            assert got.to_json() == want.to_json()
+            assert got.failures == want.failures
 
 
 class TestOneRelationPass:

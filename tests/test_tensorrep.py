@@ -19,11 +19,13 @@ from tlblob.tensorrep import (
     mask_eq,
     matrix_from_json,
     matrix_to_json,
+    Placed,
     place_local,
     product_summand_counts,
     r_matrix,
     r_matrix_codes,
     rho0,
+    rho0_placed,
     seq_to_index,
 )
 from tlblob.words import GenWord, eval_word
@@ -440,6 +442,79 @@ class TestLocalBlock:
         for i in (1, 2, 3):
             placed = place_local(local, i, 4, sign=+1)
             assert placed == r_matrix(generator_u(i, 4))
+
+
+def nested_loop_placement(local, i, total, sign):
+    """The reference: place_local as one loop per factor above and below."""
+    high_bits, low_bits = i - 1, total - 1 - i
+    entries = {}
+    for (r, c), v in local.entries.items():
+        val = -v if sign == -1 else v
+        for high in range(1 << high_bits):
+            for low in range(1 << low_bits):
+                row = (high << (total - high_bits)) | (r << low_bits) | low
+                col = (high << (total - high_bits)) | (c << low_bits) | low
+                entries[(row, col)] = val
+    return SparseRepMatrix(total, total, entries, local.ring)
+
+
+class TestPlaced:
+    @pytest.mark.parametrize("total", range(2, 7))
+    def test_place_local_matches_nested_loops(self, total):
+        for local in (local_u_matrix(None, Q),
+                      local_u_matrix(LaurentInt.from_int(5), Q.unit_inverse())):
+            for i in range(1, total):
+                for sign in (-1, 1):
+                    placed = place_local(local, i, total, sign)
+                    reference = nested_loop_placement(local, i, total, sign)
+                    assert placed == reference
+                    assert list(placed.entries) == list(reference.entries)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", [-1, 0, 1, 2, 3])
+    def test_rho0_matches_full_placements(self, n, m):
+        config = Rho0Config(n, m)
+        rep, placed = rho0(config), rho0_placed(config)
+        total = 2 * n
+        e = place_local(local_u_matrix(None, config.r_param), n, total)
+        assert rep.e == e.scalar_mul(CycloLaurent.a_power(-2))
+        for i in range(1, n):
+            x = place_local(local_u_matrix(None, config.s_param), n - i, total)
+            y = place_local(local_u_matrix(None, config.t_param), n + i, total)
+            assert rep.u_factors[i] == (x, y)
+            assert rep.u[i] == x.mul(y)
+        assert {k: p.expand() for k, p in placed.items()} == rep.letter_images()
+        assert max(p.block.nnz() for p in placed.values()) <= 16
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_factor_recovers_the_blocks(self, n):
+        for p in rho0_placed(Rho0Config(n, 2)).values():
+            assert Placed.factor(p.expand()) == p
+        for i in range(1, n):
+            letter = Placed.factor(r_matrix(generator_u(i, n)))
+            assert letter.support == 3 << (n - 1 - i)
+            assert letter.block.nnz() == 4
+
+    def test_factor_of_scalars_and_zero(self):
+        two = LaurentInt.from_int(2)
+        scalar = SparseRepMatrix.identity(3).scalar_mul(two)
+        assert Placed.factor(scalar) == \
+            Placed(0, SparseRepMatrix(3, 3, {(0, 0): two}, "laurent"))
+        zero = SparseRepMatrix(3, 3, {}, "laurent")
+        assert Placed.factor(zero) == Placed(0, zero)
+        assert Placed(0, zero).expand() == zero
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): ONE, (1, 1): Q},                      # weight on a kept factor
+        {(0, 0): ONE, (1, 1): ONE, (2, 2): ONE},       # one diagonal entry short
+        {(0, 1): ONE, (1, 0): ONE, (2, 3): ONE},       # one flip entry short
+        {(0, 1): ONE, (1, 0): ONE, (2, 3): ONE, (3, 2): Q},  # two blocks
+    ])
+    def test_not_a_tensor_with_identity(self, entries):
+        mat = SparseRepMatrix(2, 2, entries, "laurent")
+        placed = Placed.factor(mat)
+        assert placed.support == 3 and placed.block is mat
+        assert placed.expand() is mat
 
 
 class TestRho0:

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_faithful import VARIANTS, image_variant
 
 from tlblob.diagrams import (
     BlobPairing,
@@ -12,8 +13,11 @@ from tlblob.diagrams import (
     identity,
     reflect,
 )
-from tlblob.rings import BlobParams, CycloLaurent, quantum_integer
-from tlblob.tensorrep import r_matrix
+from tlblob.faithful import _tl_letter_matrices
+from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, quantum_integer
+from tlblob.tensorrep import Placed, Rho0Config, SparseRepMatrix, r_matrix, \
+    rho0, rho0_placed
+from tlblob.words import _SCALAR_RELATIONS, PresentationReport
 from tlblob.words import (
     GenWord,
     WordEval,
@@ -273,6 +277,170 @@ class TestPresentation:
             assert flipped.ok
             assert direct.empirical_scalars["delta_e"] == -params.delta_e
             assert direct.empirical_scalars["gamma"] == -params.gamma
+
+
+def full_product_presentation(rep, n, delta, blob_params=None):
+    """The reference: every relation as a product of full matrices."""
+    violations = []
+    empirical = {}
+
+    def check(name, lhs, rhs):
+        if lhs != rhs:
+            violations.append((name, lhs.sub(rhs)))
+
+    idx = [i for i in rep if i != "e"]
+    assert set(idx) == set(range(1, n))
+    for i in idx:
+        u = rep[i]
+        check(f"u{i}.u{i} = delta u{i}", u.mul(u), u.scalar_mul(delta))
+        for j in idx:
+            if abs(i - j) == 1:
+                check(f"u{i} u{j} u{i} = u{i}", u.mul(rep[j]).mul(u), u)
+            elif i != j:
+                check(f"u{i} u{j} = u{j} u{i}", u.mul(rep[j]), rep[j].mul(u))
+    if "e" in rep:
+        e = rep["e"]
+        ee = e.mul(e)
+        empirical["delta_e"] = ee.ratio_to(e)
+        check(_SCALAR_RELATIONS["delta_e"], ee, e.scalar_mul(blob_params.delta_e))
+        if 1 in rep:
+            u1 = rep[1]
+            ueu = u1.mul(e).mul(u1)
+            empirical["gamma"] = ueu.ratio_to(u1)
+            check(_SCALAR_RELATIONS["gamma"], ueu, u1.scalar_mul(blob_params.gamma))
+        for i in idx:
+            if i >= 2:
+                check(f"e u{i} = u{i} e", e.mul(rep[i]), rep[i].mul(e))
+    return PresentationReport(violations, empirical)
+
+
+def assert_same_report(rep, n, delta, blob_params=None, full=None):
+    """verify_presentation on rep equals the full-product reference on full
+    (rep itself by default): names in order, residuals and scalars."""
+    got = verify_presentation(rep, n, delta, blob_params)
+    want = full_product_presentation(rep if full is None else full, n, delta,
+                                     blob_params)
+    assert [name for name, _ in got.violations] == \
+        [name for name, _ in want.violations]
+    assert got.violations == want.violations
+    assert got.empirical_scalars == want.empirical_scalars
+    assert got == want
+    return got
+
+
+def blob_conventions(m):
+    params = BlobParams.integral_form(m, cyclo=True)
+    return params.delta, (params, params.sign_flipped())
+
+
+class TestLocalRelations:
+    """Relations on the factors the images act on give the full reports."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6)
+                                     for m in (-1, 0, 1, 2, 3)])
+    def test_rho0_full_and_placed(self, n, m):
+        full = rho0(Rho0Config(n, m)).letter_images()
+        placed = rho0_placed(Rho0Config(n, m))
+        delta, conventions = blob_conventions(m)
+        for params in conventions:
+            assert_same_report(full, n, delta, params)
+            assert_same_report(placed, n, delta, params, full=full)
+
+    @pytest.mark.parametrize("n,m,variant", [
+        (n, m, v) for n in (1, 2, 3) for m in (-1, 0, 1, 2, 3)
+        for v in VARIANTS if n > 1 or "u1" not in v
+    ] + [(4, 1, v) for v in ("as-built", "zero-e", "minus-e")])
+    def test_perturbed_rho0_images(self, n, m, variant):
+        images = image_variant(n, m, variant)
+        delta, conventions = blob_conventions(m)
+        for params in conventions:
+            assert_same_report(images, n, delta, params)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tl_letters(self, n):
+        letters = _tl_letter_matrices(n)
+        assert_same_report(letters, n, quantum_integer(2))
+        assert assert_same_report(letters, n, quantum_integer(3)).ok == (n == 1)
+        for i in range(1, n):
+            scaled = dict(letters)
+            scaled[i] = letters[i].scalar_mul(LaurentInt.from_int(2))
+            assert not assert_same_report(scaled, n, quantum_integer(2)).ok
+
+    def unfactorable(self, variant):
+        """R(u_2) on 4 strands, changed so it is no block (x) I on the
+        factors its entries flip."""
+        u2 = r_matrix(generator_u(2, 4))
+        entries = dict(u2.entries)
+        if variant == "weight":  # a diagonal weight on factor 1, never flipped
+            two = LaurentInt.from_int(2)
+            entries = {(r, c): two * v if r & 8 else v
+                       for (r, c), v in entries.items()}
+        else:  # one stray entry
+            entries[(0, 1)] = LaurentInt.one()
+        return SparseRepMatrix(4, 4, entries, "laurent")
+
+    @pytest.mark.parametrize("variant", ["weight", "stray"])
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_unfactorable_images_take_every_factor(self, variant, slot):
+        odd = self.unfactorable(variant)
+        assert Placed.factor(odd).support == 15
+        assert Placed.factor(odd).block is odd
+        rep = dict(_tl_letter_matrices(4))
+        rep[slot] = odd
+        assert not assert_same_report(rep, 4, quantum_integer(2)).ok
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_sizes(self, n):
+        delta, (params, _) = blob_conventions(1)
+        for images in (rho0(Rho0Config(n, 1)).letter_images(),
+                       image_variant(n, 1, "identity-e"),
+                       image_variant(n, 1, "zero-e")):
+            assert_same_report(images, n, delta, params)
+            assert_same_report({k: v for k, v in images.items() if k != "e"},
+                               n, delta)
+        assert_same_report(_tl_letter_matrices(n), n, quantum_integer(2))
+
+
+class TestPresentationValidation:
+    """Bad images raise before any support is read or product skipped."""
+
+    def rho0_images(self, n, placed):
+        config = Rho0Config(n, 1)
+        return rho0_placed(config) if placed else rho0(config).letter_images()
+
+    @pytest.mark.parametrize("placed", [False, True])
+    @pytest.mark.parametrize("n,key", [(2, 1), (2, "e"), (3, 2), (4, 3),
+                                       (4, "e")])
+    def test_two_sizes(self, n, key, placed):
+        images = self.rho0_images(n, placed)
+        images[key] = self.rho0_images(n + 1, placed)[key if key == "e" else 1]
+        params = BlobParams.integral_form(1, cyclo=True)
+        with pytest.raises(ValueError):
+            verify_presentation(images, n, params.delta, params)
+
+    @pytest.mark.parametrize("n,key", [(2, "e"), (3, 2), (4, 3), (4, 1)])
+    def test_two_rings(self, n, key):
+        # u1 and u3 act on disjoint factors, and so do e and u3: their
+        # commutations need no product, and the ring mismatch must still raise.
+        images = dict(_tl_letter_matrices(n))
+        images["e"] = r_matrix(generator_u(1, n))
+        cyclo_x = CycloLaurent.x_power(1)
+        images[key] = r_matrix(generator_u(1 if key == "e" else key, n), cyclo_x)
+        with pytest.raises(ValueError):
+            verify_presentation(images, n, quantum_integer(2),
+                                BlobParams.integral_form(1))
+
+    @pytest.mark.parametrize("n,key", [(2, 1), (1, "e"), (2, "e"), (4, 3)])
+    def test_non_square(self, n, key):
+        images = rho0(Rho0Config(n, 1)).letter_images()
+        images[key] = SparseRepMatrix(2 * n, 2 * n + 1, {}, "cyclo")
+        params = BlobParams.integral_form(1, cyclo=True)
+        with pytest.raises(ValueError):
+            verify_presentation(images, n, params.delta, params)
+        if key != "e":
+            del images["e"]
+            with pytest.raises(ValueError):
+                verify_presentation(images, n, params.delta)
 
 
 class TestTextFormat:
