@@ -184,7 +184,7 @@ def _cmd_verify_tl(args):
         "triangularity": {
             "ok": tri.ok,
             "failures": len(tri.failures),
-            "nonwalk_entries": len(tri.nonwalk_entries),
+            "nonwalk_entries": tri.nonwalk_entries,
         },
         "composition_identity": {
             "ok": not comp_failures,

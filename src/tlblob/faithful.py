@@ -55,6 +55,7 @@ from .tensorrep import (
     index_to_seq,
     mask_eq,
     Placed,
+    _placed_local,
     r_matrix,
     r_matrix_codes,
     rho0,
@@ -99,7 +100,9 @@ __all__ = [
 
 @lru_cache(maxsize=32)
 def _tl_letter_matrices(n):
-    return {i: r_matrix(generator_u(i, n)) for i in range(1, n)}
+    """R(u_i) for i in 1..n-1, as R(u_1) on 2 strands placed at (i, i+1)."""
+    block = r_matrix(generator_u(1, 2))
+    return {i: _placed_local(block, i, n, sign=1) for i in range(1, n)}
 
 
 def _prefix_products(start, words, images):
@@ -141,7 +144,8 @@ def rep_word_matrix(word, images, dim_log2, ring):
 
 
 def tl_word_matrix(word):
-    return rep_word_matrix(word, _tl_letter_matrices(word.n), word.n, "laurent")
+    return rep_word_matrix(word, _expanded(_tl_letter_matrices(word.n)), word.n,
+                           "laurent")
 
 
 def _word_vectors(words, images, dim_log2, ring):
@@ -171,7 +175,8 @@ def _pair_word_vectors(n):
     """
     pairs = enumerate_pairs(n)
     words = [pair_word(p) for p in pairs]
-    return pairs, words, _word_vectors(words, _tl_letter_matrices(n), n, "laurent")
+    return pairs, words, _word_vectors(words, _expanded(_tl_letter_matrices(n)),
+                                       n, "laurent")
 
 
 def _is_walk(seq):
@@ -187,17 +192,18 @@ class TriangularityReport(Record):
     """Clause-by-clause outcome of the triangularity sweep at size n.
 
     ``failures`` holds (pair, position, clause) triples; nonzero entries at
-    positions that are not valid walk pairs are recorded separately as
-    informational, since the order is defined on walks only.
+    positions that are not valid walk pairs are counted separately in
+    ``nonwalk_entries`` as informational, since the order is defined on
+    walks only.
     """
 
     __slots__ = ("n", "failures", "nonwalk_entries")
     __hash__ = None
 
-    def __init__(self, n, failures=None, nonwalk_entries=None):
+    def __init__(self, n, failures=None, nonwalk_entries=0):
         self.n = n
         self.failures = [] if failures is None else failures
-        self.nonwalk_entries = [] if nonwalk_entries is None else nonwalk_entries
+        self.nonwalk_entries = nonwalk_entries
 
     @property
     def ok(self):
@@ -223,7 +229,7 @@ def triangularity_report(n):
 
 
 def _triangularity(n, build):
-    report = TriangularityReport(n)
+    failures, nonwalk = [], 0
     # Column profile of each index's walk, None where the index is no walk.
     profiles = [Walk(seq).profile if _is_walk(seq) else None
                 for seq in (index_to_seq(i, n) for i in range(1 << n))]
@@ -232,16 +238,16 @@ def _triangularity(n, build):
     for p, vec in zip(pairs, vectors):
         row, col = seq_to_index(p.a.steps), seq_to_index(p.b.steps)
         if row << n | col not in vec:
-            report.failures.append((p, (row, col), "diagonal-zero"))
+            failures.append((p, (row, col), "diagonal-zero"))
         pa, pb = profiles[row], profiles[col]
         for key in sorted(vec):
             row, col = key >> n, key & low
             qa, qb = profiles[row], profiles[col]
             if qa is None or qb is None:
-                report.nonwalk_entries.append((p, (row, col)))
+                nonwalk += 1
             elif not _profiles_leq(qa, qb, pa, pb):
-                report.failures.append((p, (row, col), "above-pair"))
-    return report
+                failures.append((p, (row, col), "above-pair"))
+    return TriangularityReport(n, failures, nonwalk)
 
 
 class FaithfulnessCertificate(Record):
@@ -621,14 +627,17 @@ def _prove_blob(images, n, params, basis):
     The check is None when the basis table failed and the relations were
     never checked.  ``images`` may be ``Placed``; they are expanded to full
     matrices only for a sweep or for scalars the relations did not compute.
+    Only a caller's table is checked: ``blob_basis_words`` builds a
+    complete loop-free table by construction (README "Certification").
     """
-    if basis is None:
+    own_table = basis is None
+    if own_table:
         basis = blob_basis_words(n)
     _image_dimension(images)  # images of two sizes raise, as in the sweep
     blob = any("e" in w.letters for w in basis.values())
     size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
     relations = None
-    if len(basis) == size and _is_loop_free_table(basis, n):
+    if own_table or len(basis) == size and _is_loop_free_table(basis, n):
         rep = {i: images[i] for i in range(1, n)}
         if blob:
             rep["e"] = images["e"]

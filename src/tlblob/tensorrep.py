@@ -343,28 +343,6 @@ class Placed(Record):
         self.support = support
         self.block = block
 
-    @classmethod
-    def factor(cls, mat):
-        """Square mat as block (x) I on S, the OR of row ^ col, when the
-        entries with one (row & S, col & S) agree and number
-        |block| * 2^(dim - |S|); else as mat itself on every factor."""
-        dim = mat.rows_log2
-        full = (1 << dim) - 1
-        support = 0
-        for r, c in mat.entries:
-            support |= r ^ c
-        if support != full:
-            block = {}
-            for (r, c), v in mat.entries.items():
-                w = block.setdefault((r & support, c & support), v)
-                if w is not v and w != v:
-                    break
-            else:
-                if len(block) << (dim - support.bit_count()) == len(mat.entries):
-                    return cls(support, SparseRepMatrix._unchecked(
-                        dim, dim, block, mat.ring))
-        return cls(full, mat)
-
     def on(self, bits):
         """The block tensored with I up to ``bits`` (a superset of support)."""
         b = self.block

@@ -222,7 +222,13 @@ _SCALAR_RELATIONS = {"delta_e": "e.e = delta_e e", "gamma": "u1 e u1 = gamma u1"
 
 
 class PresentationReport(Record):
-    """Outcome of checking the defining relations against matrices."""
+    """Outcome of checking the defining relations against matrices.
+
+    ``violations`` lists (relation name, residual) in check order.  The
+    residual is lhs - rhs as the ``Placed`` block it was computed as, on
+    the factors the relation's images touch; ``.expand()`` gives the full
+    matrix.
+    """
 
     __slots__ = ("violations", "empirical_scalars")
     __hash__ = None
@@ -256,27 +262,28 @@ def verify_presentation(rep, n, delta, blob_params=None):
     """Check the cup-cap relations (and blob relations when "e" is present).
 
     ``rep`` maps generator indices 1..n-1 (and optionally "e") to square
-    matrices or ``Placed`` images of one size and one ring.  Every violated
-    identity is reported with its full residual matrix.  For the two
+    matrices or ``Placed`` images of one size and one ring; a full matrix
+    is read as acting on every factor.  Every violated identity is reported
+    with its residual block (``PresentationReport``).  For the two
     scalar-shaped blob relations the empirically observed scalar is
     recorded next to the expected one.  Other keys, shapes or rings raise
     ValueError: relations checked on a missing generator prove nothing.
 
-    Each relation is computed on the union of its images' supports
-    (``Placed.factor``): (A(x)I)(B(x)I) = AB(x)I, X(x)I = Y(x)I iff X = Y,
-    and operators on disjoint factors commute without a product.
+    Each relation is computed on the union of its images' supports:
+    (A(x)I)(B(x)I) = AB(x)I, X(x)I = Y(x)I iff X = Y, and operators on
+    disjoint factors commute without a product.
     """
     idx = [i for i in rep if i != "e"]
     if set(idx) != set(range(1, n)):
         raise ValueError(f"generator images must be indexed 1..{n - 1} "
                          f"(and optionally 'e'), got {sorted(map(repr, idx))}")
-    shapes = {(m.rows_log2, m.cols_log2, m.ring) for m in
-              (m.block if isinstance(m, Placed) else m for m in rep.values())}
+    placed = {k: m if isinstance(m, Placed) else Placed((1 << m.rows_log2) - 1, m)
+              for k, m in rep.items()}
+    shapes = {(p.block.rows_log2, p.block.cols_log2, p.block.ring)
+              for p in placed.values()}
     if len(shapes) > 1 or any(r != c for r, c, _ in shapes):
         raise ValueError("generator images must be square, of one size, "
                          "over one ring")
-    placed = {k: m if isinstance(m, Placed) else Placed.factor(m)
-              for k, m in rep.items()}
     violations = []
     empirical = {}
 
@@ -288,7 +295,7 @@ def verify_presentation(rep, n, delta, blob_params=None):
 
     def check(name, bits, lhs, rhs):
         if lhs != rhs:
-            violations.append((name, Placed(bits, lhs.sub(rhs)).expand()))
+            violations.append((name, Placed(bits, lhs.sub(rhs))))
 
     def commute(name, x, y):
         if placed[x].support & placed[y].support:

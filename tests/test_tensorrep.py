@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlblob.diagrams import compose_tl, enumerate_tl, generator_u, identity
+from tlblob.faithful import _tl_letter_matrices
 from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer, \
     _code_element, _unit_code
 from tlblob.tensorrep import (
@@ -19,7 +20,6 @@ from tlblob.tensorrep import (
     mask_eq,
     matrix_from_json,
     matrix_to_json,
-    Placed,
     place_local,
     product_summand_counts,
     r_matrix,
@@ -486,35 +486,14 @@ class TestPlaced:
         assert {k: p.expand() for k, p in placed.items()} == rep.letter_images()
         assert max(p.block.nnz() for p in placed.values()) <= 16
 
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_factor_recovers_the_blocks(self, n):
-        for p in rho0_placed(Rho0Config(n, 2)).values():
-            assert Placed.factor(p.expand()) == p
-        for i in range(1, n):
-            letter = Placed.factor(r_matrix(generator_u(i, n)))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tl_letter_blocks_expand_to_r_matrices(self, n):
+        letters = _tl_letter_matrices(n)
+        assert sorted(letters) == list(range(1, n))
+        for i, letter in letters.items():
             assert letter.support == 3 << (n - 1 - i)
             assert letter.block.nnz() == 4
-
-    def test_factor_of_scalars_and_zero(self):
-        two = LaurentInt.from_int(2)
-        scalar = SparseRepMatrix.identity(3).scalar_mul(two)
-        assert Placed.factor(scalar) == \
-            Placed(0, SparseRepMatrix(3, 3, {(0, 0): two}, "laurent"))
-        zero = SparseRepMatrix(3, 3, {}, "laurent")
-        assert Placed.factor(zero) == Placed(0, zero)
-        assert Placed(0, zero).expand() == zero
-
-    @pytest.mark.parametrize("entries", [
-        {(0, 0): ONE, (1, 1): Q},                      # weight on a kept factor
-        {(0, 0): ONE, (1, 1): ONE, (2, 2): ONE},       # one diagonal entry short
-        {(0, 1): ONE, (1, 0): ONE, (2, 3): ONE},       # one flip entry short
-        {(0, 1): ONE, (1, 0): ONE, (2, 3): ONE, (3, 2): Q},  # two blocks
-    ])
-    def test_not_a_tensor_with_identity(self, entries):
-        mat = SparseRepMatrix(2, 2, entries, "laurent")
-        placed = Placed.factor(mat)
-        assert placed.support == 3 and placed.block is mat
-        assert placed.expand() is mat
+            assert letter.expand() == r_matrix(generator_u(i, n))
 
 
 class TestRho0:

@@ -113,7 +113,7 @@ REPRS = [
      f"Rho0Rep(config=Rho0Config(n=1, m=0), e={M1_REPR}, u_factors={{}}, u={{}})"),
     (TriangularityReport(2, [(W12, (0, 0), "diagonal-zero")]),
      "TriangularityReport(n=2, failures=[(12, (0, 0), 'diagonal-zero')], "
-     "nonwalk_entries=[])"),
+     "nonwalk_entries=0)"),
     (FaithfulnessCertificate(2, 2, 2, "exact", tool_version="0.0"),
      "FaithfulnessCertificate(n=2, basis_size=2, rank=2, method='exact', "
      "mask_checks=[], witness=None, tool_version='0.0')"),
