@@ -28,22 +28,14 @@ from .diagrams import (
     blob_e,
     compose_blob,
     compose_tl,
-    cut,
-    enumerate_blob,
-    enumerate_tl,
     exposed_lines,
     generator_u,
     identity,
-    propagating_number,
-    reflect,
 )
 from .words import (
     GenWord,
     blob_basis_words,
     eval_word,
-    f_map,
-    format_word,
-    parse_word,
     verify_presentation,
 )
 from .walks import (
@@ -51,13 +43,8 @@ from .walks import (
     WalkPair,
     enumerate_pairs,
     enumerate_walks,
-    hasse_edges,
-    leq,
-    linear_extension,
     lower_at,
     pair_word,
-    raise_at,
-    tl_basis_word_table,
 )
 from .tensorrep import (
     Rho0Config,
@@ -82,11 +69,22 @@ from .faithful import (
     prove_r_composition,
     triangularity_report,
     verify_blob_representation,
-    verify_mask_independence,
     verify_r_composition,
     verify_rho0,
     verify_tl,
     verify_tl_faithful,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from ._record import forward_to_reference as _forward_to_reference
+
+# Exported names that live in ``reference`` and load on first use.
+_REFERENCE_NAMES = (
+    "cut", "enumerate_blob", "enumerate_tl", "propagating_number", "reflect",
+    "f_map", "format_word", "parse_word", "hasse_edges", "leq",
+    "linear_extension", "raise_at", "tl_basis_word_table",
+    "verify_mask_independence",
+)
+__getattr__ = _forward_to_reference(__name__, _REFERENCE_NAMES)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + list(_REFERENCE_NAMES))

@@ -6,6 +6,9 @@ records are equal when they have the same class and equal fields (never
 equal to a tuple or to a subclass), a record hashes as the tuple of its
 fields, and its repr is ``Name(field=value, ...)``.  Records with mutable
 fields set ``__hash__ = None``.
+
+``forward_to_reference`` gives a module the PEP 562 ``__getattr__`` that
+serves the names it moved to ``tlblob.reference``.
 """
 
 from operator import attrgetter
@@ -36,3 +39,17 @@ class Record:
         body = ", ".join(f"{name}={value!r}" for name, value in
                          zip(self._field_names, self._field_values(self)))
         return f"{self.__class__.__qualname__}({body})"
+
+
+def forward_to_reference(module_name, names):
+    """A module ``__getattr__`` that loads ``names`` from ``tlblob.reference``.
+
+    ``tlblob.reference`` is imported only when one of ``names`` is first
+    looked up; any other missing name raises AttributeError as usual.
+    """
+    def __getattr__(name):
+        if name in names:
+            from . import reference
+            return getattr(reference, name)
+        raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+    return __getattr__

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
-from .diagrams import compose_blob, compose_tl, diagram_from_json, diagram_to_json, \
-    enumerate_blob, enumerate_tl, generator_u
+from .diagrams import compose_blob, compose_tl, generator_u
 from .faithful import DEFAULT_SEED, certify_rho0, verify_rho0, verify_tl
 from .rings import dumps_canonical
-from .tensorrep import matrix_to_json, r_matrix
-from .walks import WalkPair, enumerate_pairs, hasse_edges, linear_extension, \
-    pair_word, walk_from_string
-from .words import eval_word, format_word
+from .tensorrep import r_matrix
+from .walks import WalkPair, enumerate_pairs, pair_word
+from .words import eval_word
 
 
 def _positive_int(text):
@@ -99,6 +98,8 @@ def _build_parser(argv):
 
 
 def _load_diagram(path):
+    from .reference import diagram_from_json
+
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     # accept the output of `compose` directly
@@ -111,6 +112,8 @@ def _load_diagram(path):
 
 
 def _cmd_enumerate(args):
+    from .reference import diagram_to_json, enumerate_blob, enumerate_tl
+
     if args.blob:
         if args.m is not None and args.m != args.n:
             raise ValueError("blob diagrams need m = n")
@@ -125,6 +128,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_compose(args):
+    from .reference import diagram_to_json
+
     left = _load_diagram(args.left)
     right = _load_diagram(args.right)
     if hasattr(left, "blobbed") or hasattr(right, "blobbed"):
@@ -141,6 +146,8 @@ def _cmd_compose(args):
 
 
 def _cmd_rmatrix(args):
+    from .reference import matrix_to_json
+
     if args.file:
         diagram = _load_diagram(args.file)
     elif args.u is not None and args.n is not None:
@@ -153,6 +160,8 @@ def _cmd_rmatrix(args):
 
 
 def _cmd_walkword(args):
+    from .reference import diagram_to_json, format_word, walk_from_string
+
     pair = WalkPair(walk_from_string(args.a), walk_from_string(args.b))
     word = pair_word(pair)
     ev = eval_word(word)
@@ -165,6 +174,8 @@ def _cmd_walkword(args):
 
 
 def _cmd_lattice(args):
+    from .reference import hasse_edges, linear_extension
+
     pairs = linear_extension(enumerate_pairs(args.n))
     index = {p: i for i, p in enumerate(pairs)}
     edges = sorted((index[p], index[q]) for p, q in hasse_edges(pairs))
@@ -230,6 +241,15 @@ _COMMANDS = {
 }
 
 
+def _check_out(path):
+    """Reject an --out path that cannot be a file, before any work is done."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path!r} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path!r}: no directory {parent!r}")
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -239,6 +259,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     try:
+        if args.out:
+            _check_out(args.out)
         payload, ok = _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -251,8 +273,12 @@ def main(argv=None):
         return 2
     text = dumps_canonical(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

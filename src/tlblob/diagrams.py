@@ -24,10 +24,7 @@ lines; middle nodes left over lie on closed loops.
 
 from __future__ import annotations
 
-import itertools
-
-from ._record import Record
-from .rings import _coerce_int
+from ._record import Record, forward_to_reference
 
 __all__ = [
     "Pairing",
@@ -47,6 +44,14 @@ __all__ = [
     "diagram_to_json",
     "diagram_from_json",
 ]
+
+# Composition by concatenation, enumeration and JSON, loaded on first use.
+_REFERENCE_NAMES = (
+    "_trace_concatenation", "cut", "propagating_number", "enumerate_tl",
+    "enumerate_blob", "reflect", "_label_to_node", "diagram_to_json",
+    "diagram_from_json",
+)
+__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
 
 
 def _canonical_pairs(pairs):
@@ -198,72 +203,12 @@ def blob_e(n):
     return BlobPairing(base, frozenset([(0, n)]))
 
 
-def reflect(d):
-    """Left-right mirror of a plain diagram; an involution."""
-    remap = lambda v: (d.n - 1 - v) if v < d.n else (d.n + (d.n + d.m - 1 - v))
-    return Pairing(d.n, d.m, tuple((remap(a), remap(b)) for a, b in d.pairs))
-
-
-def _trace_concatenation(top, bottom):
-    """Chain-trace the concatenation of two (blob) diagrams.
-
-    Returns (result_pairs, open_chain_blobs, loop_blob_counts) where
-    open_chain_blobs maps each result pair to the number of blobs its chain
-    picked up, and loop_blob_counts lists the blob count of each closed loop.
-    """
-    (t, t_blobs), (b, b_blobs) = (
-        (d.base, d.blobbed) if isinstance(d, BlobPairing) else (d, ())
-        for d in (top, bottom))
-    if t.m != b.n:
-        raise ValueError(f"inner boundary mismatch: {t.m} vs {b.n}")
-    shift = t.n + t.m
-    end = shift + b.n + b.m
-    partner = [None] * end  # node -> (other end of its line, blob flag)
-    for offset, d, blobbed in ((0, t, t_blobs), (shift, b, b_blobs)):
-        for x, y in d.pairs:
-            blob = (x, y) in blobbed
-            partner[offset + x] = (offset + y, blob)
-            partner[offset + y] = (offset + x, blob)
-    junction = [None] * end  # top south t.n + j <-> bottom north shift + j
-    for j in range(t.m):
-        junction[t.n + j], junction[shift + j] = shift + j, t.n + j
-    visited = [False] * end
-
-    def chain(node):
-        # Follow lines and junctions: (outer end, or None for a loop, blobs).
-        start, blobs = node, 0
-        while True:
-            visited[node] = True
-            node, blob = partner[node]
-            visited[node] = True
-            blobs += blob
-            across = junction[node]
-            if across is None:
-                return node, blobs
-            if across == start:
-                return None, blobs
-            node = across
-
-    outer = [*range(t.n), *range(shift + b.n, end)]
-    result_id = {node: i for i, node in enumerate(outer)}
-    result_pairs = []
-    open_chain_blobs = {}
-    for node in outer:
-        if not visited[node]:
-            # The other end is unvisited, so later in outer: the pair is sorted.
-            other, blobs = chain(node)
-            pair = (result_id[node], result_id[other])
-            result_pairs.append(pair)
-            open_chain_blobs[pair] = blobs
-    loop_blob_counts = [chain(node)[1] for node in range(t.n, shift)
-                        if not visited[node]]
-    return result_pairs, open_chain_blobs, loop_blob_counts
-
-
 def compose_tl(top, bottom):
     """Stack top over bottom, discard closed loops, count them."""
     if not isinstance(top, Pairing) or not isinstance(bottom, Pairing):
         raise TypeError("blobbed diagrams must go through compose_blob")
+    from .reference import _trace_concatenation
+
     pairs, _, loops = _trace_concatenation(top, bottom)
     diagram = Pairing(top.n, bottom.m, tuple(pairs))
     return CompositionResult(diagram, plain_loops=len(loops))
@@ -278,6 +223,8 @@ def compose_blob(top, bottom, params=None):
     b = 0 and gamma * delta_e^(b-1) otherwise.  Returns the composition
     result together with the accumulated scalar (None when params is None).
     """
+    from .reference import _trace_concatenation
+
     pairs, chain_blobs, loop_blobs = _trace_concatenation(top, bottom)
     base = Pairing(top.n, bottom.m, tuple(pairs))
     blobbed = frozenset(p for p, cnt in chain_blobs.items() if cnt)
@@ -291,115 +238,3 @@ def compose_blob(top, bottom, params=None):
     if params is None:
         return result, None
     return result, params.composition_scalar(plain, blobby, merges)
-
-
-def propagating_number(d):
-    """Number of lines joining the northern to the southern boundary."""
-    return sum(1 for a, b in d.pairs if a < d.n <= b)
-
-
-def cut(d):
-    """Split d into an upper and lower half meeting in ha(d) through-lines.
-
-    The propagating lines, read west to east, are cut once each; composing
-    the halves reproduces d without creating loops.
-    """
-    props = sorted((a, b) for a, b in d.pairs if a < d.n <= b)
-    ha = len(props)
-    upper = [(a, b) for a, b in d.pairs if b < d.n]
-    lower = [(a - d.n, b - d.n) for a, b in d.pairs if a >= d.n]
-    up_pairs = list(upper) + [(a, d.n + k) for k, (a, _) in enumerate(props)]
-    down_pairs = [(k, ha + (b - d.n)) for k, (_, b) in enumerate(props)]
-    down_pairs += [(ha + a, ha + b) for a, b in lower]
-    return Pairing(d.n, ha, tuple(up_pairs)), Pairing(ha, d.m, tuple(down_pairs))
-
-
-def enumerate_tl(n, m):
-    """All planar (n,m) diagrams, as non-crossing matchings of the boundary."""
-    if n < 0 or m < 0:
-        raise ValueError(f"sizes must be >= 0, got ({n}, {m})")
-    total = n + m
-    if total % 2:
-        return []
-
-    def matchings(points):
-        if not points:
-            yield []
-            return
-        first = points[0]
-        for k in range(1, len(points), 2):
-            inner = points[1:k]
-            outer = points[k + 1:]
-            for mi in matchings(inner):
-                for mo in matchings(outer):
-                    yield [(first, points[k])] + mi + mo
-
-    def from_pos(p):
-        return p if p < n else n + (total - 1 - p)
-
-    out = []
-    for match in matchings(list(range(total))):
-        pairs = tuple((from_pos(a), from_pos(b)) for a, b in match)
-        out.append(Pairing(n, m, pairs))
-    return sorted(out, key=lambda d: d.pairs)
-
-
-def enumerate_blob(n):
-    """All blob diagrams on n strands: every subset of exposed lines per diagram."""
-    out = []
-    for d in enumerate_tl(n, n):
-        lines = exposed_lines(d)
-        for k in range(len(lines) + 1):
-            for subset in itertools.combinations(lines, k):
-                out.append(BlobPairing(d, frozenset(subset)))
-    return out
-
-
-def _label_to_node(label, n, m):
-    """Node of a label t1..tn (north) or b1..bm (south); ValueError otherwise."""
-    kind, digits = (label[:1], label[1:]) if isinstance(label, str) else ("", "")
-    size = {"t": n, "b": m}.get(kind)
-    if size is None or not (digits.isascii() and digits.isdigit()) \
-            or not 1 <= int(digits) <= size:
-        raise ValueError(f"bad node label {label!r}")
-    return int(digits) - 1 + (0 if kind == "t" else n)
-
-
-def diagram_to_json(d):
-    blob = isinstance(d, BlobPairing)
-    base = d.base if blob else d
-    obj = {
-        "n": base.n,
-        "m": base.m,
-        "pairs": [[base.node_label(a), base.node_label(b)] for a, b in base.pairs],
-    }
-    if blob:
-        obj["blobs"] = [
-            [base.node_label(a), base.node_label(b)] for a, b in sorted(d.blobbed)
-        ]
-    return obj
-
-
-def diagram_from_json(obj):
-    """The diagram of a JSON object; ValueError on anything malformed.
-
-    Node counts must be JSON integers >= 0 (not floats, strings or
-    booleans), and a blob line may be listed once: a second blob on the
-    same line would be a scalar factor, which a diagram cannot carry.
-    """
-    n, m = (_coerce_int(obj[key], ValueError) for key in ("n", "m"))
-    if n < 0 or m < 0:
-        raise ValueError(f"node counts must be >= 0, got n={n}, m={m}")
-    pairs = tuple(
-        (_label_to_node(a, n, m), _label_to_node(b, n, m)) for a, b in obj["pairs"]
-    )
-    base = Pairing(n, m, pairs)
-    if "blobs" in obj:
-        blobs = [
-            tuple(sorted((_label_to_node(a, n, m), _label_to_node(b, n, m))))
-            for a, b in obj["blobs"]
-        ]
-        if len(set(blobs)) != len(blobs):
-            raise ValueError("a blob line is listed more than once")
-        return BlobPairing(base, frozenset(blobs))
-    return base

@@ -27,8 +27,9 @@ an algebra map, and a complete table of loop-free basis words carries it to
 every basis diagram.  The ``prove_*`` paths check the relations and the
 table (each word evaluated by ``eval_word``'s partner-array fold) and fall
 back to the exhaustive ``verify_*`` sweeps, whose results they then return,
-when either check fails.  One stated relation check also decides the
-sign-flipped relations (``PresentationReport.ok_with``).
+when either check fails.  The sweeps' per-pair checks live in
+``reference`` and load only when a sweep runs.  One stated relation check
+also decides the sign-flipped relations (``PresentationReport.ok_with``).
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from functools import lru_cache
 from math import comb
 
 from . import __version__
-from ._record import Record
-from .diagrams import compose_blob, compose_tl, enumerate_tl, generator_u
+from ._record import Record, forward_to_reference
+from .diagrams import generator_u
 from .rings import (
     BlobParams,
-    LaurentInt,
     check_full_rank_witness,
     dumps_canonical,
     full_rank_witness,
@@ -63,19 +63,18 @@ from .tensorrep import (
     Rho0Config,
     seq_to_index,
 )
-from .walks import Walk, _profiles_leq, enumerate_pairs, pair_word
+from .walks import Walk, enumerate_pairs, pair_word
 from .words import blob_basis_words, eval_word, verify_presentation
 
 DEFAULT_SEED = 7
 
-OVERLAY_MENU = (
-    LaurentInt.one(),
-    LaurentInt.x_power(1),
-    LaurentInt.x_power(-1),
-    LaurentInt.from_int(2),
-    LaurentInt.from_int(3),
-    LaurentInt.x_power(2),
+# The exhaustive sweeps and the overlay test, loaded on first use.
+_REFERENCE_NAMES = (
+    "_tl_pair_fails", "_failing_scalars", "_structure_constant_failures",
+    "_convention_scalars", "_basis_images", "verify_mask_independence",
+    "MaskIndependenceReport", "OVERLAY_MENU",
 )
+__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -233,20 +232,34 @@ def _triangularity(n, build):
     # Column profile of each index's walk, None where the index is no walk.
     profiles = [Walk(seq).profile if _is_walk(seq) else None
                 for seq in (index_to_seq(i, n) for i in range(1 << n))]
+    walks = [i for i, prof in enumerate(profiles) if prof is not None]
+    walk_keys = {row << n | col for row in walks for col in walks}
+    # below[i]: the walks whose profile is pointwise <= walk i's.  A pair
+    # (r, c) <= (a, b) iff end(r) < end(a), or end(r) = end(a) with
+    # r in below[a] and c in below[b] (``leq``).
+    below = {i: {j for j in walks
+                 if all(x <= y for x, y in zip(profiles[j], profiles[i]))}
+             for i in walks}
     low = (1 << n) - 1
     pairs, _, vectors = build
     for p, vec in zip(pairs, vectors):
         row, col = seq_to_index(p.a.steps), seq_to_index(p.b.steps)
         if row << n | col not in vec:
             failures.append((p, (row, col), "diagonal-zero"))
-        pa, pb = profiles[row], profiles[col]
-        for key in sorted(vec):
-            row, col = key >> n, key & low
-            qa, qb = profiles[row], profiles[col]
-            if qa is None or qb is None:
-                nonwalk += 1
-            elif not _profiles_leq(qa, qb, pa, pb):
-                failures.append((p, (row, col), "above-pair"))
+        end, below_a, below_b = profiles[row][-1], below[row], below[col]
+        # Most entries sit off the walks; the intersection skips them in C.
+        on_walks = walk_keys.intersection(vec)
+        nonwalk += len(vec) - len(on_walks)
+        above = []
+        for key in on_walks:
+            r = key >> n
+            e = profiles[r][-1]
+            if e > end or e == end and (r not in below_a
+                                        or key & low not in below_b):
+                above.append(key)
+        # Only the (rare) failures are sorted: keys sort like (row, col).
+        failures.extend((p, (key >> n, key & low), "above-pair")
+                        for key in sorted(above))
     return TriangularityReport(n, failures, nonwalk)
 
 
@@ -318,70 +331,18 @@ def _tl_certificate(n, seed, build):
                                    method=method, witness=witness)
 
 
-class MaskIndependenceReport(Record):
-    __slots__ = ("n", "trials", "seed", "basis_size", "ranks")
-    __hash__ = None
-
-    def __init__(self, n, trials, seed, basis_size, ranks=None):
-        self.n = n
-        self.trials = trials
-        self.seed = seed
-        self.basis_size = basis_size
-        self.ranks = [] if ranks is None else ranks
-
-    @property
-    def ok(self):
-        return all(r == self.basis_size for r in self.ranks)
-
-
-def verify_mask_independence(n, trials=25, seed=DEFAULT_SEED):
-    """Overlay every nonzero entry with random nonzero scalars; rank must hold.
-
-    Draws come from a fixed menu of units and small integers; each trial
-    certifies the rank of the overlaid family afresh.
-    """
-    import random
-
-    rng = random.Random(seed)
-    pairs, _, vectors = _pair_word_vectors(n)
-    masks = [sorted(v) for v in vectors]
-    report = MaskIndependenceReport(n, trials, seed, len(pairs))
-    for _ in range(trials):
-        vectors = [
-            {pos: rng.choice(OVERLAY_MENU) for pos in positions}
-            for positions in masks
-        ]
-        report.ranks.append(_certified_rank(vectors, seed)[0])
-    return report
-
-
 @lru_cache(maxsize=16)
 def _diagram_matrix_table(n):
+    from .reference import enumerate_tl
+
     diagrams = enumerate_tl(n, n)
     return diagrams, {d: r_matrix(d) for d in diagrams}
 
 
-def _failing_scalars(lhs, rhs, scalars):
-    """For each scalar s, whether lhs == s * rhs fails.
-
-    One exact ratio serves every s.  When rhs is zero, the identity holds
-    only for a zero lhs.
-    """
-    ratio = lhs.ratio_to(rhs)
-    return [not (ratio == s if rhs.entries else not lhs.entries)
-            for s in scalars]
-
-
-def _tl_pair_fails(mats, d1, d2):
-    """Whether R(D1) R(D2) = [2]^loops R(D1 o D2) fails."""
-    res = compose_tl(d1, d2)
-    failed, = _failing_scalars(mats[d1].mul(mats[d2]), mats[res.diagram],
-                               [quantum_integer(2) ** res.plain_loops])
-    return failed
-
-
 def verify_r_composition(n):
     """The multiplicative identity R(D) R(D') = [2]^loops R(D o D'), swept."""
+    from .reference import _tl_pair_fails
+
     _require_size(n)
     diagrams, mats = _diagram_matrix_table(n)
     return [(d1, d2) for d1 in diagrams for d2 in diagrams
@@ -506,52 +467,12 @@ class BlobRepReport(Record):
         }
 
 
-def _convention_scalars(params):
-    """Discard counts -> [scalar under params, under its sign flip], memoised."""
-    conventions = (params, params.sign_flipped())
-
-    @lru_cache(maxsize=None)
-    def scalars(counts):
-        return [p.composition_scalar(*counts) for p in conventions]
-    return scalars
-
-
-def _structure_constant_failures(rep_of, basis, images, params):
-    """Failing pairs under ``params`` and under its sign flip, in one sweep.
-
-    Each left-hand side rep(D) rep(D') is rep(D) pushed through the letters
-    of D''s word (the same matrix, by associativity).  Its one exact ratio
-    to rep(D o D') is compared with each convention's scalar; when
-    rep(D o D') is zero, the pair holds only if the left-hand side is zero.
-    """
-    scalars = _convention_scalars(params)
-    words = list(basis.values())
-    failures = ([], [])
-    for d1, w1 in basis.items():
-        row = _prefix_products(rep_of[d1], words, images)
-        for (d2, w2), lhs in zip(basis.items(), row):
-            res, _ = compose_blob(d1, d2)
-            counts = (res.plain_loops, res.blob_loops, res.blob_merges)
-            fails = _failing_scalars(lhs, rep_of[res.diagram], scalars(counts))
-            for failed, fail in zip(failures, fails):
-                if fail:
-                    failed.append((w1, w2))
-    return failures
-
-
 def _image_dimension(images):
     dims = {(m.block if isinstance(m, Placed) else m).rows_log2
             for m in images.values()}
     if len(dims) != 1:
         raise ValueError("generator images must share one dimension")
     return dims.pop()
-
-
-def _basis_images(images, basis):
-    """rep(D) for each basis diagram D: its word evaluated through images."""
-    ring = next(iter(images.values())).ring
-    return dict(zip(basis, _rep_word_matrices(basis.values(), images,
-                                              _image_dimension(images), ring)))
 
 
 def _blob_report(images, n, params, basis, failures, sign_normalized,
@@ -582,6 +503,8 @@ def verify_blob_representation(images, n, params, basis=None):
     and is considered passing; the empirically observed scalars are recorded
     next to the configured ones either way.
     """
+    from .reference import _basis_images, _structure_constant_failures
+
     if basis is None:
         basis = blob_basis_words(n)
     rep_of = _basis_images(images, basis)

@@ -31,10 +31,16 @@ from __future__ import annotations
 import json
 import random
 
+from ._record import forward_to_reference
+
 __all__ = [
     "LaurentInt", "CycloInt", "CycloLaurent", "BlobParams", "quantum_integer",
     "rank_exact", "rank_modular", "full_rank_witness", "check_full_rank_witness",
 ]
+
+# The tagged JSON form of an element, loaded on first use.
+_REFERENCE_NAMES = ("element_to_json", "element_from_json")
+__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -698,23 +704,6 @@ def check_full_rank_witness(vectors, witness):
 
 
 RINGS = {"laurent": LaurentInt, "cyclo": CycloLaurent}
-
-
-def element_to_json(elem):
-    """Tagged JSON form accepted by element_from_json."""
-    if not isinstance(elem, _Laurent):
-        raise TypeError(f"not a ring element: {type(elem).__name__}")
-    return {"ring": elem.ring, "coeffs": elem.to_json()}
-
-
-def element_from_json(obj):
-    """Inverse of element_to_json; ValueError for malformed input."""
-    if not isinstance(obj, dict) or "ring" not in obj or "coeffs" not in obj:
-        raise ValueError(f"ring element needs 'ring' and 'coeffs', got {obj!r}")
-    tag = obj["ring"]
-    if not isinstance(tag, str) or tag not in RINGS:
-        raise ValueError(f"unknown ring tag {tag!r}")
-    return RINGS[tag].from_json(obj["coeffs"])
 
 
 def dumps_canonical(obj):

@@ -20,9 +20,8 @@ certificate word chains run on ``CodedMatrix``: entries are the ints of
 
 from __future__ import annotations
 
-from ._record import Record
-from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, _unit_code, \
-    element_from_json, element_to_json
+from ._record import Record, forward_to_reference
+from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, _unit_code
 
 __all__ = [
     "SparseRepMatrix",
@@ -45,6 +44,12 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
+
+# JSON forms and product diagnostics, loaded on first use.
+_REFERENCE_NAMES = ("matrix_to_json", "_json_natural", "matrix_from_json",
+                    "product_summand_counts")
+__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+
 
 def seq_to_index(seq):
     idx = 0
@@ -293,18 +298,6 @@ def r_matrix_codes(d):
     return {r << m | c: exp << 4 for r, c, exp in _r_triples(d)}
 
 
-def product_summand_counts(a, b):
-    """For each product position, how many intermediate indices contribute."""
-    rows_of_b = {}
-    for (r, c), v in b.entries.items():
-        rows_of_b.setdefault(r, []).append((c, v))
-    counts = {}
-    for (u, w), _ in a.entries.items():
-        for c, _ in rows_of_b.get(w, ()):
-            counts[(u, c)] = counts.get((u, c), 0) + 1
-    return counts
-
-
 def local_u_matrix(chi, param):
     """The 4x4 generator block in basis order (11, 12, 21, 22).
 
@@ -456,48 +449,3 @@ def rho0(config):
     return Rho0Rep(config, images.pop("e").expand(),
                    {i: (x.expand(), y.expand()) for i, (x, y) in factors.items()},
                    {i: p.expand() for i, p in images.items()})
-
-
-def matrix_to_json(a):
-    entries = []
-    for (r, c) in sorted(a.entries):
-        elem = element_to_json(a.entries[(r, c)])
-        entries.append([r, c, elem["coeffs"]])
-    return {
-        "rows_log2": a.rows_log2,
-        "cols_log2": a.cols_log2,
-        "ring": a.ring,
-        "entries": entries,
-    }
-
-
-def _json_natural(value, what, bits=None):
-    """value if it is an int >= 0 (and below 2**bits, without building 2**bits)."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0 \
-            and (bits is None or value.bit_length() <= bits):
-        return value
-    bound = "" if bits is None else f" below 2^{bits}"
-    raise ValueError(f"{what} must be an integer >= 0{bound}, got {value!r}")
-
-
-def matrix_from_json(obj):
-    """Inverse of matrix_to_json; ValueError for malformed input."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"matrix must be a JSON object, got {obj!r}")
-    ring = obj.get("ring")
-    if not isinstance(ring, str) or ring not in RINGS:
-        raise ValueError(f"unknown ring tag {ring!r}")
-    rows = _json_natural(obj.get("rows_log2"), "rows_log2")
-    cols = _json_natural(obj.get("cols_log2"), "cols_log2")
-    if not isinstance(obj.get("entries"), list):
-        raise ValueError("matrix needs an 'entries' list")
-    entries = {}
-    for entry in obj["entries"]:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"matrix entry must be [row, col, coeffs], got {entry!r}")
-        r, c, coeffs = entry
-        key = (_json_natural(r, "row", rows), _json_natural(c, "column", cols))
-        if key in entries:
-            raise ValueError(f"duplicate matrix entry at {key}")
-        entries[key] = element_from_json({"ring": ring, "coeffs": coeffs})
-    return SparseRepMatrix(rows, cols, entries, ring)

@@ -13,8 +13,8 @@ across different endpoints.
 
 from __future__ import annotations
 
-from ._record import Record
-from .words import GenWord, eval_word
+from ._record import Record, forward_to_reference
+from .words import GenWord
 
 __all__ = [
     "Walk",
@@ -28,6 +28,11 @@ __all__ = [
     "linear_extension",
     "walk_from_string",
 ]
+
+# The envelope order and walk text forms, loaded on first use.
+_REFERENCE_NAMES = ("raise_at", "leq", "linear_extension", "hasse_edges",
+                    "tl_basis_word_table", "walk_from_string")
+__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
 
 
 class Walk(Record):
@@ -60,10 +65,6 @@ class Walk(Record):
 
     def __repr__(self):
         return "".join(str(s) for s in self.steps)
-
-
-def walk_from_string(text):
-    return Walk(tuple(int(ch) for ch in text.strip()))
 
 
 class WalkPair(Record):
@@ -127,14 +128,6 @@ def enumerate_pairs(n):
     return out
 
 
-def raise_at(walk, i):
-    """Replace the descent (2,1) at 1-based positions (i, i+1) by (1,2)."""
-    s = walk.steps
-    if not 1 <= i <= len(s) - 1 or s[i - 1] != 2 or s[i] != 1:
-        raise ValueError(f"no descent at position {i} of {walk!r}")
-    return Walk(s[: i - 1] + (1, 2) + s[i + 1:])
-
-
 def lower_at(walk, i):
     """Inverse of raise_at; only legal when the walk stays nonnegative."""
     s = walk.steps
@@ -164,21 +157,6 @@ def _lower_fully(walk):
     return positions, walk
 
 
-def leq(p, q):
-    """Envelope order: domination at equal endpoints, else endpoint order."""
-    if p.n != q.n:
-        raise ValueError("pairs must have equal length")
-    return _profiles_leq(p.a.profile, p.b.profile, q.a.profile, q.b.profile)
-
-
-def _profiles_leq(pa, pb, qa, qb):
-    """leq of the pairs whose walks have column profiles (pa, pb) and (qa, qb)."""
-    if pa[-1] != qa[-1]:
-        return pa[-1] < qa[-1]
-    return all(x <= y for x, y in zip(pa, qa)) and \
-        all(x <= y for x, y in zip(pb, qb))
-
-
 def pair_word(p):
     """The generator word of a walk pair.
 
@@ -194,41 +172,3 @@ def pair_word(p):
     base = [2 * j + 1 for j in range(k)]
     letters = tuple(left) + tuple(base) + tuple(reversed(right))
     return GenWord(letters, p.n)
-
-
-def linear_extension(pairs):
-    """A total order consistent with leq, independent of input order.
-
-    Sorting by (endpoint, reversed-step tuples) is a linear extension: at a
-    first step difference the dominated walk takes the 2, so pointwise-lower
-    walks are lexicographically greater as step strings.
-    """
-    def key(p):
-        return (p.endpoint,
-                tuple(-s for s in p.a.steps),
-                tuple(-s for s in p.b.steps))
-
-    return sorted(pairs, key=key)
-
-
-def hasse_edges(pairs):
-    """Covering relations of the envelope order on the given pairs."""
-    pairs = linear_extension(pairs)
-    below = {
-        q: [p for p in pairs if p != q and leq(p, q)] for q in pairs
-    }
-    edges = []
-    for q, lower in below.items():
-        for p in lower:
-            if not any(leq(p, r) and leq(r, q) and r != p and r != q for r in lower):
-                edges.append((p, q))
-    return edges
-
-
-def tl_basis_word_table(n):
-    """One loop-free word per plain diagram, indexed by walk pairs."""
-    table = {}
-    for p in enumerate_pairs(n):
-        word = pair_word(p)
-        table[eval_word(word).diagram] = word
-    return table

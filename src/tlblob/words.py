@@ -12,11 +12,10 @@ every discarded feature; a word is loop free when nothing was discarded.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from math import comb
 
-from ._record import Record
+from ._record import Record, forward_to_reference
 from .diagrams import BlobPairing, Pairing, _absolute_index
 from .tensorrep import Placed
 
@@ -30,6 +29,10 @@ __all__ = [
     "parse_word",
     "format_word",
 ]
+
+# The folding map and word text forms, loaded on first use.
+_REFERENCE_NAMES = ("f_map", "parse_word", "format_word")
+__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
 
 
 class GenWord(Record):
@@ -59,6 +62,8 @@ class GenWord(Record):
         return GenWord(self.letters + other.letters, self.n, self.convention)
 
     def __repr__(self):
+        from .reference import format_word
+
         return f"GenWord({format_word(self)!r}, n={self.n}, {self.convention})"
 
 
@@ -170,51 +175,6 @@ def blob_basis_words(n):
     if len(table) != expected:
         raise RuntimeError(f"basis search incomplete: {len(table)}/{expected}")
     return table
-
-
-def f_map(word):
-    """Fold a blob word into the doubled algebra: e -> U_0, U_i -> U_{-i} U_i.
-
-    Takes loop-free words to loop-free words; not an algebra map.
-    """
-    if word.convention != "standard":
-        raise ValueError("f_map expects a standard-convention blob word")
-    letters = []
-    for letter in word.letters:
-        if letter == "e":
-            letters.append(0)
-        else:
-            letters.extend((-letter, letter))
-    return GenWord(tuple(letters), 2 * word.n, "shifted")
-
-
-def parse_word(text, n, convention="standard"):
-    """Parse a word from text ("e u1 u-2") or from a JSON-style token list.
-
-    A token is "e", "u" followed by an optionally negative ASCII integer, or
-    (in a list or tuple) an int; anything else raises ValueError.
-    """
-    if isinstance(text, str):
-        tokens = text.split()
-    elif isinstance(text, (list, tuple)):
-        tokens = text
-    else:
-        raise ValueError(f"a word is a string or a token list, got {text!r}")
-    letters = []
-    for tok in tokens:
-        if tok == "e":
-            letters.append("e")
-        elif isinstance(tok, int) and not isinstance(tok, bool):
-            letters.append(tok)
-        elif isinstance(tok, str) and re.fullmatch(r"u-?[0-9]+", tok):
-            letters.append(int(tok[1:]))
-        else:
-            raise ValueError(f"bad word token {tok!r}")
-    return GenWord(tuple(letters), n, convention)
-
-
-def format_word(word):
-    return " ".join("e" if l == "e" else f"u{l}" for l in word.letters)
 
 
 # The two blob relations with a scalar side, by the parameter they name.

@@ -222,6 +222,29 @@ class TestUsageErrors:
         assert err.startswith("error: unexpected RuntimeError: boom\n")
         assert "Traceback" in err
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_is_rejected_before_the_command(
+            self, capsys, monkeypatch, tmp_path, where):
+        import tlblob.cli as cli
+
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "verify-tl",
+                            lambda args: ran.append(args) or ({}, True))
+        out = tmp_path / "missing" / "x" if where == "missing directory" \
+            else tmp_path
+        assert main(["verify-tl", "--n", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert ran == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that fails every write")
+    def test_failed_write_is_error_exit_2(self, capsys):
+        assert main(["verify-tl", "--n", "2", "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestParserPruning:
     """Options are built for the named subcommand only, with the same bytes."""
