@@ -4,22 +4,20 @@ Exit codes: 0 for success or a verified claim, 1 for a falsified claim or
 invalid certificate, 2 for usage errors or malformed input.  Output is
 canonical JSON (sorted keys), so identical flags and seed give identical
 bytes; the seed is echoed in every payload that could involve randomness.
-"""
 
-from __future__ import annotations
+Each command handler imports the code it runs, so a command loads only its
+own modules: ``verify-blob`` loads neither ``faithful``, ``walks`` nor
+``rank``, and ``certify-rho0`` does not load ``walks``.  The functions
+``perfbench/traced.py`` wraps are called through their modules
+(``rings.dumps_canonical(...)``), looked up when the call runs.
+"""
 
 import argparse
 import json
 import os
 import sys
 
-from . import __version__
-from .diagrams import compose_blob, compose_tl, generator_u
-from .faithful import DEFAULT_SEED, certify_rho0, verify_rho0, verify_tl
-from .rings import dumps_canonical
-from .tensorrep import r_matrix
-from .walks import WalkPair, enumerate_pairs, pair_word
-from .words import eval_word
+from . import DEFAULT_SEED, __version__
 
 
 def _positive_int(text):
@@ -128,14 +126,15 @@ def _cmd_enumerate(args):
 
 
 def _cmd_compose(args):
+    from . import diagrams
     from .reference import diagram_to_json
 
     left = _load_diagram(args.left)
     right = _load_diagram(args.right)
     if hasattr(left, "blobbed") or hasattr(right, "blobbed"):
-        res, _ = compose_blob(left, right)
+        res, _ = diagrams.compose_blob(left, right)
     else:
-        res = compose_tl(left, right)
+        res = diagrams.compose_tl(left, right)
     payload = {
         "diagram": diagram_to_json(res.diagram),
         "plain_loops": res.plain_loops,
@@ -146,6 +145,8 @@ def _cmd_compose(args):
 
 
 def _cmd_rmatrix(args):
+    from . import tensorrep
+    from .diagrams import generator_u
     from .reference import matrix_to_json
 
     if args.file:
@@ -156,14 +157,16 @@ def _cmd_rmatrix(args):
         raise ValueError("rmatrix needs --file or both --n and --u")
     if hasattr(diagram, "blobbed"):
         raise ValueError("rmatrix takes a plain diagram; this one has blobs")
-    return {"matrix": matrix_to_json(r_matrix(diagram))}, True
+    return {"matrix": matrix_to_json(tensorrep.r_matrix(diagram))}, True
 
 
 def _cmd_walkword(args):
+    from . import walks
     from .reference import diagram_to_json, format_word, walk_from_string
+    from .words import eval_word
 
-    pair = WalkPair(walk_from_string(args.a), walk_from_string(args.b))
-    word = pair_word(pair)
+    pair = walks.WalkPair(walk_from_string(args.a), walk_from_string(args.b))
+    word = walks.pair_word(pair)
     ev = eval_word(word)
     payload = {
         "word": format_word(word),
@@ -174,9 +177,10 @@ def _cmd_walkword(args):
 
 
 def _cmd_lattice(args):
+    from . import walks
     from .reference import hasse_edges, linear_extension
 
-    pairs = linear_extension(enumerate_pairs(args.n))
+    pairs = linear_extension(walks.enumerate_pairs(args.n))
     index = {p: i for i, p in enumerate(pairs)}
     edges = sorted((index[p], index[q]) for p, q in hasse_edges(pairs))
     payload = {
@@ -187,6 +191,8 @@ def _cmd_lattice(args):
 
 
 def _cmd_verify_tl(args):
+    from .faithful import verify_tl
+
     tri, comp_failures, cert = verify_tl(args.n, seed=args.seed)
     ok = tri.ok and not comp_failures and cert.valid
     payload = {
@@ -207,6 +213,8 @@ def _cmd_verify_tl(args):
 
 
 def _cmd_verify_blob(args):
+    from .blobrep import verify_rho0
+
     report, flipped_ok = verify_rho0(args.n, args.m)
     payload = {
         "n": args.n,
@@ -219,6 +227,8 @@ def _cmd_verify_blob(args):
 
 
 def _cmd_certify_rho0(args):
+    from .faithful import certify_rho0
+
     cert = certify_rho0(args.n, args.m, seed=args.seed)
     payload = {
         "n": args.n,
@@ -271,7 +281,9 @@ def main(argv=None):
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 2
-    text = dumps_canonical(payload)
+    from . import rings
+
+    text = rings.dumps_canonical(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

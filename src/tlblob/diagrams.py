@@ -22,9 +22,8 @@ n+k+j at the middle boundary.  Chains from the outer nodes give the result's
 lines; middle nodes left over lie on closed loops.
 """
 
-from __future__ import annotations
-
-from ._record import Record, forward_to_reference
+from . import _forwarder
+from ._record import Record
 
 __all__ = [
     "Pairing",
@@ -51,7 +50,7 @@ _REFERENCE_NAMES = (
     "enumerate_blob", "reflect", "_label_to_node", "diagram_to_json",
     "diagram_from_json",
 )
-__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 def _canonical_pairs(pairs):
@@ -191,6 +190,8 @@ def _absolute_index(j, n, convention):
 
 def generator_u(j, n, convention="standard"):
     """The cup-cap generator joining neighbours j, j+1 on both boundaries."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     k = _absolute_index(j, n, convention)
     pairs = [(k - 1, k), (n + k - 1, n + k)]
     pairs += [(i, n + i) for i in range(n) if i not in (k - 1, k)]

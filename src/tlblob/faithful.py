@@ -5,7 +5,7 @@ a point x -> x0, a -> a0 mod p and a minor that is nonzero there.  The
 substitution is a ring map, so that minor is nonzero over the ring too; the
 witness goes into the certificate and is re-checked before it is trusted.
 When no witness is found, the rank comes from fraction-free (Bareiss)
-elimination over the coefficient ring's fraction field.
+elimination over the coefficient ring's fraction field (``tlblob.rank``).
 
 Every word matrix comes from one shared-prefix product chain
 (``_prefix_products``), one product per distinct word prefix.  The
@@ -21,60 +21,58 @@ from ``_pair_word_vectors``.  ``verify_tl`` builds them once and hands
 that one list to all three of its stages; each public function builds its
 own list when called alone.  Everything runs in one process.
 
-The two composition identities (TL and blob) are proved from the algebra
-presentations: generator images that satisfy the defining relations define
-an algebra map, and a complete table of loop-free basis words carries it to
-every basis diagram.  The ``prove_*`` paths check the relations and the
-table (each word evaluated by ``eval_word``'s partner-array fold) and fall
-back to the exhaustive ``verify_*`` sweeps, whose results they then return,
-when either check fails.  The sweeps' per-pair checks live in
-``reference`` and load only when a sweep runs.  One stated relation check
-also decides the sign-flipped relations (``PresentationReport.ok_with``).
-"""
+The TL composition identity is proved from the TL_n presentation:
+generator images that satisfy the defining relations define an algebra
+map, and the loop-free walk-pair words carry it to every basis diagram.
+``prove_r_composition`` checks the relations and the words (each evaluated
+by ``eval_word``'s partner-array fold) and falls back to the exhaustive
+``verify_r_composition`` sweep, whose result it then returns, when either
+check fails.  The sweep's per-pair check lives in ``reference`` and loads
+only when the sweep runs.  The blob structure-constant proof lives in
+``tlblob.blobrep``; its old names here load it on first use.  ``walks``
+is loaded by the walk-pair build only, so ``certify_rho0`` never loads it.
 
-from __future__ import annotations
+The functions ``perfbench/traced.py`` wraps are called through the module
+its span names (``tensorrep.r_matrix(...)``, ``rings.rank_exact(...)``),
+looked up when the call runs, so a wrapper installed after this module
+loaded is still reached.
+"""
 
 from functools import lru_cache
 from math import comb
 
-from . import __version__
-from ._record import Record, forward_to_reference
+from . import DEFAULT_SEED, __version__, _forwarder, rings, tensorrep, words
+from ._record import Record
 from .diagrams import generator_u
-from .rings import (
-    BlobParams,
-    check_full_rank_witness,
-    dumps_canonical,
-    full_rank_witness,
-    quantum_integer,
-    rank_exact,
-)
+from .rank import check_full_rank_witness, full_rank_witness
+from .rings import dumps_canonical, quantum_integer
 from .tensorrep import (
     CodedMatrix,
     SparseRepMatrix,
     SummandCollision,
+    _expanded,
+    _placed_local,
     index_to_seq,
     mask_eq,
-    Placed,
-    _placed_local,
-    r_matrix,
     r_matrix_codes,
-    rho0,
-    rho0_placed,
     Rho0Config,
     seq_to_index,
 )
-from .walks import Walk, enumerate_pairs, pair_word
-from .words import blob_basis_words, eval_word, verify_presentation
+from .words import eval_word
 
-DEFAULT_SEED = 7
-
-# The exhaustive sweeps and the overlay test, loaded on first use.
+# Loaded on first use: the exhaustive sweeps and the overlay test
+# (``reference``), and the blob structure-constant proof (``blobrep``).
 _REFERENCE_NAMES = (
     "_tl_pair_fails", "_failing_scalars", "_structure_constant_failures",
     "_convention_scalars", "_basis_images", "verify_mask_independence",
     "MaskIndependenceReport", "OVERLAY_MENU",
 )
-__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+_BLOBREP_NAMES = (
+    "BlobRepReport", "_blob_report", "_is_loop_free_table", "_prove_blob",
+    "prove_blob_representation", "verify_blob_representation", "verify_rho0",
+)
+__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES,
+                         blobrep=_BLOBREP_NAMES)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -100,7 +98,7 @@ __all__ = [
 @lru_cache(maxsize=32)
 def _tl_letter_matrices(n):
     """R(u_i) for i in 1..n-1, as R(u_1) on 2 strands placed at (i, i+1)."""
-    block = r_matrix(generator_u(1, 2))
+    block = tensorrep.r_matrix(generator_u(1, 2))
     return {i: _placed_local(block, i, n, sign=1) for i in range(1, n)}
 
 
@@ -172,10 +170,12 @@ def _pair_word_vectors(n):
     The lists are in enumeration order.  One build serves triangularity,
     the composition proof and the rank (``verify_tl``).
     """
-    pairs = enumerate_pairs(n)
-    words = [pair_word(p) for p in pairs]
-    return pairs, words, _word_vectors(words, _expanded(_tl_letter_matrices(n)),
-                                       n, "laurent")
+    from . import walks
+
+    pairs = walks.enumerate_pairs(n)
+    word_list = [walks.pair_word(p) for p in pairs]
+    return pairs, word_list, _word_vectors(
+        word_list, _expanded(_tl_letter_matrices(n)), n, "laurent")
 
 
 def _is_walk(seq):
@@ -228,6 +228,8 @@ def triangularity_report(n):
 
 
 def _triangularity(n, build):
+    from .walks import Walk
+
     failures, nonwalk = [], 0
     # Column profile of each index's walk, None where the index is no walk.
     profiles = [Walk(seq).profile if _is_walk(seq) else None
@@ -315,7 +317,7 @@ def _certified_rank(vectors, seed, cols_log2=None):
             witness = dict(witness, pivots=[(k >> cols_log2, k & low)
                                             for k in witness["pivots"]])
         return len(vectors), "modular-witness", witness
-    return rank_exact(vectors), "exact", None
+    return rings.rank_exact(vectors), "exact", None
 
 
 def verify_tl_faithful(n, seed=DEFAULT_SEED):
@@ -336,7 +338,7 @@ def _diagram_matrix_table(n):
     from .reference import enumerate_tl
 
     diagrams = enumerate_tl(n, n)
-    return diagrams, {d: r_matrix(d) for d in diagrams}
+    return diagrams, {d: tensorrep.r_matrix(d) for d in diagrams}
 
 
 def verify_r_composition(n):
@@ -364,12 +366,13 @@ def prove_r_composition(n):
 
 
 def _prove_r_composition(n, build):
-    _, words, vectors = build
-    evals = [eval_word(w) for w in words]
+    _, pair_words, vectors = build
+    evals = [eval_word(w) for w in pair_words]
     # R(D) is compared in codes.  It has an entry 1 (code 0: north arcs at
     # u, south arcs at 1/u), which no nonzero ring element equals, so a
     # build on ring elements (the guard fired) is left to the sweep.
-    proved = verify_presentation(_tl_letter_matrices(n), n, quantum_integer(2)).ok \
+    proved = words.verify_presentation(_tl_letter_matrices(n), n,
+                                       quantum_integer(2)).ok \
         and all(ev.loop_free for ev in evals) and \
         len({ev.diagram for ev in evals}) == comb(2 * n, n) // (n + 1) and \
         all(r_matrix_codes(ev.tl_diagram) == v for ev, v in zip(evals, vectors))
@@ -406,24 +409,20 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     for mat in mats:
         if (mat.rows_log2, mat.cols_log2) != (total, total):
             raise ValueError(f"matrices must act on {total} tensor factors")
-    checks = []
-    expected_e = r_matrix(generator_u(0, total, "shifted"))
-    checks.append({"name": "e", "ok": mask_eq(e_matrix, expected_e)})
+
+    def shifted(j):
+        return tensorrep.r_matrix(generator_u(j, total, "shifted"))
+
+    checks = [{"name": "e", "ok": mask_eq(e_matrix, shifted(0))}]
     images = {"e": e_matrix}
     for i, (x_i, y_i) in sorted(factored_u.items()):
-        checks.append({
-            "name": f"u{i}_left",
-            "ok": mask_eq(x_i, r_matrix(generator_u(-i, total, "shifted"))),
-        })
-        checks.append({
-            "name": f"u{i}_right",
-            "ok": mask_eq(y_i, r_matrix(generator_u(i, total, "shifted"))),
-        })
+        checks.append({"name": f"u{i}_left", "ok": mask_eq(x_i, shifted(-i))})
+        checks.append({"name": f"u{i}_right", "ok": mask_eq(y_i, shifted(i))})
         images[i] = x_i.mul(y_i)
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
-        vectors = _word_vectors(blob_basis_words(n).values(), images, total,
-                                e_matrix.ring)
+        vectors = _word_vectors(words.blob_basis_words(n).values(), images,
+                                total, e_matrix.ring)
         rank, method, witness = _certified_rank(vectors, seed, total)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,
@@ -431,167 +430,5 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
 
 
 def certify_rho0(n, m, seed=DEFAULT_SEED):
-    rep = rho0(Rho0Config(n, m))
+    rep = tensorrep.rho0(Rho0Config(n, m))
     return certify_mirror(rep.e, rep.u_factors, n, seed=seed)
-
-
-class BlobRepReport(Record):
-    """Structure-constant verification of a representation on a diagram basis."""
-
-    __slots__ = ("n", "pairs_checked", "failures", "sign_normalized",
-                 "empirical_scalars", "expected_scalars")
-    __hash__ = None
-
-    def __init__(self, n, pairs_checked, failures, sign_normalized,
-                 empirical_scalars=None, expected_scalars=None):
-        self.n = n
-        self.pairs_checked = pairs_checked
-        self.failures = failures
-        self.sign_normalized = sign_normalized
-        self.empirical_scalars = {} if empirical_scalars is None else empirical_scalars
-        self.expected_scalars = {} if expected_scalars is None else expected_scalars
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "pairs_checked": self.pairs_checked,
-            "residuals": len(self.failures),
-            "sign_normalized": self.sign_normalized,
-            "empirical_scalars": {k: repr(v) for k, v in self.empirical_scalars.items()},
-            "expected_scalars": {k: repr(v) for k, v in self.expected_scalars.items()},
-            "ok": self.ok,
-        }
-
-
-def _image_dimension(images):
-    dims = {(m.block if isinstance(m, Placed) else m).rows_log2
-            for m in images.values()}
-    if len(dims) != 1:
-        raise ValueError("generator images must share one dimension")
-    return dims.pop()
-
-
-def _blob_report(images, n, params, basis, failures, sign_normalized,
-                 scalars=None):
-    """The report; ``scalars`` are the empirical scalars when already known
-    (a relation check on images' own e and u1), else they are computed."""
-    report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
-                           failures=failures, sign_normalized=sign_normalized)
-    report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
-    if scalars is not None:
-        report.empirical_scalars = dict(scalars)
-    elif "e" in images:
-        e = images["e"]
-        report.empirical_scalars["delta_e"] = e.mul(e).ratio_to(e)
-        if 1 in images:
-            u1 = images[1]
-            report.empirical_scalars["gamma"] = u1.mul(e).mul(u1).ratio_to(u1)
-    return report
-
-
-def verify_blob_representation(images, n, params, basis=None):
-    """Compare rep products against diagram structure constants.
-
-    Each basis pair (D, D') must satisfy rep(D) rep(D') = s * rep(D o D')
-    with s = [2]^loops * gamma^blobloops * delta_e^merges.  When the check
-    fails as stated but passes with (gamma, delta_e) globally negated (the
-    twist that sends the blob generator to its negative), the report says so
-    and is considered passing; the empirically observed scalars are recorded
-    next to the configured ones either way.
-    """
-    from .reference import _basis_images, _structure_constant_failures
-
-    if basis is None:
-        basis = blob_basis_words(n)
-    rep_of = _basis_images(images, basis)
-    failures, refailures = _structure_constant_failures(rep_of, basis, images,
-                                                        params)
-    sign_normalized = bool(failures) and not refailures
-    if sign_normalized:
-        failures = []
-    return _blob_report(images, n, params, basis, failures, sign_normalized)
-
-
-def _is_loop_free_table(basis, n):
-    """Whether each word is a standard word on n strands that evaluates,
-    discarding nothing, to its own key."""
-    for d, word in basis.items():
-        if word.n != n or word.convention != "standard":
-            return False
-        ev = eval_word(word)
-        if not ev.loop_free or ev.diagram != d:
-            return False
-    return True
-
-
-def prove_blob_representation(images, n, params, basis=None):
-    """verify_blob_representation's report, proved from the presentation.
-
-    The basis must be a complete loop-free table: comb(2n, n) blob diagrams
-    when some word uses e, else the Catalan(n) TL diagrams.  When the images
-    of its letters satisfy the stated defining relations, they define an
-    algebra map that sends each diagram to rep(D), so no pair fails.  The
-    sign flip changes only e.e = delta_e e and u1 e u1 = gamma u1, and
-    (e, e) and (u1, D(e u1)) are basis pairs of a blob basis: when the
-    stated relations fail there but the flipped ones hold, the sweep finds
-    a stated failure and no flipped one, so the report is sign_normalized.
-    In every other case the exhaustive sweep's report is returned.
-    """
-    return _prove_blob(images, n, params, basis)[0]
-
-
-def _prove_blob(images, n, params, basis):
-    """(prove_blob_representation's report, the stated relation check).
-
-    The check is None when the basis table failed and the relations were
-    never checked.  ``images`` may be ``Placed``; they are expanded to full
-    matrices only for a sweep or for scalars the relations did not compute.
-    Only a caller's table is checked: ``blob_basis_words`` builds a
-    complete loop-free table by construction (README "Certification").
-    """
-    own_table = basis is None
-    if own_table:
-        basis = blob_basis_words(n)
-    _image_dimension(images)  # images of two sizes raise, as in the sweep
-    blob = any("e" in w.letters for w in basis.values())
-    size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
-    relations = None
-    if own_table or len(basis) == size and _is_loop_free_table(basis, n):
-        rep = {i: images[i] for i in range(1, n)}
-        if blob:
-            rep["e"] = images["e"]
-        relations = verify_presentation(rep, n, params.delta, params)
-        # The relations computed the report's scalars from the same e and u1
-        # unless the table has no e or images hold a u1 the relations skip.
-        scalars = relations.empirical_scalars \
-            if blob and (n > 1 or 1 not in images) else None
-        if relations.ok or relations.ok_with(params.sign_flipped()):
-            return _blob_report(images if scalars else _expanded(images), n,
-                                params, basis, [], not relations.ok,
-                                scalars), relations
-    return verify_blob_representation(_expanded(images), n, params, basis), \
-        relations
-
-
-def _expanded(images):
-    """images with each ``Placed`` image replaced by its full matrix."""
-    return {k: m.expand() if isinstance(m, Placed) else m
-            for k, m in images.items()}
-
-
-def verify_rho0(n, m):
-    """rho0(n, m)'s structure-constant report, and whether its generator
-    images satisfy the blob relations with the sign-flipped parameters.
-
-    The report is prove_blob_representation's on the default basis, a
-    complete loop-free table, so the relations are always checked; that one
-    check serves the proof and the sign-flip verdict.
-    """
-    params = BlobParams.integral_form(m, cyclo=True)
-    report, relations = _prove_blob(rho0_placed(Rho0Config(n, m)), n, params,
-                                    None)
-    return report, relations.ok_with(params.sign_flipped())

@@ -11,18 +11,16 @@ start-up.
 
 Every name here stays importable from the module it used to live in (and
 from ``tlblob`` where it was exported): those modules forward it through a
-PEP 562 ``__getattr__`` (``_record.forward_to_reference``).  Functions of
+PEP 562 ``__getattr__`` (``tlblob._forwarder``).  Functions of
 the proof-path modules are called through the module, so a wrapper that a
 tracer or a test installs there is seen here as it was before the move.
 """
-
-from __future__ import annotations
 
 import itertools
 import re
 from functools import lru_cache
 
-from . import diagrams, faithful, rings, walks, words
+from . import blobrep, diagrams, faithful, rings, walks, words
 from ._record import Record
 from .diagrams import BlobPairing, Pairing
 from .rings import RINGS, LaurentInt, _Laurent
@@ -135,7 +133,7 @@ def _basis_images(images, basis):
     """rep(D) for each basis diagram D: its word evaluated through images."""
     ring = next(iter(images.values())).ring
     return dict(zip(basis, faithful._rep_word_matrices(
-        basis.values(), images, faithful._image_dimension(images), ring)))
+        basis.values(), images, blobrep._image_dimension(images), ring)))
 
 
 # -- diagrams: composition by concatenation, enumeration, JSON ---------------

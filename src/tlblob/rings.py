@@ -1,4 +1,4 @@
-"""Exact coefficient rings, exact rank and modular full-rank witnesses.
+"""Exact coefficient rings: the ring arithmetic every other layer uses.
 
 Two rings cover every scalar in the package:
 
@@ -22,25 +22,28 @@ equal in either ring, and values are hashable and immutable.
 
 A signed unit monomial +-a^k x^e also has a one-int form, its code
 (8e + k) << 1 | sign (``_unit_code``), which the certificate word chains
-multiply without building elements.  The rank functions take vectors of
-codes as well as of elements.
+multiply without building elements.  ``dumps_canonical`` is the canonical
+JSON text of certificates and CLI output.
+
+Exact rank and the modular full-rank witnesses live in ``tlblob.rank``;
+their old names here load it on first use.
 """
 
-from __future__ import annotations
-
 import json
-import random
 
-from ._record import forward_to_reference
+from . import _forwarder
 
 __all__ = [
     "LaurentInt", "CycloInt", "CycloLaurent", "BlobParams", "quantum_integer",
     "rank_exact", "rank_modular", "full_rank_witness", "check_full_rank_witness",
 ]
 
-# The tagged JSON form of an element, loaded on first use.
+# Loaded on first use: the tagged JSON form of an element (``reference``)
+# and the rank functions (``rank``).
 _REFERENCE_NAMES = ("element_to_json", "element_from_json")
-__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+_RANK_NAMES = ("rank_exact", "rank_modular", "full_rank_witness",
+               "check_full_rank_witness")
+__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES, rank=_RANK_NAMES)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -447,260 +450,6 @@ def _code_element(code):
     """The element +-a^k x^e of a code; integer Laurent when k = 0."""
     key = code >> 1
     return (CycloLaurent if key & 7 else LaurentInt)._make({key: -1 if code & 1 else 1})
-
-
-def _holds_codes(vectors):
-    """Whether the vectors' entries are codes (ints) rather than ring elements."""
-    for vec in vectors:
-        for value in vec.values():
-            return type(value) is int
-    return False
-
-
-def _row_cleanup(row):
-    return {k: v for k, v in row.items() if v}
-
-
-def rank_exact(vectors):
-    """Rank over the fraction field, by fraction-free elimination.
-
-    ``vectors`` is an iterable of sparse mappings {index: ring element}; the
-    index keys only need to be hashable and mutually comparable.  Entries may
-    be LaurentInt or CycloLaurent (one ring per call).  Elimination is
-    one-step Bareiss with full pivoting; the pivot column is chosen sparsest
-    first, so the near-triangular matrices this package produces eliminate
-    with almost no fill-in.  Since x is a unit, each row is first normalized
-    by a power of x (clearing denominators cannot change the rank).
-    Entries that are codes (``_unit_code``) are decoded first.
-    """
-    active = []
-    for vec in vectors:
-        if _holds_codes([vec]):
-            vec = {k: _code_element(c) for k, c in vec.items()}
-        row = _row_cleanup(dict(vec))
-        if row:
-            shift = -min(v.min_exp() for v in row.values())
-            if shift:
-                xs = type(next(iter(row.values()))).x_power(shift)
-                row = {k: v * xs for k, v in row.items()}
-            active.append(row)
-    rank = 0
-    divide = None  # exact division by the previous pivot
-    while active:
-        cols = {}
-        for i, row in enumerate(active):
-            for c in row:
-                cols.setdefault(c, []).append(i)
-        col = min(cols, key=lambda c: (len(cols[c]), c))
-        candidates = cols[col]
-        pi = min(candidates, key=lambda i: (len(active[i]), i))
-        pivot_row = active.pop(pi)
-        p = pivot_row[col]
-        updated = []
-        for row in active:
-            a = row.get(col)
-            new = {k: p * v for k, v in row.items()}
-            if a is not None:  # new = p * row - a * pivot_row
-                for k, w in pivot_row.items():
-                    t = a * w
-                    new[k] = new[k] - t if k in new else -t
-            new = _row_cleanup(new)
-            if divide is not None:
-                new = {k: divide(v) for k, v in new.items()}
-            if new:
-                updated.append(new)
-        active = updated
-        # A unit pivot is inverted once per step, not once per entry.
-        divide = p.unit_inverse().__mul__ if p.is_unit_monomial() else \
-            (lambda v, p=p: v.divexact(p))
-        rank += 1
-    return rank
-
-
-_MODULAR_PRIME = 998244353  # prime, = 1 mod 8, so a with a^4 = -1 exists
-
-
-def _modular_eighth_root(rng, p):
-    while True:
-        z = rng.randrange(2, p - 1)
-        a = pow(z, (p - 1) // 8, p)
-        if pow(a, 4, p) == p - 1:
-            return a
-
-
-def _restrict(vectors, cols):
-    """The vectors' entries in ``cols``, one pass over each vector's keys."""
-    cols = set(cols)
-    return [{c: e for c, e in v.items() if c in cols} for v in vectors]
-
-
-def _evaluate_rows(vectors, x_val, a_val, p, cols=None):
-    """Each vector's image under x -> x_val, a -> a_val, as {col: residue}.
-
-    With ``cols`` given, only those columns are evaluated.  Each packed key
-    8e + k is turned into x_val^e a_val^k mod p once per call, through a
-    table filled as keys appear; the residues are those of ``evaluate_mod``.
-    """
-    if cols is not None:
-        vectors = _restrict(vectors, cols)
-    table = {}
-    rows = []
-    for v in vectors:
-        row = {}
-        for col, elem in v.items():
-            acc = 0
-            for key, c in elem.terms.items():
-                m = table.get(key)
-                if m is None:
-                    m = table[key] = pow(x_val, key >> 3, p) * pow(a_val, key & 7, p) % p
-                acc += c * m
-            if acc % p:
-                row[col] = acc % p
-        rows.append(row)
-    return rows
-
-
-def _evaluate_codes(vectors, x_val, a_val, p, cols=None):
-    """``_evaluate_rows`` for vectors of codes.
-
-    Each distinct code is evaluated once.  A unit is never zero mod p, so
-    every entry is kept.
-    """
-    if cols is not None:
-        vectors = _restrict(vectors, cols)
-    table = {}
-    for code in set().union(*(v.values() for v in vectors)):
-        key = code >> 1
-        m = pow(x_val, key >> 3, p) * pow(a_val, key & 7, p) % p
-        table[code] = p - m if code & 1 else m
-    return [{k: table[c] for k, c in v.items()} for v in vectors]
-
-
-def _rank_mod_p(int_rows, p):
-    """Pivot columns of an echelon form mod p; their count is the rank.
-
-    Each row is keyed by its leading (smallest) column with a nonzero
-    residue.  While a pivot row owns that column, the row is reduced by the
-    multiple of the pivot row that clears it; a row that vanishes is
-    dependent, any other becomes the pivot row of its leading column.  Only
-    the row being reduced is written to (a copy, made at its first
-    reduction); the input rows are never copied up front or mutated.
-
-    The pivot set depends only on the span V of the rows mod p.  Every
-    pivot row lies in V and the pivot rows have distinct leading columns,
-    so they are rank(V) distinct leading columns of vectors in V.  V has
-    exactly dim V leading columns (the pivots of its reduced echelon form),
-    so the two sets are equal, whatever the order of the rows or of the
-    reduction.  Eager Gaussian elimination meets the same conditions and
-    names the same set, so a sorted witness keeps its bytes.  When every
-    row yields a pivot, the minor on the pivot columns is nonzero mod p:
-    ordered by leading column, the pivot rows restricted to them are
-    triangular with nonzero diagonal.
-    """
-    pivot_rows = {}
-    inverses = {}
-    for row in int_rows:
-        lead = min(row, default=None)
-        if lead is not None and not row[lead] % p:
-            lead = min((k for k, v in row.items() if v % p), default=None)
-        copied = False
-        while lead in pivot_rows:
-            if not copied:
-                row = {k: v % p for k, v in row.items() if v % p}
-                copied = True
-            pivot = pivot_rows[lead]
-            inv = inverses.get(lead)
-            if inv is None:
-                inv = inverses[lead] = pow(pivot[lead], p - 2, p)
-            f = row[lead] * inv % p
-            for k, v in pivot.items():
-                r = (row.get(k, 0) - f * v) % p
-                if r:
-                    row[k] = r
-                else:
-                    row.pop(k, None)
-            row.pop(lead, None)  # already cancelled; dropping it ensures progress
-            lead = min(row, default=None)
-        if lead is not None:
-            pivot_rows[lead] = row
-    return list(pivot_rows)
-
-
-def _trial_points(trials, seed, p):
-    """Seeded (x, a) points: x a unit mod p, a a root of a^4 + 1 mod p."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    return [(rng.randrange(2, p - 1), _modular_eighth_root(rng, p))
-            for _ in range(trials)]
-
-
-def rank_modular(vectors, trials=5, seed=0):
-    """Rank lower bound: evaluate x (and a) at random residues mod p.
-
-    Specializing is a ring map, so it can only lose rank: the maximum over
-    trials is <= the true rank, with equality overwhelmingly likely.  A
-    result equal to the number of vectors is a proof of full rank;
-    ``full_rank_witness`` records the point so that it can be re-checked.
-    """
-    p = _MODULAR_PRIME
-    points = _trial_points(trials, seed, p)
-    vecs = [v for v in map(dict, vectors) if any(v.values())]
-    if not vecs:
-        return 0
-    return max(len(_rank_mod_p(_evaluate_rows(vecs, x_val, a_val, p), p))
-               for x_val, a_val in points)
-
-
-def full_rank_witness(vectors, trials=5, seed=0):
-    """A re-checkable proof that ``vectors`` are independent, or None.
-
-    x -> x0 != 0 and a -> a0 with a0^4 = -1 (mod p) is a ring map from
-    Z[a, x, x^-1]/(a^4 + 1) to F_p, so a nonzero minor mod p is the image of
-    a nonzero minor over the ring.  The witness names the point and the
-    columns of one such minor: {"p", "x", "a", "pivots"}.  None means no
-    trial reached full rank; it proves nothing either way.  The entries may
-    be ring elements or codes (``_unit_code``).
-    """
-    p = _MODULAR_PRIME
-    points = _trial_points(trials, seed, p)
-    vecs = list(vectors)
-    if not vecs:
-        return None
-    evaluate = _evaluate_codes if _holds_codes(vecs) else _evaluate_rows
-    for x_val, a_val in points:
-        pivots = _rank_mod_p(evaluate(vecs, x_val, a_val, p), p)
-        if len(pivots) == len(vecs):
-            return {"p": p, "x": x_val, "a": a_val, "pivots": sorted(pivots)}
-    return None
-
-
-def _column_key(col):
-    # JSON turns (row, col) keys into lists; compare them as tuples.
-    return tuple(col) if isinstance(col, list) else col
-
-
-def check_full_rank_witness(vectors, witness):
-    """True iff ``witness`` proves that ``vectors`` have full rank.
-
-    Checks the prime, that x is a unit and a a root of a^4 + 1 mod p, that
-    the pivots are one distinct column per vector, and that the minor on
-    those columns is nonzero mod p.  Accepts a witness read back from JSON.
-    """
-    vecs = list(vectors)
-    try:
-        p, x_val, a_val = (witness[k] for k in ("p", "x", "a"))
-        pivots = [_column_key(c) for c in witness["pivots"]]
-        one_per_vector = len(set(pivots)) == len(pivots) == len(vecs)
-    except (KeyError, TypeError):  # missing field, or an unhashable column
-        return False
-    if not one_per_vector or not all(type(v) is int for v in (p, x_val, a_val)):
-        return False
-    if p != _MODULAR_PRIME or x_val % p == 0 or pow(a_val, 4, p) != p - 1:
-        return False
-    evaluate = _evaluate_codes if _holds_codes(vecs) else _evaluate_rows
-    minor = evaluate(vecs, x_val, a_val, p, cols=pivots)
-    return len(_rank_mod_p(minor, p)) == len(vecs)
 
 
 RINGS = {"laurent": LaurentInt, "cyclo": CycloLaurent}

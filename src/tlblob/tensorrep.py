@@ -18,9 +18,8 @@ certificate word chains run on ``CodedMatrix``: entries are the ints of
 ``Placed`` holds an image as a block on a few factors tensored with I.
 """
 
-from __future__ import annotations
-
-from ._record import Record, forward_to_reference
+from . import _forwarder
+from ._record import Record
 from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, _unit_code
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
 # JSON forms and product diagnostics, loaded on first use.
 _REFERENCE_NAMES = ("matrix_to_json", "_json_natural", "matrix_from_json",
                     "product_summand_counts")
-__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 def seq_to_index(seq):
@@ -346,6 +345,12 @@ class Placed(Record):
     def expand(self):
         """The full matrix, block (x) I."""
         return self.on((1 << self.block.rows_log2) - 1)
+
+
+def _expanded(images):
+    """images with each ``Placed`` image replaced by its full matrix."""
+    return {k: m.expand() if isinstance(m, Placed) else m
+            for k, m in images.items()}
 
 
 def _placed_local(local, i, total, sign=-1):

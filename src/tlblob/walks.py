@@ -11,9 +11,8 @@ domination of both walks at equal endpoints, and endpoint-column comparison
 across different endpoints.
 """
 
-from __future__ import annotations
-
-from ._record import Record, forward_to_reference
+from . import _forwarder
+from ._record import Record
 from .words import GenWord
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
 # The envelope order and walk text forms, loaded on first use.
 _REFERENCE_NAMES = ("raise_at", "leq", "linear_extension", "hasse_edges",
                     "tl_basis_word_table", "walk_from_string")
-__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 class Walk(Record):

@@ -10,12 +10,11 @@ Evaluating a word folds its letters into one (blob) diagram while counting
 every discarded feature; a word is loop free when nothing was discarded.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from math import comb
 
-from ._record import Record, forward_to_reference
+from . import _forwarder
+from ._record import Record
 from .diagrams import BlobPairing, Pairing, _absolute_index
 from .tensorrep import Placed
 
@@ -32,7 +31,7 @@ __all__ = [
 
 # The folding map and word text forms, loaded on first use.
 _REFERENCE_NAMES = ("f_map", "parse_word", "format_word")
-__getattr__ = forward_to_reference(__name__, _REFERENCE_NAMES)
+__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 class GenWord(Record):

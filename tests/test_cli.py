@@ -204,6 +204,16 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"error: n must be >= 1, got {n}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["rmatrix", "--n", "-2", "--u", "1"],
+        ["rmatrix", "--n", "-2", "--u", "0", "--convention", "shifted"],
+    ])
+    def test_rmatrix_negative_size_is_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n must be >= 0, got -2\n"
+
     def test_empty_label_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 2, "m": 2, "pairs": [["", "b1"], ["t2", "b2"]]}))

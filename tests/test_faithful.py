@@ -1,6 +1,9 @@
 import pytest
 
+import tlblob.blobrep as blobrep_module
 import tlblob.faithful as faithful
+import tlblob.walks as walks_module
+import tlblob.words as words_module
 from tlblob.diagrams import BlobPairing, compose_blob, enumerate_blob, \
     enumerate_tl, generator_u, identity
 from tlblob.rings import (
@@ -139,16 +142,16 @@ def reference_triangularity(n):
     return failures, nonwalk
 
 
-def count_calls(monkeypatch, name):
-    """Replace faithful.<name> by a wrapper; the list collects its results."""
+def count_calls(monkeypatch, name, owner=faithful):
+    """Replace owner.<name> by a wrapper; the list collects its results."""
     results = []
-    original = getattr(faithful, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         results.append(original(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(faithful, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return results
 
 
@@ -582,7 +585,8 @@ class TestGeneratorStepProof:
     def test_only_a_caller_table_is_folded_again(self, monkeypatch, n):
         # blob_basis_words' search already folded every word of its own
         # table; a table passed in is folded by _is_loop_free_table.
-        checks = count_calls(monkeypatch, "_is_loop_free_table")
+        checks = count_calls(monkeypatch, "_is_loop_free_table",
+                             blobrep_module)
         verify_rho0(n, 1)
         assert checks == []
         prove_blob_representation(rho0_placed(Rho0Config(n, 1)), n,
@@ -606,8 +610,9 @@ class TestGeneratorStepProof:
         # one diagram has no word: R(D) of that diagram is not checked.
         dropped = next(p for p in enumerate_pairs(3)
                        if pair_word(p) == GenWord((1,), 3))
-        monkeypatch.setattr(faithful, "pair_word", lambda p: GenWord((), 3)
-                            if p == dropped else pair_word(p))
+        monkeypatch.setattr(walks_module, "pair_word",
+                            lambda p: GenWord((), 3) if p == dropped
+                            else pair_word(p))
         sweeps = count_calls(monkeypatch, "verify_r_composition")
         assert prove_r_composition(3) == []
         assert sweeps == [[]]
@@ -639,7 +644,7 @@ class TestGeneratorStepProof:
         monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
         monkeypatch.setattr(faithful, "_diagram_matrix_table",
                             lambda size: (diagrams, mats))
-        monkeypatch.setattr(faithful, "pair_word", word)
+        monkeypatch.setattr(walks_module, "pair_word", word)
         expected = verify_r_composition(n)
         assert expected
         sweeps = count_calls(monkeypatch, "verify_r_composition")
@@ -790,7 +795,7 @@ class TestOneRelationPass:
                                                    n, m):
         from tlblob import cli
 
-        calls = count_calls(monkeypatch, "verify_presentation")
+        calls = count_calls(monkeypatch, "verify_presentation", words_module)
         assert cli.main(["verify-blob", "--n", str(n), "--m", str(m)]) == 0
         assert '"relations_ok_after_sign_flip":true' in capsys.readouterr().out
         assert len(calls) == 1

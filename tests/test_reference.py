@@ -1,6 +1,9 @@
 """The certificate commands never load ``tlblob.reference``; everything that
 moved there stays reachable under its old names, and the fallbacks that
-need it still give the same results."""
+need it still give the same results.  ``import tlblob`` loads no module of
+the package, each certificate command loads only the modules it runs, the
+names moved to ``rank`` and ``blobrep`` resolve under their old modules,
+and ``perfbench/traced.py`` still sees every layer it wraps."""
 
 import ast
 import importlib
@@ -149,9 +152,10 @@ def test_unknown_names_still_raise():
             module.no_such_name
 
 
-def test_traced_spans_stay_on_their_modules():
-    # perfbench/traced.py wraps these by (module, attribute); the objects
-    # must still be defined there, not forwarded.
+def test_traced_spans_resolve_on_their_modules():
+    # perfbench/traced.py wraps these by (module, attribute).  Each resolves
+    # there: defined in that module, or forwarded to the module that defines
+    # it now (``rings.rank_exact`` is ``rank.rank_exact``).
     with open(TRACED, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     spans = next(ast.literal_eval(node.value) for node in tree.body
@@ -159,7 +163,107 @@ def test_traced_spans_stay_on_their_modules():
                  and [t.id for t in node.targets] == ["SPANS"])
     assert spans
     for _, module_name, attr in spans:
-        obj = importlib.import_module(module_name)
-        for part in attr.split("."):
+        module = importlib.import_module(module_name)
+        head, *rest = attr.split(".")
+        obj = getattr(module, head)
+        if obj.__module__ != module_name:
+            assert module.__getattr__(head) is obj, attr
+        for part in rest:
             obj = getattr(obj, part)
-        assert obj.__module__ == module_name, attr
+        assert callable(obj), attr
+
+
+# Names the per-command split moved: old module -> (new module, names).
+SPLIT = {
+    "tlblob.rings": ("tlblob.rank", (
+        "rank_exact", "rank_modular", "full_rank_witness",
+        "check_full_rank_witness")),
+    "tlblob.faithful": ("tlblob.blobrep", (
+        "BlobRepReport", "_blob_report", "_is_loop_free_table", "_prove_blob",
+        "prove_blob_representation", "verify_blob_representation",
+        "verify_rho0")),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(SPLIT))
+def test_split_names_resolve_to_one_object(module_name):
+    module = importlib.import_module(module_name)
+    home_name, names = SPLIT[module_name]
+    home = importlib.import_module(home_name)
+    for name in names:
+        obj = vars(home)[name]
+        assert obj.__module__ == home_name
+        assert module.__getattr__(name) is obj
+        assert getattr(module, name) is obj
+        if name in EXPORTED:
+            assert getattr(tlblob, name) is obj
+
+
+def test_import_tlblob_loads_no_submodule():
+    code = ("import sys, tlblob\n"
+            "print(sorted(m for m in sys.modules if m.startswith('tlblob.')))\n")
+    assert run_python(code) == "[]\n"
+
+
+def imported_modules(*args):
+    """tlblob modules that ``python -X importtime -m tlblob *args`` loads."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tlblob",
+                           *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "tlblob" in line}
+
+
+BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.diagrams",
+        "tlblob.rings", "tlblob.tensorrep", "tlblob.words"}
+
+
+@pytest.mark.parametrize("argv,extra", [
+    # No walks, faithful or rank: the relations and the table are the proof.
+    (["verify-blob", "--n", "3", "--m", "2"], {"tlblob.blobrep"}),
+    # No walks: the blob basis comes from words.
+    (["certify-rho0", "--n", "2", "--m", "1"], {"tlblob.faithful", "tlblob.rank"}),
+    # No blob structure-constant proof.
+    (["verify-tl", "--n", "3"], {"tlblob.faithful", "tlblob.rank",
+                                 "tlblob.walks"}),
+])
+def test_certificate_commands_load_only_their_modules(argv, extra):
+    assert imported_modules(*argv) == BASE | extra
+
+
+# perfbench/traced.py span calls (nonzero only) and counts, recorded before
+# the per-command split; the split must not hide a call from the tracer.
+TRACED_CASES = [
+    (["verify-tl", "--n", "3"],
+     {"tensorrep.SparseRepMatrix.mul": 6, "tensorrep.r_matrix": 1,
+      "words.verify_presentation": 1, "walks.pair_word": 5,
+      "walks.enumerate_pairs": 1, "cli.dumps_canonical": 1},
+     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 40,
+      "cli.output_bytes": 348}),
+    (["certify-rho0", "--n", "2", "--m", "1"],
+     {"tensorrep.SparseRepMatrix.mul": 2, "tensorrep.r_matrix": 3,
+      "tensorrep.rho0": 1, "faithful.certify_mirror": 1,
+      "words.blob_basis_words": 1, "cli.dumps_canonical": 1},
+     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 32,
+      "cli.output_bytes": 331}),
+    (["verify-blob", "--n", "2", "--m", "2"],
+     {"tensorrep.SparseRepMatrix.mul": 5, "words.blob_basis_words": 1,
+      "words.verify_presentation": 1, "cli.dumps_canonical": 1},
+     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 68,
+      "cli.output_bytes": 322}),
+]
+
+
+@pytest.mark.parametrize("argv,calls,counts", TRACED_CASES)
+def test_traced_spans_see_every_layer(tmp_path, argv, calls, counts):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, TRACED, "--spans", str(tmp_path / "spans.json"), "--",
+         *argv, "--seed", "7", "--jobs", "1"],
+        env=env, check=True, capture_output=True, text=True)
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["exit"] == 0
+    assert {name: span["calls"] for name, span in summary["spans"].items()
+            if span["calls"]} == calls
+    assert summary["counts"] == counts

@@ -19,8 +19,8 @@ from tlblob.rings import (
     rank_exact,
     rank_modular,
 )
-from tlblob.rings import _code_element, _evaluate_codes, _evaluate_rows, _rank_mod_p, \
-    _trial_points, _unit_code
+from tlblob.rank import _evaluate_codes, _evaluate_rows, _rank_mod_p, _trial_points
+from tlblob.rings import _code_element, _unit_code
 
 X = LaurentInt.x_power(1)
 Q = LaurentInt.x_power(2)
