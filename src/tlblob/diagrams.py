@@ -174,6 +174,8 @@ def identity(n):
 
 
 def _absolute_index(j, n, convention):
+    if n < 2:
+        raise ValueError(f"n = {n} has no generators: they need n >= 2")
     if convention == "standard":
         if not 1 <= j <= n - 1:
             raise ValueError(f"generator index {j} out of range 1..{n - 1}")

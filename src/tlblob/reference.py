@@ -315,7 +315,11 @@ def diagram_from_json(obj):
 # -- walks: the envelope order and walk text forms ---------------------------
 
 def walk_from_string(text):
-    return Walk(tuple(int(ch) for ch in text.strip()))
+    """The walk written as its steps, e.g. "112"; only ASCII 1 and 2 are steps."""
+    steps = text.strip()
+    if steps.strip("12"):
+        raise ValueError(f"a walk is written with the steps 1 and 2, got {text!r}")
+    return Walk(tuple(int(ch) for ch in steps))
 
 
 def raise_at(walk, i):

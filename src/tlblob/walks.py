@@ -94,26 +94,32 @@ def enumerate_walks(n, c):
     if not 0 <= c <= n or (n - c) % 2:
         raise ValueError(f"no walks of length {n} end at column {c}")
     out = []
-
-    def grow(steps, h):
-        if len(steps) == n:
-            if h == c:
-                out.append(Walk(tuple(steps)))
-            return
-        # Prune: remaining steps must be able to reach column c.
-        rem = n - len(steps)
-        if abs(c - h) > rem:
-            return
-        steps.append(1)
-        grow(steps, h + 1)
-        steps.pop()
-        if h > 0:
-            steps.append(2)
-            grow(steps, h - 1)
-            steps.pop()
-
-    grow([], 0)
+    _grow(out, n, c, [], 0)
     return out
+
+
+def _grow(out, n, c, steps, h):
+    """Append to ``out`` each length-n walk to column c extending ``steps`` (at column h).
+
+    A module-level function, not a closure: a nested function that calls
+    itself is a reference cycle, which would keep ``out`` alive until the
+    cyclic collector runs.
+    """
+    if len(steps) == n:
+        if h == c:
+            out.append(Walk(tuple(steps)))
+        return
+    # Prune: remaining steps must be able to reach column c.
+    rem = n - len(steps)
+    if abs(c - h) > rem:
+        return
+    steps.append(1)
+    _grow(out, n, c, steps, h + 1)
+    steps.pop()
+    if h > 0:
+        steps.append(2)
+        _grow(out, n, c, steps, h - 1)
+        steps.pop()
 
 
 def enumerate_pairs(n):

@@ -214,6 +214,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == "error: n must be >= 0, got -2\n"
 
+    @pytest.mark.parametrize("argv,n", [
+        (["rmatrix", "--n", "0", "--u", "0"], 0),
+        (["rmatrix", "--n", "1", "--u", "1"], 1),
+        (["rmatrix", "--n", "0", "--u", "0", "--convention", "shifted"], 0),
+    ])
+    def test_rmatrix_size_without_generators_is_usage_error(self, capsys, argv, n):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n = {n} has no generators: they need n >= 2\n"
+
+    @pytest.mark.parametrize("text", ["１２", "١٢", "1 2", "1x2", "13"])
+    def test_walk_text_other_than_ascii_1_2_is_usage_error(self, capsys, text):
+        assert main(["walkword", "--a", text, "--b", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: a walk is written with the steps 1 and 2, got {text!r}\n"
+
     def test_empty_label_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 2, "m": 2, "pairs": [["", "b1"], ["t2", "b2"]]}))
