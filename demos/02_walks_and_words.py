@@ -13,7 +13,7 @@ from tlblob import (
     linear_extension,
     pair_word,
 )
-from tlblob.walks import walk_from_string
+from tlblob.reference import walk_from_string
 
 # ---------------------------------------------------------------------------
 # A walk records column moves +1/-1 that never leave the nonnegative side.

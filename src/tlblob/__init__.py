@@ -40,14 +40,6 @@ def _forwarder(module_name, **moved):
     return __getattr__
 
 
-# Exported names that live in ``reference``.
-_REFERENCE_NAMES = (
-    "cut", "enumerate_blob", "enumerate_tl", "propagating_number", "reflect",
-    "f_map", "format_word", "parse_word", "hasse_edges", "leq",
-    "linear_extension", "raise_at", "tl_basis_word_table",
-    "verify_mask_independence",
-)
-
 _EXPORTS = {
     "rings": ("rings", "BlobParams", "CycloInt", "CycloLaurent", "LaurentInt",
               "quantum_integer"),
@@ -69,7 +61,10 @@ _EXPORTS = {
                  "verify_tl_faithful"),
     "blobrep": ("prove_blob_representation", "verify_blob_representation",
                 "verify_rho0"),
-    "reference": _REFERENCE_NAMES,
+    "reference": ("cut", "enumerate_blob", "enumerate_tl", "propagating_number",
+                  "reflect", "f_map", "format_word", "parse_word", "hasse_edges",
+                  "leq", "linear_extension", "raise_at", "tl_basis_word_table",
+                  "verify_mask_independence"),
 }
 __getattr__ = _forwarder(__name__, **_EXPORTS)
 

@@ -22,7 +22,6 @@ n+k+j at the middle boundary.  Chains from the outer nodes give the result's
 lines; middle nodes left over lie on closed loops.
 """
 
-from . import _forwarder
 from ._record import Record
 
 __all__ = [
@@ -32,25 +31,10 @@ __all__ = [
     "identity",
     "generator_u",
     "blob_e",
-    "reflect",
     "compose_tl",
     "compose_blob",
-    "propagating_number",
-    "cut",
-    "enumerate_tl",
-    "enumerate_blob",
     "exposed_lines",
-    "diagram_to_json",
-    "diagram_from_json",
 ]
-
-# Composition by concatenation, enumeration and JSON, loaded on first use.
-_REFERENCE_NAMES = (
-    "_trace_concatenation", "cut", "propagating_number", "enumerate_tl",
-    "enumerate_blob", "reflect", "_label_to_node", "diagram_to_json",
-    "diagram_from_json",
-)
-__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 def _canonical_pairs(pairs):

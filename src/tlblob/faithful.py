@@ -29,8 +29,8 @@ by ``eval_word``'s partner-array fold) and falls back to the exhaustive
 ``verify_r_composition`` sweep, whose result it then returns, when either
 check fails.  The sweep's per-pair check lives in ``reference`` and loads
 only when the sweep runs.  The blob structure-constant proof lives in
-``tlblob.blobrep``; its old names here load it on first use.  ``walks``
-is loaded by the walk-pair build only, so ``certify_rho0`` never loads it.
+``tlblob.blobrep``.  ``walks`` is loaded by the walk-pair build only, so
+``certify_rho0`` never loads it.
 
 The functions ``perfbench/traced.py`` wraps are called through the module
 its span names (``tensorrep.r_matrix(...)``, ``rings.rank_exact(...)``),
@@ -60,38 +60,23 @@ from .tensorrep import (
 )
 from .words import eval_word
 
-# Loaded on first use: the exhaustive sweeps and the overlay test
-# (``reference``), and the blob structure-constant proof (``blobrep``).
-_REFERENCE_NAMES = (
-    "_tl_pair_fails", "_failing_scalars", "_structure_constant_failures",
-    "_convention_scalars", "_basis_images", "verify_mask_independence",
-    "MaskIndependenceReport", "OVERLAY_MENU",
-)
-_BLOBREP_NAMES = (
-    "BlobRepReport", "_blob_report", "_is_loop_free_table", "_prove_blob",
-    "prove_blob_representation", "verify_blob_representation", "verify_rho0",
-)
-__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES,
-                         blobrep=_BLOBREP_NAMES)
+# perfbench/traced.py wraps this by this module's name; ``blobrep`` defines it.
+__getattr__ = _forwarder(__name__, blobrep=("verify_blob_representation",))
 
 __all__ = [
     "DEFAULT_SEED",
     "TriangularityReport",
     "FaithfulnessCertificate",
-    "BlobRepReport",
     "tl_word_matrix",
     "rep_word_matrix",
     "triangularity_report",
     "verify_tl_faithful",
     "verify_tl",
-    "verify_mask_independence",
     "verify_r_composition",
     "prove_r_composition",
     "certify_mirror",
     "certify_rho0",
     "verify_blob_representation",
-    "prove_blob_representation",
-    "verify_rho0",
 ]
 
 

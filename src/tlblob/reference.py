@@ -9,11 +9,10 @@ readers and writers of the other subcommands.  Keeping it in one module
 that a certificate command never imports keeps it out of that command's
 start-up.
 
-Every name here stays importable from the module it used to live in (and
-from ``tlblob`` where it was exported): those modules forward it through a
-PEP 562 ``__getattr__`` (``tlblob._forwarder``).  Functions of
-the proof-path modules are called through the module, so a wrapper that a
-tracer or a test installs there is seen here as it was before the move.
+Import each name from this module; the exported ones are also served by
+the package root.  Functions of the proof-path modules are called through
+their module, so a wrapper that a tracer or a test installs there is seen
+here too.
 """
 
 import itertools

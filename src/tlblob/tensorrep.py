@@ -18,7 +18,6 @@ certificate word chains run on ``CodedMatrix``: entries are the ints of
 ``Placed`` holds an image as a block on a few factors tensored with I.
 """
 
-from . import _forwarder
 from ._record import Record
 from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, _unit_code
 
@@ -32,7 +31,6 @@ __all__ = [
     "r_matrix_codes",
     "mask",
     "mask_eq",
-    "product_summand_counts",
     "local_u_matrix",
     "place_local",
     "Placed",
@@ -40,14 +38,7 @@ __all__ = [
     "Rho0Rep",
     "rho0",
     "rho0_placed",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
-
-# JSON forms and product diagnostics, loaded on first use.
-_REFERENCE_NAMES = ("matrix_to_json", "_json_natural", "matrix_from_json",
-                    "product_summand_counts")
-__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 def seq_to_index(seq):

@@ -11,7 +11,6 @@ domination of both walks at equal endpoints, and endpoint-column comparison
 across different endpoints.
 """
 
-from . import _forwarder
 from ._record import Record
 from .words import GenWord
 
@@ -20,18 +19,9 @@ __all__ = [
     "WalkPair",
     "enumerate_walks",
     "enumerate_pairs",
-    "raise_at",
     "lower_at",
-    "leq",
     "pair_word",
-    "linear_extension",
-    "walk_from_string",
 ]
-
-# The envelope order and walk text forms, loaded on first use.
-_REFERENCE_NAMES = ("raise_at", "leq", "linear_extension", "hasse_edges",
-                    "tl_basis_word_table", "walk_from_string")
-__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 class Walk(Record):

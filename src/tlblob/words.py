@@ -13,7 +13,6 @@ every discarded feature; a word is loop free when nothing was discarded.
 from collections import deque
 from math import comb
 
-from . import _forwarder
 from ._record import Record
 from .diagrams import BlobPairing, Pairing, _absolute_index
 from .tensorrep import Placed
@@ -23,15 +22,8 @@ __all__ = [
     "WordEval",
     "eval_word",
     "blob_basis_words",
-    "f_map",
     "verify_presentation",
-    "parse_word",
-    "format_word",
 ]
-
-# The folding map and word text forms, loaded on first use.
-_REFERENCE_NAMES = ("f_map", "parse_word", "format_word")
-__getattr__ = _forwarder(__name__, reference=_REFERENCE_NAMES)
 
 
 class GenWord(Record):

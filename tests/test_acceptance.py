@@ -7,26 +7,27 @@ import itertools
 import time
 from math import comb
 
-from tlblob.diagrams import (
-    compose_tl,
-    enumerate_blob,
-    enumerate_tl,
-    generator_u,
-    reflect,
-)
+from tlblob.blobrep import verify_blob_representation
+from tlblob.diagrams import compose_tl, generator_u
 from tlblob.rings import BlobParams, CycloInt, CycloLaurent, LaurentInt, quantum_integer
 from tlblob.tensorrep import mask, r_matrix, rho0, Rho0Config, seq_to_index
 from tlblob.faithful import (
     certify_rho0,
     tl_word_matrix,
     triangularity_report,
-    verify_blob_representation,
-    verify_mask_independence,
     verify_r_composition,
     verify_tl_faithful,
 )
-from tlblob.walks import WalkPair, enumerate_pairs, pair_word, walk_from_string
-from tlblob.words import blob_basis_words, eval_word, f_map, verify_presentation
+from tlblob.reference import (
+    enumerate_blob,
+    enumerate_tl,
+    f_map,
+    reflect,
+    verify_mask_independence,
+    walk_from_string,
+)
+from tlblob.walks import WalkPair, enumerate_pairs, pair_word
+from tlblob.words import blob_basis_words, eval_word, verify_presentation
 
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
 

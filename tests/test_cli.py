@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from tlblob.cli import main
-from tlblob.diagrams import diagram_to_json, generator_u, identity
-from tlblob.tensorrep import matrix_to_json, r_matrix
+from tlblob.diagrams import generator_u, identity
+from tlblob.reference import diagram_to_json, matrix_to_json
+from tlblob.tensorrep import r_matrix
 
 
 def run(capsys, *argv):
@@ -313,7 +314,7 @@ class TestWitnessOutput:
     ])
     def test_emitted_witness_rechecks(self, capsys, argv, family):
         from tlblob.faithful import rep_word_matrix, tl_word_matrix
-        from tlblob.rings import check_full_rank_witness
+        from tlblob.rank import check_full_rank_witness
         from tlblob.tensorrep import Rho0Config, rho0
         from tlblob.walks import enumerate_pairs, pair_word
         from tlblob.words import blob_basis_words

@@ -12,14 +12,17 @@ from tlblob.diagrams import (
     blob_e,
     compose_blob,
     compose_tl,
+    exposed_lines,
+    generator_u,
+    identity,
+)
+from tlblob.reference import (
+    _trace_concatenation,
     cut,
     diagram_from_json,
     diagram_to_json,
     enumerate_blob,
     enumerate_tl,
-    exposed_lines,
-    generator_u,
-    identity,
     propagating_number,
     reflect,
 )
@@ -382,7 +385,7 @@ class TestIntegerChainWalk:
 
     @staticmethod
     def assert_matches_reference(top, bottom):
-        got = diagrams_module._trace_concatenation(top, bottom)
+        got = _trace_concatenation(top, bottom)
         assert got == reference_trace(top, bottom)
         assert all(type(c) is int for c in got[1].values())
         assert all(type(c) is int for c in got[2])

@@ -4,17 +4,25 @@ import tlblob.blobrep as blobrep_module
 import tlblob.faithful as faithful
 import tlblob.walks as walks_module
 import tlblob.words as words_module
-from tlblob.diagrams import BlobPairing, compose_blob, enumerate_blob, \
-    enumerate_tl, generator_u, identity
-from tlblob.rings import (
-    BlobParams,
-    CycloLaurent,
-    LaurentInt,
-    _code_element,
-    check_full_rank_witness,
-    full_rank_witness,
-    rank_exact,
+from tlblob.blobrep import (
+    prove_blob_representation,
+    verify_blob_representation,
+    verify_rho0,
 )
+from tlblob.diagrams import BlobPairing, compose_blob, generator_u, identity
+from tlblob.rank import check_full_rank_witness, full_rank_witness, rank_exact
+from tlblob.reference import (
+    OVERLAY_MENU,
+    _structure_constant_failures,
+    enumerate_blob,
+    enumerate_tl,
+    f_map,
+    leq,
+    tl_basis_word_table,
+    verify_mask_independence,
+    walk_from_string,
+)
+from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, _code_element
 from tlblob.tensorrep import (
     CodedMatrix,
     Placed,
@@ -31,30 +39,17 @@ from tlblob.faithful import (
     FaithfulnessCertificate,
     _certified_rank,
     _prefix_products,
-    _structure_constant_failures,
     certify_mirror,
     certify_rho0,
-    prove_blob_representation,
     prove_r_composition,
     rep_word_matrix,
     tl_word_matrix,
     triangularity_report,
-    verify_blob_representation,
-    verify_mask_independence,
     verify_r_composition,
-    verify_rho0,
     verify_tl,
     verify_tl_faithful,
 )
-from tlblob.walks import (
-    Walk,
-    WalkPair,
-    enumerate_pairs,
-    leq,
-    pair_word,
-    tl_basis_word_table,
-    walk_from_string,
-)
+from tlblob.walks import Walk, WalkPair, enumerate_pairs, pair_word
 from tlblob.words import GenWord, WordEval, blob_basis_words, eval_word, \
     verify_presentation
 
@@ -992,8 +987,7 @@ class TestCrossChecks:
         import random
         from math import comb
 
-        from tlblob.faithful import OVERLAY_MENU
-        from tlblob.words import blob_basis_words, eval_word, f_map
+        from tlblob.words import blob_basis_words, eval_word
 
         rng = random.Random(99)
         diagrams = set()

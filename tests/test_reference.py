@@ -1,9 +1,9 @@
-"""The certificate commands never load ``tlblob.reference``; everything that
-moved there stays reachable under its old names, and the fallbacks that
-need it still give the same results.  ``import tlblob`` loads no module of
-the package, each certificate command loads only the modules it runs, the
-names moved to ``rank`` and ``blobrep`` resolve under their old modules,
-and ``perfbench/traced.py`` still sees every layer it wraps."""
+"""The certificate commands never load ``tlblob.reference``, and the
+fallbacks that need it still give the same results.  ``import tlblob``
+loads no module of the package, each certificate command loads only the
+modules it runs, the package root serves every export from its home
+module, every module's ``__all__`` star-imports, and ``perfbench/traced.py``
+still sees every layer it wraps, the proof fallbacks included."""
 
 import ast
 import importlib
@@ -15,31 +15,11 @@ import sys
 import pytest
 
 import tlblob
-from tlblob import faithful, reference
+from tlblob import faithful
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "traced.py")
-
-# Each module that forwards names, and the names it forwards.
-MOVED = {
-    "tlblob.faithful": (
-        "_tl_pair_fails", "_failing_scalars", "_structure_constant_failures",
-        "_convention_scalars", "_basis_images", "verify_mask_independence",
-        "MaskIndependenceReport", "OVERLAY_MENU"),
-    "tlblob.diagrams": (
-        "_trace_concatenation", "cut", "propagating_number", "enumerate_tl",
-        "enumerate_blob", "reflect", "_label_to_node", "diagram_to_json",
-        "diagram_from_json"),
-    "tlblob.tensorrep": (
-        "matrix_to_json", "_json_natural", "matrix_from_json",
-        "product_summand_counts"),
-    "tlblob.walks": (
-        "raise_at", "leq", "linear_extension", "hasse_edges",
-        "tl_basis_word_table", "walk_from_string"),
-    "tlblob.words": ("f_map", "parse_word", "format_word"),
-    "tlblob.rings": ("element_to_json", "element_from_json"),
-}
 
 # tlblob.__all__ before the move, submodule names included.
 EXPORTED = {
@@ -89,7 +69,7 @@ def test_forced_fallbacks_load_reference():
     # module on first use and gives the sweep's result.
     code = """
 import json, sys
-from tlblob import faithful
+from tlblob import blobrep, faithful
 from tlblob.diagrams import generator_u
 from tlblob.rings import BlobParams
 from tlblob.tensorrep import Rho0Config, rho0
@@ -102,8 +82,8 @@ loaded.append('tlblob.reference' in sys.modules)
 images = rho0(Rho0Config(2, 1)).letter_images()
 two = next(iter(images["e"].entries.values())).from_int(2)
 images["e"] = images["e"].scalar_mul(two)
-blob = faithful.prove_blob_representation(images, 2,
-                                          BlobParams.integral_form(1, cyclo=True))
+blob = blobrep.prove_blob_representation(images, 2,
+                                         BlobParams.integral_form(1, cyclo=True))
 print(json.dumps({"loaded": loaded, "tl": tl, "blob": blob.to_json()}))
 """
     out = json.loads(run_python(code))
@@ -129,21 +109,16 @@ def test_package_exports_are_unchanged():
     assert "reference" not in tlblob.__all__
 
 
-@pytest.mark.parametrize("module_name", sorted(MOVED))
-def test_moved_names_resolve_to_one_object(module_name):
-    module = importlib.import_module(module_name)
-    for name in MOVED[module_name]:
-        assert name not in vars(module)
-        obj = getattr(reference, name)
-        assert getattr(module, name) is obj
-        if name in EXPORTED:
-            assert getattr(tlblob, name) is obj
-    assert set(MOVED[module_name]) == set(module._REFERENCE_NAMES)
-
-
-def test_package_forwards_exactly_its_moved_exports():
-    moved = {name for names in MOVED.values() for name in names}
-    assert set(tlblob._REFERENCE_NAMES) == moved & EXPORTED
+def test_package_root_serves_every_export_from_its_home():
+    for home_name, names in tlblob._EXPORTS.items():
+        home = importlib.import_module(f"tlblob.{home_name}")
+        for name in names:
+            obj = getattr(tlblob, name)
+            if name == home_name:
+                assert obj is home
+                continue
+            assert obj is vars(home)[name], name
+            assert obj.__module__ == home.__name__, name
 
 
 def test_unknown_names_still_raise():
@@ -173,15 +148,11 @@ def test_traced_spans_resolve_on_their_modules():
         assert callable(obj), attr
 
 
-# Names the per-command split moved: old module -> (new module, names).
+# The only names a module serves from another one: perfbench/traced.py
+# wraps them by these modules' names.  Module -> (home module, names).
 SPLIT = {
-    "tlblob.rings": ("tlblob.rank", (
-        "rank_exact", "rank_modular", "full_rank_witness",
-        "check_full_rank_witness")),
-    "tlblob.faithful": ("tlblob.blobrep", (
-        "BlobRepReport", "_blob_report", "_is_loop_free_table", "_prove_blob",
-        "prove_blob_representation", "verify_blob_representation",
-        "verify_rho0")),
+    "tlblob.rings": ("tlblob.rank", ("rank_exact", "rank_modular")),
+    "tlblob.faithful": ("tlblob.blobrep", ("verify_blob_representation",)),
 }
 
 
@@ -197,6 +168,34 @@ def test_split_names_resolve_to_one_object(module_name):
         assert getattr(module, name) is obj
         if name in EXPORTED:
             assert getattr(tlblob, name) is obj
+
+
+def test_only_the_traced_names_are_forwarded():
+    # A fresh interpreter: no monkeypatch has bound a forwarded name yet.
+    code = """
+import importlib, pkgutil, tlblob
+for info in pkgutil.iter_modules(tlblob.__path__):
+    if info.name != "__main__":
+        module = importlib.import_module("tlblob." + info.name)
+        if "__getattr__" in vars(module):
+            print(info.name, sorted(set(module.__all__) - set(vars(module))))
+"""
+    assert run_python(code) == ("faithful ['verify_blob_representation']\n"
+                                "rings ['rank_exact', 'rank_modular']\n")
+
+
+# Every module of the package; ``__main__`` runs the command line instead.
+MODULES = sorted("tlblob" if name == "__init__.py" else f"tlblob.{name[:-3]}"
+                 for name in os.listdir(os.path.join(SRC, "tlblob"))
+                 if name.endswith(".py") and name != "__main__.py")
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_star_import_finds_every_listed_name(module_name):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", f"from {module_name} import *"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_tlblob_loads_no_submodule():
@@ -267,3 +266,36 @@ def test_traced_spans_see_every_layer(tmp_path, argv, calls, counts):
     assert {name: span["calls"] for name, span in summary["spans"].items()
             if span["calls"]} == calls
     assert summary["counts"] == counts
+
+
+def test_traced_spans_see_both_proof_fallbacks():
+    # The fallbacks run on no benchmark workload; the tracer must still see
+    # them, so each is called through the module its span names.
+    code = """
+import importlib.util, json, sys
+import tlblob.cli
+
+spec = importlib.util.spec_from_file_location("traced", sys.argv[1])
+traced = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(traced)
+tracer = traced.Tracer()
+tracer.install()
+
+from tlblob import blobrep, faithful
+from tlblob.rings import BlobParams
+from tlblob.tensorrep import Rho0Config, rho0
+
+_, _, vectors = faithful._pair_word_vectors(3)
+rank = faithful._certified_rank(vectors + [vectors[0]], 7)
+images = rho0(Rho0Config(2, 1)).letter_images()
+two = next(iter(images["e"].entries.values())).from_int(2)
+images["e"] = images["e"].scalar_mul(two)
+report = blobrep.prove_blob_representation(
+    images, 2, BlobParams.integral_form(1, cyclo=True))
+spans = tracer.summary()
+print(json.dumps({"rank": rank, "ok": report.ok,
+                  "rank_exact": spans["rings.rank_exact"]["calls"],
+                  "sweep": spans["faithful.verify_blob_representation"]["calls"]}))
+"""
+    assert json.loads(run_python(code, TRACED)) == {
+        "rank": [5, "exact", None], "ok": False, "rank_exact": 1, "sweep": 1}

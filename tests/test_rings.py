@@ -13,13 +13,17 @@ from tlblob.rings import (
     CycloLaurent,
     ExactDivisionError,
     LaurentInt,
-    element_from_json,
-    element_to_json,
     quantum_integer,
+)
+from tlblob.rank import (
+    _evaluate_codes,
+    _evaluate_rows,
+    _rank_mod_p,
+    _trial_points,
     rank_exact,
     rank_modular,
 )
-from tlblob.rank import _evaluate_codes, _evaluate_rows, _rank_mod_p, _trial_points
+from tlblob.reference import element_from_json, element_to_json
 from tlblob.rings import _code_element, _unit_code
 
 X = LaurentInt.x_power(1)
@@ -221,7 +225,7 @@ class TestRank:
         assert rank_modular([v, w], trials=3, seed=1) == 1
 
     def test_against_fraction_oracle(self):
-        from tlblob.diagrams import enumerate_tl
+        from tlblob.reference import enumerate_tl
         from tlblob.tensorrep import r_matrix
 
         rows = [r_matrix(d).flatten() for d in enumerate_tl(3, 3)]
@@ -245,7 +249,7 @@ class TestRank:
             assert oracle == exact
 
     def test_modular_monotone_in_trials(self):
-        from tlblob.diagrams import enumerate_tl
+        from tlblob.reference import enumerate_tl
         from tlblob.tensorrep import r_matrix
 
         rows = [r_matrix(d).flatten() for d in enumerate_tl(3, 3)]
@@ -263,7 +267,7 @@ class TestRank:
         assert rank_modular(rows, trials=4, seed=2) == 2
 
     def test_rank_invariant_under_row_scaling(self):
-        from tlblob.diagrams import enumerate_tl
+        from tlblob.reference import enumerate_tl
         from tlblob.tensorrep import r_matrix
 
         rows = [r_matrix(d).flatten() for d in enumerate_tl(3, 3)]

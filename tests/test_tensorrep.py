@@ -5,8 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tlblob.diagrams import compose_tl, enumerate_tl, generator_u, identity
+from tlblob.diagrams import compose_tl, generator_u, identity
 from tlblob.faithful import _tl_letter_matrices
+from tlblob.reference import (
+    enumerate_tl,
+    matrix_from_json,
+    matrix_to_json,
+    product_summand_counts,
+)
 from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer, \
     _code_element, _unit_code
 from tlblob.tensorrep import (
@@ -18,10 +24,7 @@ from tlblob.tensorrep import (
     local_u_matrix,
     mask,
     mask_eq,
-    matrix_from_json,
-    matrix_to_json,
     place_local,
-    product_summand_counts,
     r_matrix,
     r_matrix_codes,
     rho0,

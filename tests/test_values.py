@@ -10,13 +10,10 @@ byte for byte.
 import pytest
 
 from tlblob import __version__
+from tlblob.blobrep import BlobRepReport
 from tlblob.diagrams import BlobPairing, CompositionResult, Pairing, identity
-from tlblob.faithful import (
-    BlobRepReport,
-    FaithfulnessCertificate,
-    MaskIndependenceReport,
-    TriangularityReport,
-)
+from tlblob.faithful import FaithfulnessCertificate, TriangularityReport
+from tlblob.reference import MaskIndependenceReport
 from tlblob.rings import LaurentInt
 from tlblob.tensorrep import Rho0Config, Rho0Rep, SparseRepMatrix, rho0
 from tlblob.walks import Walk, WalkPair

@@ -3,23 +3,28 @@ import random
 
 import pytest
 
-from tlblob.diagrams import Pairing, compose_tl, cut, enumerate_tl
+from tlblob.diagrams import Pairing, compose_tl
+from tlblob.reference import (
+    cut,
+    enumerate_tl,
+    format_word,
+    hasse_edges,
+    leq,
+    linear_extension,
+    raise_at,
+    tl_basis_word_table,
+    walk_from_string,
+)
 from tlblob.tensorrep import r_matrix, seq_to_index
 from tlblob.walks import (
     Walk,
     WalkPair,
     enumerate_pairs,
     enumerate_walks,
-    hasse_edges,
-    leq,
-    linear_extension,
     lower_at,
     pair_word,
-    raise_at,
-    tl_basis_word_table,
-    walk_from_string,
 )
-from tlblob.words import eval_word, format_word
+from tlblob.words import eval_word
 
 
 def brute_force_walks(n, c):

@@ -11,9 +11,9 @@ from tlblob.diagrams import (
     compose_blob,
     generator_u,
     identity,
-    reflect,
 )
 from tlblob.faithful import _tl_letter_matrices
+from tlblob.reference import f_map, format_word, parse_word, reflect
 from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, quantum_integer
 from tlblob.tensorrep import Placed, Rho0Config, SparseRepMatrix, r_matrix, \
     rho0, rho0_placed
@@ -23,9 +23,6 @@ from tlblob.words import (
     WordEval,
     blob_basis_words,
     eval_word,
-    f_map,
-    format_word,
-    parse_word,
     verify_presentation,
 )
 
