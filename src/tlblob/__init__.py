@@ -43,8 +43,7 @@ def _forwarder(module_name, **moved):
 _EXPORTS = {
     "rings": ("rings", "BlobParams", "CycloInt", "CycloLaurent", "LaurentInt",
               "quantum_integer"),
-    "rank": ("check_full_rank_witness", "full_rank_witness", "rank_exact",
-             "rank_modular"),
+    "rank": ("check_full_rank_witness", "full_rank_witness"),
     "diagrams": ("diagrams", "BlobPairing", "CompositionResult", "Pairing",
                  "blob_e", "compose_blob", "compose_tl", "exposed_lines",
                  "generator_u", "identity"),
@@ -55,15 +54,16 @@ _EXPORTS = {
     "tensorrep": ("tensorrep", "Rho0Config", "Rho0Rep", "SparseRepMatrix",
                   "index_to_seq", "local_u_matrix", "mask", "mask_eq",
                   "place_local", "r_matrix", "rho0", "seq_to_index"),
-    "faithful": ("faithful", "FaithfulnessCertificate", "TriangularityReport",
-                 "certify_mirror", "certify_rho0", "prove_r_composition",
-                 "triangularity_report", "verify_r_composition", "verify_tl",
+    "faithful": ("faithful", "FaithfulnessCertificate", "certify_mirror",
+                 "certify_rho0", "triangularity_report", "verify_r_composition",
                  "verify_tl_faithful"),
+    "tlcert": ("TriangularityReport", "prove_r_composition", "verify_tl"),
     "blobrep": ("prove_blob_representation", "verify_blob_representation",
                 "verify_rho0"),
     "reference": ("cut", "enumerate_blob", "enumerate_tl", "propagating_number",
                   "reflect", "f_map", "format_word", "parse_word", "hasse_edges",
-                  "leq", "linear_extension", "raise_at", "tl_basis_word_table",
+                  "leq", "linear_extension", "raise_at", "rank_exact",
+                  "rank_modular", "tl_basis_word_table",
                   "verify_mask_independence"),
 }
 __getattr__ = _forwarder(__name__, **_EXPORTS)

@@ -6,10 +6,13 @@ canonical JSON (sorted keys), so identical flags and seed give identical
 bytes; the seed is echoed in every payload that could involve randomness.
 
 Each command handler imports the code it runs, so a command loads only its
-own modules: ``verify-blob`` loads neither ``faithful``, ``walks`` nor
-``rank``, and ``certify-rho0`` does not load ``walks``.  The functions
-``perfbench/traced.py`` wraps are called through their modules
-(``rings.dumps_canonical(...)``), looked up when the call runs.
+own modules.  Beyond the modules every command loads, ``verify-tl`` adds
+``faithful``, ``rank``, ``walks`` and ``tlcert``, ``certify-rho0`` only
+``faithful`` and ``rank``, and ``verify-blob`` only ``blobrep``.  The
+workbench subcommands' handlers live in ``reference``, which no
+certificate command loads.  The functions ``perfbench/traced.py`` wraps
+are called through their modules (``rings.dumps_canonical(...)``), looked
+up when the call runs.
 """
 
 import argparse
@@ -95,103 +98,14 @@ def _build_parser(argv):
     return parser
 
 
-def _load_diagram(path):
-    from .reference import diagram_from_json
+def _workbench(args):
+    from .reference import WORKBENCH
 
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    # accept the output of `compose` directly
-    if isinstance(obj, dict) and "pairs" not in obj and "diagram" in obj:
-        obj = obj["diagram"]
-    try:
-        return diagram_from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} does not hold a diagram: {exc}") from exc
-
-
-def _cmd_enumerate(args):
-    from .reference import diagram_to_json, enumerate_blob, enumerate_tl
-
-    if args.blob:
-        if args.m is not None and args.m != args.n:
-            raise ValueError("blob diagrams need m = n")
-        diagrams = enumerate_blob(args.n)
-    else:
-        diagrams = enumerate_tl(args.n, args.n if args.m is None else args.m)
-    payload = {
-        "count": len(diagrams),
-        "diagrams": [diagram_to_json(d) for d in diagrams],
-    }
-    return payload, True
-
-
-def _cmd_compose(args):
-    from . import diagrams
-    from .reference import diagram_to_json
-
-    left = _load_diagram(args.left)
-    right = _load_diagram(args.right)
-    if hasattr(left, "blobbed") or hasattr(right, "blobbed"):
-        res, _ = diagrams.compose_blob(left, right)
-    else:
-        res = diagrams.compose_tl(left, right)
-    payload = {
-        "diagram": diagram_to_json(res.diagram),
-        "plain_loops": res.plain_loops,
-        "blob_loops": res.blob_loops,
-        "blob_merges": res.blob_merges,
-    }
-    return payload, True
-
-
-def _cmd_rmatrix(args):
-    from . import tensorrep
-    from .diagrams import generator_u
-    from .reference import matrix_to_json
-
-    if args.file:
-        diagram = _load_diagram(args.file)
-    elif args.u is not None and args.n is not None:
-        diagram = generator_u(args.u, args.n, args.convention)
-    else:
-        raise ValueError("rmatrix needs --file or both --n and --u")
-    if hasattr(diagram, "blobbed"):
-        raise ValueError("rmatrix takes a plain diagram; this one has blobs")
-    return {"matrix": matrix_to_json(tensorrep.r_matrix(diagram))}, True
-
-
-def _cmd_walkword(args):
-    from . import walks
-    from .reference import diagram_to_json, format_word, walk_from_string
-    from .words import eval_word
-
-    pair = walks.WalkPair(walk_from_string(args.a), walk_from_string(args.b))
-    word = walks.pair_word(pair)
-    ev = eval_word(word)
-    payload = {
-        "word": format_word(word),
-        "diagram": diagram_to_json(ev.tl_diagram),
-        "loop_free": ev.loop_free,
-    }
-    return payload, True
-
-
-def _cmd_lattice(args):
-    from . import walks
-    from .reference import hasse_edges, linear_extension
-
-    pairs = linear_extension(walks.enumerate_pairs(args.n))
-    index = {p: i for i, p in enumerate(pairs)}
-    edges = sorted((index[p], index[q]) for p, q in hasse_edges(pairs))
-    payload = {
-        "pairs": [f"{p.a!r}|{p.b!r}" for p in pairs],
-        "edges": [list(e) for e in edges],
-    }
-    return payload, True
+    return WORKBENCH[args.command](args)
 
 
 def _cmd_verify_tl(args):
-    from .faithful import verify_tl
+    from .tlcert import verify_tl
 
     tri, comp_failures, cert = verify_tl(args.n, seed=args.seed)
     ok = tri.ok and not comp_failures and cert.valid
@@ -239,12 +153,13 @@ def _cmd_certify_rho0(args):
     return payload, cert.valid
 
 
+# The workbench handlers live in ``reference``, with the code they run.
 _COMMANDS = {
-    "enumerate": _cmd_enumerate,
-    "compose": _cmd_compose,
-    "rmatrix": _cmd_rmatrix,
-    "walkword": _cmd_walkword,
-    "lattice": _cmd_lattice,
+    "enumerate": _workbench,
+    "compose": _workbench,
+    "rmatrix": _workbench,
+    "walkword": _workbench,
+    "lattice": _workbench,
     "verify-tl": _cmd_verify_tl,
     "verify-blob": _cmd_verify_blob,
     "certify-rho0": _cmd_certify_rho0,
@@ -253,6 +168,8 @@ _COMMANDS = {
 
 def _check_out(path):
     """Reject an --out path that cannot be a file, before any work is done."""
+    if not path:
+        raise ValueError("--out needs a file name, got ''")
     if os.path.isdir(path):
         raise ValueError(f"--out {path!r} is a directory")
     parent = os.path.dirname(path) or os.curdir
@@ -269,7 +186,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     try:
-        if args.out:
+        if args.out is not None:
             _check_out(args.out)
         payload, ok = _COMMANDS[args.command](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
@@ -284,7 +201,7 @@ def main(argv=None):
     from . import rings
 
     text = rings.dumps_canonical(payload)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

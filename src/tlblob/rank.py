@@ -1,19 +1,18 @@
-"""Exact rank and re-checkable modular full-rank witnesses.
+"""Re-checkable modular full-rank witnesses.
 
 The vectors are sparse mappings {column: entry}.  An entry is a ring
 element of ``rings`` or its one-int code (``rings._unit_code``); one call
 takes one kind.  ``full_rank_witness`` and ``check_full_rank_witness``
-prove full rank by a minor that is nonzero at a point mod p;
-``rank_exact`` is fraction-free (Bareiss) elimination over the fraction
-field, the certificates' fallback.
+prove full rank by a minor that is nonzero at a point mod p.  The
+certificates' fallback, fraction-free (Bareiss) elimination over the
+fraction field (``rank_exact``), and the witness-free lower bound
+``rank_modular`` live in ``tlblob.reference``: a certificate whose witness
+checks never runs them.
 """
 
 import random
 
-from .rings import _code_element
-
-__all__ = ["rank_exact", "rank_modular", "full_rank_witness",
-           "check_full_rank_witness"]
+__all__ = ["full_rank_witness", "check_full_rank_witness"]
 
 
 def _holds_codes(vectors):
@@ -22,66 +21,6 @@ def _holds_codes(vectors):
         for value in vec.values():
             return type(value) is int
     return False
-
-
-def _row_cleanup(row):
-    return {k: v for k, v in row.items() if v}
-
-
-def rank_exact(vectors):
-    """Rank over the fraction field, by fraction-free elimination.
-
-    ``vectors`` is an iterable of sparse mappings {index: ring element}; the
-    index keys only need to be hashable and mutually comparable.  Entries may
-    be LaurentInt or CycloLaurent (one ring per call).  Elimination is
-    one-step Bareiss with full pivoting; the pivot column is chosen sparsest
-    first, so the near-triangular matrices this package produces eliminate
-    with almost no fill-in.  Since x is a unit, each row is first normalized
-    by a power of x (clearing denominators cannot change the rank).
-    Entries that are codes (``_unit_code``) are decoded first.
-    """
-    active = []
-    for vec in vectors:
-        if _holds_codes([vec]):
-            vec = {k: _code_element(c) for k, c in vec.items()}
-        row = _row_cleanup(dict(vec))
-        if row:
-            shift = -min(v.min_exp() for v in row.values())
-            if shift:
-                xs = type(next(iter(row.values()))).x_power(shift)
-                row = {k: v * xs for k, v in row.items()}
-            active.append(row)
-    rank = 0
-    divide = None  # exact division by the previous pivot
-    while active:
-        cols = {}
-        for i, row in enumerate(active):
-            for c in row:
-                cols.setdefault(c, []).append(i)
-        col = min(cols, key=lambda c: (len(cols[c]), c))
-        candidates = cols[col]
-        pi = min(candidates, key=lambda i: (len(active[i]), i))
-        pivot_row = active.pop(pi)
-        p = pivot_row[col]
-        updated = []
-        for row in active:
-            a = row.get(col)
-            new = {k: p * v for k, v in row.items()}
-            if a is not None:  # new = p * row - a * pivot_row
-                for k, w in pivot_row.items():
-                    t = a * w
-                    new[k] = new[k] - t if k in new else -t
-            new = _row_cleanup(new)
-            if divide is not None:
-                new = {k: divide(v) for k, v in new.items()}
-            if new:
-                updated.append(new)
-        active = updated
-        # A unit pivot is inverted once per step, not once per entry.
-        divide = p.unit_inverse().__mul__ if p.is_unit_monomial() else \
-            (lambda v, p=p: v.divexact(p))
-        rank += 1
-    return rank
 
 
 _MODULAR_PRIME = 998244353  # prime, = 1 mod 8, so a with a^4 = -1 exists
@@ -200,23 +139,6 @@ def _trial_points(trials, seed, p):
     rng = random.Random(seed)
     return [(rng.randrange(2, p - 1), _modular_eighth_root(rng, p))
             for _ in range(trials)]
-
-
-def rank_modular(vectors, trials=5, seed=0):
-    """Rank lower bound: evaluate x (and a) at random residues mod p.
-
-    Specializing is a ring map, so it can only lose rank: the maximum over
-    trials is <= the true rank, with equality overwhelmingly likely.  A
-    result equal to the number of vectors is a proof of full rank;
-    ``full_rank_witness`` records the point so that it can be re-checked.
-    """
-    p = _MODULAR_PRIME
-    points = _trial_points(trials, seed, p)
-    vecs = [v for v in map(dict, vectors) if any(v.values())]
-    if not vecs:
-        return 0
-    return max(len(_rank_mod_p(_evaluate_rows(vecs, x_val, a_val, p), p))
-               for x_val, a_val in points)
 
 
 def full_rank_witness(vectors, trials=5, seed=0):

@@ -2,11 +2,13 @@
 
 The three certificate commands prove their claims from the algebra
 presentations and a modular rank witness (README "Certification").  The
-code here serves everything else: the exhaustive sweeps that the proofs
-fall back to, composition by chain-tracing a concatenation, enumeration,
-the walk-pair order, word text forms, the overlay test, and the JSON
-readers and writers of the other subcommands.  Keeping it in one module
-that a certificate command never imports keeps it out of that command's
+code here serves everything else: the exhaustive sweeps and the exact
+(Bareiss) rank that the proofs fall back to, composition by chain-tracing
+a concatenation, enumeration, the walk-pair order, word text forms, the
+overlay test, the JSON readers and writers, and the handlers of the
+workbench subcommands (``enumerate``, ``compose``, ``rmatrix``,
+``walkword`` and ``lattice``).  Keeping it in one module that a
+certificate command never imports keeps it out of that command's
 start-up.
 
 Import each name from this module; the exported ones are also served by
@@ -16,13 +18,16 @@ here too.
 """
 
 import itertools
+import json
 import re
 from functools import lru_cache
 
-from . import blobrep, diagrams, faithful, rings, walks, words
+from . import blobrep, diagrams, faithful, rings, tensorrep, tlcert, walks, words
 from ._record import Record
 from .diagrams import BlobPairing, Pairing
-from .rings import RINGS, LaurentInt, _Laurent
+from .rank import (_MODULAR_PRIME, _evaluate_rows, _holds_codes, _rank_mod_p,
+                   _trial_points)
+from .rings import RINGS, LaurentInt, _code_element, _Laurent
 from .tensorrep import SparseRepMatrix
 from .walks import Walk
 from .words import GenWord
@@ -64,7 +69,7 @@ def verify_mask_independence(n, trials=25, seed=faithful.DEFAULT_SEED):
     import random
 
     rng = random.Random(seed)
-    pairs, _, vectors = faithful._pair_word_vectors(n)
+    pairs, _, vectors = tlcert._pair_word_vectors(n)
     masks = [sorted(v) for v in vectors]
     report = MaskIndependenceReport(n, trials, seed, len(pairs))
     for _ in range(trials):
@@ -133,6 +138,86 @@ def _basis_images(images, basis):
     ring = next(iter(images.values())).ring
     return dict(zip(basis, faithful._rep_word_matrices(
         basis.values(), images, blobrep._image_dimension(images), ring)))
+
+
+# -- rank: exact elimination and the witness-free lower bound ----------------
+
+def _row_cleanup(row):
+    return {k: v for k, v in row.items() if v}
+
+
+def rank_exact(vectors):
+    """Rank over the fraction field, by fraction-free elimination.
+
+    ``vectors`` is an iterable of sparse mappings {index: ring element}; the
+    index keys only need to be hashable and mutually comparable.  Entries may
+    be LaurentInt or CycloLaurent (one ring per call).  Elimination is
+    one-step Bareiss with full pivoting; the pivot column is chosen sparsest
+    first, so the near-triangular matrices this package produces eliminate
+    with almost no fill-in.  Since x is a unit, each row is first normalized
+    by a power of x (clearing denominators cannot change the rank).
+    Entries that are codes (``_unit_code``) are decoded first.
+    """
+    active = []
+    for vec in vectors:
+        if _holds_codes([vec]):
+            vec = {k: _code_element(c) for k, c in vec.items()}
+        row = _row_cleanup(dict(vec))
+        if row:
+            shift = -min(v.min_exp() for v in row.values())
+            if shift:
+                xs = type(next(iter(row.values()))).x_power(shift)
+                row = {k: v * xs for k, v in row.items()}
+            active.append(row)
+    rank = 0
+    divide = None  # exact division by the previous pivot
+    while active:
+        cols = {}
+        for i, row in enumerate(active):
+            for c in row:
+                cols.setdefault(c, []).append(i)
+        col = min(cols, key=lambda c: (len(cols[c]), c))
+        candidates = cols[col]
+        pi = min(candidates, key=lambda i: (len(active[i]), i))
+        pivot_row = active.pop(pi)
+        p = pivot_row[col]
+        updated = []
+        for row in active:
+            a = row.get(col)
+            new = {k: p * v for k, v in row.items()}
+            if a is not None:  # new = p * row - a * pivot_row
+                for k, w in pivot_row.items():
+                    t = a * w
+                    new[k] = new[k] - t if k in new else -t
+            new = _row_cleanup(new)
+            if divide is not None:
+                new = {k: divide(v) for k, v in new.items()}
+            if new:
+                updated.append(new)
+        active = updated
+        # A unit pivot is inverted once per step, not once per entry.
+        divide = p.unit_inverse().__mul__ if p.is_unit_monomial() else \
+            (lambda v, p=p: v.divexact(p))
+        rank += 1
+    return rank
+
+
+def rank_modular(vectors, trials=5, seed=0):
+    """Rank lower bound: evaluate x (and a) at random residues mod p.
+
+    Specializing is a ring map, so it can only lose rank: the maximum over
+    trials is <= the true rank, with equality overwhelmingly likely.  A
+    result equal to the number of vectors is a proof of full rank;
+    ``rank.full_rank_witness`` records the point so that it can be
+    re-checked.
+    """
+    p = _MODULAR_PRIME
+    points = _trial_points(trials, seed, p)
+    vecs = [v for v in map(dict, vectors) if any(v.values())]
+    if not vecs:
+        return 0
+    return max(len(_rank_mod_p(_evaluate_rows(vecs, x_val, a_val, p), p))
+               for x_val, a_val in points)
 
 
 # -- diagrams: composition by concatenation, enumeration, JSON ---------------
@@ -291,9 +376,15 @@ def diagram_from_json(obj):
 
     Node counts must be JSON integers >= 0 (not floats, strings or
     booleans), and a blob line may be listed once: a second blob on the
-    same line would be a scalar factor, which a diagram cannot carry.
+    same line would be a scalar factor, which a diagram cannot carry.  A
+    key other than n, m, pairs and blobs is an error, so that a misspelled
+    "blobs" cannot drop the blobs.
     """
     n, m = (rings._coerce_int(obj[key], ValueError) for key in ("n", "m"))
+    unknown = [key for key in obj if key not in ("n", "m", "pairs", "blobs")]
+    if unknown:
+        raise ValueError(f"unexpected diagram key {', '.join(map(repr, unknown))}"
+                         " (a diagram has n, m, pairs and blobs)")
     if n < 0 or m < 0:
         raise ValueError(f"node counts must be >= 0, got n={n}, m={m}")
     pairs = tuple(
@@ -440,20 +531,39 @@ def product_summand_counts(a, b):
 
 
 def element_to_json(elem):
-    """Tagged JSON form accepted by element_from_json."""
+    """Tagged JSON form {"ring", "coeffs"} accepted by element_from_json.
+
+    The coefficients map str(e) to the coefficient of x^e: an int over
+    Z[x, x^-1], the list [c0, c1, c2, c3] of a^0..a^3 with a.
+    """
     if not isinstance(elem, _Laurent):
         raise TypeError(f"not a ring element: {type(elem).__name__}")
-    return {"ring": elem.ring, "coeffs": elem.to_json()}
+    cyclo = elem.ring == "cyclo"
+    return {"ring": elem.ring, "coeffs": {str(e): cs if cyclo else cs[0]
+                                          for e, cs in elem._by_exponent()}}
 
 
 def element_from_json(obj):
-    """Inverse of element_to_json; ValueError for malformed input."""
+    """Inverse of element_to_json; ValueError for anything it cannot emit."""
     if not isinstance(obj, dict) or "ring" not in obj or "coeffs" not in obj:
         raise ValueError(f"ring element needs 'ring' and 'coeffs', got {obj!r}")
-    tag = obj["ring"]
+    tag, coeffs = obj["ring"], obj["coeffs"]
     if not isinstance(tag, str) or tag not in RINGS:
         raise ValueError(f"unknown ring tag {tag!r}")
-    return RINGS[tag].from_json(obj["coeffs"])
+    if not isinstance(coeffs, dict):
+        raise ValueError(f"coefficients must be a JSON object, got {coeffs!r}")
+    terms = {}
+    for key, payload in coeffs.items():
+        if tag == "laurent":
+            payload = [payload]
+        elif not isinstance(payload, list) or len(payload) != 4:
+            raise ValueError(f"cyclotomic coefficient must be 4 integers, got {payload!r}")
+        if not isinstance(key, str) or str(int(key)) != key:
+            raise ValueError(f"exponent key must be a decimal integer string, got {key!r}")
+        for k, c in enumerate(payload):
+            if rings._coerce_int(c, ValueError):
+                terms[8 * int(key) + k] = c
+    return RINGS[tag]._make(terms)
 
 
 def matrix_to_json(a):
@@ -499,3 +609,92 @@ def matrix_from_json(obj):
             raise ValueError(f"duplicate matrix entry at {key}")
         entries[key] = element_from_json({"ring": ring, "coeffs": coeffs})
     return SparseRepMatrix(rows, cols, entries, ring)
+
+
+# -- cli: the workbench commands ---------------------------------------------
+
+def _load_diagram(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    # accept the output of `compose` directly
+    if isinstance(obj, dict) and "pairs" not in obj and "diagram" in obj:
+        obj = obj["diagram"]
+    try:
+        return diagram_from_json(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} does not hold a diagram: {exc}") from exc
+
+
+def _cmd_enumerate(args):
+    if args.blob:
+        if args.m is not None and args.m != args.n:
+            raise ValueError("blob diagrams need m = n")
+        found = enumerate_blob(args.n)
+    else:
+        found = enumerate_tl(args.n, args.n if args.m is None else args.m)
+    payload = {
+        "count": len(found),
+        "diagrams": [diagram_to_json(d) for d in found],
+    }
+    return payload, True
+
+
+def _cmd_compose(args):
+    left = _load_diagram(args.left)
+    right = _load_diagram(args.right)
+    if hasattr(left, "blobbed") or hasattr(right, "blobbed"):
+        res, _ = diagrams.compose_blob(left, right)
+    else:
+        res = diagrams.compose_tl(left, right)
+    payload = {
+        "diagram": diagram_to_json(res.diagram),
+        "plain_loops": res.plain_loops,
+        "blob_loops": res.blob_loops,
+        "blob_merges": res.blob_merges,
+    }
+    return payload, True
+
+
+def _cmd_rmatrix(args):
+    if args.file:
+        diagram = _load_diagram(args.file)
+    elif args.u is not None and args.n is not None:
+        diagram = diagrams.generator_u(args.u, args.n, args.convention)
+    else:
+        raise ValueError("rmatrix needs --file or both --n and --u")
+    if hasattr(diagram, "blobbed"):
+        raise ValueError("rmatrix takes a plain diagram; this one has blobs")
+    return {"matrix": matrix_to_json(tensorrep.r_matrix(diagram))}, True
+
+
+def _cmd_walkword(args):
+    pair = walks.WalkPair(walk_from_string(args.a), walk_from_string(args.b))
+    word = walks.pair_word(pair)
+    ev = words.eval_word(word)
+    payload = {
+        "word": format_word(word),
+        "diagram": diagram_to_json(ev.tl_diagram),
+        "loop_free": ev.loop_free,
+    }
+    return payload, True
+
+
+def _cmd_lattice(args):
+    pairs = linear_extension(walks.enumerate_pairs(args.n))
+    index = {p: i for i, p in enumerate(pairs)}
+    edges = sorted((index[p], index[q]) for p, q in hasse_edges(pairs))
+    payload = {
+        "pairs": [f"{p.a!r}|{p.b!r}" for p in pairs],
+        "edges": [list(e) for e in edges],
+    }
+    return payload, True
+
+
+# Subcommand -> handler(args) -> (payload, ok), run by ``cli.main``.
+WORKBENCH = {
+    "enumerate": _cmd_enumerate,
+    "compose": _cmd_compose,
+    "rmatrix": _cmd_rmatrix,
+    "walkword": _cmd_walkword,
+    "lattice": _cmd_lattice,
+}

@@ -12,20 +12,22 @@ both.  An element is a dict {8*e + k: nonzero int} meaning the sum of
 c * a^k * x^e, 0 <= k < 4, so the integer Laurent elements are those whose
 keys are multiples of 8.  A product adds keys, which cannot carry into x as
 k1 + k2 <= 6; only the cyclotomic ring then folds a^k, k >= 4, into
--a^(k-4).  The classes differ only in their ``ring`` tag, JSON payload and
-``repr``, and a cyclotomic operand makes the result a ``CycloLaurent``.
-Exact division by a divisor with an a-part first multiplies both sides by
-the divisor's images under a -> a^3, a^5, a^7, whose product with it is
-a-free, so plain Laurent long division then runs on the packed keys.  With
-no zero coefficient stored, equality is dict equality, equal elements hash
-equal in either ring, and values are hashable and immutable.
+-a^(k-4).  The classes differ only in their ``ring`` tag and ``repr``, and
+a cyclotomic operand makes the result a ``CycloLaurent``.  Exact division
+by a divisor with an a-part first multiplies both sides by the divisor's
+images under a -> a^3, a^5, a^7, whose product with it is a-free, so plain
+Laurent long division then runs on the packed keys.  With no zero
+coefficient stored, equality is dict equality, equal elements hash equal
+in either ring, and values are hashable and immutable.
 
 A signed unit monomial +-a^k x^e also has a one-int form, its code
 (8e + k) << 1 | sign (``_unit_code``), which the certificate word chains
 multiply without building elements.  ``dumps_canonical`` is the canonical
 JSON text of certificates and CLI output.
 
-Exact rank and the modular full-rank witnesses live in ``tlblob.rank``.
+The modular full-rank witnesses live in ``tlblob.rank``.  Exact rank and
+the tagged JSON form of an element, which only the fallbacks and the
+workbench commands use, live in ``tlblob.reference``.
 """
 
 import json
@@ -37,8 +39,9 @@ __all__ = [
     "rank_exact", "rank_modular",
 ]
 
-# perfbench/traced.py wraps these by this module's name; ``rank`` defines them.
-__getattr__ = _forwarder(__name__, rank=("rank_exact", "rank_modular"))
+# perfbench/traced.py wraps these by this module's name; ``reference`` defines
+# them.
+__getattr__ = _forwarder(__name__, reference=("rank_exact", "rank_modular"))
 
 
 class ExactDivisionError(ArithmeticError):
@@ -49,12 +52,6 @@ def _coerce_int(value, error=TypeError):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise error(f"expected int, got {type(value).__name__} {value!r}")
-
-
-def _json_exponent(key):
-    if not isinstance(key, str) or str(int(key)) != key:
-        raise ValueError(f"exponent key must be a decimal integer string, got {key!r}")
-    return int(key)
 
 
 class _Laurent:
@@ -284,29 +281,6 @@ class _Laurent:
         for key in sorted(self.terms):
             rows.setdefault(key >> 3, [0, 0, 0, 0])[key & 7] = self.terms[key]
         return rows.items()
-
-    def to_json(self):
-        """{str(e): c} over Z[x, x^-1], {str(e): [c0, c1, c2, c3]} with a."""
-        cyclo = self.ring == "cyclo"
-        return {str(e): cs if cyclo else cs[0] for e, cs in self._by_exponent()}
-
-    @classmethod
-    def from_json(cls, obj):
-        """Inverse of to_json; ValueError for anything to_json cannot emit."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"coefficients must be a JSON object, got {obj!r}")
-        terms = {}
-        for key, payload in obj.items():
-            if cls.ring == "laurent":
-                payload = [payload]
-            elif not isinstance(payload, list) or len(payload) != 4:
-                raise ValueError(f"cyclotomic coefficient must be 4 integers, got {payload!r}")
-            e = _json_exponent(key)
-            for k, c in enumerate(payload):
-                if _coerce_int(c, ValueError):
-                    terms[8 * e + k] = c
-        return cls._make(terms)
-
 
 class LaurentInt(_Laurent):
     """An element of Z[x, x^-1]."""

@@ -268,6 +268,20 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
         assert ran == []
 
+    def test_empty_out_is_rejected_before_the_command(self, capsys,
+                                                      monkeypatch):
+        import tlblob.cli as cli
+
+        assert main(["verify-tl", "--n", "2", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out needs a file name, got ''\n"
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "verify-tl",
+                            lambda args: ran.append(args) or ({}, True))
+        assert main(["verify-tl", "--n", "2", "--out", ""]) == 2
+        assert ran == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that fails every write")
     def test_failed_write_is_error_exit_2(self, capsys):

@@ -500,6 +500,34 @@ class TestJsonValidation:
         obj["blobs"] = blobs[:1]
         assert diagram_to_json(diagram_from_json(obj))["blobs"] == [["t1", "b1"]]
 
+    @pytest.mark.parametrize("key", ["blobbed", "blob", "N"])
+    def test_unknown_key_is_value_error(self, key):
+        # A misspelled "blobs" must not drop the blobs without a word.
+        obj = {"n": 1, "m": 1, "pairs": [["t1", "b1"]], key: [["t1", "b1"]]}
+        with pytest.raises(ValueError, match=f"unexpected diagram key '{key}'"):
+            diagram_from_json(obj)
+
+    def test_unknown_key_in_a_file_is_usage_error(self, capsys, tmp_path):
+        from tlblob.cli import main
+
+        blob = BlobPairing(identity(1), frozenset({(0, 1)}))
+        misspelled = tmp_path / "misspelled.json"
+        misspelled.write_text(json.dumps({"n": 1, "m": 1, "pairs": [["t1", "b1"]],
+                                          "blobbed": [["t1", "b1"]]}))
+        assert main(["compose", str(misspelled), str(misspelled)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unexpected diagram key 'blobbed'" in captured.err
+        # The output of `compose` is still read as its diagram.
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(diagram_to_json(blob)))
+        assert main(["compose", str(good), str(good)]) == 0
+        composed = tmp_path / "composed.json"
+        composed.write_text(capsys.readouterr().out)
+        assert main(["compose", str(composed), str(good)]) == 0
+        assert json.loads(capsys.readouterr().out)["diagram"] == \
+            diagram_to_json(blob)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-2, 4), st.integers(-2, 4),
            st.lists(st.lists(st.one_of(st.text(max_size=3), st.sampled_from(

@@ -2,6 +2,7 @@ import pytest
 
 import tlblob.blobrep as blobrep_module
 import tlblob.faithful as faithful
+import tlblob.tlcert as tlcert
 import tlblob.walks as walks_module
 import tlblob.words as words_module
 from tlblob.blobrep import (
@@ -10,7 +11,7 @@ from tlblob.blobrep import (
     verify_rho0,
 )
 from tlblob.diagrams import BlobPairing, compose_blob, generator_u, identity
-from tlblob.rank import check_full_rank_witness, full_rank_witness, rank_exact
+from tlblob.rank import check_full_rank_witness, full_rank_witness
 from tlblob.reference import (
     OVERLAY_MENU,
     _structure_constant_failures,
@@ -18,6 +19,7 @@ from tlblob.reference import (
     enumerate_tl,
     f_map,
     leq,
+    rank_exact,
     tl_basis_word_table,
     verify_mask_independence,
     walk_from_string,
@@ -41,14 +43,13 @@ from tlblob.faithful import (
     _prefix_products,
     certify_mirror,
     certify_rho0,
-    prove_r_composition,
     rep_word_matrix,
     tl_word_matrix,
     triangularity_report,
     verify_r_composition,
-    verify_tl,
     verify_tl_faithful,
 )
+from tlblob.tlcert import prove_r_composition, verify_tl
 from tlblob.walks import Walk, WalkPair, enumerate_pairs, pair_word
 from tlblob.words import GenWord, WordEval, blob_basis_words, eval_word, \
     verify_presentation
@@ -466,8 +467,8 @@ class TestGeneratorStepProof:
         broken[diagram] = mats[diagram].scalar_mul(LaurentInt.from_int(2))
         monkeypatch.setattr(faithful, "_diagram_matrix_table",
                             lambda size: (diagrams, broken))
-        codes = faithful.r_matrix_codes
-        monkeypatch.setattr(faithful, "r_matrix_codes",
+        codes = tlcert.r_matrix_codes
+        monkeypatch.setattr(tlcert, "r_matrix_codes",
                             lambda d: None if d == diagram else codes(d))
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),

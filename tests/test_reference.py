@@ -1,9 +1,10 @@
 """The certificate commands never load ``tlblob.reference``, and the
 fallbacks that need it still give the same results.  ``import tlblob``
 loads no module of the package, each certificate command loads only the
-modules it runs, the package root serves every export from its home
-module, every module's ``__all__`` star-imports, and ``perfbench/traced.py``
-still sees every layer it wraps, the proof fallbacks included."""
+modules it runs (``certify-rho0`` and ``verify-blob`` no ``tlcert``), the
+package root serves every export from its home module, every module's
+``__all__`` star-imports, and ``perfbench/traced.py`` still sees every
+layer it wraps, the proof fallbacks included."""
 
 import ast
 import importlib
@@ -15,7 +16,7 @@ import sys
 import pytest
 
 import tlblob
-from tlblob import faithful
+from tlblob import faithful, tlcert
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -69,15 +70,15 @@ def test_forced_fallbacks_load_reference():
     # module on first use and gives the sweep's result.
     code = """
 import json, sys
-from tlblob import blobrep, faithful
+from tlblob import blobrep, tlcert
 from tlblob.diagrams import generator_u
 from tlblob.rings import BlobParams
 from tlblob.tensorrep import Rho0Config, rho0
 
 loaded = ['tlblob.reference' in sys.modules]
-codes, broken = faithful.r_matrix_codes, generator_u(1, 3)
-faithful.r_matrix_codes = lambda d: None if d == broken else codes(d)
-tl = faithful.prove_r_composition(3)
+codes, broken = tlcert.r_matrix_codes, generator_u(1, 3)
+tlcert.r_matrix_codes = lambda d: None if d == broken else codes(d)
+tl = tlcert.prove_r_composition(3)
 loaded.append('tlblob.reference' in sys.modules)
 images = rho0(Rho0Config(2, 1)).letter_images()
 two = next(iter(images["e"].entries.values())).from_int(2)
@@ -99,7 +100,7 @@ print(json.dumps({"loaded": loaded, "tl": tl, "blob": blob.to_json()}))
 
 def test_exact_rank_fallback():
     # A dependent family has no full-rank witness: Bareiss gives the rank.
-    _, _, vectors = faithful._pair_word_vectors(3)
+    _, _, vectors = tlcert._pair_word_vectors(3)
     assert faithful._certified_rank(vectors + [vectors[0]], 7) == \
         (5, "exact", None)
 
@@ -130,7 +131,7 @@ def test_unknown_names_still_raise():
 def test_traced_spans_resolve_on_their_modules():
     # perfbench/traced.py wraps these by (module, attribute).  Each resolves
     # there: defined in that module, or forwarded to the module that defines
-    # it now (``rings.rank_exact`` is ``rank.rank_exact``).
+    # it now (``rings.rank_exact`` is ``reference.rank_exact``).
     with open(TRACED, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     spans = next(ast.literal_eval(node.value) for node in tree.body
@@ -151,7 +152,7 @@ def test_traced_spans_resolve_on_their_modules():
 # The only names a module serves from another one: perfbench/traced.py
 # wraps them by these modules' names.  Module -> (home module, names).
 SPLIT = {
-    "tlblob.rings": ("tlblob.rank", ("rank_exact", "rank_modular")),
+    "tlblob.rings": ("tlblob.reference", ("rank_exact", "rank_modular")),
     "tlblob.faithful": ("tlblob.blobrep", ("verify_blob_representation",)),
 }
 
@@ -225,10 +226,53 @@ BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.diagrams",
     (["certify-rho0", "--n", "2", "--m", "1"], {"tlblob.faithful", "tlblob.rank"}),
     # No blob structure-constant proof.
     (["verify-tl", "--n", "3"], {"tlblob.faithful", "tlblob.rank",
-                                 "tlblob.walks"}),
+                                 "tlblob.tlcert", "tlblob.walks"}),
 ])
 def test_certificate_commands_load_only_their_modules(argv, extra):
     assert imported_modules(*argv) == BASE | extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-rho0", "--n", "3", "--m", "1"],
+    ["certify-rho0", "--n", "2", "--m", "-1"],
+    ["verify-blob", "--n", "3", "--m", "1"],
+    ["verify-blob", "--n", "1", "--m", "2"],
+])
+def test_mirror_and_blob_commands_leave_tlcert_unloaded(argv):
+    code = ("import contextlib, io, sys\n"
+            "from tlblob.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "print(status, sorted({'tlblob.tlcert', 'tlblob.reference'}"
+            " & set(sys.modules)))\n")
+    assert run_python(code, *argv) == "0 []\n"
+
+
+# Definitions moved off the modules ``certify-rho0`` loads:
+# (old module, new home, names).
+MOVED = [
+    ("tlblob.faithful", "tlblob.tlcert",
+     ("TriangularityReport", "prove_r_composition", "verify_tl",
+      "_pair_word_vectors", "_triangularity", "_is_walk",
+      "_prove_r_composition", "_tl_certificate")),
+    ("tlblob.rank", "tlblob.reference",
+     ("rank_exact", "rank_modular", "_row_cleanup")),
+    ("tlblob.cli", "tlblob.reference",
+     ("_load_diagram", "_cmd_enumerate", "_cmd_compose", "_cmd_rmatrix",
+      "_cmd_walkword", "_cmd_lattice")),
+]
+
+
+@pytest.mark.parametrize("old_name,home_name,names", MOVED)
+def test_moved_names_resolve_from_their_new_home(old_name, home_name, names):
+    old = importlib.import_module(old_name)
+    home = importlib.import_module(home_name)
+    for name in names:
+        obj = vars(home)[name]
+        assert obj.__module__ == home_name, name
+        assert name not in vars(old), name
+        if name in EXPORTED:
+            assert getattr(tlblob, name) is obj, name
 
 
 # perfbench/traced.py span calls (nonzero only) and counts, recorded before
@@ -281,11 +325,11 @@ spec.loader.exec_module(traced)
 tracer = traced.Tracer()
 tracer.install()
 
-from tlblob import blobrep, faithful
+from tlblob import blobrep, faithful, tlcert
 from tlblob.rings import BlobParams
 from tlblob.tensorrep import Rho0Config, rho0
 
-_, _, vectors = faithful._pair_word_vectors(3)
+_, _, vectors = tlcert._pair_word_vectors(3)
 rank = faithful._certified_rank(vectors + [vectors[0]], 7)
 images = rho0(Rho0Config(2, 1)).letter_images()
 two = next(iter(images["e"].entries.values())).from_int(2)

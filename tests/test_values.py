@@ -12,10 +12,11 @@ import pytest
 from tlblob import __version__
 from tlblob.blobrep import BlobRepReport
 from tlblob.diagrams import BlobPairing, CompositionResult, Pairing, identity
-from tlblob.faithful import FaithfulnessCertificate, TriangularityReport
+from tlblob.faithful import FaithfulnessCertificate
 from tlblob.reference import MaskIndependenceReport
 from tlblob.rings import LaurentInt
 from tlblob.tensorrep import Rho0Config, Rho0Rep, SparseRepMatrix, rho0
+from tlblob.tlcert import TriangularityReport
 from tlblob.walks import Walk, WalkPair
 from tlblob.words import GenWord, PresentationReport, WordEval
 
