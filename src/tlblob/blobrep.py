@@ -23,7 +23,7 @@ from math import comb
 from . import words
 from ._record import Record
 from .rings import BlobParams
-from .tensorrep import Placed, Rho0Config, _expanded, rho0_placed
+from .tensorrep import Rho0Config, _expanded, _on_union, _placed, rho0_placed
 from .words import eval_word
 
 __all__ = [
@@ -67,28 +67,28 @@ class BlobRepReport(Record):
 
 
 def _image_dimension(images):
-    dims = {(m.block if isinstance(m, Placed) else m).rows_log2
-            for m in images.values()}
+    dims = {_placed(m).block.rows_log2 for m in images.values()}
     if len(dims) != 1:
         raise ValueError("generator images must share one dimension")
     return dims.pop()
 
 
 def _blob_report(images, n, params, basis, failures, sign_normalized,
-                 scalars=None):
-    """The report; ``scalars`` are the empirical scalars when already known
-    (a relation check on images' own e and u1), else they are computed."""
+                 scalars=()):
+    """The report.  ``scalars`` holds the empirical scalars already known
+    from a relation check on images' own e and u1; each other one that
+    images define is computed on the factors e and u1 touch."""
     report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
                            failures=failures, sign_normalized=sign_normalized)
     report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
-    if scalars is not None:
-        report.empirical_scalars = dict(scalars)
-    elif "e" in images:
-        e = images["e"]
-        report.empirical_scalars["delta_e"] = e.mul(e).ratio_to(e)
-        if 1 in images:
-            u1 = images[1]
-            report.empirical_scalars["gamma"] = u1.mul(e).mul(u1).ratio_to(u1)
+    report.empirical_scalars = found = dict(scalars)
+    if "e" in images:
+        _, (e,) = _on_union(images["e"])
+        if "delta_e" not in found:
+            found["delta_e"] = e.mul(e).ratio_to(e)
+        if 1 in images and "gamma" not in found:
+            _, (u1, e) = _on_union(images[1], images["e"])
+            found["gamma"] = u1.mul(e).mul(u1).ratio_to(u1)
     return report
 
 
@@ -148,7 +148,7 @@ def _prove_blob(images, n, params, basis):
 
     The check is None when the basis table failed and the relations were
     never checked.  ``images`` may be ``Placed``; they are expanded to full
-    matrices only for a sweep or for scalars the relations did not compute.
+    matrices only for a sweep.
     Only a caller's table is checked: ``blob_basis_words`` builds a
     complete loop-free table by construction (README "Certification").
     """
@@ -164,14 +164,9 @@ def _prove_blob(images, n, params, basis):
         if blob:
             rep["e"] = images["e"]
         relations = words.verify_presentation(rep, n, params.delta, params)
-        # The relations computed the report's scalars from the same e and u1
-        # unless the table has no e or images hold a u1 the relations skip.
-        scalars = relations.empirical_scalars \
-            if blob and (n > 1 or 1 not in images) else None
         if relations.ok or relations.ok_with(params.sign_flipped()):
-            return _blob_report(images if scalars else _expanded(images), n,
-                                params, basis, [], not relations.ok,
-                                scalars), relations
+            return _blob_report(images, n, params, basis, [], not relations.ok,
+                                relations.empirical_scalars), relations
     from . import faithful  # the sweep's span in perfbench/traced.py
 
     return faithful.verify_blob_representation(_expanded(images), n, params,

@@ -18,6 +18,14 @@ image entry has no code or two summands meet at one position, the chain
 runs on ring elements instead, with the same packed keys.  Everything runs
 in one process.
 
+Generator images arrive as ``tensorrep.Placed`` blocks or full matrices,
+read through ``tensorrep._placed`` (a full matrix is a block on every
+factor); the chain entry expands each letter once.  ``certify_rho0``
+hands ``certify_mirror`` rho0's blocks: each mask is compared with the TL
+letter of ``_tl_letter_matrices(2n)`` on the factors the two touch, and
+each u_i is formed on its two windows (``tensorrep._on_union``), so the
+only 2^(2n)-square matrices are the letter images the chain multiplies.
+
 This module holds what ``certify-rho0`` runs: the chains, the certified
 rank and ``certify_mirror``.  The TL certificate's stages (the walk-pair
 build, triangularity, the composition proof and ``verify_tl``) live in
@@ -47,6 +55,8 @@ from .tensorrep import (
     SparseRepMatrix,
     SummandCollision,
     _expanded,
+    _on_union,
+    _placed,
     _placed_local,
     mask_eq,
     Rho0Config,
@@ -106,7 +116,7 @@ def _prefix_products(start, words, images):
 
 def _rep_word_matrices(words, images, dim_log2, ring):
     return _prefix_products(SparseRepMatrix.identity(dim_log2, ring),
-                            words, images)
+                            words, _expanded(images))
 
 
 def rep_word_matrix(word, images, dim_log2, ring):
@@ -115,18 +125,18 @@ def rep_word_matrix(word, images, dim_log2, ring):
 
 
 def tl_word_matrix(word):
-    return rep_word_matrix(word, _expanded(_tl_letter_matrices(word.n)), word.n,
-                           "laurent")
+    return rep_word_matrix(word, _tl_letter_matrices(word.n), word.n, "laurent")
 
 
 def _word_vectors(words, images, dim_log2, ring):
     """Each word's matrix as a vector {row << dim_log2 | col: entry}.
 
-    The entries are codes (``CodedMatrix``) when every image entry is a
-    signed unit monomial and no product position gets two summands; else
-    they are ring elements from ``_rep_word_matrices``.
+    Each image is expanded to its full matrix once, here.  The entries
+    are codes (``CodedMatrix``) when every image entry is a signed unit
+    monomial and no product position gets two summands; else they are ring
+    elements from ``_rep_word_matrices``.
     """
-    words = list(words)
+    words, images = list(words), _expanded(images)
     coded = {letter: CodedMatrix.from_matrix(m) for letter, m in images.items()}
     if all(m is not None for m in coded.values()):
         try:
@@ -233,35 +243,42 @@ def verify_r_composition(n):
 def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     """Certify a blob representation given by masks of mirrored generators.
 
+    The images are ``Placed`` blocks or full matrices on 2n factors.
     ``factored_u`` maps i -> (X_i, Y_i); the definition constrains the two
-    factors separately, so they are checked against the shifted-index
-    generator matrices at positions -i and +i before the product is formed.
-    On mask success the basis words are evaluated through the representation
-    and their certified rank must reach the blob diagram count.
+    factors separately, so each is checked against the shifted-index
+    generator at position -i or +i, the TL letter at n - i or n + i, before
+    the product is formed.  A mask is compared on the factors the image
+    and the letter touch, and X_i Y_i on the factors of its two windows
+    (``tensorrep._on_union``).  On mask success the basis words are
+    evaluated through the representation and their certified rank must
+    reach the blob diagram count.
     """
     total = 2 * n
-    if set(factored_u) != set(range(1, n)):
-        raise ValueError(f"generator images must cover indices 1..{n - 1}")
-    mats = [e_matrix]
+    if n < 1 or set(factored_u) != set(range(1, n)):
+        raise ValueError(f"n must be >= 1, with images for indices 1..{n - 1}")
+    mats = [_placed(e_matrix)]
     for factors in factored_u.values():
-        mats.extend(factors)
+        mats.extend(map(_placed, factors))
     for mat in mats:
-        if (mat.rows_log2, mat.cols_log2) != (total, total):
+        if (mat.block.rows_log2, mat.block.cols_log2) != (total, total):
             raise ValueError(f"matrices must act on {total} tensor factors")
+    letters = _tl_letter_matrices(total)
 
-    def shifted(j):
-        return tensorrep.r_matrix(generator_u(j, total, "shifted"))
+    def mask_ok(image, j):
+        _, (a, b) = _on_union(image, letters[n + j])
+        return mask_eq(a, b)
 
-    checks = [{"name": "e", "ok": mask_eq(e_matrix, shifted(0))}]
+    checks = [{"name": "e", "ok": mask_ok(e_matrix, 0)}]
     images = {"e": e_matrix}
     for i, (x_i, y_i) in sorted(factored_u.items()):
-        checks.append({"name": f"u{i}_left", "ok": mask_eq(x_i, shifted(-i))})
-        checks.append({"name": f"u{i}_right", "ok": mask_eq(y_i, shifted(i))})
-        images[i] = x_i.mul(y_i)
+        checks.append({"name": f"u{i}_left", "ok": mask_ok(x_i, -i)})
+        checks.append({"name": f"u{i}_right", "ok": mask_ok(y_i, i)})
+        bits, (x, y) = _on_union(x_i, y_i)
+        images[i] = tensorrep.Placed(bits, x.mul(y))
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
         vectors = _word_vectors(words.blob_basis_words(n).values(), images,
-                                total, e_matrix.ring)
+                                total, mats[0].block.ring)
         rank, method, witness = _certified_rank(vectors, seed, total)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,
@@ -269,5 +286,6 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
 
 
 def certify_rho0(n, m, seed=DEFAULT_SEED):
-    rep = tensorrep.rho0(Rho0Config(n, m))
-    return certify_mirror(rep.e, rep.u_factors, n, seed=seed)
+    """certify_mirror on rho0(n, m)'s blocks (``tensorrep._rho0_placed``)."""
+    images, factors = tensorrep._rho0_placed(Rho0Config(n, m))
+    return certify_mirror(images["e"], factors, n, seed=seed)

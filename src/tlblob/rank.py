@@ -172,9 +172,11 @@ def _column_key(col):
 def check_full_rank_witness(vectors, witness):
     """True iff ``witness`` proves that ``vectors`` have full rank.
 
-    Checks the prime, that x is a unit and a a root of a^4 + 1 mod p, that
-    the pivots are one distinct column per vector, and that the minor on
-    those columns is nonzero mod p.  Accepts a witness read back from JSON.
+    Checks that p, x, a and every pivot (or each part of a tuple pivot)
+    are ints, not bools; the prime; that x is a unit and a a root of
+    a^4 + 1 mod p; that the pivots are one distinct column per vector; and
+    that the minor on those columns is nonzero mod p.  Accepts a witness
+    read back from JSON.
     """
     vecs = list(vectors)
     try:
@@ -183,7 +185,9 @@ def check_full_rank_witness(vectors, witness):
         one_per_vector = len(set(pivots)) == len(pivots) == len(vecs)
     except (KeyError, TypeError):  # missing field, or an unhashable column
         return False
-    if not one_per_vector or not all(type(v) is int for v in (p, x_val, a_val)):
+    parts = [k for c in pivots for k in (c if type(c) is tuple else (c,))]
+    if not one_per_vector or \
+            not all(type(v) is int for v in (p, x_val, a_val, *parts)):
         return False
     if p != _MODULAR_PRIME or x_val % p == 0 or pow(a_val, 4, p) != p - 1:
         return False

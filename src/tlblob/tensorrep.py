@@ -16,6 +16,12 @@ certificate word chains run on ``CodedMatrix``: entries are the ints of
 ``rings._unit_code`` under packed keys row << dim_log2 | col.
 
 ``Placed`` holds an image as a block on a few factors tensored with I.
+It is the one form in which generator images travel from their build to a
+certificate.  ``_placed`` reads a full matrix as a block on every factor,
+and ``_on_union`` puts several images on the union of their supports,
+where products and comparisons are exact; ``_expanded`` gives the full
+matrices a word chain multiplies.  ``rho0``, ``Rho0Rep`` and
+``place_local`` build full matrices for library callers.
 """
 
 from ._record import Record
@@ -338,10 +344,25 @@ class Placed(Record):
         return self.on((1 << self.block.rows_log2) - 1)
 
 
+def _placed(image):
+    """image as a ``Placed``: a full matrix is a block on every factor."""
+    return image if isinstance(image, Placed) else \
+        Placed((1 << image.rows_log2) - 1, image)
+
+
+def _on_union(*images):
+    """(bits, blocks): the union of the images' supports, and each image
+    on it.  (A(x)I)(B(x)I) = AB(x)I and X(x)I = Y(x)I iff X = Y, so a
+    product or comparison made on the blocks holds for the full matrices."""
+    bits = 0
+    for m in images:
+        bits |= _placed(m).support
+    return bits, [_placed(m).on(bits) for m in images]
+
+
 def _expanded(images):
-    """images with each ``Placed`` image replaced by its full matrix."""
-    return {k: m.expand() if isinstance(m, Placed) else m
-            for k, m in images.items()}
+    """images with each image replaced by its full matrix."""
+    return {k: _placed(m).expand() for k, m in images.items()}
 
 
 def _placed_local(local, i, total, sign=-1):
@@ -391,10 +412,12 @@ class Rho0Config(Record):
 
 
 class Rho0Rep(Record):
-    """Generator images of rho0 on 2n tensor factors.
+    """Generator images of rho0 on 2n tensor factors, as full matrices.
 
     ``u_factors`` keeps the two placements of each cup-cap image separately;
     mirror certification constrains the factors, not just their product.
+    ``certify_rho0`` reads the same images as blocks (``_rho0_placed``);
+    this expanded form is kept for library callers.
     """
 
     __slots__ = ("config", "e", "u_factors", "u")

@@ -27,7 +27,7 @@ from math import comb
 from . import faithful, walks, words
 from ._record import Record
 from .rings import quantum_integer
-from .tensorrep import _expanded, index_to_seq, r_matrix_codes, seq_to_index
+from .tensorrep import index_to_seq, r_matrix_codes, seq_to_index
 
 __all__ = ["TriangularityReport", "prove_r_composition", "verify_tl"]
 
@@ -43,7 +43,7 @@ def _pair_word_vectors(n):
     pairs = walks.enumerate_pairs(n)
     word_list = [walks.pair_word(p) for p in pairs]
     return pairs, word_list, faithful._word_vectors(
-        word_list, _expanded(faithful._tl_letter_matrices(n)), n, "laurent")
+        word_list, faithful._tl_letter_matrices(n), n, "laurent")
 
 
 def _is_walk(seq):

@@ -15,7 +15,7 @@ from math import comb
 
 from ._record import Record
 from .diagrams import BlobPairing, Pairing, _absolute_index
-from .tensorrep import Placed
+from .tensorrep import Placed, _on_union, _placed
 
 __all__ = [
     "GenWord",
@@ -228,8 +228,7 @@ def verify_presentation(rep, n, delta, blob_params=None):
     if set(idx) != set(range(1, n)):
         raise ValueError(f"generator images must be indexed 1..{n - 1} "
                          f"(and optionally 'e'), got {sorted(map(repr, idx))}")
-    placed = {k: m if isinstance(m, Placed) else Placed((1 << m.rows_log2) - 1, m)
-              for k, m in rep.items()}
+    placed = {k: _placed(m) for k, m in rep.items()}
     shapes = {(p.block.rows_log2, p.block.cols_log2, p.block.ring)
               for p in placed.values()}
     if len(shapes) > 1 or any(r != c for r, c, _ in shapes):
@@ -238,40 +237,34 @@ def verify_presentation(rep, n, delta, blob_params=None):
     violations = []
     empirical = {}
 
-    def on_union(*keys):
-        bits = 0
-        for k in keys:
-            bits |= placed[k].support
-        return bits, [placed[k].on(bits) for k in keys]
-
     def check(name, bits, lhs, rhs):
         if lhs != rhs:
             violations.append((name, Placed(bits, lhs.sub(rhs))))
 
     def commute(name, x, y):
         if placed[x].support & placed[y].support:
-            bits, (a, b) = on_union(x, y)
+            bits, (a, b) = _on_union(placed[x], placed[y])
             check(name, bits, a.mul(b), b.mul(a))
 
     for i in idx:
-        bits, (u,) = on_union(i)
+        bits, (u,) = _on_union(placed[i])
         check(f"u{i}.u{i} = delta u{i}", bits, u.mul(u), u.scalar_mul(delta))
         for j in idx:
             if abs(i - j) == 1:
-                bits, (u, v) = on_union(i, j)
+                bits, (u, v) = _on_union(placed[i], placed[j])
                 check(f"u{i} u{j} u{i} = u{i}", bits, u.mul(v).mul(u), u)
             elif i != j:
                 commute(f"u{i} u{j} = u{j} u{i}", i, j)
     if "e" in rep:
         if blob_params is None:
             raise ValueError("blob relations need blob parameters")
-        bits, (e,) = on_union("e")
+        bits, (e,) = _on_union(placed["e"])
         ee = e.mul(e)
         empirical["delta_e"] = ee.ratio_to(e)
         check(_SCALAR_RELATIONS["delta_e"], bits, ee,
               e.scalar_mul(blob_params.delta_e))
         if 1 in rep:
-            bits, (u1, e) = on_union(1, "e")
+            bits, (u1, e) = _on_union(placed[1], placed["e"])
             ueu = u1.mul(e).mul(u1)
             empirical["gamma"] = ueu.ratio_to(u1)
             check(_SCALAR_RELATIONS["gamma"], bits, ueu,

@@ -2,6 +2,7 @@ import pytest
 
 import tlblob.blobrep as blobrep_module
 import tlblob.faithful as faithful
+import tlblob.tensorrep as tensorrep
 import tlblob.tlcert as tlcert
 import tlblob.walks as walks_module
 import tlblob.words as words_module
@@ -30,6 +31,7 @@ from tlblob.tensorrep import (
     Placed,
     Rho0Config,
     SparseRepMatrix,
+    _rho0_placed,
     index_to_seq,
     r_matrix,
     rho0,
@@ -58,6 +60,18 @@ from tlblob.words import GenWord, WordEval, blob_basis_words, eval_word, \
 def scaled(letter, c):
     """A ``Placed`` image with its block multiplied by the ring element c."""
     return Placed(letter.support, letter.block.scalar_mul(c))
+
+
+def mirror_inputs(n, m=1):
+    """rho0(n, m)'s (e, {i: (X_i, Y_i)}) as blocks, then as full matrices."""
+    images, factors = _rho0_placed(Rho0Config(n, m))
+    rep = rho0(Rho0Config(n, m))
+    return [(images["e"], factors), (rep.e, rep.u_factors)]
+
+
+def times(image, c):
+    """c times a ``Placed`` image or a full matrix, in the same form."""
+    return scaled(image, c) if isinstance(image, Placed) else image.scalar_mul(c)
 
 
 def fold_word(start, word, images):
@@ -404,20 +418,22 @@ class TestExactnessGuard:
         assert not cert.valid and cert.method == "exact"
 
     def test_scaled_blob_image(self, monkeypatch):
+        # The same certificate from e's block and from its full matrix.
         n = 2
         rep = rho0(Rho0Config(n, 1))
-        e = rep.e.scalar_mul(CycloLaurent.from_int(2))
-        builds = count_calls(monkeypatch, "_rep_word_matrices")
-        cert = certify_mirror(e, rep.u_factors, n)
-        assert len(builds) == 1
-        images = {"e": e, **rep.u}
+        two = CycloLaurent.from_int(2)
+        images = {"e": rep.e.scalar_mul(two), **rep.u}
         rank, method, witness = _certified_rank(
             ring_vectors(blob_basis_words(n).values(), images, 2 * n, "cyclo"),
             DEFAULT_SEED)
-        assert cert.dumps() == FaithfulnessCertificate(
-            n=n, basis_size=6, rank=rank, method=method,
-            mask_checks=cert.mask_checks, witness=witness).dumps()
-        assert cert.valid and all(c["ok"] for c in cert.mask_checks)
+        for e, factors in mirror_inputs(n):
+            builds = count_calls(monkeypatch, "_rep_word_matrices")
+            cert = certify_mirror(times(e, two), factors, n)
+            assert len(builds) == 1
+            assert cert.dumps() == FaithfulnessCertificate(
+                n=n, basis_size=6, rank=rank, method=method,
+                mask_checks=cert.mask_checks, witness=witness).dumps()
+            assert cert.valid and all(c["ok"] for c in cert.mask_checks)
 
 
 class TestMaskIndependence:
@@ -814,25 +830,83 @@ class TestMirror:
         assert all(c["ok"] for c in cert.mask_checks)
 
     def test_identity_blob_image_fails_mask(self):
-        rep = rho0(Rho0Config(2, 1))
         wrong_e = SparseRepMatrix.identity(4, "cyclo")
-        cert = certify_mirror(wrong_e, rep.u_factors, 2)
+        certs = [certify_mirror(wrong_e, factors, 2)
+                 for _, factors in mirror_inputs(2)]
+        assert certs[0].to_json() == certs[1].to_json()
+        cert = certs[0]
         assert not cert.valid
         assert any(c["name"] == "e" and not c["ok"] for c in cert.mask_checks)
         assert cert.method == "masks-only"
 
     def test_missing_factor_rejected(self):
-        rep = rho0(Rho0Config(3, 1))
-        broken = dict(rep.u_factors)
-        del broken[2]
-        with pytest.raises(ValueError):
-            certify_mirror(rep.e, broken, 3)
+        for e, factors in mirror_inputs(3):
+            broken = dict(factors)
+            del broken[2]
+            with pytest.raises(ValueError):
+                certify_mirror(e, broken, 3)
 
     def test_shape_mismatch_rejected(self):
-        rep = rho0(Rho0Config(2, 1))
         small = SparseRepMatrix.identity(2, "cyclo")
+        for _, factors in mirror_inputs(2):
+            with pytest.raises(ValueError):
+                certify_mirror(small, factors, 2)
+
+    def test_empty_frame_rejected(self):
         with pytest.raises(ValueError):
-            certify_mirror(small, rep.u_factors, 2)
+            certify_mirror(SparseRepMatrix.identity(0, "cyclo"), {}, 0)
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6)
+                                     for m in range(-1, 4)])
+    def test_blocks_and_full_matrices_give_one_certificate(self, n, m):
+        (e, factors), (full_e, full_factors) = mirror_inputs(n, m)
+        cert = certify_mirror(e, factors, n)
+        assert cert.valid
+        assert cert.to_json() == \
+            certify_mirror(full_e, full_factors, n).to_json()
+        if n <= 3:  # the two forms mixed
+            assert certify_mirror(full_e, factors, n).to_json() == \
+                cert.to_json() == certify_mirror(e, full_factors, n).to_json()
+
+    @pytest.mark.parametrize("broken", ["e-on-u1-left", "e-times-zero",
+                                        "u2-factors-swapped", "u1-right-moved"])
+    def test_broken_inputs_give_one_certificate(self, broken):
+        n = 3
+        certs = []
+        for e, factors in mirror_inputs(n):
+            factors = dict(factors)
+            if broken == "e-on-u1-left":
+                e = factors[1][0]
+            elif broken == "e-times-zero":
+                e = times(e, CycloLaurent.from_int(0))
+            elif broken == "u2-factors-swapped":
+                factors[2] = factors[2][::-1]
+            else:
+                factors[1] = (factors[1][0], factors[2][1])
+            certs.append(certify_mirror(e, factors, n))
+        assert certs[0].to_json() == certs[1].to_json()
+        assert not certs[0].valid and certs[0].method == "masks-only"
+        assert not all(c["ok"] for c in certs[0].mask_checks)
+
+    def test_certify_rho0_builds_no_full_generator(self, monkeypatch):
+        # Full 2^(2n)-square images would hold 4^(n-1) or more entries, and
+        # a mask reference built by r_matrix would act on 2n strands.
+        largest, strands = [], []
+        mul, r_matrix = SparseRepMatrix.mul, tensorrep.r_matrix
+
+        def counted_mul(a, b):
+            largest.append(max(a.nnz(), b.nnz()))
+            return mul(a, b)
+
+        def counted_r_matrix(d, *args, **kwargs):
+            strands.append(d.n)
+            return r_matrix(d, *args, **kwargs)
+        monkeypatch.setattr(SparseRepMatrix, "mul", counted_mul)
+        monkeypatch.setattr(tensorrep, "r_matrix", counted_r_matrix)
+        faithful._tl_letter_matrices.cache_clear()
+        assert certify_rho0(5, 1).valid
+        assert largest and max(largest) <= 16
+        assert strands == [2]
 
     def test_certificate_reproducible(self):
         assert certify_rho0(2, 2).dumps() == certify_rho0(2, 2).dumps()
@@ -1072,3 +1146,18 @@ class TestFullRankWitness:
         vectors, w = family
         for bad in (None, {}, dict(w, x="1"), dict(w, p=True), dict(w, pivots=[[[0]]] * 5)):
             assert not check_full_rank_witness(vectors, bad)
+        # Pivots equal to the right ones but not ints: floats, and True in
+        # place of 1.
+        floats = [[float(r), float(c)] for r, c in w["pivots"]]
+        bools = [[True if k == 1 else k for k in c] for c in w["pivots"]]
+        assert any(True in c for c in bools)
+        for pivots in (floats, bools):
+            assert not check_full_rank_witness(vectors, dict(w, pivots=pivots))
+        # Packed int columns, as the certificate chains key them.
+        _, _, packed = tlcert._pair_word_vectors(3)
+        w = full_rank_witness(packed, seed=7)
+        assert check_full_rank_witness(packed, w) and 0 in w["pivots"]
+        for pivots in ([float(c) for c in w["pivots"]],
+                       [False if c == 0 else c for c in w["pivots"]],
+                       [(c,) for c in w["pivots"]]):
+            assert not check_full_rank_witness(packed, dict(w, pivots=pivots))

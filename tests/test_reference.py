@@ -285,9 +285,9 @@ TRACED_CASES = [
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 40,
       "cli.output_bytes": 348}),
     (["certify-rho0", "--n", "2", "--m", "1"],
-     {"tensorrep.SparseRepMatrix.mul": 2, "tensorrep.r_matrix": 3,
-      "tensorrep.rho0": 1, "faithful.certify_mirror": 1,
-      "words.blob_basis_words": 1, "cli.dumps_canonical": 1},
+     {"tensorrep.SparseRepMatrix.mul": 2, "tensorrep.r_matrix": 1,
+      "faithful.certify_mirror": 1, "words.blob_basis_words": 1,
+      "cli.dumps_canonical": 1},
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 32,
       "cli.output_bytes": 331}),
     (["verify-blob", "--n", "2", "--m", "2"],

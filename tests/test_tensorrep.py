@@ -489,7 +489,7 @@ class TestPlaced:
         assert {k: p.expand() for k, p in placed.items()} == rep.letter_images()
         assert max(p.block.nnz() for p in placed.values()) <= 16
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_tl_letter_blocks_expand_to_r_matrices(self, n):
         letters = _tl_letter_matrices(n)
         assert sorted(letters) == list(range(1, n))
@@ -497,6 +497,12 @@ class TestPlaced:
             assert letter.support == 3 << (n - 1 - i)
             assert letter.block.nnz() == 4
             assert letter.expand() == r_matrix(generator_u(i, n))
+        # The mirror certificate's mask references: shifted index j is the
+        # letter at n // 2 + j.
+        if n % 2 == 0:
+            for j in range(1 - n // 2, n // 2):
+                assert letters[n // 2 + j].expand() == \
+                    r_matrix(generator_u(j, n, "shifted"))
 
 
 class TestRho0:
