@@ -100,12 +100,14 @@ def verify_blob_representation(images, n, params, basis=None):
     fails as stated but passes with (gamma, delta_e) globally negated (the
     twist that sends the blob generator to its negative), the report says so
     and is considered passing; the empirically observed scalars are recorded
-    next to the configured ones either way.
+    next to the configured ones either way.  ``images`` may be ``Placed``:
+    the sweep expands them to full matrices.
     """
     from .reference import _basis_images, _structure_constant_failures
 
     if basis is None:
         basis = words.blob_basis_words(n)
+    images = _expanded(images)
     rep_of = _basis_images(images, basis)
     failures, refailures = _structure_constant_failures(rep_of, basis, images,
                                                         params)
@@ -147,8 +149,7 @@ def _prove_blob(images, n, params, basis):
     """(prove_blob_representation's report, the stated relation check).
 
     The check is None when the basis table failed and the relations were
-    never checked.  ``images`` may be ``Placed``; they are expanded to full
-    matrices only for a sweep.
+    never checked.  ``images`` may be ``Placed``.
     Only a caller's table is checked: ``blob_basis_words`` builds a
     complete loop-free table by construction (README "Certification").
     """
@@ -169,8 +170,8 @@ def _prove_blob(images, n, params, basis):
                                 relations.empirical_scalars), relations
     from . import faithful  # the sweep's span in perfbench/traced.py
 
-    return faithful.verify_blob_representation(_expanded(images), n, params,
-                                               basis), relations
+    sweep = faithful.verify_blob_representation(images, n, params, basis)
+    return sweep, relations
 
 
 def verify_rho0(n, m):

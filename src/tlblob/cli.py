@@ -13,10 +13,16 @@ workbench subcommands' handlers live in ``reference``, which no
 certificate command loads.  The functions ``perfbench/traced.py`` wraps
 are called through their modules (``rings.dumps_canonical(...)``), looked
 up when the call runs.
+
+A well-formed command line, a subcommand followed by ``--option value``
+pairs, is parsed by ``_parse_fast`` without argparse.  Any other (help,
+``--version``, ``--n=3``, abbreviations, flags, positionals, a value that
+its type rejects) goes to the argparse parser of ``_build_parser``, which
+prints every usage, help and error message.  Both read one declaration
+table, ``_COMMON`` and ``_SUBCOMMANDS``, and only ``_build_parser`` and a
+failing ``--jobs`` import argparse, so a certificate command never loads it.
 """
 
-import argparse
-import json
 import os
 import sys
 
@@ -26,8 +32,52 @@ from . import DEFAULT_SEED, __version__
 def _positive_int(text):
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        from argparse import ArgumentTypeError  # only here: a usage error
+
+        raise ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+# The options every subcommand takes, then each subcommand's help and own
+# arguments: flag (or positional name) -> its ``add_argument`` keywords.
+# Both parsers read this table: ``_build_parser`` passes the keywords to
+# argparse, ``_parse_fast`` reads type, choices, required and default
+# (so a store_true flag spells out its default False).
+_COMMON = {
+    "--out": {"help": "write JSON here instead of stdout"},
+    "--seed": {"type": int, "default": DEFAULT_SEED,
+               "help": "seed for the modular rank witness (default %(default)s)"},
+    "--jobs": {"type": _positive_int, "default": 1,
+               "help": "accepted for compatibility (N >= 1); every command"
+                       " runs in one process, so it changes neither the"
+                       " work nor the output"},
+}
+_N = {"type": int, "required": True}
+_M = {"type": int, "default": 1, "help": "weight exponent (default 1)"}
+_SUBCOMMANDS = {
+    "enumerate": ("list diagrams", {
+        "--n": _N,
+        "--m": {"type": int, "help": "southern node count (default n)"},
+        "--blob": {"action": "store_true", "default": False,
+                   "help": "blob diagrams on (n,n)"},
+    }),
+    "compose": ("compose two diagram JSON files", {"left": {}, "right": {}}),
+    "rmatrix": ("tensor-space matrix of a diagram", {
+        "--file": {"help": "diagram JSON file"},
+        "--n": {"type": int, "help": "ambient size for --u"},
+        "--u": {"type": int, "help": "generator index instead of a file"},
+        "--convention": {"choices": ("standard", "shifted"), "default": "standard"},
+    }),
+    "walkword": ("generator word of a walk pair", {
+        "--a": {"required": True, "help": "left walk, e.g. 112"},
+        "--b": {"required": True, "help": "right walk, e.g. 121"},
+    }),
+    "lattice": ("walk-pair order as JSON edges", {"--n": _N}),
+    "verify-tl": ("triangularity, composition identity and rank", {"--n": _N}),
+    "verify-blob": ("structure constants of the blob tensor rep",
+                    {"--n": _N, "--m": _M}),
+    "certify-rho0": ("mirror-mask and rank certificate", {"--n": _N, "--m": _M}),
+}
 
 
 def _build_parser(argv):
@@ -39,8 +89,10 @@ def _build_parser(argv):
     Options go to that subcommand only, or to all when it is missing or
     unknown.
     """
+    import argparse  # only here: a well-formed command line never needs it
+
     words = [w for w in argv if not w.startswith("-")]
-    wanted = words[0] if words and words[0] in _COMMANDS else None
+    wanted = words[0] if words and words[0] in _SUBCOMMANDS else None
     parser = argparse.ArgumentParser(
         prog="tlblob",
         description="Exact diagram-algebra workbench: enumeration, composition,"
@@ -48,54 +100,57 @@ def _build_parser(argv):
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help):
+    for name, (help, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
-        if wanted not in (None, name):
-            return None
-        p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for the modular rank witness (default %(default)s)")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="accepted for compatibility (N >= 1); every command"
-                            " runs in one process, so it changes neither the"
-                            " work nor the output")
-        return p
-
-    if p := command("enumerate", "list diagrams"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, help="southern node count (default n)")
-        p.add_argument("--blob", action="store_true", help="blob diagrams on (n,n)")
-
-    if p := command("compose", "compose two diagram JSON files"):
-        p.add_argument("left")
-        p.add_argument("right")
-
-    if p := command("rmatrix", "tensor-space matrix of a diagram"):
-        p.add_argument("--file", help="diagram JSON file")
-        p.add_argument("--n", type=int, help="ambient size for --u")
-        p.add_argument("--u", type=int, help="generator index instead of a file")
-        p.add_argument("--convention", choices=("standard", "shifted"),
-                       default="standard")
-
-    if p := command("walkword", "generator word of a walk pair"):
-        p.add_argument("--a", required=True, help="left walk, e.g. 112")
-        p.add_argument("--b", required=True, help="right walk, e.g. 121")
-
-    if p := command("lattice", "walk-pair order as JSON edges"):
-        p.add_argument("--n", type=int, required=True)
-
-    if p := command("verify-tl", "triangularity, composition identity and rank"):
-        p.add_argument("--n", type=int, required=True)
-
-    if p := command("verify-blob", "structure constants of the blob tensor rep"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=1, help="weight exponent (default 1)")
-
-    if p := command("certify-rho0", "mirror-mask and rank certificate"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=1, help="weight exponent (default 1)")
+        if wanted in (None, name):
+            for flag, keywords in {**_COMMON, **options}.items():
+                p.add_argument(flag, **keywords)
     return parser
+
+
+class _Args:
+    """The parsed command line: one attribute per option, as argparse's."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
+def _parse_fast(argv):
+    """argv's arguments as ``_build_parser(argv).parse_args(argv)`` gives
+    them, or None when argv needs argparse.
+
+    Taken here: a subcommand followed only by ``--option value`` pairs,
+    each option an exact long option of that subcommand that stores one
+    value, each value without a leading "-" unless it is "-" and ASCII
+    digits (argparse reads both as values), converted by the option's type
+    and within its choices, and every required option given.  Everything
+    else (help, --version, --n=3, abbreviations, flags, positionals, a
+    value its type rejects) goes to argparse, which prints every usage,
+    help and error message.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in _SUBCOMMANDS:
+        return None
+    options = {**_COMMON, **_SUBCOMMANDS[argv[0]][1]}
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        keywords = options.get(flag)
+        if keywords is None or not flag.startswith("--") or "action" in keywords:
+            return None
+        if text.startswith("-") and not (text[1:].isascii() and text[1:].isdigit()):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse reports it, or raises it again
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = {"command": argv[0]}
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required", not flag.startswith("-")):
+            return None  # a positional is required too
+        values[flag[2:]] = given.get(flag, keywords.get("default"))
+    return _Args(**values)
 
 
 def _workbench(args):
@@ -180,16 +235,17 @@ def _check_out(path):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if not exc.code else int(exc.code)
+    args = _parse_fast(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return 0 if not exc.code else int(exc.code)
     try:
         if args.out is not None:
             _check_out(args.out)
         payload, ok = _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not a falsified claim: never exit 1
@@ -219,10 +275,10 @@ def run():
     Runs ``main()`` with the cyclic garbage collector off, then freezes the
     heap so that the collections run at interpreter shutdown skip it, and
     returns the exit code.  In a one-shot command the collector frees
-    nothing useful: temporaries go by reference counting, the cyclic
-    garbage a command leaves is a constant few hundred objects (mostly the
-    argument parser) whatever its size, and each collection walks the
-    long-lived basis tables again.  Nothing in tlblob relies on collection:
+    nothing useful: temporaries go by reference counting, a command leaves
+    cyclic garbage only when argparse parsed it (a constant few hundred
+    objects, the parser's, whatever its size), and each collection walks
+    the long-lived basis tables again.  Nothing in tlblob relies on collection:
     it defines no ``__del__``, weakref callback or ``atexit`` handler, and
     ``with`` blocks close its files.  Callers inside a process (tests, the
     benchmark's tracer, library users) call ``main`` and keep their

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tlblob.cli import main
+from tlblob.cli import _COMMON, _SUBCOMMANDS, _build_parser, _parse_fast, main
 from tlblob.diagrams import generator_u, identity
 from tlblob.reference import diagram_to_json, matrix_to_json
 from tlblob.tensorrep import r_matrix
@@ -303,6 +306,10 @@ class TestParserPruning:
         ["verify-tl", "--help"],
         ["certify-rho0", "--help"],
         ["rmatrix", "--n", "3", "--u", "1", "--convention", "x"],
+        # Declined by the fast path, so argparse reports them.
+        ["verify-tl", "--n", "3", "--m", "1"],
+        ["certify-rho0", "--n", "3", "--jobs", "0"],
+        ["certify-rho0", "--n", "3", "--out", "-h"],
     ])
     def test_matches_full_parser(self, capsys, argv):
         from tlblob.cli import _build_parser
@@ -312,6 +319,15 @@ class TestParserPruning:
         full = (exc.value.code or 0, capsys.readouterr())
         assert (main(argv), capsys.readouterr()) == full
 
+    @pytest.mark.parametrize("argv,same", [
+        (["verify-tl", "--n=3"], ["verify-tl", "--n", "3"]),
+        (["verify-tl", "--n", "3", "--se", "7"],
+         ["verify-tl", "--n", "3", "--seed", "7"]),
+    ])
+    def test_forms_only_argparse_reads(self, capsys, argv, same):
+        assert _parse_fast(argv) is None
+        assert run(capsys, *argv) == run(capsys, *same)
+
     def test_other_subcommands_have_no_options(self):
         from tlblob.cli import _build_parser
 
@@ -319,6 +335,57 @@ class TestParserPruning:
         assert parser.parse_args(["verify-tl", "--n", "3"]).n == 3
         with pytest.raises(SystemExit):
             parser.parse_args(["certify-rho0", "--n", "3"])
+
+
+# Tokens for command lines the fast path must parse as argparse does, or
+# decline: every subcommand's arguments, forms only argparse reads, and
+# values that argparse and int() read in their own ways.
+ARGUMENTS = sorted({*_COMMON, *(a for _, options in _SUBCOMMANDS.values()
+                                for a in options)})
+OTHER_TOKENS = ["-h", "--help", "--version", "--n=3", "--se", "--co", "--"]
+VALUES = ["3", "-1", "-", "-x", "1_0", " 3", "\u0663", "\u00b2", "", "1.5",
+          "0", "shifted"]
+
+
+@st.composite
+def command_lines(draw):
+    """A first word, its required options and some of its others in any
+    order, each with a value, then sometimes any tokens."""
+    first = draw(st.sampled_from([*_SUBCOMMANDS, "bogus", *OTHER_TOKENS]))
+    own = {**_COMMON, **_SUBCOMMANDS.get(first, ("", {}))[1]}
+    value = st.sampled_from(VALUES) | st.just("2")
+    pairs = [(a, draw(value)) for a, keywords in own.items() if keywords.get("required")]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(list(own)), value), max_size=3))
+    other = st.lists(st.sampled_from(ARGUMENTS + OTHER_TOKENS + VALUES),
+                     min_size=1, max_size=3)
+    tail = draw(st.just([]) | other)
+    return [first, *(t for p in draw(st.permutations(pairs)) for t in p), *tail]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_fast_path_parses_as_argparse_or_declines(argv):
+    fast = _parse_fast(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            full = vars(_build_parser(argv).parse_args(argv))
+    except SystemExit:
+        assert fast is None
+    else:
+        assert fast is None or vars(fast) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-tl", "--n", "5"],
+    ["verify-blob", "--n", "3", "--m", "2", "--seed", "11", "--jobs", "2"],
+    ["certify-rho0", "--n", "3", "--m", "-1", "--out", "cert.json"],
+    ["enumerate", "--n", "3"],
+    ["rmatrix", "--n", "2", "--u", "1", "--convention", "shifted"],
+    ["walkword", "--b", "12", "--a", "12", "--a", "112"],
+])
+def test_fast_path_takes_well_formed_command_lines(argv):
+    assert vars(_parse_fast(argv)) == vars(_build_parser(argv).parse_args(argv))
 
 
 class TestWitnessOutput:
@@ -354,8 +421,9 @@ def test_import_skips_slow_stdlib_modules():
     # from importing them on their own.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
+    # argparse (with gettext) and json load only when a command needs them.
     code = "import sys, tlblob.cli; print(sorted({'dataclasses', 'inspect', " \
-        "'fractions'} & set(sys.modules)))"
+        "'fractions', 'argparse', 'gettext', 'json'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"

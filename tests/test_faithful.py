@@ -780,6 +780,16 @@ class TestPlacedImages:
             assert got.failures == want.failures
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep_takes_blocks(self, n):
+        params = BlobParams.integral_form(1, cyclo=True)
+        placed = rho0_placed(Rho0Config(n, 1))
+        got = verify_blob_representation(placed, n, params)
+        want = verify_blob_representation(tensorrep._expanded(placed), n, params)
+        assert got.to_json() == want.to_json()
+        assert got.failures == want.failures
+
+
 class TestOneRelationPass:
     """One stated relation check decides the sign-flipped relations too."""
 

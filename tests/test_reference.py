@@ -1,10 +1,11 @@
 """The certificate commands never load ``tlblob.reference``, and the
 fallbacks that need it still give the same results.  ``import tlblob``
 loads no module of the package, each certificate command loads only the
-modules it runs (``certify-rho0`` and ``verify-blob`` no ``tlcert``), the
-package root serves every export from its home module, every module's
-``__all__`` star-imports, and ``perfbench/traced.py`` still sees every
-layer it wraps, the proof fallbacks included."""
+modules it runs (``certify-rho0`` and ``verify-blob`` no ``tlcert``, and
+none of them ``argparse``), the package root serves every export from its
+home module, every module's ``__all__`` star-imports, and
+``perfbench/traced.py`` still sees every layer it wraps, the proof
+fallbacks included."""
 
 import ast
 import importlib
@@ -205,14 +206,19 @@ def test_import_tlblob_loads_no_submodule():
     assert run_python(code) == "[]\n"
 
 
-def imported_modules(*args):
-    """tlblob modules that ``python -X importtime -m tlblob *args`` loads."""
+def loaded_modules(*args):
+    """Modules that ``python -X importtime -m tlblob *args`` loads."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tlblob",
                            *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and "tlblob" in line}
+            if line.startswith("import time:")}
+
+
+def imported_modules(*args):
+    """tlblob modules that ``python -X importtime -m tlblob *args`` loads."""
+    return {m for m in loaded_modules(*args) if "tlblob" in m}
 
 
 BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.diagrams",
@@ -230,6 +236,18 @@ BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.diagrams",
 ])
 def test_certificate_commands_load_only_their_modules(argv, extra):
     assert imported_modules(*argv) == BASE | extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-tl", "--n", "3"],
+    ["verify-blob", "--n", "3", "--m", "2"],
+    ["certify-rho0", "--n", "3", "--m", "1"],
+    ["certify-rho0", "--n", "2", "--m", "-1"],
+])
+def test_certificate_commands_never_load_argparse(argv):
+    # cli parses a well-formed command line itself; argparse, with gettext
+    # behind it, loads only for help, --version and usage errors.
+    assert not {"argparse", "gettext"} & loaded_modules(*argv)
 
 
 @pytest.mark.parametrize("argv", [
