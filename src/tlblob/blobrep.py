@@ -3,10 +3,11 @@ presentation.
 
 ``verify-blob`` runs this module alone: ``verify_rho0`` checks the blob
 relations on ``rho0``'s generator images, held as blocks on the tensor
-factors they act on (``tensorrep.Placed``), and the default basis table is
-complete and loop free by construction, so the relations prove the
-structure constants for every basis pair.  A caller's table is folded
-again (``_is_loop_free_table``).  When the relations fail in both sign
+factors they act on (``tensorrep.Placed``), and the default basis, the
+words of ``words._search``, is complete and loop free by construction, so
+the relations prove the structure constants for every basis pair; no
+diagram is built.  A caller's table is folded again
+(``_is_loop_free_table``).  When the relations fail in both sign
 conventions, or the table is not complete and loop free,
 ``prove_blob_representation`` returns the exhaustive sweep's report
 (``verify_blob_representation``; its per-pair checks live in
@@ -73,12 +74,12 @@ def _image_dimension(images):
     return dims.pop()
 
 
-def _blob_report(images, n, params, basis, failures, sign_normalized,
+def _blob_report(images, n, params, basis_size, failures, sign_normalized,
                  scalars=()):
     """The report.  ``scalars`` holds the empirical scalars already known
     from a relation check on images' own e and u1; each other one that
     images define is computed on the factors e and u1 touch."""
-    report = BlobRepReport(n=n, pairs_checked=len(basis) ** 2,
+    report = BlobRepReport(n=n, pairs_checked=basis_size ** 2,
                            failures=failures, sign_normalized=sign_normalized)
     report.expected_scalars = {"gamma": params.gamma, "delta_e": params.delta_e}
     report.empirical_scalars = found = dict(scalars)
@@ -114,7 +115,8 @@ def verify_blob_representation(images, n, params, basis=None):
     sign_normalized = bool(failures) and not refailures
     if sign_normalized:
         failures = []
-    return _blob_report(images, n, params, basis, failures, sign_normalized)
+    return _blob_report(images, n, params, len(basis), failures,
+                        sign_normalized)
 
 
 def _is_loop_free_table(basis, n):
@@ -150,15 +152,18 @@ def _prove_blob(images, n, params, basis):
 
     The check is None when the basis table failed and the relations were
     never checked.  ``images`` may be ``Placed``.
-    Only a caller's table is checked: ``blob_basis_words`` builds a
-    complete loop-free table by construction (README "Certification").
+    Only a caller's table is checked.  The default basis is
+    ``words._search``'s, complete and loop free by construction (README
+    "Certification"): only its states are counted, and the sweep builds the
+    diagram table itself.
     """
     own_table = basis is None
     if own_table:
-        basis = words.blob_basis_words(n)
+        blob, size = True, sum(1 for _ in words._search(n))
+    else:
+        blob = any("e" in w.letters for w in basis.values())
+        size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
     _image_dimension(images)  # images of two sizes raise, as in the sweep
-    blob = any("e" in w.letters for w in basis.values())
-    size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
     relations = None
     if own_table or len(basis) == size and _is_loop_free_table(basis, n):
         rep = {i: images[i] for i in range(1, n)}
@@ -166,7 +171,7 @@ def _prove_blob(images, n, params, basis):
             rep["e"] = images["e"]
         relations = words.verify_presentation(rep, n, params.delta, params)
         if relations.ok or relations.ok_with(params.sign_flipped()):
-            return _blob_report(images, n, params, basis, [], not relations.ok,
+            return _blob_report(images, n, params, size, [], not relations.ok,
                                 relations.empirical_scalars), relations
     from . import faithful  # the sweep's span in perfbench/traced.py
 

@@ -7,12 +7,14 @@ bytes; the seed is echoed in every payload that could involve randomness.
 
 Each command handler imports the code it runs, so a command loads only its
 own modules.  Beyond the modules every command loads, ``verify-tl`` adds
-``faithful``, ``rank``, ``walks`` and ``tlcert``, ``certify-rho0`` only
-``faithful`` and ``rank``, and ``verify-blob`` only ``blobrep``.  The
-workbench subcommands' handlers live in ``reference``, which no
-certificate command loads.  The functions ``perfbench/traced.py`` wraps
-are called through their modules (``rings.dumps_canonical(...)``), looked
-up when the call runs.
+``faithful``, ``rank``, ``walks``, ``tlcert`` and ``diagrams``,
+``certify-rho0`` only ``faithful`` and ``rank``, and ``verify-blob`` only
+``blobrep``: ``diagrams`` loads only for ``verify-tl`` and the workbench
+subcommands, whose handlers live in ``reference``, which no certificate
+command loads.  No certificate command loads ``json`` either:
+``rings.dumps_canonical`` writes the output.  The functions
+``perfbench/traced.py`` wraps are called through their modules
+(``rings.dumps_canonical(...)``), looked up when the call runs.
 
 A well-formed command line, a subcommand followed by ``--option value``
 pairs, is parsed by ``_parse_fast`` without argparse.  Any other (help,

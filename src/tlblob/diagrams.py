@@ -157,27 +157,12 @@ def identity(n):
     return Pairing(n, n, tuple((i, n + i) for i in range(n)))
 
 
-def _absolute_index(j, n, convention):
-    if n < 2:
-        raise ValueError(f"n = {n} has no generators: they need n >= 2")
-    if convention == "standard":
-        if not 1 <= j <= n - 1:
-            raise ValueError(f"generator index {j} out of range 1..{n - 1}")
-        return j
-    if convention == "shifted":
-        if n % 2:
-            raise ValueError("shifted convention needs an even ambient size")
-        half = n // 2
-        if not -half + 1 <= j <= half - 1:
-            raise ValueError(f"shifted index {j} out of range {-half + 1}..{half - 1}")
-        return half + j
-    raise ValueError(f"unknown index convention {convention!r}")
-
-
 def generator_u(j, n, convention="standard"):
     """The cup-cap generator joining neighbours j, j+1 on both boundaries."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    from .words import _absolute_index
+
     k = _absolute_index(j, n, convention)
     pairs = [(k - 1, k), (n + k - 1, n + k)]
     pairs += [(i, n + i) for i in range(n) if i not in (k - 1, k)]

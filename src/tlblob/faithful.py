@@ -47,7 +47,6 @@ from math import comb
 
 from . import DEFAULT_SEED, __version__, _forwarder, rings, tensorrep, words
 from ._record import Record
-from .diagrams import generator_u
 from .rank import check_full_rank_witness, full_rank_witness
 from .rings import dumps_canonical
 from .tensorrep import (
@@ -81,8 +80,11 @@ __all__ = [
 
 @lru_cache(maxsize=32)
 def _tl_letter_matrices(n):
-    """R(u_i) for i in 1..n-1, as R(u_1) on 2 strands placed at (i, i+1)."""
-    block = tensorrep.r_matrix(generator_u(1, 2))
+    """R(u_i) for i in 1..n-1, as R(u_1) on 2 strands placed at (i, i+1).
+
+    R(u_1) on 2 strands is the cup-cap block at q = x^2.
+    """
+    block = tensorrep.local_u_matrix(None, rings.LaurentInt.x_power(2))
     return {i: _placed_local(block, i, n, sign=1) for i in range(1, n)}
 
 
@@ -277,8 +279,8 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
         images[i] = tensorrep.Placed(bits, x.mul(y))
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
-        vectors = _word_vectors(words.blob_basis_words(n).values(), images,
-                                total, mats[0].block.ring)
+        vectors = _word_vectors(words._basis_words(n), images, total,
+                                mats[0].block.ring)
         rank, method, witness = _certified_rank(vectors, seed, total)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,

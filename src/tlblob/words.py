@@ -8,13 +8,19 @@ position n/2 + i, so index 0 sits at the middle of the frame).
 
 Evaluating a word folds its letters into one (blob) diagram while counting
 every discarded feature; a word is loop free when nothing was discarded.
+
+The blob basis comes from one breadth-first search over partner arrays
+(``_search``): each state is a diagram's partner array with its blob flags,
+checked by an O(n) scan (``_is_blob_state``) before it counts.  The
+certificates read its words in order (``_basis_words``) and build no
+diagram; ``blob_basis_words`` turns the same states into ``BlobPairing``
+keys, and only it and ``eval_word`` load ``tlblob.diagrams``.
 """
 
 from collections import deque
 from math import comb
 
 from ._record import Record
-from .diagrams import BlobPairing, Pairing, _absolute_index
 from .tensorrep import Placed, _on_union, _placed
 
 __all__ = [
@@ -24,6 +30,24 @@ __all__ = [
     "blob_basis_words",
     "verify_presentation",
 ]
+
+
+def _absolute_index(j, n, convention):
+    """The standard index 1..n-1 of letter j in its convention."""
+    if n < 2:
+        raise ValueError(f"n = {n} has no generators: they need n >= 2")
+    if convention == "standard":
+        if not 1 <= j <= n - 1:
+            raise ValueError(f"generator index {j} out of range 1..{n - 1}")
+        return j
+    if convention == "shifted":
+        if n % 2:
+            raise ValueError("shifted convention needs an even ambient size")
+        half = n // 2
+        if not -half + 1 <= j <= half - 1:
+            raise ValueError(f"shifted index {j} out of range {-half + 1}..{half - 1}")
+        return half + j
+    raise ValueError(f"unknown index convention {convention!r}")
 
 
 class GenWord(Record):
@@ -128,44 +152,90 @@ def _stack(partner, blob, n, a):
 
 def _partner_diagram(partner, blob, n):
     """The blob diagram of a partner array and its blob flags."""
+    from .diagrams import BlobPairing, Pairing
+
     pairs = [(i, j) for i, j in enumerate(partner) if i < j]
     return BlobPairing(Pairing(n, n, pairs), [p for p in pairs if blob[p[0]]])
 
 
-def blob_basis_words(n):
-    """One loop-free word per blob diagram, found by breadth-first search.
+def _is_blob_state(partner, blob, n):
+    """Whether a partner array with blob flags is a blob diagram on (n, n).
 
-    Right-multiplication by the generators (fixed order: e, U_1, ..,
-    U_{n-1}) extends the frontier; an extension survives only when the
-    stacked letter discards nothing (``_stack`` on the frontier diagram's
-    partner array, so a diagram is built only when it is new).  First word
-    found wins, so the table is deterministic.  Completeness over all
-    (2n)!/(n!n!) diagrams is checked: an incomplete search raises
-    RuntimeError.
+    ``BlobPairing``'s checks in one O(n) scan of the frame order t1..tn,
+    bn..b1.  partner must be a fixed-point-free involution.  Each node
+    closes its line when its partner is the innermost open end and opens it
+    otherwise, so no two lines cross exactly when every line is closed at
+    the end.  A blobbed line must have both ends flagged and open when no
+    line is open, i.e. be exposed.
+    """
+    size = 2 * n
+    if len(partner) != size or len(blob) != size:
+        return False
+    open_ends = []
+    for i in (*range(n), *range(size - 1, n - 1, -1)):
+        j = partner[i]
+        if not 0 <= j < size or j == i or partner[j] != i or blob[j] != blob[i]:
+            return False
+        if open_ends and open_ends[-1] == j:
+            open_ends.pop()
+        elif blob[i] and open_ends:
+            return False
+        else:
+            open_ends.append(i)
+    return not open_ends
+
+
+def _search(n):
+    """Yield (partner, blob, letters) for each blob diagram on n strands.
+
+    Breadth first from the identity: right-multiplication by the generators
+    (fixed order: e, U_1, .., U_{n-1}) extends the frontier, and an
+    extension survives only when the stacked letter discards nothing
+    (``_stack`` on the partner array).  Each state comes with the first word
+    that reached it, so the order is deterministic, and only after
+    ``_is_blob_state`` accepts it: a state that is no blob diagram raises
+    RuntimeError.  So does a search that ends short of all (2n)!/(n!n!)
+    diagrams, the states counted being validated ones.
     """
     if n < 1:
         raise ValueError("the blob letter needs n >= 1")
     letters = [("e", None)] + [(i, n + i - 1) for i in range(1, n)]
     partner, blob = [*range(n, 2 * n), *range(n)], [False] * (2 * n)
-    table = {_partner_diagram(partner, blob, n): GenWord((), n)}
-    seen = {(*partner, *blob)}
+    seen = {bytes(partner + blob)}
     queue = deque([(partner, blob, ())])
+    found = 0
     while queue:
-        partner, blob, word = queue.popleft()
+        state = partner, blob, word = queue.popleft()
+        if not _is_blob_state(partner, blob, n):
+            raise RuntimeError(f"basis search reached a non-diagram: "
+                               f"partner {partner}, blob {blob}")
+        found += 1
+        yield state
         for letter, a in letters:
             p, b = partner[:], blob[:]
             if _stack(p, b, n, a):
                 continue
-            state = (*p, *b)
-            if state not in seen:
-                seen.add(state)
-                longer = word + (letter,)
-                table[_partner_diagram(p, b, n)] = GenWord(longer, n)
-                queue.append((p, b, longer))
+            key = bytes(p + b)
+            if key not in seen:
+                seen.add(key)
+                queue.append((p, b, word + (letter,)))
     expected = comb(2 * n, n)
-    if len(table) != expected:
-        raise RuntimeError(f"basis search incomplete: {len(table)}/{expected}")
-    return table
+    if found != expected:
+        raise RuntimeError(f"basis search incomplete: {found}/{expected}")
+
+
+def _basis_words(n):
+    """``blob_basis_words(n)``'s words in the same order, no diagram built."""
+    return [GenWord(word, n) for _, _, word in _search(n)]
+
+
+def blob_basis_words(n):
+    """One loop-free word per blob diagram, {BlobPairing: GenWord}.
+
+    The states of ``_search``, in its order, keyed by their diagrams.
+    """
+    return {_partner_diagram(p, b, n): GenWord(word, n)
+            for p, b, word in _search(n)}
 
 
 # The two blob relations with a scalar side, by the parameter they name.

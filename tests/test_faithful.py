@@ -899,8 +899,8 @@ class TestMirror:
         assert not all(c["ok"] for c in certs[0].mask_checks)
 
     def test_certify_rho0_builds_no_full_generator(self, monkeypatch):
-        # Full 2^(2n)-square images would hold 4^(n-1) or more entries, and
-        # a mask reference built by r_matrix would act on 2n strands.
+        # Full 2^(2n)-square images would hold 4^(n-1) or more entries; the
+        # mask references are the local cup-cap block, so no r_matrix runs.
         largest, strands = [], []
         mul, r_matrix = SparseRepMatrix.mul, tensorrep.r_matrix
 
@@ -916,7 +916,7 @@ class TestMirror:
         faithful._tl_letter_matrices.cache_clear()
         assert certify_rho0(5, 1).valid
         assert largest and max(largest) <= 16
-        assert strands == [2]
+        assert strands == []
 
     def test_certificate_reproducible(self):
         assert certify_rho0(2, 2).dumps() == certify_rho0(2, 2).dumps()

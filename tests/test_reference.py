@@ -221,18 +221,19 @@ def imported_modules(*args):
     return {m for m in loaded_modules(*args) if "tlblob" in m}
 
 
-BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.diagrams",
-        "tlblob.rings", "tlblob.tensorrep", "tlblob.words"}
+BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.rings",
+        "tlblob.tensorrep", "tlblob.words"}
 
 
 @pytest.mark.parametrize("argv,extra", [
     # No walks, faithful or rank: the relations and the table are the proof.
+    # No diagrams: the table is the search's words on partner arrays.
     (["verify-blob", "--n", "3", "--m", "2"], {"tlblob.blobrep"}),
-    # No walks: the blob basis comes from words.
+    # No walks or diagrams: the blob basis words come from words.
     (["certify-rho0", "--n", "2", "--m", "1"], {"tlblob.faithful", "tlblob.rank"}),
     # No blob structure-constant proof.
-    (["verify-tl", "--n", "3"], {"tlblob.faithful", "tlblob.rank",
-                                 "tlblob.tlcert", "tlblob.walks"}),
+    (["verify-tl", "--n", "3"], {"tlblob.diagrams", "tlblob.faithful",
+                                 "tlblob.rank", "tlblob.tlcert", "tlblob.walks"}),
 ])
 def test_certificate_commands_load_only_their_modules(argv, extra):
     assert imported_modules(*argv) == BASE | extra
@@ -248,6 +249,17 @@ def test_certificate_commands_never_load_argparse(argv):
     # cli parses a well-formed command line itself; argparse, with gettext
     # behind it, loads only for help, --version and usage errors.
     assert not {"argparse", "gettext"} & loaded_modules(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-tl", "--n", "3"],
+    ["verify-blob", "--n", "3", "--m", "2"],
+    ["certify-rho0", "--n", "3", "--m", "1"],
+])
+def test_certificate_commands_never_load_json(argv):
+    # rings.dumps_canonical writes the JSON itself.
+    assert not {m for m in loaded_modules(*argv)
+                if m in ("json", "_json") or m.startswith("json.")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,19 +309,18 @@ def test_moved_names_resolve_from_their_new_home(old_name, home_name, names):
 # the per-command split; the split must not hide a call from the tracer.
 TRACED_CASES = [
     (["verify-tl", "--n", "3"],
-     {"tensorrep.SparseRepMatrix.mul": 6, "tensorrep.r_matrix": 1,
+     {"tensorrep.SparseRepMatrix.mul": 6,
       "words.verify_presentation": 1, "walks.pair_word": 5,
       "walks.enumerate_pairs": 1, "cli.dumps_canonical": 1},
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 40,
       "cli.output_bytes": 348}),
     (["certify-rho0", "--n", "2", "--m", "1"],
-     {"tensorrep.SparseRepMatrix.mul": 2, "tensorrep.r_matrix": 1,
-      "faithful.certify_mirror": 1, "words.blob_basis_words": 1,
+     {"tensorrep.SparseRepMatrix.mul": 2, "faithful.certify_mirror": 1,
       "cli.dumps_canonical": 1},
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 32,
       "cli.output_bytes": 331}),
     (["verify-blob", "--n", "2", "--m", "2"],
-     {"tensorrep.SparseRepMatrix.mul": 5, "words.blob_basis_words": 1,
+     {"tensorrep.SparseRepMatrix.mul": 5,
       "words.verify_presentation": 1, "cli.dumps_canonical": 1},
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 68,
       "cli.output_bytes": 322}),

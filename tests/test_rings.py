@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tlblob.rings import (
     BlobParams,
@@ -27,7 +27,7 @@ from tlblob.reference import (
     rank_exact,
     rank_modular,
 )
-from tlblob.rings import _code_element, _unit_code
+from tlblob.rings import _code_element, _unit_code, dumps_canonical
 
 X = LaurentInt.x_power(1)
 Q = LaurentInt.x_power(2)
@@ -550,3 +550,34 @@ class TestStrictElementJson:
         assert obj["ring"] == value.ring
         again = element_from_json(obj)
         assert again == value and type(again) is type(value)
+
+
+# Strings from all of Unicode: controls, '"', '\\', DEL, lone surrogates
+# and characters outside the BMP.
+json_text = st.text(st.characters(blacklist_categories=()))
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=12)
+
+
+class TestCanonicalJson:
+    """dumps_canonical writes what json.dumps writes, without json."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_payloads)
+    @example({'"\\\x7f\x00\x1f\u2028\ud800\U0001f600': ["\b\f\n\r\t", (1, -2)],
+              "": [True, False, None, 10 ** 30]})
+    def test_matches_json_dumps(self, obj):
+        assert dumps_canonical(obj) == \
+            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        1.5, 0.0, {"x": [float("nan")]}, {1, 2}, frozenset(), b"x",
+        bytearray(b"x"), {1: "one"}, {None: 0}, {("a",): 0}, {"a": {2.0: 0}},
+    ])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            dumps_canonical(obj)

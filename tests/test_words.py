@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_faithful import VARIANTS, image_variant, scaled
 
+from tlblob.blobrep import verify_rho0
 from tlblob.diagrams import (
     BlobPairing,
+    Pairing,
     blob_e,
     compose_blob,
     generator_u,
@@ -17,7 +19,8 @@ from tlblob.reference import f_map, format_word, parse_word, reflect
 from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, quantum_integer
 from tlblob.tensorrep import Placed, Rho0Config, SparseRepMatrix, r_matrix, \
     rho0, rho0_placed
-from tlblob.words import _SCALAR_RELATIONS, PresentationReport
+from tlblob.words import _SCALAR_RELATIONS, PresentationReport, \
+    _basis_words, _is_blob_state, _partner_diagram, _search
 from tlblob.words import (
     GenWord,
     WordEval,
@@ -193,6 +196,80 @@ class TestBasisWords:
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert "RuntimeError: basis search incomplete" in proc.stderr
+
+
+def as_blob_pairing(partner, blob, n):
+    """The BlobPairing whose partner array and blob flags these are, or None
+    when BlobPairing rejects them or they are not its arrays."""
+    lines = {tuple(sorted(p)) for p in enumerate(partner)}
+    flagged = {tuple(sorted((i, partner[i]))) for i in range(2 * n) if blob[i]}
+    try:
+        diagram = BlobPairing(Pairing(n, n, lines), flagged)
+    except ValueError:
+        return None
+    flags = [any(i in line for line in diagram.blobbed) for i in range(2 * n)]
+    if diagram.base.match != dict(enumerate(partner)) or flags != list(blob):
+        return None
+    return diagram
+
+
+# A BlobPairing's arrays with one fault each, on n = 2 (nodes t1 t2 b1 b2,
+# frame order t1 t2 b2 b1).
+FAULTY_STATES = {
+    "crossing": ([3, 2, 1, 0], [False] * 4),  # t1-b2 crosses t2-b1
+    "blob on a covered line": ([2, 3, 0, 1], [False, True, False, True]),
+    "one end flagged": ([2, 3, 0, 1], [True, False, False, False]),
+    "fixed point": ([0, 3, 2, 1], [False] * 4),
+}
+
+
+class TestBasisSearchGuards:
+    """Every state of the basis search is scanned (``_is_blob_state``) and
+    agrees with what BlobPairing accepts."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_state_passes_the_scan_and_builds(self, n):
+        found = 0
+        for partner, blob, word in _search(n):
+            assert _is_blob_state(partner, blob, n)
+            diagram = as_blob_pairing(partner, blob, n)
+            assert diagram == _partner_diagram(partner, blob, n)
+            assert eval_word(GenWord(word, n)).diagram == diagram
+            found += 1
+        assert found == comb(2 * n, n)
+
+    def test_fault_free_arrays_pass(self):
+        assert _is_blob_state([2, 3, 0, 1], [True, False, True, False], 2)
+        assert as_blob_pairing([2, 3, 0, 1], [True, False, True, False], 2)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTY_STATES))
+    def test_faulty_arrays_fail_both_checks(self, fault):
+        partner, blob = FAULTY_STATES[fault]
+        assert not _is_blob_state(partner, blob, 2)
+        assert as_blob_pairing(partner, blob, 2) is None
+
+    def test_a_crossing_step_raises(self, monkeypatch):
+        import tlblob.words as words
+
+        stack = words._stack
+
+        def crossing_stack(partner, blob, n, a):
+            discarded = stack(partner, blob, n, a)
+            if partner[0] == n and partner[1] == n + 1:
+                # t1-b1 and t2-b2 become t1-b2 and t2-b1, which cross.
+                partner[0], partner[1], partner[n], partner[n + 1] = n + 1, n, 1, 0
+                blob[n], blob[n + 1] = blob[n + 1], blob[n]
+            return discarded
+        monkeypatch.setattr(words, "_stack", crossing_stack)
+        for build in (_basis_words, blob_basis_words):
+            with pytest.raises(RuntimeError, match="non-diagram"):
+                build(3)
+        with pytest.raises(RuntimeError, match="non-diagram"):
+            verify_rho0(3, 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_default_words_are_the_table_words(self, n):
+        assert _basis_words(n) == list(blob_basis_words(n).values())
 
 
 class TestFMap:
