@@ -48,7 +48,7 @@ _EXPORTS = {
                  "blob_e", "compose_blob", "compose_tl", "exposed_lines",
                  "generator_u", "identity"),
     "words": ("words", "GenWord", "blob_basis_words", "eval_word",
-              "verify_presentation"),
+              "format_word", "verify_presentation"),
     "walks": ("walks", "Walk", "WalkPair", "enumerate_pairs", "enumerate_walks",
               "lower_at", "pair_word"),
     "tensorrep": ("tensorrep", "Rho0Config", "Rho0Rep", "SparseRepMatrix",
@@ -61,7 +61,7 @@ _EXPORTS = {
     "blobrep": ("prove_blob_representation", "verify_blob_representation",
                 "verify_rho0"),
     "reference": ("cut", "enumerate_blob", "enumerate_tl", "propagating_number",
-                  "reflect", "f_map", "format_word", "parse_word", "hasse_edges",
+                  "reflect", "f_map", "parse_word", "hasse_edges",
                   "leq", "linear_extension", "raise_at", "rank_exact",
                   "rank_modular", "tl_basis_word_table",
                   "verify_mask_independence"),

@@ -20,7 +20,8 @@ A well-formed command line, a subcommand followed by ``--option value``
 pairs, is parsed by ``_parse_fast`` without argparse.  Any other (help,
 ``--version``, ``--n=3``, abbreviations, flags, positionals, a value that
 its type rejects) goes to the argparse parser of ``_build_parser``, which
-prints every usage, help and error message.  Both read one declaration
+registers every subcommand with all its options and prints every usage,
+help and error message.  Both read one declaration
 table, ``_COMMON`` and ``_SUBCOMMANDS``, and only ``_build_parser`` and a
 failing ``--jobs`` import argparse, so a certificate command never loads it.
 """
@@ -82,19 +83,10 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv):
-    """The CLI parser, with options only for the subcommand ``argv`` names.
-
-    Every subcommand is registered with its help, so usage, help and an
-    invalid choice read the same; the command is the first word of ``argv``
-    without a leading "-" (the top level has no option taking a value).
-    Options go to that subcommand only, or to all when it is missing or
-    unknown.
-    """
+def _build_parser():
+    """The argparse parser: every subcommand with its help and options."""
     import argparse  # only here: a well-formed command line never needs it
 
-    words = [w for w in argv if not w.startswith("-")]
-    wanted = words[0] if words and words[0] in _SUBCOMMANDS else None
     parser = argparse.ArgumentParser(
         prog="tlblob",
         description="Exact diagram-algebra workbench: enumeration, composition,"
@@ -104,9 +96,8 @@ def _build_parser(argv):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
-        if wanted in (None, name):
-            for flag, keywords in {**_COMMON, **options}.items():
-                p.add_argument(flag, **keywords)
+        for flag, keywords in {**_COMMON, **options}.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -118,7 +109,7 @@ class _Args:
 
 
 def _parse_fast(argv):
-    """argv's arguments as ``_build_parser(argv).parse_args(argv)`` gives
+    """argv's arguments as ``_build_parser().parse_args(argv)`` gives
     them, or None when argv needs argparse.
 
     Taken here: a subcommand followed only by ``--option value`` pairs,
@@ -240,7 +231,7 @@ def main(argv=None):
     args = _parse_fast(argv)
     if args is None:
         try:
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if not exc.code else int(exc.code)
     try:

@@ -22,9 +22,10 @@ Generator images arrive as ``tensorrep.Placed`` blocks or full matrices,
 read through ``tensorrep._placed`` (a full matrix is a block on every
 factor); the chain entry expands each letter once.  ``certify_rho0``
 hands ``certify_mirror`` rho0's blocks: each mask is compared with the TL
-letter of ``_tl_letter_matrices(2n)`` on the factors the two touch, and
-each u_i is formed on its two windows (``tensorrep._on_union``), so the
-only 2^(2n)-square matrices are the letter images the chain multiplies.
+letter of ``_tl_letter_matrices(2n)`` on the factors the two touch
+(``tensorrep._on_union``), and each u_i is formed once, on its two
+windows (``tensorrep._window_product``), so the only 2^(2n)-square
+matrices are the letter images the chain multiplies.
 
 This module holds what ``certify-rho0`` runs: the chains, the certified
 rank and ``certify_mirror``.  The TL certificate's stages (the walk-pair
@@ -42,7 +43,6 @@ looked up when the call runs, so a wrapper installed after this module
 loaded is still reached.
 """
 
-from functools import lru_cache
 from math import comb
 
 from . import DEFAULT_SEED, __version__, _forwarder, rings, tensorrep, words
@@ -57,6 +57,7 @@ from .tensorrep import (
     _on_union,
     _placed,
     _placed_local,
+    _window_product,
     mask_eq,
     Rho0Config,
 )
@@ -78,7 +79,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=32)
 def _tl_letter_matrices(n):
     """R(u_i) for i in 1..n-1, as R(u_1) on 2 strands placed at (i, i+1).
 
@@ -224,7 +224,6 @@ def verify_tl_faithful(n, seed=DEFAULT_SEED):
     return _tl_certificate(n, seed, _pair_word_vectors(n))
 
 
-@lru_cache(maxsize=16)
 def _diagram_matrix_table(n):
     from .reference import enumerate_tl
 
@@ -251,7 +250,7 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     generator at position -i or +i, the TL letter at n - i or n + i, before
     the product is formed.  A mask is compared on the factors the image
     and the letter touch, and X_i Y_i on the factors of its two windows
-    (``tensorrep._on_union``).  On mask success the basis words are
+    (``tensorrep._window_product``).  On mask success the basis words are
     evaluated through the representation and their certified rank must
     reach the blob diagram count.
     """
@@ -275,8 +274,7 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     for i, (x_i, y_i) in sorted(factored_u.items()):
         checks.append({"name": f"u{i}_left", "ok": mask_ok(x_i, -i)})
         checks.append({"name": f"u{i}_right", "ok": mask_ok(y_i, i)})
-        bits, (x, y) = _on_union(x_i, y_i)
-        images[i] = tensorrep.Placed(bits, x.mul(y))
+        images[i] = _window_product(x_i, y_i)
     rank, method, witness = 0, "masks-only", None
     if all(c["ok"] for c in checks):
         vectors = _word_vectors(words._basis_words(n), images, total,
@@ -289,5 +287,5 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
 
 def certify_rho0(n, m, seed=DEFAULT_SEED):
     """certify_mirror on rho0(n, m)'s blocks (``tensorrep._rho0_placed``)."""
-    images, factors = tensorrep._rho0_placed(Rho0Config(n, m))
-    return certify_mirror(images["e"], factors, n, seed=seed)
+    e, factors = tensorrep._rho0_placed(Rho0Config(n, m))
+    return certify_mirror(e, factors, n, seed=seed)

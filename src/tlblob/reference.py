@@ -512,10 +512,6 @@ def parse_word(text, n, convention="standard"):
     return GenWord(tuple(letters), n, convention)
 
 
-def format_word(word):
-    return " ".join("e" if l == "e" else f"u{l}" for l in word.letters)
-
-
 # -- tensorrep and rings: JSON forms, product diagnostics --------------------
 
 def product_summand_counts(a, b):
@@ -672,7 +668,7 @@ def _cmd_walkword(args):
     word = walks.pair_word(pair)
     ev = words.eval_word(word)
     payload = {
-        "word": format_word(word),
+        "word": words.format_word(word),
         "diagram": diagram_to_json(ev.tl_diagram),
         "loop_free": ev.loop_free,
     }

@@ -176,7 +176,8 @@ class _Laurent:
 
         Every key moves by ``key``; a sum with a-part k >= 4 folds to
         -a^(k-4).  No two terms merge: their a-parts differ by less than 4.
-        ``SparseRepMatrix.mul`` calls this directly for one-term entries.
+        ``*`` calls this when either operand has one term, so every matrix
+        product with a unit monomial entry takes it.
         """
         if key & 7:
             out = {}

@@ -25,7 +25,7 @@ matrices a word chain multiplies.  ``rho0``, ``Rho0Rep`` and
 """
 
 from ._record import Record
-from .rings import RINGS, CycloInt, CycloLaurent, LaurentInt, _unit_code
+from .rings import RINGS, CycloLaurent, LaurentInt, _unit_code
 
 __all__ = [
     "SparseRepMatrix",
@@ -92,27 +92,13 @@ class SparseRepMatrix(Record):
     def mul(self, other):
         if self.cols_log2 != other.rows_log2 or self.ring != other.ring:
             raise ValueError("shape or ring mismatch in matrix product")
-        # A one-term right entry c a^k x^e is kept as its packed key and c:
-        # the product then shifts the left terms instead of running the
-        # ring's double loop, and reuses the left element itself for 1
-        # (ring elements are never mutated).  Mixed element classes take
-        # the ring product, which picks the result class.
         rows_of_b = {}
         for (r, c), v in other.entries.items():
-            key = coeff = None
-            if len(v.terms) == 1:
-                ((key, coeff),) = v.terms.items()
-            rows_of_b.setdefault(r, []).append((c, v, type(v), key, coeff))
+            rows_of_b.setdefault(r, []).append((c, v))
         out = {}
         for (u, w), a in self.entries.items():
-            a_cls = type(a)
-            for c, b, b_cls, key, coeff in rows_of_b.get(w, ()):
-                if key is None or b_cls is not a_cls:
-                    t = a * b
-                elif key or coeff != 1:
-                    t = a_cls._shifted(a.terms, key, coeff)
-                else:
-                    t = a
+            for c, b in rows_of_b.get(w, ()):
+                t = a * b
                 pos = (u, c)
                 s = out.get(pos)
                 if s is None:
@@ -162,7 +148,7 @@ class SparseRepMatrix(Record):
         except ArithmeticError:
             return None
         mine = self.entries
-        if c.terms == {0: 1}:  # every loop-free step
+        if c == 1:  # every loop-free step
             return c if mine == other.entries else None
         return c if all(c * v == mine[k] for k, v in other.entries.items()) else None
 
@@ -278,13 +264,8 @@ def r_matrix(d, unit=None):
     if unit is None:
         unit = LaurentInt.x_power(1)
     inv = unit.unit_inverse()
-    entries = {}
-    powers = {}  # exponent -> unit power, shared by every entry that uses it
-    for r, c, exp in _r_triples(d):
-        coeff = powers.get(exp)
-        if coeff is None:
-            coeff = powers[exp] = unit ** exp if exp >= 0 else inv ** (-exp)
-        entries[(r, c)] = coeff
+    entries = {(r, c): unit ** exp if exp >= 0 else inv ** (-exp)
+               for r, c, exp in _r_triples(d)}
     return SparseRepMatrix._unchecked(d.n, d.m, entries, unit.ring)
 
 
@@ -365,6 +346,12 @@ def _expanded(images):
     return {k: _placed(m).expand() for k, m in images.items()}
 
 
+def _window_product(x, y):
+    """The product x y as a ``Placed`` block on the union of their windows."""
+    bits, (a, b) = _on_union(x, y)
+    return Placed(bits, a.mul(b))
+
+
 def _placed_local(local, i, total, sign=-1):
     if not 1 <= i <= total - 1:
         raise ValueError(f"position {i} out of range 1..{total - 1}")
@@ -400,15 +387,15 @@ class Rho0Config(Record):
 
     @property
     def r_param(self):
-        return CycloLaurent({2 * self.m: CycloInt.a_power(2)})
+        return CycloLaurent.a_power(2, 2 * self.m)
 
     @property
     def s_param(self):
-        return CycloLaurent({1: CycloInt.a_power(5)})
+        return CycloLaurent.a_power(5, 1)
 
     @property
     def t_param(self):
-        return CycloLaurent({1: CycloInt.a_power(3)})
+        return CycloLaurent.a_power(3, 1)
 
 
 class Rho0Rep(Record):
@@ -436,35 +423,36 @@ class Rho0Rep(Record):
 
 
 def _rho0_placed(config):
-    """(letter images, {i: (X_i, Y_i)}) of rho0 as ``Placed`` blocks.
+    """(e, {i: (X_i, Y_i)}): rho0's blob image and cup-cap factors as
+    ``Placed`` blocks.
 
     The blob image is a^-2 times the weight-r placement at the middle
     position; the i-th cup-cap image is the product of the weight-s
     placement X_i at position n-i and the weight-t placement Y_i at
     position n+i (disjoint positions, so the factor order is immaterial).
+    Its callers form each product once, with ``_window_product``.
     """
     n, total = config.n, 2 * config.n
     e = _placed_local(local_u_matrix(None, config.r_param), n, total)
-    images = {"e": Placed(e.support,
-                          e.block.scalar_mul(CycloLaurent.a_power(-2)))}
-    factors = {}
-    for i in range(1, n):
-        x = _placed_local(local_u_matrix(None, config.s_param), n - i, total)
-        y = _placed_local(local_u_matrix(None, config.t_param), n + i, total)
-        factors[i] = (x, y)
-        bits = x.support | y.support
-        images[i] = Placed(bits, x.on(bits).mul(y.on(bits)))
-    return images, factors
+    e = Placed(e.support, e.block.scalar_mul(CycloLaurent.a_power(-2)))
+    s_block = local_u_matrix(None, config.s_param)
+    t_block = local_u_matrix(None, config.t_param)
+    return e, {i: (_placed_local(s_block, n - i, total),
+                   _placed_local(t_block, n + i, total)) for i in range(1, n)}
 
 
 def rho0_placed(config):
     """rho0(config).letter_images() as blocks of at most 16 entries."""
-    return _rho0_placed(config)[0]
+    e, factors = _rho0_placed(config)
+    images = {"e": e}
+    images.update({i: _window_product(x, y) for i, (x, y) in factors.items()})
+    return images
 
 
 def rho0(config):
     """The blob tensor representation on 2n factors."""
-    images, factors = _rho0_placed(config)
-    return Rho0Rep(config, images.pop("e").expand(),
+    e, factors = _rho0_placed(config)
+    return Rho0Rep(config, e.expand(),
                    {i: (x.expand(), y.expand()) for i, (x, y) in factors.items()},
-                   {i: p.expand() for i, p in images.items()})
+                   {i: _window_product(x, y).expand()
+                    for i, (x, y) in factors.items()})

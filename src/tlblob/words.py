@@ -25,6 +25,7 @@ from .tensorrep import Placed, _on_union, _placed
 
 __all__ = [
     "GenWord",
+    "format_word",
     "WordEval",
     "eval_word",
     "blob_basis_words",
@@ -77,9 +78,11 @@ class GenWord(Record):
         return GenWord(self.letters + other.letters, self.n, self.convention)
 
     def __repr__(self):
-        from .reference import format_word
-
         return f"GenWord({format_word(self)!r}, n={self.n}, {self.convention})"
+
+
+def format_word(word):
+    return " ".join("e" if l == "e" else f"u{l}" for l in word.letters)
 
 
 class WordEval(Record):

@@ -294,7 +294,7 @@ class TestUsageErrors:
 
 
 class TestParserPruning:
-    """Options are built for the named subcommand only, with the same bytes."""
+    """main gives the full parser's exit code and bytes, whichever parser reads argv."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -312,10 +312,8 @@ class TestParserPruning:
         ["certify-rho0", "--n", "3", "--out", "-h"],
     ])
     def test_matches_full_parser(self, capsys, argv):
-        from tlblob.cli import _build_parser
-
         with pytest.raises(SystemExit) as exc:
-            _build_parser([]).parse_args(argv)
+            _build_parser().parse_args(argv)
         full = (exc.value.code or 0, capsys.readouterr())
         assert (main(argv), capsys.readouterr()) == full
 
@@ -327,14 +325,6 @@ class TestParserPruning:
     def test_forms_only_argparse_reads(self, capsys, argv, same):
         assert _parse_fast(argv) is None
         assert run(capsys, *argv) == run(capsys, *same)
-
-    def test_other_subcommands_have_no_options(self):
-        from tlblob.cli import _build_parser
-
-        parser = _build_parser(["verify-tl", "--n", "3"])
-        assert parser.parse_args(["verify-tl", "--n", "3"]).n == 3
-        with pytest.raises(SystemExit):
-            parser.parse_args(["certify-rho0", "--n", "3"])
 
 
 # Tokens for command lines the fast path must parse as argparse does, or
@@ -369,7 +359,7 @@ def test_fast_path_parses_as_argparse_or_declines(argv):
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            full = vars(_build_parser(argv).parse_args(argv))
+            full = vars(_build_parser().parse_args(argv))
     except SystemExit:
         assert fast is None
     else:
@@ -385,7 +375,7 @@ def test_fast_path_parses_as_argparse_or_declines(argv):
     ["walkword", "--b", "12", "--a", "12", "--a", "112"],
 ])
 def test_fast_path_takes_well_formed_command_lines(argv):
-    assert vars(_parse_fast(argv)) == vars(_build_parser(argv).parse_args(argv))
+    assert vars(_parse_fast(argv)) == vars(_build_parser().parse_args(argv))
 
 
 class TestWitnessOutput:

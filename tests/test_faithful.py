@@ -64,9 +64,9 @@ def scaled(letter, c):
 
 def mirror_inputs(n, m=1):
     """rho0(n, m)'s (e, {i: (X_i, Y_i)}) as blocks, then as full matrices."""
-    images, factors = _rho0_placed(Rho0Config(n, m))
+    e, factors = _rho0_placed(Rho0Config(n, m))
     rep = rho0(Rho0Config(n, m))
-    return [(images["e"], factors), (rep.e, rep.u_factors)]
+    return [(e, factors), (rep.e, rep.u_factors)]
 
 
 def times(image, c):
@@ -329,6 +329,14 @@ class TestOneBuild:
         assert cli.main(["verify-tl", "--n", "5"]) == 0
         assert '"valid":true' in capsys.readouterr().out
         assert len(builds) == 1
+
+    def test_letter_table_is_fresh_per_call(self):
+        # A caller may change the dict it gets; no later certificate sees it.
+        expected = verify_tl(4)
+        letters = faithful._tl_letter_matrices(4)
+        letters[1] = letters[2]
+        assert faithful._tl_letter_matrices(4)[1] is not letters[2]
+        assert verify_tl(4) == expected
 
 
 def ring_vectors(words, images, dim_log2, ring):
@@ -913,7 +921,6 @@ class TestMirror:
             return r_matrix(d, *args, **kwargs)
         monkeypatch.setattr(SparseRepMatrix, "mul", counted_mul)
         monkeypatch.setattr(tensorrep, "r_matrix", counted_r_matrix)
-        faithful._tl_letter_matrices.cache_clear()
         assert certify_rho0(5, 1).valid
         assert largest and max(largest) <= 16
         assert strands == []

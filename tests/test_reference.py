@@ -66,6 +66,14 @@ def test_certificate_commands_leave_reference_unloaded(argv):
     assert run_python(code, *argv) == "0 False\n"
 
 
+def test_word_repr_leaves_reference_unloaded():
+    code = ("import sys\n"
+            "from tlblob.words import GenWord\n"
+            "print(repr(GenWord(('e', 1, 2), 3)),"
+            " 'tlblob.reference' in sys.modules)\n")
+    assert run_python(code) == "GenWord('e u1 u2', n=3, standard) False\n"
+
+
 def test_forced_fallbacks_load_reference():
     # A proof that cannot finish falls back to its sweep, which loads the
     # module on first use and gives the sweep's result.
@@ -278,8 +286,8 @@ def test_mirror_and_blob_commands_leave_tlcert_unloaded(argv):
     assert run_python(code, *argv) == "0 []\n"
 
 
-# Definitions moved off the modules ``certify-rho0`` loads:
-# (old module, new home, names).
+# Definitions moved off the modules ``certify-rho0`` loads, and
+# ``format_word`` next to ``GenWord``: (old module, new home, names).
 MOVED = [
     ("tlblob.faithful", "tlblob.tlcert",
      ("TriangularityReport", "prove_r_composition", "verify_tl",
@@ -290,6 +298,7 @@ MOVED = [
     ("tlblob.cli", "tlblob.reference",
      ("_load_diagram", "_cmd_enumerate", "_cmd_compose", "_cmd_rmatrix",
       "_cmd_walkword", "_cmd_lattice")),
+    ("tlblob.reference", "tlblob.words", ("format_word",)),
 ]
 
 
@@ -315,9 +324,9 @@ TRACED_CASES = [
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 40,
       "cli.output_bytes": 348}),
     (["certify-rho0", "--n", "2", "--m", "1"],
-     {"tensorrep.SparseRepMatrix.mul": 2, "faithful.certify_mirror": 1,
+     {"tensorrep.SparseRepMatrix.mul": 1, "faithful.certify_mirror": 1,
       "cli.dumps_canonical": 1},
-     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 32,
+     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 16,
       "cli.output_bytes": 331}),
     (["verify-blob", "--n", "2", "--m", "2"],
      {"tensorrep.SparseRepMatrix.mul": 5,

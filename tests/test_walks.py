@@ -7,7 +7,6 @@ from tlblob.diagrams import Pairing, compose_tl
 from tlblob.reference import (
     cut,
     enumerate_tl,
-    format_word,
     hasse_edges,
     leq,
     linear_extension,
@@ -24,7 +23,7 @@ from tlblob.walks import (
     lower_at,
     pair_word,
 )
-from tlblob.words import eval_word
+from tlblob.words import eval_word, format_word
 
 
 def brute_force_walks(n, c):

@@ -15,7 +15,7 @@ from tlblob.diagrams import (
     identity,
 )
 from tlblob.faithful import _tl_letter_matrices
-from tlblob.reference import f_map, format_word, parse_word, reflect
+from tlblob.reference import f_map, parse_word, reflect
 from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, quantum_integer
 from tlblob.tensorrep import Placed, Rho0Config, SparseRepMatrix, r_matrix, \
     rho0, rho0_placed
@@ -26,6 +26,7 @@ from tlblob.words import (
     WordEval,
     blob_basis_words,
     eval_word,
+    format_word,
     verify_presentation,
 )
 
