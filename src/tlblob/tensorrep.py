@@ -171,13 +171,30 @@ class CodedMatrix:
     folds to -a^(k-4) (only cyclotomic codes have k > 0).  A position
     reached twice would need a sum: ``mul`` raises ``SummandCollision``,
     and the caller takes the ring path.
+
+    A chain multiplies by a few letters over and over, so a matrix indexes
+    its rows for ``mul`` once, the first time it is a right factor
+    (``_rows``).  ``entries`` is not to be changed after that.
     """
 
-    __slots__ = ("dim_log2", "entries")
+    __slots__ = ("dim_log2", "entries", "_row_index")
 
     def __init__(self, dim_log2, entries):
         self.dim_log2 = dim_log2
         self.entries = entries
+        self._row_index = None
+
+    def _rows(self):
+        """{row: [(col, sign bit, code without it)]}, built on first use."""
+        rows = self._row_index
+        if rows is None:
+            shift = self.dim_log2
+            low = (1 << shift) - 1
+            rows = self._row_index = {}
+            for key, code in self.entries.items():
+                rows.setdefault(key >> shift, []).append(
+                    (key & low, code & 1, code & -2))
+        return rows
 
     @classmethod
     def identity(cls, dim_log2):
@@ -202,9 +219,7 @@ class CodedMatrix:
         if other.dim_log2 != shift:
             raise ValueError("shape mismatch in matrix product")
         low = (1 << shift) - 1
-        rows_of_b = {}
-        for key, code in other.entries.items():
-            rows_of_b.setdefault(key >> shift, []).append((key & low, code & 1, code & -2))
+        rows_of_b = other._rows()
         out = {}
         summands = 0
         for key, code in self.entries.items():
@@ -233,16 +248,16 @@ def mask_eq(a, b):
     return mask(a) == mask(b)
 
 
-def _r_triples(d):
-    """(row bits, column bits, exponent of the arc unit) of R(d)'s entries.
+def _r_triples(n, m, pairs):
+    """(row bits, column bits, exponent of the arc unit) of the entries of
+    R of the diagram with n top nodes, m bottom nodes and lines ``pairs``.
 
-    The table is doubled line by line: each line takes its first option,
-    then its second, in the order of a product over the lines with the last
-    varying fastest.
+    ``pairs`` holds each line once as (a, b), a < b.  The table is doubled
+    line by line: each line takes its first option, then its second, in the
+    order of a product over the lines with the last varying fastest.
     """
-    n, m = d.n, d.m
     triples = [(0, 0, 0)]
-    for a, b in d.pairs:
+    for a, b in pairs:
         if b < n:  # northern arc: v_a = 1, v_b = 2 gives u, the swap 1/u
             options = ((1 << (n - 1 - b), 0, 1), (1 << (n - 1 - a), 0, -1))
         elif a >= n:  # southern arc, the same on w
@@ -265,14 +280,18 @@ def r_matrix(d, unit=None):
         unit = LaurentInt.x_power(1)
     inv = unit.unit_inverse()
     entries = {(r, c): unit ** exp if exp >= 0 else inv ** (-exp)
-               for r, c, exp in _r_triples(d)}
+               for r, c, exp in _r_triples(d.n, d.m, d.pairs)}
     return SparseRepMatrix._unchecked(d.n, d.m, entries, unit.ring)
 
 
-def r_matrix_codes(d):
-    """``r_matrix(d)`` as codes: {row << d.m | col: code of x^exp}."""
-    m = d.m
-    return {r << m | c: exp << 4 for r, c, exp in _r_triples(d)}
+def r_matrix_codes(n, m, pairs):
+    """``r_matrix`` of the diagram (n, m, pairs) as codes:
+    {row << m | col: code of x^exp}.
+
+    ``pairs`` is read as ``_r_triples`` reads it, so a diagram ``d`` gives
+    ``r_matrix_codes(d.n, d.m, d.pairs)``; no diagram need be built.
+    """
+    return {r << m | c: exp << 4 for r, c, exp in _r_triples(n, m, pairs)}
 
 
 def local_u_matrix(chi, param):

@@ -12,10 +12,12 @@ loads it.
 The TL composition identity is proved from the TL_n presentation:
 generator images that satisfy the defining relations define an algebra
 map, and the loop-free walk-pair words carry it to every basis diagram.
-``prove_r_composition`` checks the relations and the words (each evaluated
-by ``eval_word``'s partner-array fold) and falls back to the exhaustive
-``faithful.verify_r_composition`` sweep, whose result it then returns, when
-either check fails.
+``prove_r_composition`` checks the relations and the words, each folded
+into a partner array by ``words._fold`` (the fold behind ``eval_word``)
+and validated by ``words._is_blob_state``, and falls back to the
+exhaustive ``faithful.verify_r_composition`` sweep, whose result it then
+returns, when either check fails.  No stage builds a diagram object, so
+``verify-tl`` never loads ``tlblob.diagrams``.
 
 Every function of ``faithful``, ``walks`` and ``words`` is called through
 its module, looked up when the call runs, so a wrapper that
@@ -141,17 +143,33 @@ def prove_r_composition(n):
     return _prove_r_composition(n, _pair_word_vectors(n))
 
 
+def _is_loop_free_tl(fold, n):
+    """Whether a ``words._fold`` result is a TL diagram reached with nothing
+    discarded: no count, no blob flag, and a partner array that
+    ``words._is_blob_state`` accepts (the checks ``Pairing`` makes)."""
+    partner, blob, counts = fold
+    return not any(counts) and not any(blob) and \
+        words._is_blob_state(partner, blob, n)
+
+
+def _lines(partner):
+    """The lines (i, j), i < j, of a partner array: ``Pairing``'s pairs."""
+    return tuple((i, j) for i, j in enumerate(partner) if i < j)
+
+
 def _prove_r_composition(n, build):
     _, pair_words, vectors = build
-    evals = [words.eval_word(w) for w in pair_words]
-    # R(D) is compared in codes.  It has an entry 1 (code 0: north arcs at
-    # u, south arcs at 1/u), which no nonzero ring element equals, so a
-    # build on ring elements (the guard fired) is left to the sweep.
+    folds = [words._fold(w) for w in pair_words]
+    # Distinct partner arrays are distinct diagrams.  R(D) is compared in
+    # codes.  It has an entry 1 (code 0: north arcs at u, south arcs at
+    # 1/u), which no nonzero ring element equals, so a build on ring
+    # elements (the guard fired) is left to the sweep.
     proved = words.verify_presentation(faithful._tl_letter_matrices(n), n,
                                        quantum_integer(2)).ok \
-        and all(ev.loop_free for ev in evals) and \
-        len({ev.diagram for ev in evals}) == comb(2 * n, n) // (n + 1) and \
-        all(r_matrix_codes(ev.tl_diagram) == v for ev, v in zip(evals, vectors))
+        and all(_is_loop_free_tl(fold, n) for fold in folds) and \
+        len({bytes(p) for p, _, _ in folds}) == comb(2 * n, n) // (n + 1) \
+        and all(r_matrix_codes(n, n, _lines(p)) == v
+                for (p, _, _), v in zip(folds, vectors))
     return [] if proved else faithful.verify_r_composition(n)
 
 

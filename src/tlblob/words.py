@@ -14,7 +14,9 @@ The blob basis comes from one breadth-first search over partner arrays
 checked by an O(n) scan (``_is_blob_state``) before it counts.  The
 certificates read its words in order (``_basis_words``) and build no
 diagram; ``blob_basis_words`` turns the same states into ``BlobPairing``
-keys, and only it and ``eval_word`` load ``tlblob.diagrams``.
+keys, and only it and ``eval_word`` load ``tlblob.diagrams``.  The fold
+itself (``_fold``) builds no diagram either: the TL composition proof
+(``tlcert``) checks its partner arrays with the same scan.
 """
 
 from collections import deque
@@ -108,12 +110,20 @@ class WordEval(Record):
 
 
 def eval_word(word):
-    """Left-to-right fold of the word's letters, one O(1) update per letter.
+    """The word's diagram and discard counts, from its fold (``_fold``)."""
+    partner, blob, counts = _fold(word)
+    return WordEval(_partner_diagram(partner, blob, word.n), *counts)
+
+
+def _fold(word):
+    """(partner, blob, counts): the word's letters folded left to right,
+    one O(1) update per letter.
 
     The running diagram is a partner array on its top nodes 0..n-1 and
     bottom nodes n..2n-1, with a blob flag on both ends of each blobbed
-    line (``_stack``).  The counts are those of composing the generator
-    diagrams one by one.
+    line (``_stack``).  ``counts`` lists the plain loops, blob loops and
+    blob merges discarded, those of composing the generator diagrams one
+    by one.  No diagram is built: ``eval_word`` builds one from the arrays.
     """
     n = word.n
     partner = [*range(n, 2 * n), *range(n)]
@@ -122,7 +132,7 @@ def eval_word(word):
     counts = [0, 0, 0, 0]  # nothing, plain loops, blob loops, blob merges
     for letter in word.letters:
         counts[_stack(partner, blob, n, None if letter == "e" else offset + letter)] += 1
-    return WordEval(_partner_diagram(partner, blob, n), *counts[1:])
+    return partner, blob, counts[1:]
 
 
 def _stack(partner, blob, n, a):

@@ -294,7 +294,13 @@ class TestUsageErrors:
 
 
 class TestParserPruning:
-    """main gives the full parser's exit code and bytes, whichever parser reads argv."""
+    """``main`` returns the full parser's exit code and output.
+
+    Each command line here is one that ``_parse_fast`` declines, so
+    ``main`` hands it to ``_build_parser()``: its exit code and printed
+    bytes are argparse's, and a form only argparse reads (``--n=3``, an
+    abbreviated option) gives what its spelled-out form gives.
+    """
 
     @pytest.mark.parametrize("argv", [
         ["--help"],

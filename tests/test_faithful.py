@@ -485,7 +485,8 @@ class TestGeneratorStepProof:
     @staticmethod
     def scale_diagram_matrix(monkeypatch, n, diagram):
         # Both R(D) sources: the sweep's matrix table and the proof's codes,
-        # where 2 R(D) has no code form.
+        # where 2 R(D) has no code form.  The proof passes the diagram's
+        # lines, so its codes are matched on the pairs.
         diagrams, mats = faithful._diagram_matrix_table(n)
         broken = dict(mats)
         broken[diagram] = mats[diagram].scalar_mul(LaurentInt.from_int(2))
@@ -493,7 +494,8 @@ class TestGeneratorStepProof:
                             lambda size: (diagrams, broken))
         codes = tlcert.r_matrix_codes
         monkeypatch.setattr(tlcert, "r_matrix_codes",
-                            lambda d: None if d == diagram else codes(d))
+                            lambda n, m, pairs: None if pairs == diagram.pairs
+                            else codes(n, m, pairs))
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
                                      (4, 3)])
@@ -514,6 +516,50 @@ class TestGeneratorStepProof:
         sweeps = count_calls(monkeypatch, "verify_r_composition")
         assert prove_r_composition(n) == expected
         assert sweeps == [expected]
+
+    # Tampered folds at n = 3, word k: (k, fold, earlier folds) -> fold.
+    # The crossing array 0-4, 1-3, 2-5 is a fixed-point-free involution,
+    # and a blob on the line through node 0, which is always exposed, is a
+    # blob state: only the crossing scan and the blob check refuse them.
+    TAMPERS = {
+        "crossing": lambda k, fold, earlier: ([4, 3, 5, 1, 0, 2], *fold[1:])
+        if k == 1 else fold,
+        "repeated": lambda k, fold, earlier: (earlier[0][0][:], *fold[1:])
+        if k == 4 else fold,
+        "discard": lambda k, fold, earlier: (fold[0], fold[1], [1, 0, 0])
+        if k == 1 else fold,
+        "blob": lambda k, fold, earlier: (
+            fold[0], [i in (0, fold[0][0]) for i in range(6)], fold[2])
+        if k == 1 else fold,
+    }
+
+    @staticmethod
+    def sweeps_with_folds(monkeypatch, tamper):
+        """The sweeps prove_r_composition(3) runs when each word's fold
+        goes through ``tamper`` and every R(D) code comparison passes, so
+        that only the fold checks can refuse the proof."""
+        fold, folds = words_module._fold, []
+
+        def tampered(word):
+            folds.append(tamper(len(folds), fold(word), folds))
+            return folds[-1]
+
+        monkeypatch.setattr(words_module, "_fold", tampered)
+        codes = iter(tlcert._pair_word_vectors(3)[2])
+        monkeypatch.setattr(tlcert, "r_matrix_codes",
+                            lambda n, m, pairs: next(codes))
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert prove_r_composition(3) == []
+        assert len(folds) == 5
+        return sweeps
+
+    def test_untampered_folds_prove(self, monkeypatch):
+        assert self.sweeps_with_folds(monkeypatch,
+                                      lambda k, fold, earlier: fold) == []
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_fold_falls_back(self, monkeypatch, tamper):
+        assert self.sweeps_with_folds(monkeypatch, self.TAMPERS[tamper]) == [[]]
 
     @staticmethod
     def check_blob(monkeypatch, images, n, params, basis=None):

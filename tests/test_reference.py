@@ -86,7 +86,8 @@ from tlblob.tensorrep import Rho0Config, rho0
 
 loaded = ['tlblob.reference' in sys.modules]
 codes, broken = tlcert.r_matrix_codes, generator_u(1, 3)
-tlcert.r_matrix_codes = lambda d: None if d == broken else codes(d)
+tlcert.r_matrix_codes = lambda n, m, pairs: \
+    None if pairs == broken.pairs else codes(n, m, pairs)
 tl = tlcert.prove_r_composition(3)
 loaded.append('tlblob.reference' in sys.modules)
 images = rho0(Rho0Config(2, 1)).letter_images()
@@ -239,9 +240,10 @@ BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.rings",
     (["verify-blob", "--n", "3", "--m", "2"], {"tlblob.blobrep"}),
     # No walks or diagrams: the blob basis words come from words.
     (["certify-rho0", "--n", "2", "--m", "1"], {"tlblob.faithful", "tlblob.rank"}),
-    # No blob structure-constant proof.
-    (["verify-tl", "--n", "3"], {"tlblob.diagrams", "tlblob.faithful",
-                                 "tlblob.rank", "tlblob.tlcert", "tlblob.walks"}),
+    # No blob structure-constant proof, and no diagrams: the composition
+    # proof checks the words' partner arrays.
+    (["verify-tl", "--n", "3"], {"tlblob.faithful", "tlblob.rank",
+                                 "tlblob.tlcert", "tlblob.walks"}),
 ])
 def test_certificate_commands_load_only_their_modules(argv, extra):
     assert imported_modules(*argv) == BASE | extra

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlblob.diagrams import compose_tl, generator_u, identity
-from tlblob.faithful import _tl_letter_matrices
+from tlblob.faithful import _prefix_products, _tl_letter_matrices
 from tlblob.reference import (
     enumerate_tl,
     matrix_from_json,
@@ -20,6 +20,7 @@ from tlblob.tensorrep import (
     Rho0Config,
     SparseRepMatrix,
     SummandCollision,
+    _expanded,
     index_to_seq,
     local_u_matrix,
     mask,
@@ -31,7 +32,8 @@ from tlblob.tensorrep import (
     rho0_placed,
     seq_to_index,
 )
-from tlblob.words import GenWord, eval_word
+from tlblob.walks import enumerate_pairs, pair_word
+from tlblob.words import GenWord, _basis_words, eval_word
 
 Q = LaurentInt.x_power(2)
 ONE = LaurentInt.one()
@@ -342,8 +344,70 @@ class TestCodedProduct:
     def test_r_matrix_codes(self, n, m):
         for d in enumerate_tl(n, m):
             mat = r_matrix(d)
-            assert r_matrix_codes(d) == {r << m | c: _unit_code(v)
-                                         for (r, c), v in mat.entries.items()}
+            assert r_matrix_codes(d.n, d.m, d.pairs) == {
+                r << m | c: _unit_code(v)
+                for (r, c), v in mat.entries.items()}
+
+
+def coded_letters(kind, n):
+    """(full letter images, loop-free words) of a certificate chain."""
+    if kind == "tl":
+        pairs = enumerate_pairs(n)
+        return _expanded(_tl_letter_matrices(n)), [pair_word(p) for p in pairs]
+    return _expanded(rho0_placed(Rho0Config(n, 1))), _basis_words(n)
+
+
+def coded_product(letters, factor, dim_log2):
+    """The word's coded product with factor(letter) for each letter, as
+    entries, or None on a summand collision."""
+    cur = CodedMatrix.identity(dim_log2)
+    try:
+        for letter in letters:
+            cur = cur.mul(factor(letter))
+    except SummandCollision:
+        return None
+    return cur.entries
+
+
+class TestLetterIndex:
+    """A letter indexes its rows once and reuses them in every product."""
+
+    @staticmethod
+    def letters(kind, n):
+        """(dim_log2, full images, coded images, loop-free words)."""
+        if kind == "tl":
+            dim, images = n, _tl_letter_matrices(n)
+            words = [pair_word(p) for p in enumerate_pairs(n)]
+        else:
+            dim, images = 2 * n, rho0_placed(Rho0Config(n, 1))
+            words = _basis_words(n)
+        images = _expanded(images)
+        coded = {k: CodedMatrix.from_matrix(m) for k, m in images.items()}
+        return dim, images, coded, words
+
+    @pytest.mark.parametrize("kind,n", [("tl", n) for n in range(1, 7)]
+                             + [("rho0", n) for n in (1, 2, 3)])
+    def test_reused_letters_match_fresh(self, kind, n):
+        dim, images, coded, words = self.letters(kind, n)
+        chain = _prefix_products(CodedMatrix.identity(dim), words, coded)
+        fresh = lambda letter: CodedMatrix.from_matrix(images[letter])
+        assert [m.entries for m in chain] == \
+            [coded_product(w.letters, fresh, dim) for w in words]
+        for letter in coded.values():
+            assert letter._rows() is letter._rows()
+
+    @pytest.mark.parametrize("kind,n", [("tl", 3), ("tl", 4), ("rho0", 2)])
+    def test_reused_letter_collides_as_fresh(self, kind, n):
+        dim, images, coded, _ = self.letters(kind, n)
+        for letter in coded.values():  # every index built before the words
+            CodedMatrix.identity(dim).mul(letter)
+        fresh = lambda letter: CodedMatrix.from_matrix(images[letter])
+        collisions = 0
+        for letters in itertools.product(coded, repeat=3):
+            product = coded_product(letters, fresh, dim)
+            assert coded_product(letters, coded.get, dim) == product, letters
+            collisions += product is None
+        assert collisions
 
 
 class TestRatio:
