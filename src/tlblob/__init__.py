@@ -43,7 +43,8 @@ def _forwarder(module_name, **moved):
 _EXPORTS = {
     "rings": ("rings", "BlobParams", "CycloInt", "CycloLaurent", "LaurentInt",
               "quantum_integer"),
-    "rank": ("check_full_rank_witness", "full_rank_witness"),
+    "rank": ("FaithfulnessCertificate", "check_full_rank_witness",
+             "full_rank_witness"),
     "diagrams": ("diagrams", "BlobPairing", "CompositionResult", "Pairing",
                  "blob_e", "compose_blob", "compose_tl", "exposed_lines",
                  "generator_u", "identity"),
@@ -54,7 +55,7 @@ _EXPORTS = {
     "tensorrep": ("tensorrep", "Rho0Config", "Rho0Rep", "SparseRepMatrix",
                   "index_to_seq", "local_u_matrix", "mask", "mask_eq",
                   "place_local", "r_matrix", "rho0", "seq_to_index"),
-    "faithful": ("faithful", "FaithfulnessCertificate", "certify_mirror",
+    "faithful": ("faithful", "certify_mirror",
                  "certify_rho0", "triangularity_report", "verify_r_composition",
                  "verify_tl_faithful"),
     "tlcert": ("TriangularityReport", "prove_r_composition", "verify_tl"),

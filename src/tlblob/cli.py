@@ -7,8 +7,8 @@ bytes; the seed is echoed in every payload that could involve randomness.
 
 Each command handler imports the code it runs, so a command loads only its
 own modules.  Beyond the modules every command loads, ``verify-tl`` adds
-``faithful``, ``rank``, ``walks`` and ``tlcert``, ``certify-rho0`` only
-``faithful`` and ``rank``, and ``verify-blob`` only ``blobrep``: no
+``rank``, ``walks`` and ``tlcert``, ``certify-rho0`` ``faithful`` and
+``rank``, and ``verify-blob`` only ``blobrep``: no
 certificate command builds a diagram object, so ``diagrams`` loads only
 for the workbench subcommands, whose handlers live in ``reference``, which
 no certificate command loads.  No certificate command loads ``json`` either:

@@ -28,13 +28,13 @@ windows (``tensorrep._window_product``), so the only 2^(2n)-square
 matrices are the letter images the chain multiplies.
 
 This module holds what ``certify-rho0`` runs: the chains, the certified
-rank and ``certify_mirror``.  The TL certificate's stages (the walk-pair
-build, triangularity, the composition proof and ``verify_tl``) live in
-``tlblob.tlcert``; ``triangularity_report`` and ``verify_tl_faithful`` are
-its single-stage entry points and load it on first use, as
-``verify_r_composition``, the exhaustive composition sweep, loads its
-per-pair check from ``reference``.  The blob structure-constant proof
-lives in ``tlblob.blobrep``.  So ``certify_rho0`` loads neither ``tlcert``,
+rank and ``certify_mirror``.  ``verify-tl`` runs none of it: its one pass
+over R(D) lives in ``tlblob.tlcert``, which calls back here only when a
+check fails (the word chain's certified rank, and ``verify_r_composition``,
+the exhaustive sweep, which loads its per-pair check from ``reference``).
+``triangularity_report`` and ``verify_tl_faithful`` read that pass and
+load ``tlcert`` on first use.  The blob structure-constant proof lives in
+``tlblob.blobrep``.  So ``certify_rho0`` loads neither ``tlcert``,
 ``walks`` nor ``reference``.
 
 The functions ``perfbench/traced.py`` wraps are called through the module
@@ -45,10 +45,9 @@ loaded is still reached.
 
 from math import comb
 
-from . import DEFAULT_SEED, __version__, _forwarder, rings, tensorrep, words
-from ._record import Record
-from .rank import check_full_rank_witness, full_rank_witness
-from .rings import dumps_canonical
+from . import DEFAULT_SEED, _forwarder, rings, tensorrep, words
+from .rank import FaithfulnessCertificate, check_full_rank_witness, \
+    full_rank_witness
 from .tensorrep import (
     CodedMatrix,
     SparseRepMatrix,
@@ -157,45 +156,9 @@ def _require_size(n):
 
 def triangularity_report(n):
     """Check that each walk pair's matrix is supported below the pair (``tlcert``)."""
-    from .tlcert import _pair_word_vectors, _triangularity
+    from .tlcert import verify_tl
 
-    return _triangularity(n, _pair_word_vectors(n))
-
-
-class FaithfulnessCertificate(Record):
-    __slots__ = ("n", "basis_size", "rank", "method", "mask_checks", "witness",
-                 "tool_version")
-    __hash__ = None
-
-    def __init__(self, n, basis_size, rank, method, mask_checks=None, witness=None,
-                 tool_version=__version__):
-        self.n = n
-        self.basis_size = basis_size
-        self.rank = rank
-        self.method = method
-        self.mask_checks = [] if mask_checks is None else mask_checks
-        self.witness = witness
-        self.tool_version = tool_version
-
-    @property
-    def valid(self):
-        return self.basis_size >= 1 and self.rank == self.basis_size and \
-            all(c["ok"] for c in self.mask_checks)
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "basis_size": self.basis_size,
-            "rank": self.rank,
-            "method": self.method,
-            "mask_checks": self.mask_checks,
-            "witness": self.witness,
-            "tool_version": self.tool_version,
-            "valid": self.valid,
-        }
-
-    def dumps(self):
-        return dumps_canonical(self.to_json())
+    return verify_tl(n)[0]
 
 
 def _certified_rank(vectors, seed, cols_log2=None):
@@ -219,9 +182,9 @@ def _certified_rank(vectors, seed, cols_log2=None):
 
 def verify_tl_faithful(n, seed=DEFAULT_SEED):
     """Rank of the walk-pair word matrices; full rank means faithful."""
-    from .tlcert import _pair_word_vectors, _tl_certificate
+    from .tlcert import verify_tl
 
-    return _tl_certificate(n, seed, _pair_word_vectors(n))
+    return verify_tl(n, seed)[2]
 
 
 def _diagram_matrix_table(n):

@@ -7,12 +7,19 @@ prove full rank by a minor that is nonzero at a point mod p.  The
 certificates' fallback, fraction-free (Bareiss) elimination over the
 fraction field (``rank_exact``), and the witness-free lower bound
 ``rank_modular`` live in ``tlblob.reference``: a certificate whose witness
-checks never runs them.
+checks never runs them.  ``FaithfulnessCertificate``, the rank with its
+method and witness, lives here with them, so that ``verify-tl`` writes one
+without loading ``faithful``.
 """
 
 import random
 
-__all__ = ["full_rank_witness", "check_full_rank_witness"]
+from . import __version__
+from ._record import Record
+from .rings import dumps_canonical
+
+__all__ = ["FaithfulnessCertificate", "full_rank_witness",
+           "check_full_rank_witness"]
 
 
 def _holds_codes(vectors):
@@ -194,3 +201,39 @@ def check_full_rank_witness(vectors, witness):
     evaluate = _evaluate_codes if _holds_codes(vecs) else _evaluate_rows
     minor = evaluate(vecs, x_val, a_val, p, cols=pivots)
     return len(_rank_mod_p(minor, p)) == len(vecs)
+
+
+class FaithfulnessCertificate(Record):
+    __slots__ = ("n", "basis_size", "rank", "method", "mask_checks", "witness",
+                 "tool_version")
+    __hash__ = None
+
+    def __init__(self, n, basis_size, rank, method, mask_checks=None, witness=None,
+                 tool_version=__version__):
+        self.n = n
+        self.basis_size = basis_size
+        self.rank = rank
+        self.method = method
+        self.mask_checks = [] if mask_checks is None else mask_checks
+        self.witness = witness
+        self.tool_version = tool_version
+
+    @property
+    def valid(self):
+        return self.basis_size >= 1 and self.rank == self.basis_size and \
+            all(c["ok"] for c in self.mask_checks)
+
+    def to_json(self):
+        return {
+            "n": self.n,
+            "basis_size": self.basis_size,
+            "rank": self.rank,
+            "method": self.method,
+            "mask_checks": self.mask_checks,
+            "witness": self.witness,
+            "tool_version": self.tool_version,
+            "valid": self.valid,
+        }
+
+    def dumps(self):
+        return dumps_canonical(self.to_json())

@@ -1,10 +1,11 @@
 """Fallback, reference and workbench code, loaded on first use.
 
 The three certificate commands prove their claims from the algebra
-presentations and a modular rank witness (README "Certification").  The
-code here serves everything else: the exhaustive sweeps and the exact
-(Bareiss) rank that the proofs fall back to, composition by chain-tracing
-a concatenation, enumeration, the walk-pair order, word text forms, the
+presentations, the contraction argument and a modular rank witness
+(README "Certification").  The code here serves everything else: the
+exhaustive sweeps, the walk-pair word chain and the exact (Bareiss) rank
+that the proofs fall back to, composition by chain-tracing a
+concatenation, enumeration, the walk-pair order, word text forms, the
 overlay test, the JSON readers and writers, and the handlers of the
 workbench subcommands (``enumerate``, ``compose``, ``rmatrix``,
 ``walkword`` and ``lattice``).  Keeping it in one module that a
@@ -22,7 +23,7 @@ import json
 import re
 from functools import lru_cache
 
-from . import blobrep, diagrams, faithful, rings, tensorrep, tlcert, walks, words
+from . import blobrep, diagrams, faithful, rings, tensorrep, walks, words
 from ._record import Record
 from .diagrams import BlobPairing, Pairing
 from .rank import (_MODULAR_PRIME, _evaluate_rows, _holds_codes, _rank_mod_p,
@@ -42,6 +43,21 @@ OVERLAY_MENU = (
     LaurentInt.from_int(3),
     LaurentInt.x_power(2),
 )
+
+
+def _pair_word_vectors(n):
+    """(pairs, words, word-matrix vectors) of all walk pairs of size n.
+
+    The lists are in enumeration order, and the matrices come from the
+    letter chain (``faithful._word_vectors``): the family ``verify-tl``
+    certifies, built as it was before its one pass over R(D).  That pass
+    falls back to it when a check fails.  Raises ValueError for n < 0.
+    """
+    faithful._require_size(n)
+    pairs = walks.enumerate_pairs(n)
+    word_list = [walks.pair_word(p) for p in pairs]
+    return pairs, word_list, faithful._word_vectors(
+        word_list, faithful._tl_letter_matrices(n), n, "laurent")
 
 
 class MaskIndependenceReport(Record):
@@ -69,7 +85,7 @@ def verify_mask_independence(n, trials=25, seed=faithful.DEFAULT_SEED):
     import random
 
     rng = random.Random(seed)
-    pairs, _, vectors = tlcert._pair_word_vectors(n)
+    pairs, _, vectors = _pair_word_vectors(n)
     masks = [sorted(v) for v in vectors]
     report = MaskIndependenceReport(n, trials, seed, len(pairs))
     for _ in range(trials):

@@ -248,25 +248,26 @@ def mask_eq(a, b):
     return mask(a) == mask(b)
 
 
-def _r_triples(n, m, pairs):
-    """(row bits, column bits, exponent of the arc unit) of the entries of
-    R of the diagram with n top nodes, m bottom nodes and lines ``pairs``.
+def _r_entries(n, m, pairs, step=1):
+    """(keys row << m | col, step times the arc unit's exponents) of R of
+    the diagram with n top nodes, m bottom nodes and lines ``pairs``.
 
-    ``pairs`` holds each line once as (a, b), a < b.  The table is doubled
-    line by line: each line takes its first option, then its second, in the
-    order of a product over the lines with the last varying fastest.
+    ``pairs`` holds each line (a, b) once, a < b; node i is key bit
+    n + m - 1 - i.  The lists double line by line from the last (R is a
+    product over the lines, the last varying fastest): an arc gives u with
+    b's bit set, then 1/u with a's; a through line 1 with neither, then both.
     """
-    triples = [(0, 0, 0)]
-    for a, b in pairs:
-        if b < n:  # northern arc: v_a = 1, v_b = 2 gives u, the swap 1/u
-            options = ((1 << (n - 1 - b), 0, 1), (1 << (n - 1 - a), 0, -1))
-        elif a >= n:  # southern arc, the same on w
-            options = ((0, 1 << (n + m - 1 - b), 1), (0, 1 << (n + m - 1 - a), -1))
-        else:  # propagating line: v_a = w_j = 1 or both 2, no weight
-            options = ((0, 0, 0), (1 << (n - 1 - a), 1 << (n + m - 1 - b), 0))
-        triples = [(r | dr, c | dc, e + de) for r, c, e in triples
-                   for dr, dc, de in options]
-    return triples
+    top, keys, exps = n + m - 1, [0], [0]
+    for a, b in reversed(pairs):
+        if b < n or a >= n:  # northern or southern arc
+            u, inv = 1 << top - b, 1 << top - a
+            keys = [k | u for k in keys] + [k | inv for k in keys]
+            exps = [e + step for e in exps] + [e - step for e in exps]
+        else:
+            both = 1 << top - a | 1 << top - b
+            keys += [k | both for k in keys]
+            exps += exps
+    return keys, exps
 
 
 def r_matrix(d, unit=None):
@@ -279,19 +280,18 @@ def r_matrix(d, unit=None):
     if unit is None:
         unit = LaurentInt.x_power(1)
     inv = unit.unit_inverse()
-    entries = {(r, c): unit ** exp if exp >= 0 else inv ** (-exp)
-               for r, c, exp in _r_triples(d.n, d.m, d.pairs)}
+    low = (1 << d.m) - 1
+    entries = {(k >> d.m, k & low): unit ** exp if exp >= 0 else inv ** -exp
+               for k, exp in zip(*_r_entries(d.n, d.m, d.pairs))}
     return SparseRepMatrix._unchecked(d.n, d.m, entries, unit.ring)
 
 
 def r_matrix_codes(n, m, pairs):
-    """``r_matrix`` of the diagram (n, m, pairs) as codes:
-    {row << m | col: code of x^exp}.
-
-    ``pairs`` is read as ``_r_triples`` reads it, so a diagram ``d`` gives
-    ``r_matrix_codes(d.n, d.m, d.pairs)``; no diagram need be built.
+    """``r_matrix`` of the diagram (n, m, pairs) as codes,
+    {row << m | col: code of x^exp}: a diagram ``d`` gives
+    ``r_matrix_codes(d.n, d.m, d.pairs)``, and none need be built.
     """
-    return {r << m | c: exp << 4 for r, c, exp in _r_triples(n, m, pairs)}
+    return dict(zip(*_r_entries(n, m, pairs, 1 << 4)))
 
 
 def local_u_matrix(chi, param):

@@ -1,51 +1,49 @@
-"""The TL_n certificate of ``verify-tl``: triangularity, composition, rank.
+"""The TL_n certificate of ``verify-tl``: one pass over R(D), one diagram
+at a time.
 
-``verify_tl`` builds the walk-pair words and their word-matrix vectors once
-(``_pair_word_vectors``) and hands that one list to its three stages: the
-triangularity sweep over the walk-pair order, the composition proof from
-the TL_n presentation, and the certified rank.  ``faithful`` keeps the
-shared kernels (the prefix chain, the certified rank, the TL letter images)
-and the single-stage entry points ``triangularity_report`` and
-``verify_tl_faithful``, which call into this module; ``certify-rho0`` never
-loads it.
+R(D) (``tensorrep.r_matrix_codes``) is a product over the lines of D of
+one fixed tensor per line: C on a cup or a cap, with C[1][2] = x and
+C[2][1] = 1/x, and the identity on a through line.  In R(D) R(D') the sum
+over the middle indices factors over the components of the glued picture.
+An open component contracts to its line's tensor, since C C = I and
+C^T C^T = I (the two zig-zags), and a closed loop to
+tr(C C^T) = x^2 + x^-2 = [2].  So R(D) R(D') = [2]^loops R(D o D') for
+every n, and a word that folds to D with nothing discarded has the matrix
+R(D).  ``_identities_hold`` checks the three identities, and that a
+through line gives I, on the tensors that ``r_matrix_codes`` itself uses.
 
-The TL composition identity is proved from the TL_n presentation:
-generator images that satisfy the defining relations define an algebra
-map, and the loop-free walk-pair words carry it to every basis diagram.
-``prove_r_composition`` checks the relations and the words, each folded
-into a partner array by ``words._fold`` (the fold behind ``eval_word``)
-and validated by ``words._is_blob_state``, and falls back to the
-exhaustive ``faithful.verify_r_composition`` sweep, whose result it then
-returns, when either check fails.  No stage builds a diagram object, so
-``verify-tl`` never loads ``tlblob.diagrams``.
+``verify_tl`` makes one pass over the walk pairs (``_walk_pair_codes``).
+Each pair's word is folded by ``words._fold`` and must reach a TL diagram
+D with nothing discarded (``_is_loop_free_tl``).  R(D)'s codes are built,
+fed to the triangularity sweep, checked to have the pair's own position as
+their smallest key, and dropped.  Catalan(n) distinct partner arrays and
+leads then make the walk-pair word matrices the R(D) of all diagrams, each
+led by its own position.  Ordered by lead, the minor on the leads is
+triangular with a unit diagonal, so it is nonzero at every point: the
+witness names the first seeded point (``rank._trial_points``) and the
+leads as pivots.  They are the pivots elimination would find, since those
+depend only on the span (``rank._rank_mod_p``).
 
-Every function of ``faithful``, ``walks`` and ``words`` is called through
-its module, looked up when the call runs, so a wrapper that
+When any check fails, ``verify_tl`` gives the word chain's answers instead
+(``_chain_path``): the triangularity of its vectors, the exhaustive sweep
+``faithful.verify_r_composition`` and their certified rank.  ``faithful``
+and ``reference`` load only then, and no stage builds a diagram object, so
+the pass loads neither of them nor ``tlblob.diagrams``.
+
+Every function of ``faithful``, ``reference``, ``walks`` and ``words`` is
+called through its module, looked up when the call runs, so a wrapper that
 ``perfbench/traced.py`` or a test installs there is reached.
 """
 
 from math import comb
 
-from . import faithful, walks, words
+from . import DEFAULT_SEED, walks, words
 from ._record import Record
-from .rings import quantum_integer
-from .tensorrep import index_to_seq, r_matrix_codes, seq_to_index
+from .rank import _MODULAR_PRIME, FaithfulnessCertificate, _trial_points
+from .tensorrep import (CodedMatrix, SummandCollision, index_to_seq,
+                        r_matrix_codes, seq_to_index)
 
 __all__ = ["TriangularityReport", "prove_r_composition", "verify_tl"]
-
-
-def _pair_word_vectors(n):
-    """(pairs, words, word-matrix vectors) of all walk pairs of size n.
-
-    The lists are in enumeration order.  One build serves triangularity,
-    the composition proof and the rank (``verify_tl``).  Raises ValueError
-    for n < 0.
-    """
-    faithful._require_size(n)
-    pairs = walks.enumerate_pairs(n)
-    word_list = [walks.pair_word(p) for p in pairs]
-    return pairs, word_list, faithful._word_vectors(
-        word_list, faithful._tl_letter_matrices(n), n, "laurent")
 
 
 def _is_walk(seq):
@@ -79,13 +77,13 @@ class TriangularityReport(Record):
         return not self.failures
 
 
-def _triangularity(n, build):
+def _triangularity(n, pair_vectors):
     """Check that each walk pair's matrix is supported below the pair.
 
     Clause 1: the entry at the pair's own position is nonzero.  Clause 2:
     every nonzero entry whose row and column are valid walks sits at a pair
-    dominated by the defining pair.  The matrices are read from ``build``,
-    pair by pair in enumeration order.
+    dominated by the defining pair.  The (pair, vector) items of
+    ``pair_vectors`` are read one at a time, in enumeration order.
     """
     failures, nonwalk = [], 0
     # Column profile of each index's walk, None where the index is no walk.
@@ -100,8 +98,7 @@ def _triangularity(n, build):
                  if all(x <= y for x, y in zip(profiles[j], profiles[i]))}
              for i in on_walk}
     low = (1 << n) - 1
-    pairs, _, vectors = build
-    for p, vec in zip(pairs, vectors):
+    for p, vec in pair_vectors:
         row, col = seq_to_index(p.a.steps), seq_to_index(p.b.steps)
         if row << n | col not in vec:
             failures.append((p, (row, col), "diagonal-zero"))
@@ -122,27 +119,6 @@ def _triangularity(n, build):
     return TriangularityReport(n, failures, nonwalk)
 
 
-def _tl_certificate(n, seed, build):
-    pairs, _, vectors = build
-    rank, method, witness = faithful._certified_rank(vectors, seed, n)
-    return faithful.FaithfulnessCertificate(n=n, basis_size=len(pairs),
-                                            rank=rank, method=method,
-                                            witness=witness)
-
-
-def prove_r_composition(n):
-    """verify_r_composition's failures, proved from the TL_n presentation.
-
-    When the R(u_i) satisfy the TL_n relations at delta = [2], u_i -> R(u_i)
-    defines an algebra map.  The walk-pair words are loop free and evaluate
-    to all Catalan(n) diagrams, so the map sends each diagram D to its
-    word's matrix, which must equal R(D) (for id, the empty word:
-    R(id) = I).  Then R is that algebra map and no pair fails.  When any
-    check fails, the exhaustive sweep gives the failures instead.
-    """
-    return _prove_r_composition(n, _pair_word_vectors(n))
-
-
 def _is_loop_free_tl(fold, n):
     """Whether a ``words._fold`` result is a TL diagram reached with nothing
     discarded: no count, no blob flag, and a partner array that
@@ -157,28 +133,103 @@ def _lines(partner):
     return tuple((i, j) for i, j in enumerate(partner) if i < j)
 
 
-def _prove_r_composition(n, build):
-    _, pair_words, vectors = build
-    folds = [words._fold(w) for w in pair_words]
-    # Distinct partner arrays are distinct diagrams.  R(D) is compared in
-    # codes.  It has an entry 1 (code 0: north arcs at u, south arcs at
-    # 1/u), which no nonzero ring element equals, so a build on ring
-    # elements (the guard fired) is left to the sweep.
-    proved = words.verify_presentation(faithful._tl_letter_matrices(n), n,
-                                       quantum_integer(2)).ok \
-        and all(_is_loop_free_tl(fold, n) for fold in folds) and \
-        len({bytes(p) for p, _, _ in folds}) == comb(2 * n, n) // (n + 1) \
-        and all(r_matrix_codes(n, n, _lines(p)) == v
-                for (p, _, _), v in zip(folds, vectors))
-    return [] if proved else faithful.verify_r_composition(n)
+def _transposed(c):
+    """The transpose of a 2x2 ``CodedMatrix``."""
+    return CodedMatrix(1, {(k & 1) << 1 | k >> 1: v
+                           for k, v in c.entries.items()})
 
 
-def verify_tl(n, seed=faithful.DEFAULT_SEED):
-    """(triangularity_report, prove_r_composition, verify_tl_faithful) of n.
+def _identities_hold():
+    """Whether the line tensors of ``r_matrix_codes`` satisfy the argument.
 
-    The three results are those of the three functions, read from one
-    walk-pair build instead of three.
+    C is read as the cap's R (N, two top nodes) and the cup's (S, two
+    bottom nodes), each a 2x2 ``CodedMatrix`` indexed [left][right].  On
+    codes: S N = I and S^T N^T = I, the zig-zags to the right and to the
+    left; the diagonal of S N^T, whose sum is the loop, is x^2 and x^-2
+    (x^e has code e << 4), so tr(S N^T) = [2]; and a through line's R is
+    I.  Two summands at one position of a product fail the check.
     """
-    build = _pair_word_vectors(n)
-    return (_triangularity(n, build), _prove_r_composition(n, build),
-            _tl_certificate(n, seed, build))
+    one = CodedMatrix.identity(1).entries
+    cap = CodedMatrix(1, r_matrix_codes(2, 0, ((0, 1),)))
+    cup = CodedMatrix(1, r_matrix_codes(0, 2, ((0, 1),)))
+    try:
+        right = cup.mul(cap).entries
+        left = _transposed(cup).mul(_transposed(cap)).entries
+        loop = cup.mul(_transposed(cap)).entries
+    except SummandCollision:
+        return False
+    return right == left == one == r_matrix_codes(1, 1, ((0, 1),)) and \
+        sorted(v for k, v in loop.items() if k in one) == [-2 << 4, 2 << 4]
+
+
+def _walk_pair_codes(n, pairs, arrays, leads):
+    """Yield (p, codes of R(D)) for each walk pair p in turn, D the fold of
+    p's word.
+
+    A fold that is a TL diagram reached with nothing discarded adds its
+    partner array to the set ``arrays``; a vector whose smallest key is p's
+    own position, seq_to_index(a) << n | seq_to_index(b), adds it to the
+    list ``leads``.  So a failed check leaves a count short.
+    """
+    for p in pairs:
+        fold = words._fold(walks.pair_word(p))
+        if _is_loop_free_tl(fold, n):
+            arrays.add(bytes(fold[0]))
+        vec = r_matrix_codes(n, n, _lines(fold[0]))
+        lead = min(vec)
+        if lead == seq_to_index(p.a.steps) << n | seq_to_index(p.b.steps):
+            leads.append(lead)
+        yield p, vec
+
+
+def _chain_path(n, seed):
+    """``verify_tl``'s results from the word chain, for a refused pass.
+
+    The walk-pair word matrices come from the letter chain
+    (``reference._pair_word_vectors``); their triangularity, the exhaustive
+    composition sweep and their certified rank are the results.
+    """
+    from . import faithful, reference
+
+    pairs, _, vectors = reference._pair_word_vectors(n)
+    report = _triangularity(n, zip(pairs, vectors))
+    failures = faithful.verify_r_composition(n)
+    rank, method, witness = faithful._certified_rank(vectors, seed, n)
+    return report, failures, FaithfulnessCertificate(
+        n=n, basis_size=len(pairs), rank=rank, method=method, witness=witness)
+
+
+def verify_tl(n, seed=DEFAULT_SEED):
+    """(triangularity report, composition failures, rank certificate) of n.
+
+    The three come from one pass over R(D) when every check holds, with
+    no composition failure and the leads as the witness's pivots;
+    otherwise from the word chain (``_chain_path``).  Raises ValueError
+    for n < 0.
+    """
+    pairs = walks.enumerate_pairs(n)
+    if not _identities_hold():
+        return _chain_path(n, seed)
+    arrays, leads = set(), []
+    report = _triangularity(n, _walk_pair_codes(n, pairs, arrays, leads))
+    size = comb(2 * n, n) // (n + 1)
+    if not len(pairs) == len(arrays) == len(set(leads)) == size:
+        return _chain_path(n, seed)
+    p = _MODULAR_PRIME
+    x, a = _trial_points(1, seed, p)[0]
+    low = (1 << n) - 1
+    witness = {"p": p, "x": x, "a": a,
+               "pivots": [(k >> n, k & low) for k in sorted(leads)]}
+    return report, [], FaithfulnessCertificate(
+        n=n, basis_size=size, rank=size, method="modular-witness",
+        witness=witness)
+
+
+def prove_r_composition(n):
+    """verify_r_composition's failures, proved by ``verify_tl``'s pass.
+
+    When the line tensors satisfy the identities, R(D) R(D') =
+    [2]^loops R(D o D') for all diagrams and no pair fails; when any check
+    of the pass fails, the exhaustive sweep gives the failures instead.
+    """
+    return verify_tl(n)[1]

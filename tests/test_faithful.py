@@ -2,6 +2,7 @@ import pytest
 
 import tlblob.blobrep as blobrep_module
 import tlblob.faithful as faithful
+import tlblob.reference as reference_module
 import tlblob.tensorrep as tensorrep
 import tlblob.tlcert as tlcert
 import tlblob.walks as walks_module
@@ -25,7 +26,8 @@ from tlblob.reference import (
     verify_mask_independence,
     walk_from_string,
 )
-from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, _code_element
+from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, \
+    _code_element, quantum_integer
 from tlblob.tensorrep import (
     CodedMatrix,
     Placed,
@@ -165,6 +167,12 @@ def count_calls(monkeypatch, name, owner=faithful):
     return results
 
 
+def without_lead(codes):
+    """R(D)'s codes without the entry at their smallest key."""
+    lead = min(codes)
+    return {k: c for k, c in codes.items() if k != lead}
+
+
 def broken_e_images(n, m):
     images = rho0(Rho0Config(n, m)).letter_images()
     two = next(iter(images["e"].entries.values())).from_int(2)
@@ -244,7 +252,9 @@ class TestTriangularity:
         original = faithful._tl_letter_matrices
         monkeypatch.setattr(faithful, "_tl_letter_matrices",
                             lambda size: {**original(size), i: original(size)[j]})
-        report = triangularity_report(n)
+        # The pass reads R(D), not the letters: the chain's report is checked.
+        pairs, _, vectors = reference_module._pair_word_vectors(n)
+        report = tlcert._triangularity(n, zip(pairs, vectors))
         failures, nonwalk = reference_triangularity(n)
         assert (report.failures, report.nonwalk_entries) == \
             (failures, len(nonwalk))
@@ -262,7 +272,8 @@ class TestTriangularity:
             return original(self, other)
 
         monkeypatch.setattr(CodedMatrix, "mul", counted)
-        assert triangularity_report(n).ok
+        pairs, _, vectors = reference_module._pair_word_vectors(n)
+        assert tlcert._triangularity(n, zip(pairs, vectors)).ok
         assert len(calls) == len(prefixes) == products
 
 
@@ -285,6 +296,8 @@ class TestTlFaithful:
         import tlblob.faithful as faithful
 
         monkeypatch.setattr(faithful, "full_rank_witness", lambda *a, **k: None)
+        # A refused pass certifies the word chain, through the witness search.
+        monkeypatch.setattr(tlcert, "_identities_hold", lambda: False)
         cert = verify_tl_faithful(3)
         assert cert.method == "exact" and cert.rank == 5 and cert.valid
         assert cert.to_json()["witness"] is None
@@ -323,12 +336,24 @@ class TestOneBuild:
                                         verify_tl_faithful(n, seed=3))
 
     def test_cli_builds_the_word_matrices_once(self, monkeypatch, capsys):
+        # Only a refused pass builds them: once, for all three results.
         from tlblob import cli
 
+        monkeypatch.setattr(tlcert, "_identities_hold", lambda: False)
         builds = count_calls(monkeypatch, "_word_vectors")
         assert cli.main(["verify-tl", "--n", "5"]) == 0
         assert '"valid":true' in capsys.readouterr().out
         assert len(builds) == 1
+
+    def test_cli_builds_no_word_matrix_when_the_pass_holds(self, monkeypatch,
+                                                           capsys):
+        from tlblob import cli
+
+        builds = count_calls(monkeypatch, "_word_vectors")
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        assert cli.main(["verify-tl", "--n", "5"]) == 0
+        assert '"valid":true' in capsys.readouterr().out
+        assert builds == sweeps == []
 
     def test_letter_table_is_fresh_per_call(self):
         # A caller may change the dict it gets; no later certificate sees it.
@@ -337,6 +362,125 @@ class TestOneBuild:
         letters[1] = letters[2]
         assert faithful._tl_letter_matrices(4)[1] is not letters[2]
         assert verify_tl(4) == expected
+
+
+def tampered_folds(monkeypatch, tamper):
+    """Send each word's fold through ``tamper``; the list collects them."""
+    fold, folds = words_module._fold, []
+
+    def tampered(word):
+        folds.append(tamper(len(folds), fold(word), folds))
+        return folds[-1]
+
+    monkeypatch.setattr(words_module, "_fold", tampered)
+    return folds
+
+
+def mutated_codes(monkeypatch, mutate):
+    """Pass each ``tlcert.r_matrix_codes(n, m, pairs)`` through mutate."""
+    codes = tlcert.r_matrix_codes
+    monkeypatch.setattr(tlcert, "r_matrix_codes", lambda n, m, pairs:
+                        mutate(n, m, pairs, codes(n, m, pairs)))
+
+
+class TestContraction:
+    """``verify_tl``'s pass: R is a functor by three 2x2 identities on its
+    line tensor, and each walk pair's word folds with nothing discarded to
+    the diagram whose R(D) is the word's matrix, led by the pair's own
+    position.  A refused check gives the word chain's answers."""
+
+    def test_line_tensors_satisfy_the_identities(self):
+        # C read from R of a cap and of a cup, in the ring this time.
+        x = LaurentInt.x_power(1)
+        for shape in ((2, 0), (0, 2)):
+            codes = tensorrep.r_matrix_codes(*shape, ((0, 1),))
+            assert {k: _code_element(c) for k, c in codes.items()} == \
+                {1: x, 2: x.unit_inverse()}
+        assert tensorrep.r_matrix_codes(1, 1, ((0, 1),)) == {0: 0, 3: 0}
+        c = [[LaurentInt.zero(), x], [x.unit_inverse(), LaurentInt.zero()]]
+        t = [list(col) for col in zip(*c)]
+
+        def product(a, b):
+            return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)]
+                    for i in (0, 1)]
+
+        one = [[LaurentInt.one(), LaurentInt.zero()],
+               [LaurentInt.zero(), LaurentInt.one()]]
+        assert product(c, c) == product(t, t) == one
+        loop = product(c, t)
+        assert loop[0][0] + loop[1][1] == quantum_integer(2)
+        assert tlcert._identities_hold()
+
+    # Line tensors that break the argument, by the shape of the R asked for.
+    MUTATIONS = {
+        # C C = I still, but the loop is [2] at x^2.
+        "doubled": lambda n, m, pairs, codes:
+            {k: 2 * c for k, c in codes.items()},
+        # The cap times x: both zig-zags give x I.
+        "scaled-cap": lambda n, m, pairs, codes:
+            {k: c + 16 for k, c in codes.items()} if (n, m) == (2, 0)
+            else codes,
+        # A diagonal entry on the cup: two summands meet in a zig-zag.
+        "diagonal": lambda n, m, pairs, codes:
+            {**codes, 0: 0} if (n, m) == (0, 2) else codes,
+        # A propagating line that is not I.
+        "through": lambda n, m, pairs, codes:
+            {0: 0, 3: 16} if (n, m) == (1, 1) else codes,
+    }
+
+    @staticmethod
+    def check_chain_answers(monkeypatch, expected):
+        # The answers of an unrefused run: the chain's triangularity and
+        # witness are those of R(D), and the sweep finds no failure.
+        sweeps = count_calls(monkeypatch, "verify_r_composition")
+        builds = count_calls(monkeypatch, "_word_vectors")
+        assert verify_tl(3) == expected
+        assert sweeps == [[]] and len(builds) == 1
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutated_line_tensor_is_refused(self, monkeypatch, mutation):
+        expected = verify_tl(3)
+        mutated_codes(monkeypatch, self.MUTATIONS[mutation])
+        assert not tlcert._identities_hold()
+        self.check_chain_answers(monkeypatch, expected)
+
+    # The other checks of the pass, each refused alone at n = 3: the blob,
+    # crossing, discard and repeated folds of ``TestGeneratorStepProof``,
+    # and u1's R(D) without its lead.
+    @pytest.mark.parametrize("check", ["blob", "crossing", "discard", "lead",
+                                       "repeated"])
+    def test_refused_check_gives_the_chain_answers(self, monkeypatch, check):
+        expected = verify_tl(3)
+        if check == "lead":
+            mutated_codes(monkeypatch, lambda n, m, pairs, codes:
+                          without_lead(codes)
+                          if pairs == generator_u(1, 3).pairs else codes)
+        else:
+            tampered_folds(monkeypatch, TestGeneratorStepProof.TAMPERS[check])
+        self.check_chain_answers(monkeypatch, expected)
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_word_chain_is_r_of_the_fold(self, n):
+        # The comparison the pass replaced, streamed: each walk pair's word
+        # matrix from the letter chain is R of its word's fold.
+        word_list = [pair_word(p) for p in enumerate_pairs(n)]
+        letters = {i: CodedMatrix.from_matrix(m) for i, m in
+                   faithful._expanded(faithful._tl_letter_matrices(n)).items()}
+        chain = _prefix_products(CodedMatrix.identity(n), word_list, letters)
+        for word, mat in zip(word_list, chain):
+            partner, _, _ = words_module._fold(word)
+            assert mat.entries == \
+                tensorrep.r_matrix_codes(n, n, tlcert._lines(partner))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_streamed_witness_is_the_chain_witness(self, n):
+        cert = verify_tl_faithful(n)
+        _, _, vectors = reference_module._pair_word_vectors(n)
+        packed = [r << n | c for r, c in cert.witness["pivots"]]
+        assert check_full_rank_witness(vectors, dict(cert.witness,
+                                                     pivots=packed))
+        assert faithful._certified_rank(vectors, DEFAULT_SEED, n) == \
+            (cert.rank, cert.method, cert.witness)
 
 
 def ring_vectors(words, images, dim_log2, ring):
@@ -397,11 +541,13 @@ class TestCodedChains:
 class TestExactnessGuard:
     """Images that are not all unit monomials, or a product position with two
     summands, send the chain through the ring product; the certificate is
-    then the ring chain's."""
+    then the ring chain's.  ``verify-tl`` runs the chain only when its pass
+    is refused, so the TL cases refuse it."""
 
     @staticmethod
     def tl_with_letters(monkeypatch, n, letters):
         monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
+        monkeypatch.setattr(tlcert, "_identities_hold", lambda: False)
         builds = count_calls(monkeypatch, "_rep_word_matrices")
         cert = verify_tl_faithful(n)
         assert len(builds) == 1
@@ -484,18 +630,17 @@ class TestGeneratorStepProof:
 
     @staticmethod
     def scale_diagram_matrix(monkeypatch, n, diagram):
-        # Both R(D) sources: the sweep's matrix table and the proof's codes,
-        # where 2 R(D) has no code form.  The proof passes the diagram's
-        # lines, so its codes are matched on the pairs.
+        # Both R(D) sources: the sweep's matrix table gets 2 R(D), and the
+        # pass's codes, where 2 R(D) has no code form, lose their smallest
+        # key, which the lead check refuses.  The pass builds R(D) from the
+        # fold's lines, so its codes are matched on the pairs.
         diagrams, mats = faithful._diagram_matrix_table(n)
         broken = dict(mats)
         broken[diagram] = mats[diagram].scalar_mul(LaurentInt.from_int(2))
         monkeypatch.setattr(faithful, "_diagram_matrix_table",
                             lambda size: (diagrams, broken))
-        codes = tlcert.r_matrix_codes
-        monkeypatch.setattr(tlcert, "r_matrix_codes",
-                            lambda n, m, pairs: None if pairs == diagram.pairs
-                            else codes(n, m, pairs))
+        mutated_codes(monkeypatch, lambda n, m, pairs, codes:
+                      without_lead(codes) if pairs == diagram.pairs else codes)
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
                                      (4, 3)])
@@ -536,18 +681,12 @@ class TestGeneratorStepProof:
     @staticmethod
     def sweeps_with_folds(monkeypatch, tamper):
         """The sweeps prove_r_composition(3) runs when each word's fold
-        goes through ``tamper`` and every R(D) code comparison passes, so
-        that only the fold checks can refuse the proof."""
-        fold, folds = words_module._fold, []
-
-        def tampered(word):
-            folds.append(tamper(len(folds), fold(word), folds))
-            return folds[-1]
-
-        monkeypatch.setattr(words_module, "_fold", tampered)
-        codes = iter(tlcert._pair_word_vectors(3)[2])
-        monkeypatch.setattr(tlcert, "r_matrix_codes",
-                            lambda n, m, pairs: next(codes))
+        goes through ``tamper`` and each pair's R(D) codes are its word's
+        chain vector, so that only the fold checks can refuse the proof."""
+        folds = tampered_folds(monkeypatch, tamper)
+        chain = iter(reference_module._pair_word_vectors(3)[2])
+        mutated_codes(monkeypatch, lambda n, m, pairs, codes:
+                      next(chain) if n == m == 3 else codes)
         sweeps = count_calls(monkeypatch, "verify_r_composition")
         assert prove_r_composition(3) == []
         assert len(folds) == 5
@@ -661,15 +800,17 @@ class TestGeneratorStepProof:
         assert checks == [True]
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 2), (4, 1)])
-    def test_tl_scaled_letter_falls_back(self, monkeypatch, n, i):
-        # R(D) is unchanged, so the sweep finds no failure; but the scaled
-        # letter breaks u_i.u_i = [2] u_i, so only the sweep may say so.
+    def test_tl_scaled_letter_needs_no_sweep(self, monkeypatch, n, i):
+        # The scaled letter breaks u_i.u_i = [2] u_i, but the pass reads
+        # R(D), which it leaves unchanged: the identities prove R a functor,
+        # and the sweep, which would find no failure, does not run.
+        expected = verify_tl(n)
         letters = dict(faithful._tl_letter_matrices(n))
         letters[i] = scaled(letters[i], LaurentInt.from_int(2))
         monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
         sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(n) == []
-        assert sweeps == [[]]
+        assert verify_tl(n) == expected
+        assert expected[1] == sweeps == []
 
     def test_tl_words_missing_a_diagram_fall_back(self, monkeypatch):
         # Every word is loop free and its matrix is its diagram's R(D), but
@@ -687,14 +828,17 @@ class TestGeneratorStepProof:
     def test_tl_table_matching_its_words_is_not_enough(self, monkeypatch,
                                                        flaw):
         # R(D) is replaced by its word's matrix, so every word matches its
-        # diagram; but doubled letters break u_i.u_i = [2] u_i, and the word
-        # u1 u1 evaluates to u1 through a loop.  The sweep finds failures,
-        # and only the relations or the loop check keep the proof from [].
+        # diagram; but letters with doubled exponents (R at x^2, in the
+        # pass's codes too) break u_i.u_i = [2] u_i, and the word u1 u1
+        # evaluates to u1 through a loop.  The sweep finds failures, and
+        # only the loop identity or the fold check keep the proof from [].
         n = 3
         letters = dict(faithful._tl_letter_matrices(n))
         if flaw == "doubled-letters":
-            two = LaurentInt.from_int(2)
-            letters = {i: scaled(m, two) for i, m in letters.items()}
+            block = tensorrep.local_u_matrix(None, LaurentInt.x_power(4))
+            letters = {i: tensorrep._placed_local(block, i, n, sign=1)
+                       for i in letters}
+            mutated_codes(monkeypatch, TestContraction.MUTATIONS["doubled"])
         looped = next(p for p in enumerate_pairs(n)
                       if pair_word(p) == GenWord((1,), n))
 
@@ -1217,7 +1361,7 @@ class TestFullRankWitness:
         for pivots in (floats, bools):
             assert not check_full_rank_witness(vectors, dict(w, pivots=pivots))
         # Packed int columns, as the certificate chains key them.
-        _, _, packed = tlcert._pair_word_vectors(3)
+        _, _, packed = reference_module._pair_word_vectors(3)
         w = full_rank_witness(packed, seed=7)
         assert check_full_rank_witness(packed, w) and 0 in w["pivots"]
         for pivots in ([float(c) for c in w["pivots"]],

@@ -389,12 +389,12 @@ def int_row_families(draw):
 @functools.lru_cache(maxsize=None)
 def family_vectors(n, m=None):
     """Coded word-matrix vectors: TL walk pairs, or rho0(n, m) basis words."""
-    from tlblob import faithful, tlcert
+    from tlblob import faithful, reference
     from tlblob.tensorrep import Rho0Config, rho0
     from tlblob.words import blob_basis_words
 
     if m is None:
-        return tlcert._pair_word_vectors(n)[2]
+        return reference._pair_word_vectors(n)[2]
     images = rho0(Rho0Config(n, m)).letter_images()
     return faithful._word_vectors(blob_basis_words(n).values(), images, 2 * n, "cyclo")
 

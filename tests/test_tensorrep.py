@@ -155,6 +155,40 @@ class TestRMatrixMatchesReference:
             assert got.ring == want.ring == "cyclo"
 
 
+class TestProductOverLines:
+    """R(D) is a product over the lines of D of one tensor per line: C on an
+    arc, C[1][2] = x and C[2][1] = 1/x, and the identity on a propagating
+    line.  ``verify-tl``'s contraction argument rests on this form."""
+
+    @staticmethod
+    def product_over_lines(n, m, pairs):
+        """{row << m | col: code}, one position at a time, each factor a
+        power of x given by its exponent."""
+        arc = {(1, 2): 1, (2, 1): -1}
+        out = {}
+        for row, col in itertools.product(range(1 << n), range(1 << m)):
+            nodes = index_to_seq(row, n) + index_to_seq(col, m)
+            exp = 0
+            for a, b in pairs:
+                if (a < n) == (b < n):
+                    factor = arc.get((nodes[a], nodes[b]))
+                else:
+                    factor = 0 if nodes[a] == nodes[b] else None
+                if factor is None:
+                    break
+                exp += factor
+            else:
+                out[row << m | col] = _unit_code(LaurentInt.x_power(exp))
+        return out
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(7) for m in range(7)
+                                     if (n + m) % 2 == 0])
+    def test_r_matrix_codes(self, n, m):
+        for d in enumerate_tl(n, m):
+            assert r_matrix_codes(n, m, d.pairs) == \
+                self.product_over_lines(n, m, d.pairs)
+
+
 class TestMasks:
     def test_scaling_preserves_mask(self):
         a = r_matrix(generator_u(1, 3))
