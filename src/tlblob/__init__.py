@@ -58,7 +58,7 @@ _EXPORTS = {
     "faithful": ("faithful", "certify_mirror",
                  "certify_rho0", "triangularity_report", "verify_r_composition",
                  "verify_tl_faithful"),
-    "tlcert": ("TriangularityReport", "prove_r_composition", "verify_tl"),
+    "tlcert": ("TriangularityReport", "verify_tl"),
     "blobrep": ("prove_blob_representation", "verify_blob_representation",
                 "verify_rho0"),
     "reference": ("cut", "enumerate_blob", "enumerate_tl", "propagating_number",

@@ -175,12 +175,66 @@ def blob_e(n):
     return BlobPairing(base, frozenset([(0, n)]))
 
 
+def _trace_concatenation(top, bottom):
+    """Chain-trace the concatenation of two (blob) diagrams.
+
+    Returns (result_pairs, open_chain_blobs, loop_blob_counts) where
+    open_chain_blobs maps each result pair to the number of blobs its chain
+    picked up, and loop_blob_counts lists the blob count of each closed loop.
+    """
+    (t, t_blobs), (b, b_blobs) = (
+        (d.base, d.blobbed) if isinstance(d, BlobPairing) else (d, ())
+        for d in (top, bottom))
+    if t.m != b.n:
+        raise ValueError(f"inner boundary mismatch: {t.m} vs {b.n}")
+    shift = t.n + t.m
+    end = shift + b.n + b.m
+    partner = [None] * end  # node -> (other end of its line, blob flag)
+    for offset, d, blobbed in ((0, t, t_blobs), (shift, b, b_blobs)):
+        for x, y in d.pairs:
+            blob = (x, y) in blobbed
+            partner[offset + x] = (offset + y, blob)
+            partner[offset + y] = (offset + x, blob)
+    junction = [None] * end  # top south t.n + j <-> bottom north shift + j
+    for j in range(t.m):
+        junction[t.n + j], junction[shift + j] = shift + j, t.n + j
+    visited = [False] * end
+
+    def chain(node):
+        # Follow lines and junctions: (outer end, or None for a loop, blobs).
+        start, blobs = node, 0
+        while True:
+            visited[node] = True
+            node, blob = partner[node]
+            visited[node] = True
+            blobs += blob
+            across = junction[node]
+            if across is None:
+                return node, blobs
+            if across == start:
+                return None, blobs
+            node = across
+
+    outer = [*range(t.n), *range(shift + b.n, end)]
+    result_id = {node: i for i, node in enumerate(outer)}
+    result_pairs = []
+    open_chain_blobs = {}
+    for node in outer:
+        if not visited[node]:
+            # The other end is unvisited, so later in outer: the pair is sorted.
+            other, blobs = chain(node)
+            pair = (result_id[node], result_id[other])
+            result_pairs.append(pair)
+            open_chain_blobs[pair] = blobs
+    loop_blob_counts = [chain(node)[1] for node in range(t.n, shift)
+                        if not visited[node]]
+    return result_pairs, open_chain_blobs, loop_blob_counts
+
+
 def compose_tl(top, bottom):
     """Stack top over bottom, discard closed loops, count them."""
     if not isinstance(top, Pairing) or not isinstance(bottom, Pairing):
         raise TypeError("blobbed diagrams must go through compose_blob")
-    from .reference import _trace_concatenation
-
     pairs, _, loops = _trace_concatenation(top, bottom)
     diagram = Pairing(top.n, bottom.m, tuple(pairs))
     return CompositionResult(diagram, plain_loops=len(loops))
@@ -195,8 +249,6 @@ def compose_blob(top, bottom, params=None):
     b = 0 and gamma * delta_e^(b-1) otherwise.  Returns the composition
     result together with the accumulated scalar (None when params is None).
     """
-    from .reference import _trace_concatenation
-
     pairs, chain_blobs, loop_blobs = _trace_concatenation(top, bottom)
     base = Pairing(top.n, bottom.m, tuple(pairs))
     blobbed = frozenset(p for p, cnt in chain_blobs.items() if cnt)

@@ -29,10 +29,10 @@ matrices are the letter images the chain multiplies.
 
 This module holds what ``certify-rho0`` runs: the chains, the certified
 rank and ``certify_mirror``.  ``verify-tl`` runs none of it: its one pass
-over R(D) lives in ``tlblob.tlcert``, which calls back here only when a
-check fails (the word chain's certified rank, and ``verify_r_composition``,
-the exhaustive sweep, which loads its per-pair check from ``reference``).
-``triangularity_report`` and ``verify_tl_faithful`` read that pass and
+over R(D) lives in ``tlblob.tlcert``.  The TL word chain and
+``verify_r_composition``, the exhaustive sweep (which loads its per-pair
+check from ``reference``), are test oracles for that pass, not fallbacks.
+``triangularity_report`` and ``verify_tl_faithful`` read the pass and
 load ``tlcert`` on first use.  The blob structure-constant proof lives in
 ``tlblob.blobrep``.  So ``certify_rho0`` loads neither ``tlcert``,
 ``walks`` nor ``reference``.
@@ -204,6 +204,22 @@ def verify_r_composition(n):
             if _tl_pair_fails(mats, d1, d2)]
 
 
+def _relations_hold(images, n, ring):
+    """Whether the images satisfy the blob relations with delta = [2] and
+    the gamma and delta_e they realise (``ok_with`` the scalars that
+    ``verify_presentation`` records: only relations no scalar meets fail).
+    """
+    delta = rings.quantum_integer(2)
+    if ring == "cyclo":
+        delta = rings.CycloLaurent.from_laurent(delta)
+    # Any gamma and delta_e: ``ok_with`` decides the two relations again.
+    report = words.verify_presentation(images, n, delta,
+                                       rings.BlobParams(delta, delta, delta))
+    found = report.empirical_scalars
+    return report.ok_with(rings.BlobParams(delta, found.get("gamma"),
+                                           found.get("delta_e")))
+
+
 def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     """Certify a blob representation given by masks of mirrored generators.
 
@@ -213,9 +229,11 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     generator at position -i or +i, the TL letter at n - i or n + i, before
     the product is formed.  A mask is compared on the factors the image
     and the letter touch, and X_i Y_i on the factors of its two windows
-    (``tensorrep._window_product``).  On mask success the basis words are
-    evaluated through the representation and their certified rank must
-    reach the blob diagram count.
+    (``tensorrep._window_product``).  On mask success the images must
+    satisfy the blob relations (``_relations_hold``), else the method is
+    "relations-failed"; then the basis words are evaluated through the
+    representation and their certified rank must reach the blob diagram
+    count.
     """
     total = 2 * n
     if n < 1 or set(factored_u) != set(range(1, n)):
@@ -238,10 +256,13 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
         checks.append({"name": f"u{i}_left", "ok": mask_ok(x_i, -i)})
         checks.append({"name": f"u{i}_right", "ok": mask_ok(y_i, i)})
         images[i] = _window_product(x_i, y_i)
-    rank, method, witness = 0, "masks-only", None
-    if all(c["ok"] for c in checks):
-        vectors = _word_vectors(words._basis_words(n), images, total,
-                                mats[0].block.ring)
+    ring, rank, witness = mats[0].block.ring, 0, None
+    if not all(c["ok"] for c in checks):
+        method = "masks-only"
+    elif not _relations_hold(images, n, ring):
+        method = "relations-failed"
+    else:
+        vectors = _word_vectors(words._basis_words(n), images, total, ring)
         rank, method, witness = _certified_rank(vectors, seed, total)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,

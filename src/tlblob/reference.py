@@ -3,12 +3,13 @@
 The three certificate commands prove their claims from the algebra
 presentations, the contraction argument and a modular rank witness
 (README "Certification").  The code here serves everything else: the
-exhaustive sweeps, the walk-pair word chain and the exact (Bareiss) rank
-that the proofs fall back to, composition by chain-tracing a
-concatenation, enumeration, the walk-pair order, word text forms, the
-overlay test, the JSON readers and writers, and the handlers of the
-workbench subcommands (``enumerate``, ``compose``, ``rmatrix``,
-``walkword`` and ``lattice``).  Keeping it in one module that a
+blob structure-constant sweep that the presentation proof falls back to,
+the TL composition sweep and the walk-pair word chain (test oracles for
+``verify-tl``'s pass, not fallbacks), the exact (Bareiss) rank that a
+failed witness search falls back to, enumeration, the walk-pair order,
+word text forms, the overlay test, the JSON readers and writers, and the
+handlers of the workbench subcommands (``enumerate``, ``compose``,
+``rmatrix``, ``walkword`` and ``lattice``).  Keeping it in one module that a
 certificate command never imports keeps it out of that command's
 start-up.
 
@@ -50,8 +51,9 @@ def _pair_word_vectors(n):
 
     The lists are in enumeration order, and the matrices come from the
     letter chain (``faithful._word_vectors``): the family ``verify-tl``
-    certifies, built as it was before its one pass over R(D).  That pass
-    falls back to it when a check fails.  Raises ValueError for n < 0.
+    certifies, built as it was before its one pass over R(D).  It is a
+    test oracle for that pass, not a fallback.  Raises ValueError for
+    n < 0.
     """
     faithful._require_size(n)
     pairs = walks.enumerate_pairs(n)
@@ -236,63 +238,7 @@ def rank_modular(vectors, trials=5, seed=0):
                for x_val, a_val in points)
 
 
-# -- diagrams: composition by concatenation, enumeration, JSON ---------------
-
-def _trace_concatenation(top, bottom):
-    """Chain-trace the concatenation of two (blob) diagrams.
-
-    Returns (result_pairs, open_chain_blobs, loop_blob_counts) where
-    open_chain_blobs maps each result pair to the number of blobs its chain
-    picked up, and loop_blob_counts lists the blob count of each closed loop.
-    """
-    (t, t_blobs), (b, b_blobs) = (
-        (d.base, d.blobbed) if isinstance(d, BlobPairing) else (d, ())
-        for d in (top, bottom))
-    if t.m != b.n:
-        raise ValueError(f"inner boundary mismatch: {t.m} vs {b.n}")
-    shift = t.n + t.m
-    end = shift + b.n + b.m
-    partner = [None] * end  # node -> (other end of its line, blob flag)
-    for offset, d, blobbed in ((0, t, t_blobs), (shift, b, b_blobs)):
-        for x, y in d.pairs:
-            blob = (x, y) in blobbed
-            partner[offset + x] = (offset + y, blob)
-            partner[offset + y] = (offset + x, blob)
-    junction = [None] * end  # top south t.n + j <-> bottom north shift + j
-    for j in range(t.m):
-        junction[t.n + j], junction[shift + j] = shift + j, t.n + j
-    visited = [False] * end
-
-    def chain(node):
-        # Follow lines and junctions: (outer end, or None for a loop, blobs).
-        start, blobs = node, 0
-        while True:
-            visited[node] = True
-            node, blob = partner[node]
-            visited[node] = True
-            blobs += blob
-            across = junction[node]
-            if across is None:
-                return node, blobs
-            if across == start:
-                return None, blobs
-            node = across
-
-    outer = [*range(t.n), *range(shift + b.n, end)]
-    result_id = {node: i for i, node in enumerate(outer)}
-    result_pairs = []
-    open_chain_blobs = {}
-    for node in outer:
-        if not visited[node]:
-            # The other end is unvisited, so later in outer: the pair is sorted.
-            other, blobs = chain(node)
-            pair = (result_id[node], result_id[other])
-            result_pairs.append(pair)
-            open_chain_blobs[pair] = blobs
-    loop_blob_counts = [chain(node)[1] for node in range(t.n, shift)
-                        if not visited[node]]
-    return result_pairs, open_chain_blobs, loop_blob_counts
-
+# -- diagrams: enumeration, JSON ---------------------------------------------
 
 def reflect(d):
     """Left-right mirror of a plain diagram; an involution."""

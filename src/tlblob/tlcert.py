@@ -16,23 +16,23 @@ through line gives I, on the tensors that ``r_matrix_codes`` itself uses.
 Each pair's word is folded by ``words._fold`` and must reach a TL diagram
 D with nothing discarded (``_is_loop_free_tl``).  R(D)'s codes are built,
 fed to the triangularity sweep, checked to have the pair's own position as
-their smallest key, and dropped.  Catalan(n) distinct partner arrays and
-leads then make the walk-pair word matrices the R(D) of all diagrams, each
-led by its own position.  Ordered by lead, the minor on the leads is
-triangular with a unit diagonal, so it is nonzero at every point: the
-witness names the first seeded point (``rank._trial_points``) and the
-leads as pivots.  They are the pivots elimination would find, since those
-depend only on the span (``rank._rank_mod_p``).
+their smallest key, and dropped.  Catalan(n) distinct partner arrays then
+make the walk-pair word matrices the R(D) of all diagrams, each led by its
+own position; the pairs are distinct, so the leads are too.  Ordered by
+lead, the minor on the leads is triangular with a unit diagonal, so it is
+nonzero at every point: the witness names the first seeded point
+(``rank._trial_points``) and the leads as pivots.  They are the pivots
+elimination would find, since those depend only on the span
+(``rank._rank_mod_p``).
 
-When any check fails, ``verify_tl`` gives the word chain's answers instead
-(``_chain_path``): the triangularity of its vectors, the exhaustive sweep
-``faithful.verify_r_composition`` and their certified rank.  ``faithful``
-and ``reference`` load only then, and no stage builds a diagram object, so
-the pass loads neither of them nor ``tlblob.diagrams``.
+A check that fails raises RuntimeError naming it: a bug (exit 2), never a
+certificate.  The word chain (``reference._pair_word_vectors``) and the
+sweep (``faithful.verify_r_composition``) are test oracles for the pass,
+not fallbacks; it loads neither module, nor ``tlblob.diagrams``.
 
-Every function of ``faithful``, ``reference``, ``walks`` and ``words`` is
-called through its module, looked up when the call runs, so a wrapper that
-``perfbench/traced.py`` or a test installs there is reached.
+Every function of ``walks`` and ``words`` is called through its module,
+looked up when the call runs, so a wrapper that ``perfbench/traced.py``
+or a test installs there is reached.
 """
 
 from math import comb
@@ -43,7 +43,7 @@ from .rank import _MODULAR_PRIME, FaithfulnessCertificate, _trial_points
 from .tensorrep import (CodedMatrix, SummandCollision, index_to_seq,
                         r_matrix_codes, seq_to_index)
 
-__all__ = ["TriangularityReport", "prove_r_composition", "verify_tl"]
+__all__ = ["TriangularityReport", "verify_tl"]
 
 
 def _is_walk(seq):
@@ -166,55 +166,41 @@ def _walk_pair_codes(n, pairs, arrays, leads):
     """Yield (p, codes of R(D)) for each walk pair p in turn, D the fold of
     p's word.
 
-    A fold that is a TL diagram reached with nothing discarded adds its
-    partner array to the set ``arrays``; a vector whose smallest key is p's
-    own position, seq_to_index(a) << n | seq_to_index(b), adds it to the
-    list ``leads``.  So a failed check leaves a count short.
+    Each fold must be a TL diagram reached with nothing discarded; its
+    partner array joins the set ``arrays``.  R(D)'s smallest key must be
+    p's own position, seq_to_index(a) << n | seq_to_index(b), which joins
+    the list ``leads``.  A check that fails raises RuntimeError.
     """
     for p in pairs:
         fold = words._fold(walks.pair_word(p))
-        if _is_loop_free_tl(fold, n):
-            arrays.add(bytes(fold[0]))
+        if not _is_loop_free_tl(fold, n):
+            raise RuntimeError(f"verify-tl: loop-free TL fold refused at {p!r}")
+        arrays.add(bytes(fold[0]))
         vec = r_matrix_codes(n, n, _lines(fold[0]))
-        lead = min(vec)
-        if lead == seq_to_index(p.a.steps) << n | seq_to_index(p.b.steps):
-            leads.append(lead)
+        own = seq_to_index(p.a.steps) << n | seq_to_index(p.b.steps)
+        if min(vec) != own:
+            raise RuntimeError(f"verify-tl: lead check refused at {p!r}")
+        leads.append(own)
         yield p, vec
-
-
-def _chain_path(n, seed):
-    """``verify_tl``'s results from the word chain, for a refused pass.
-
-    The walk-pair word matrices come from the letter chain
-    (``reference._pair_word_vectors``); their triangularity, the exhaustive
-    composition sweep and their certified rank are the results.
-    """
-    from . import faithful, reference
-
-    pairs, _, vectors = reference._pair_word_vectors(n)
-    report = _triangularity(n, zip(pairs, vectors))
-    failures = faithful.verify_r_composition(n)
-    rank, method, witness = faithful._certified_rank(vectors, seed, n)
-    return report, failures, FaithfulnessCertificate(
-        n=n, basis_size=len(pairs), rank=rank, method=method, witness=witness)
 
 
 def verify_tl(n, seed=DEFAULT_SEED):
     """(triangularity report, composition failures, rank certificate) of n.
 
-    The three come from one pass over R(D) when every check holds, with
-    no composition failure and the leads as the witness's pivots;
-    otherwise from the word chain (``_chain_path``).  Raises ValueError
-    for n < 0.
+    One pass over R(D): no composition failure, and the leads as the
+    witness's pivots.  A check that fails raises RuntimeError naming it:
+    the line-tensor identities, the loop-free TL fold, the Catalan(n)
+    distinct arrays or the lead check.  Raises ValueError for n < 0.
     """
     pairs = walks.enumerate_pairs(n)
     if not _identities_hold():
-        return _chain_path(n, seed)
+        raise RuntimeError("verify-tl: line-tensor identities refused")
     arrays, leads = set(), []
     report = _triangularity(n, _walk_pair_codes(n, pairs, arrays, leads))
     size = comb(2 * n, n) // (n + 1)
-    if not len(pairs) == len(arrays) == len(set(leads)) == size:
-        return _chain_path(n, seed)
+    if not len(pairs) == len(arrays) == size:
+        raise RuntimeError(f"verify-tl: Catalan(n) distinct arrays refused: "
+                           f"{len(arrays)} from {len(pairs)} pairs, not {size}")
     p = _MODULAR_PRIME
     x, a = _trial_points(1, seed, p)[0]
     low = (1 << n) - 1
@@ -223,13 +209,3 @@ def verify_tl(n, seed=DEFAULT_SEED):
     return report, [], FaithfulnessCertificate(
         n=n, basis_size=size, rank=size, method="modular-witness",
         witness=witness)
-
-
-def prove_r_composition(n):
-    """verify_r_composition's failures, proved by ``verify_tl``'s pass.
-
-    When the line tensors satisfy the identities, R(D) R(D') =
-    [2]^loops R(D o D') for all diagrams and no pair fails; when any check
-    of the pass fails, the exhaustive sweep gives the failures instead.
-    """
-    return verify_tl(n)[1]

@@ -131,25 +131,26 @@ def lower_at(walk, i):
     return Walk(s[: i - 1] + (2, 1) + s[i + 1:])
 
 
-def _lowest_legal_lowering(walk):
-    s = walk.steps
-    h = 0
-    for i in range(1, len(s)):
-        h += 1 if s[i - 1] == 1 else -1
-        # Lowering at i turns (1,2) into (2,1) and drops the column after
-        # step i by 2, so it needs h(i) >= 2.
-        if s[i - 1] == 1 and s[i] == 2 and h >= 2:
-            return i
-    return None
+def _lowerings(steps):
+    """The positions the canonical chain lowers a walk's steps at: the
+    smallest legal one, until none is, on a step list (no ``Walk``).
 
-
-def _lower_fully(walk):
-    """(positions, lowest walk): lower at the smallest legal position until none is."""
-    positions = []
-    while (i := _lowest_legal_lowering(walk)) is not None:
-        positions.append(i)
-        walk = lower_at(walk, i)
-    return positions, walk
+    Lowering at i turns steps (1, 2) at i, i+1 into (2, 1) and drops the
+    column after step i by 2, so it needs that column >= 2.  No earlier
+    position but i - 1 can become legal, so the scan resumes there.
+    """
+    s, positions = list(steps), []
+    col = [0] * len(s)  # col[i]: the column after step i, for i < len(s)
+    i = 1
+    while i < len(s):
+        col[i] = col[i - 1] + (1 if s[i - 1] == 1 else -1)
+        if s[i - 1] == 1 and s[i] == 2 and col[i] >= 2:
+            s[i - 1], s[i] = 2, 1
+            positions.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return positions
 
 
 def pair_word(p):
@@ -161,9 +162,7 @@ def pair_word(p):
     legal position first, left walk before right; any other chain yields the
     same diagram.
     """
-    left, a = _lower_fully(p.a)
-    right, _ = _lower_fully(p.b)
-    k = sum(1 for s in a.steps if s == 2)
-    base = [2 * j + 1 for j in range(k)]
-    letters = tuple(left) + tuple(base) + tuple(reversed(right))
+    base = [2 * j + 1 for j in range(p.a.steps.count(2))]
+    letters = (*_lowerings(p.a.steps), *base,
+               *reversed(_lowerings(p.b.steps)))
     return GenWord(letters, p.n)

@@ -9,6 +9,7 @@ import tlblob.diagrams as diagrams_module
 from tlblob.diagrams import (
     BlobPairing,
     Pairing,
+    _trace_concatenation,
     blob_e,
     compose_blob,
     compose_tl,
@@ -17,7 +18,6 @@ from tlblob.diagrams import (
     identity,
 )
 from tlblob.reference import (
-    _trace_concatenation,
     cut,
     diagram_from_json,
     diagram_to_json,

@@ -12,7 +12,7 @@ from tlblob.blobrep import (
     verify_blob_representation,
     verify_rho0,
 )
-from tlblob.diagrams import BlobPairing, compose_blob, generator_u, identity
+from tlblob.diagrams import BlobPairing, compose_blob, generator_u
 from tlblob.rank import check_full_rank_witness, full_rank_witness
 from tlblob.reference import (
     OVERLAY_MENU,
@@ -53,7 +53,7 @@ from tlblob.faithful import (
     verify_r_composition,
     verify_tl_faithful,
 )
-from tlblob.tlcert import prove_r_composition, verify_tl
+from tlblob.tlcert import verify_tl
 from tlblob.walks import Walk, WalkPair, enumerate_pairs, pair_word
 from tlblob.words import GenWord, WordEval, blob_basis_words, eval_word, \
     verify_presentation
@@ -293,12 +293,12 @@ class TestTlFaithful:
         assert _certified_rank(vectors, 7) == (5, "exact", None)
 
     def test_failed_witness_search_gives_exact_certificate(self, monkeypatch):
-        import tlblob.faithful as faithful
-
+        # The word chain's vectors, certified when no witness is found.
         monkeypatch.setattr(faithful, "full_rank_witness", lambda *a, **k: None)
-        # A refused pass certifies the word chain, through the witness search.
-        monkeypatch.setattr(tlcert, "_identities_hold", lambda: False)
-        cert = verify_tl_faithful(3)
+        _, _, vectors = reference_module._pair_word_vectors(3)
+        rank, method, witness = _certified_rank(vectors, DEFAULT_SEED, 3)
+        cert = FaithfulnessCertificate(n=3, basis_size=5, rank=rank,
+                                       method=method, witness=witness)
         assert cert.method == "exact" and cert.rank == 5 and cert.valid
         assert cert.to_json()["witness"] is None
 
@@ -317,7 +317,7 @@ class TestTlFaithful:
             assert cert.to_json()["valid"] is False
 
     @pytest.mark.parametrize("check", [verify_tl_faithful, triangularity_report,
-                                       verify_r_composition, prove_r_composition])
+                                       verify_r_composition, verify_tl])
     def test_negative_n_rejected(self, check):
         with pytest.raises(ValueError):
             check(-1)
@@ -332,18 +332,8 @@ class TestOneBuild:
     @pytest.mark.parametrize("n", range(6))
     def test_verify_tl_gives_the_three_results(self, n):
         assert verify_tl(n, seed=3) == (triangularity_report(n),
-                                        prove_r_composition(n),
+                                        verify_r_composition(n),
                                         verify_tl_faithful(n, seed=3))
-
-    def test_cli_builds_the_word_matrices_once(self, monkeypatch, capsys):
-        # Only a refused pass builds them: once, for all three results.
-        from tlblob import cli
-
-        monkeypatch.setattr(tlcert, "_identities_hold", lambda: False)
-        builds = count_calls(monkeypatch, "_word_vectors")
-        assert cli.main(["verify-tl", "--n", "5"]) == 0
-        assert '"valid":true' in capsys.readouterr().out
-        assert len(builds) == 1
 
     def test_cli_builds_no_word_matrix_when_the_pass_holds(self, monkeypatch,
                                                            capsys):
@@ -383,11 +373,19 @@ def mutated_codes(monkeypatch, mutate):
                         mutate(n, m, pairs, codes(n, m, pairs)))
 
 
+def chain_codes(monkeypatch, size):
+    """Give each walk pair's R(D) codes at ``size`` as its word's chain
+    vector, in turn, so that only the fold and array checks can refuse."""
+    chain = iter(reference_module._pair_word_vectors(size)[2])
+    mutated_codes(monkeypatch, lambda n, m, pairs, codes:
+                  next(chain) if n == m == size else codes)
+
+
 class TestContraction:
     """``verify_tl``'s pass: R is a functor by three 2x2 identities on its
     line tensor, and each walk pair's word folds with nothing discarded to
     the diagram whose R(D) is the word's matrix, led by the pair's own
-    position.  A refused check gives the word chain's answers."""
+    position.  A refused check raises RuntimeError naming it."""
 
     def test_line_tensors_satisfy_the_identities(self):
         # C read from R of a cap and of a cup, in the ring this time.
@@ -428,36 +426,58 @@ class TestContraction:
             {0: 0, 3: 16} if (n, m) == (1, 1) else codes,
     }
 
-    @staticmethod
-    def check_chain_answers(monkeypatch, expected):
-        # The answers of an unrefused run: the chain's triangularity and
-        # witness are those of R(D), and the sweep finds no failure.
-        sweeps = count_calls(monkeypatch, "verify_r_composition")
-        builds = count_calls(monkeypatch, "_word_vectors")
-        assert verify_tl(3) == expected
-        assert sweeps == [[]] and len(builds) == 1
+    # Tampered folds at n = 3, word k: (k, fold, earlier folds) -> fold.
+    # The crossing array 0-4, 1-3, 2-5 is a fixed-point-free involution,
+    # and a blob on the line through node 0, which is always exposed, is a
+    # blob state: only the crossing scan and the blob check refuse them.
+    TAMPERS = {
+        "crossing": lambda k, fold, earlier: ([4, 3, 5, 1, 0, 2], *fold[1:])
+        if k == 1 else fold,
+        "repeated": lambda k, fold, earlier: (earlier[0][0][:], *fold[1:])
+        if k == 4 else fold,
+        "discard": lambda k, fold, earlier: (fold[0], fold[1], [1, 0, 0])
+        if k == 1 else fold,
+        "blob": lambda k, fold, earlier: (
+            fold[0], [i in (0, fold[0][0]) for i in range(6)], fold[2])
+        if k == 1 else fold,
+    }
+
+    # Each check of the pass refused alone at n = 3, and the check its
+    # error names: the line-tensor mutations, the tampered folds, u1's R(D)
+    # without its lead, and words missing u1's diagram (the empty word in
+    # place of u1's, so the identity's array comes twice).  Under a tamper
+    # or the missing diagram each pair's codes are its word's chain vector,
+    # so that the leads hold.
+    REFUSALS = {**dict.fromkeys(MUTATIONS, "line-tensor identities"),
+                **dict.fromkeys(("blob", "crossing", "discard"),
+                                "loop-free TL fold"),
+                "repeated": "distinct arrays", "lead": "lead check",
+                "missing-diagram": "distinct arrays"}
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutated_line_tensor_is_refused(self, monkeypatch, mutation):
-        expected = verify_tl(3)
         mutated_codes(monkeypatch, self.MUTATIONS[mutation])
         assert not tlcert._identities_hold()
-        self.check_chain_answers(monkeypatch, expected)
 
-    # The other checks of the pass, each refused alone at n = 3: the blob,
-    # crossing, discard and repeated folds of ``TestGeneratorStepProof``,
-    # and u1's R(D) without its lead.
-    @pytest.mark.parametrize("check", ["blob", "crossing", "discard", "lead",
-                                       "repeated"])
-    def test_refused_check_gives_the_chain_answers(self, monkeypatch, check):
-        expected = verify_tl(3)
-        if check == "lead":
+    @pytest.mark.parametrize("check", sorted(REFUSALS))
+    def test_refused_check_raises(self, monkeypatch, check):
+        if check in self.MUTATIONS:
+            mutated_codes(monkeypatch, self.MUTATIONS[check])
+        elif check == "lead":
             mutated_codes(monkeypatch, lambda n, m, pairs, codes:
                           without_lead(codes)
                           if pairs == generator_u(1, 3).pairs else codes)
         else:
-            tampered_folds(monkeypatch, TestGeneratorStepProof.TAMPERS[check])
-        self.check_chain_answers(monkeypatch, expected)
+            chain_codes(monkeypatch, 3)
+            if check in self.TAMPERS:
+                tampered_folds(monkeypatch, self.TAMPERS[check])
+            else:
+                u1 = GenWord((1,), 3)
+                monkeypatch.setattr(walks_module, "pair_word", lambda p:
+                                    GenWord((), 3) if pair_word(p) == u1
+                                    else pair_word(p))
+        with pytest.raises(RuntimeError, match=self.REFUSALS[check]):
+            verify_tl(3)
 
     @pytest.mark.parametrize("n", range(10))
     def test_word_chain_is_r_of_the_fold(self, n):
@@ -540,36 +560,35 @@ class TestCodedChains:
 
 class TestExactnessGuard:
     """Images that are not all unit monomials, or a product position with two
-    summands, send the chain through the ring product; the certificate is
-    then the ring chain's.  ``verify-tl`` runs the chain only when its pass
-    is refused, so the TL cases refuse it."""
+    summands, send the chain through the ring product; the certified rank
+    is then the ring chain's."""
 
     @staticmethod
     def tl_with_letters(monkeypatch, n, letters):
-        monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
-        monkeypatch.setattr(tlcert, "_identities_hold", lambda: False)
-        builds = count_calls(monkeypatch, "_rep_word_matrices")
-        cert = verify_tl_faithful(n)
-        assert len(builds) == 1
+        """The certified (rank, method, witness) of the TL word chain."""
         words = [pair_word(p) for p in enumerate_pairs(n)]
-        expected = _certified_rank(
+        builds = count_calls(monkeypatch, "_rep_word_matrices")
+        got = _certified_rank(faithful._word_vectors(words, letters, n,
+                                                     "laurent"),
+                              DEFAULT_SEED, n)
+        assert len(builds) == 1
+        assert got == _certified_rank(
             ring_vectors(words, faithful._expanded(letters), n, "laurent"),
             DEFAULT_SEED)
-        assert (cert.rank, cert.method, cert.witness) == expected
-        return cert
+        return got
 
     def test_scaled_generator_image(self, monkeypatch):
         letters = dict(faithful._tl_letter_matrices(4))
         letters[2] = scaled(letters[2], LaurentInt.from_int(2))
-        cert = self.tl_with_letters(monkeypatch, 4, letters)
-        assert cert.valid and cert.method == "modular-witness"
+        rank, method, _ = self.tl_with_letters(monkeypatch, 4, letters)
+        assert (rank, method) == (14, "modular-witness")
 
     def test_collision(self, monkeypatch):
         # u1's image replaced by u2's: the word u1 u2 becomes u2 u2, a loop.
         letters = dict(faithful._tl_letter_matrices(3))
         letters[1] = letters[2]
-        cert = self.tl_with_letters(monkeypatch, 3, letters)
-        assert not cert.valid and cert.method == "exact"
+        rank, method, _ = self.tl_with_letters(monkeypatch, 3, letters)
+        assert rank < 5 and method == "exact"
 
     def test_scaled_blob_image(self, monkeypatch):
         # The same certificate from e's block and from its full matrix.
@@ -625,80 +644,32 @@ class TestGeneratorStepProof:
     def test_tl_correct_runs_no_sweep(self, monkeypatch, n):
         expected = verify_r_composition(n)
         sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(n) == expected == []
+        assert verify_tl(n)[1] == expected == []
         assert sweeps == []
 
-    @staticmethod
-    def scale_diagram_matrix(monkeypatch, n, diagram):
-        # Both R(D) sources: the sweep's matrix table gets 2 R(D), and the
-        # pass's codes, where 2 R(D) has no code form, lose their smallest
-        # key, which the lead check refuses.  The pass builds R(D) from the
-        # fold's lines, so its codes are matched on the pairs.
-        diagrams, mats = faithful._diagram_matrix_table(n)
-        broken = dict(mats)
-        broken[diagram] = mats[diagram].scalar_mul(LaurentInt.from_int(2))
-        monkeypatch.setattr(faithful, "_diagram_matrix_table",
-                            lambda size: (diagrams, broken))
-        mutated_codes(monkeypatch, lambda n, m, pairs, codes:
-                      without_lead(codes) if pairs == diagram.pairs else codes)
-
-    @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
-                                     (4, 3)])
-    def test_tl_scaled_generator_falls_back(self, monkeypatch, n, i):
-        self.scale_diagram_matrix(monkeypatch, n, generator_u(i, n))
-        expected = verify_r_composition(n)
-        assert expected
-        sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(n) == expected
-        assert sweeps == [expected]
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_tl_scaled_identity_falls_back(self, monkeypatch, n):
-        # At n = 1 there is no generator step: only R(id) = I catches it.
-        self.scale_diagram_matrix(monkeypatch, n, identity(n))
-        expected = verify_r_composition(n)
-        assert expected
-        sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(n) == expected
-        assert sweeps == [expected]
-
-    # Tampered folds at n = 3, word k: (k, fold, earlier folds) -> fold.
-    # The crossing array 0-4, 1-3, 2-5 is a fixed-point-free involution,
-    # and a blob on the line through node 0, which is always exposed, is a
-    # blob state: only the crossing scan and the blob check refuse them.
-    TAMPERS = {
-        "crossing": lambda k, fold, earlier: ([4, 3, 5, 1, 0, 2], *fold[1:])
-        if k == 1 else fold,
-        "repeated": lambda k, fold, earlier: (earlier[0][0][:], *fold[1:])
-        if k == 4 else fold,
-        "discard": lambda k, fold, earlier: (fold[0], fold[1], [1, 0, 0])
-        if k == 1 else fold,
-        "blob": lambda k, fold, earlier: (
-            fold[0], [i in (0, fold[0][0]) for i in range(6)], fold[2])
-        if k == 1 else fold,
-    }
-
-    @staticmethod
-    def sweeps_with_folds(monkeypatch, tamper):
-        """The sweeps prove_r_composition(3) runs when each word's fold
-        goes through ``tamper`` and each pair's R(D) codes are its word's
-        chain vector, so that only the fold checks can refuse the proof."""
-        folds = tampered_folds(monkeypatch, tamper)
-        chain = iter(reference_module._pair_word_vectors(3)[2])
-        mutated_codes(monkeypatch, lambda n, m, pairs, codes:
-                      next(chain) if n == m == 3 else codes)
-        sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(3) == []
-        assert len(folds) == 5
-        return sweeps
-
     def test_untampered_folds_prove(self, monkeypatch):
-        assert self.sweeps_with_folds(monkeypatch,
-                                      lambda k, fold, earlier: fold) == []
+        # The harness of ``TestContraction``'s refusals refuses nothing alone.
+        expected = verify_tl(3)
+        folds = tampered_folds(monkeypatch, lambda k, fold, earlier: fold)
+        chain_codes(monkeypatch, 3)
+        assert verify_tl(3) == expected
+        assert len(folds) == 5
 
-    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
-    def test_tampered_fold_falls_back(self, monkeypatch, tamper):
-        assert self.sweeps_with_folds(monkeypatch, self.TAMPERS[tamper]) == [[]]
+    # The word at which each tampered fold of ``TestContraction`` is
+    # refused: the fold checks refuse the tampered word itself, the
+    # distinct-arrays check only after the last of the five.
+    REFUSED_AT = {"blob": 1, "crossing": 1, "discard": 1, "repeated": 4}
+
+    @pytest.mark.parametrize("tamper", sorted(REFUSED_AT))
+    def test_tampered_fold_raises(self, monkeypatch, tamper):
+        folds = tampered_folds(monkeypatch, TestContraction.TAMPERS[tamper])
+        chain_codes(monkeypatch, 3)
+        with pytest.raises(RuntimeError) as refusal:
+            verify_tl(3)
+        k = self.REFUSED_AT[tamper]
+        assert len(folds) == k + 1
+        if k < 4:
+            assert repr(enumerate_pairs(3)[k]) in str(refusal.value)
 
     @staticmethod
     def check_blob(monkeypatch, images, n, params, basis=None):
@@ -812,18 +783,6 @@ class TestGeneratorStepProof:
         assert verify_tl(n) == expected
         assert expected[1] == sweeps == []
 
-    def test_tl_words_missing_a_diagram_fall_back(self, monkeypatch):
-        # Every word is loop free and its matrix is its diagram's R(D), but
-        # one diagram has no word: R(D) of that diagram is not checked.
-        dropped = next(p for p in enumerate_pairs(3)
-                       if pair_word(p) == GenWord((1,), 3))
-        monkeypatch.setattr(walks_module, "pair_word",
-                            lambda p: GenWord((), 3) if p == dropped
-                            else pair_word(p))
-        sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(3) == []
-        assert sweeps == [[]]
-
     @pytest.mark.parametrize("flaw", ["doubled-letters", "looped-word"])
     def test_tl_table_matching_its_words_is_not_enough(self, monkeypatch,
                                                        flaw):
@@ -831,7 +790,7 @@ class TestGeneratorStepProof:
         # diagram; but letters with doubled exponents (R at x^2, in the
         # pass's codes too) break u_i.u_i = [2] u_i, and the word u1 u1
         # evaluates to u1 through a loop.  The sweep finds failures, and
-        # only the loop identity or the fold check keep the proof from [].
+        # the loop identity or the fold check refuses the pass.
         n = 3
         letters = dict(faithful._tl_letter_matrices(n))
         if flaw == "doubled-letters":
@@ -855,11 +814,11 @@ class TestGeneratorStepProof:
         monkeypatch.setattr(faithful, "_diagram_matrix_table",
                             lambda size: (diagrams, mats))
         monkeypatch.setattr(walks_module, "pair_word", word)
-        expected = verify_r_composition(n)
-        assert expected
-        sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert prove_r_composition(n) == expected
-        assert sweeps == [expected]
+        assert verify_r_composition(n)
+        check = {"doubled-letters": "line-tensor identities",
+                 "looped-word": "loop-free TL fold"}[flaw]
+        with pytest.raises(RuntimeError, match=check):
+            verify_tl(n)
 
     def test_missing_letter_or_mixed_sizes_raise(self):
         images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
@@ -1096,9 +1055,42 @@ class TestMirror:
         assert not certs[0].valid and certs[0].method == "masks-only"
         assert not all(c["ok"] for c in certs[0].mask_checks)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_negated_blob_entry_fails_the_relations(self, n):
+        # Every mask passes and the rank would be full, but no gamma and
+        # delta_e make the images satisfy the blob relations.
+        for e, factors in mirror_inputs(n):
+            block = e.block if isinstance(e, Placed) else e
+            entries = dict(block.entries)
+            first = min(entries)
+            entries[first] = -entries[first]
+            block = SparseRepMatrix(block.rows_log2, block.cols_log2, entries,
+                                    block.ring)
+            e = Placed(e.support, block) if isinstance(e, Placed) else block
+            cert = certify_mirror(e, factors, n)
+            assert all(c["ok"] for c in cert.mask_checks)
+            assert (cert.valid, cert.rank, cert.method) == \
+                (False, 0, "relations-failed")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_doubled_blob_image_realises_doubled_scalars(self, n):
+        # broken_e_images fails the relations at rho0's own gamma and
+        # delta_e in both conventions, but holds them at twice those: a
+        # representation of another blob algebra, which certify_mirror,
+        # reading the scalars off the images, keeps valid.
+        images = broken_e_images(n, 1)
+        params = BlobParams.integral_form(1, cyclo=True)
+        assert not any(verify_presentation(images, n, params.delta, p).ok
+                       for p in (params, params.sign_flipped()))
+        _, factors = mirror_inputs(n)[1]
+        cert = certify_mirror(images["e"], factors, n)
+        assert cert.valid and cert.method == "modular-witness"
+
     def test_certify_rho0_builds_no_full_generator(self, monkeypatch):
         # Full 2^(2n)-square images would hold 4^(n-1) or more entries; the
         # mask references are the local cup-cap block, so no r_matrix runs.
+        # The largest products are the relation checks' u_i u_(i+1) u_i, on
+        # the six factors of two adjacent windows (64 entries).
         largest, strands = [], []
         mul, r_matrix = SparseRepMatrix.mul, tensorrep.r_matrix
 
@@ -1112,7 +1104,7 @@ class TestMirror:
         monkeypatch.setattr(SparseRepMatrix, "mul", counted_mul)
         monkeypatch.setattr(tensorrep, "r_matrix", counted_r_matrix)
         assert certify_rho0(5, 1).valid
-        assert largest and max(largest) <= 16
+        assert largest and max(largest) <= 64 < 4 ** (5 - 1)
         assert strands == []
 
     def test_certificate_reproducible(self):

@@ -36,7 +36,7 @@ EXPORTED = {
     "generator_u", "hasse_edges", "identity", "index_to_seq", "leq",
     "linear_extension", "local_u_matrix", "lower_at", "mask", "mask_eq",
     "pair_word", "parse_word", "place_local", "propagating_number",
-    "prove_blob_representation", "prove_r_composition", "quantum_integer",
+    "prove_blob_representation", "quantum_integer",
     "r_matrix", "raise_at", "rank_exact", "rank_modular", "reflect", "rho0",
     "rings", "seq_to_index", "tensorrep", "tl_basis_word_table",
     "triangularity_report", "verify_blob_representation",
@@ -75,39 +75,55 @@ def test_word_repr_leaves_reference_unloaded():
 
 
 def test_forced_fallbacks_load_reference():
-    # A proof that cannot finish falls back to its sweep, which loads the
-    # module on first use and gives the sweep's result.
+    # A blob proof that cannot finish falls back to its sweep, which loads
+    # the module on first use and gives the sweep's result.
     code = """
 import json, sys
-from tlblob import blobrep, tlcert
-from tlblob.diagrams import generator_u
+from tlblob import blobrep
 from tlblob.rings import BlobParams
 from tlblob.tensorrep import Rho0Config, rho0
 
-loaded = ['tlblob.reference' in sys.modules]
-codes, broken = tlcert.r_matrix_codes, generator_u(1, 3)
-# u1's codes lose their smallest key, which the pass's lead check refuses.
-tlcert.r_matrix_codes = lambda n, m, pairs: \
-    dict(list(codes(n, m, pairs).items())[1:]) if pairs == broken.pairs \
-    else codes(n, m, pairs)
-tl = tlcert.prove_r_composition(3)
-loaded.append('tlblob.reference' in sys.modules)
 images = rho0(Rho0Config(2, 1)).letter_images()
 two = next(iter(images["e"].entries.values())).from_int(2)
 images["e"] = images["e"].scalar_mul(two)
+loaded = ['tlblob.reference' in sys.modules]
 blob = blobrep.prove_blob_representation(images, 2,
                                          BlobParams.integral_form(1, cyclo=True))
-print(json.dumps({"loaded": loaded, "tl": tl, "blob": blob.to_json()}))
+loaded.append('tlblob.reference' in sys.modules)
+print(json.dumps({"loaded": loaded, "blob": blob.to_json()}))
 """
     out = json.loads(run_python(code))
     assert out["loaded"] == [False, True]
-    assert out["tl"] == []
     assert out["blob"] == {
         "n": 2, "ok": False, "pairs_checked": 36, "residuals": 5,
         "sign_normalized": False,
         "empirical_scalars": {"delta_e": "(2)*x^-2 + (-2)*x^2", "gamma": "0"},
         "expected_scalars": {"delta_e": "(-1)*x^-2 + (1)*x^2", "gamma": "0"},
     }
+
+
+def test_refused_tl_pass_exits_2_without_the_word_chain():
+    # A check of verify-tl's pass that fails is a bug: exit 2, nothing on
+    # stdout, and no word chain or sweep loaded to answer instead.
+    code = ("import contextlib, io, sys\n"
+            "from tlblob import cli, tlcert\n"
+            "tlcert._identities_hold = lambda: False\n"
+            "out, err = io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(err):\n"
+            "    status = cli.main(['verify-tl', '--n', '3'])\n"
+            "print(status, repr(out.getvalue()), sorted("
+            "{'tlblob.faithful', 'tlblob.reference'} & set(sys.modules)),"
+            " 'line-tensor identities refused' in err.getvalue())\n")
+    assert run_python(code) == "2 '' [] True\n"
+
+
+def test_compose_tl_leaves_reference_unloaded():
+    code = ("import sys\n"
+            "from tlblob.diagrams import compose_tl, generator_u\n"
+            "res = compose_tl(generator_u(1, 3), generator_u(2, 3))\n"
+            "print(res.plain_loops, 'tlblob.reference' in sys.modules)\n")
+    assert run_python(code) == "0 False\n"
 
 
 def test_exact_rank_fallback():
@@ -295,8 +311,7 @@ def test_mirror_and_blob_commands_leave_tlcert_unloaded(argv):
 # ``format_word`` next to ``GenWord``: (old module, new home, names).
 MOVED = [
     ("tlblob.faithful", "tlblob.tlcert",
-     ("TriangularityReport", "prove_r_composition", "verify_tl",
-      "_triangularity", "_is_walk")),
+     ("TriangularityReport", "verify_tl", "_triangularity", "_is_walk")),
     # The word chain's build, off ``verify-tl``'s path.
     ("tlblob.tlcert", "tlblob.reference", ("_pair_word_vectors",)),
     ("tlblob.rank", "tlblob.reference",
@@ -305,6 +320,8 @@ MOVED = [
      ("_load_diagram", "_cmd_enumerate", "_cmd_compose", "_cmd_rmatrix",
       "_cmd_walkword", "_cmd_lattice")),
     ("tlblob.reference", "tlblob.words", ("format_word",)),
+    # The chain-tracing composition, next to the diagrams it composes.
+    ("tlblob.reference", "tlblob.diagrams", ("_trace_concatenation",)),
 ]
 
 
@@ -329,10 +346,11 @@ TRACED_CASES = [
       "cli.dumps_canonical": 1},
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 0,
       "cli.output_bytes": 348}),
+    # The mirror certificate checks the blob relations on its images.
     (["certify-rho0", "--n", "2", "--m", "1"],
-     {"tensorrep.SparseRepMatrix.mul": 1, "faithful.certify_mirror": 1,
-      "cli.dumps_canonical": 1},
-     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 16,
+     {"tensorrep.SparseRepMatrix.mul": 5, "faithful.certify_mirror": 1,
+      "words.verify_presentation": 1, "cli.dumps_canonical": 1},
+     {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 52,
       "cli.output_bytes": 331}),
     (["verify-blob", "--n", "2", "--m", "2"],
      {"tensorrep.SparseRepMatrix.mul": 5,

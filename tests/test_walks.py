@@ -138,8 +138,9 @@ class TestOrder:
                     assert (i, k) in rel
 
 
-def random_chain_word(p, rng):
-    """Alternative word construction: lower at a random legal position."""
+def chain_word(p, choose):
+    """The word of the lowering chain that takes ``choose(options)`` of the
+    (position, lowered walk) options, built with ``lower_at``."""
     from tlblob.words import GenWord
 
     def lowerings(w):
@@ -153,11 +154,11 @@ def random_chain_word(p, rng):
 
     left, a = [], p.a
     while opts := lowerings(a):
-        i, a = rng.choice(opts)
+        i, a = choose(opts)
         left.append(i)
     right, b = [], p.b
     while opts := lowerings(b):
-        i, b = rng.choice(opts)
+        i, b = choose(opts)
         right.append(i)
     k = sum(1 for s in a.steps if s == 2)
     base = [2 * j + 1 for j in range(k)]
@@ -194,13 +195,19 @@ class TestPairWord:
             seen[ev.tl_diagram] = p
         assert set(seen) == set(enumerate_tl(n, n))
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_word_is_the_lower_at_chain(self, n):
+        # The canonical chain lowers Walks at the smallest legal position.
+        for p in enumerate_pairs(n):
+            assert pair_word(p) == chain_word(p, lambda opts: opts[0])
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_chain_independent_diagram(self, n):
         rng = random.Random(31)
         for p in enumerate_pairs(n):
             expected = eval_word(pair_word(p)).tl_diagram
             for _ in range(3):
-                alt = random_chain_word(p, rng)
+                alt = chain_word(p, rng.choice)
                 ev = eval_word(alt)
                 assert ev.loop_free
                 assert ev.tl_diagram == expected
