@@ -43,8 +43,9 @@ def _forwarder(module_name, **moved):
 _EXPORTS = {
     "rings": ("rings", "BlobParams", "CycloInt", "CycloLaurent", "LaurentInt",
               "quantum_integer"),
-    "rank": ("FaithfulnessCertificate", "check_full_rank_witness",
-             "full_rank_witness"),
+    "certificate": ("FaithfulnessCertificate",),
+    "rank": ("check_full_rank_witness", "full_rank_witness"),
+    "codes": ("index_to_seq", "seq_to_index"),
     "diagrams": ("diagrams", "BlobPairing", "CompositionResult", "Pairing",
                  "blob_e", "compose_blob", "compose_tl", "exposed_lines",
                  "generator_u", "identity"),
@@ -53,8 +54,8 @@ _EXPORTS = {
     "walks": ("walks", "Walk", "WalkPair", "enumerate_pairs", "enumerate_walks",
               "lower_at", "pair_word"),
     "tensorrep": ("tensorrep", "Rho0Config", "Rho0Rep", "SparseRepMatrix",
-                  "index_to_seq", "local_u_matrix", "mask", "mask_eq",
-                  "place_local", "r_matrix", "rho0", "seq_to_index"),
+                  "local_u_matrix", "mask", "mask_eq", "place_local",
+                  "r_matrix", "rho0"),
     "faithful": ("faithful", "certify_mirror",
                  "certify_rho0", "triangularity_report", "verify_r_composition",
                  "verify_tl_faithful"),

@@ -6,15 +6,18 @@ canonical JSON (sorted keys), so identical flags and seed give identical
 bytes; the seed is echoed in every payload that could involve randomness.
 
 Each command handler imports the code it runs, so a command loads only its
-own modules.  Beyond the modules every command loads, ``verify-tl`` adds
-``rank``, ``walks`` and ``tlcert``, ``certify-rho0`` ``faithful`` and
-``rank``, and ``verify-blob`` only ``blobrep``: no
-certificate command builds a diagram object, so ``diagrams`` loads only
-for the workbench subcommands, whose handlers live in ``reference``, which
-no certificate command loads.  No certificate command loads ``json`` either:
-``rings.dumps_canonical`` writes the output.  The functions
-``perfbench/traced.py`` wraps are called through their modules
-(``rings.dumps_canonical(...)``), looked up when the call runs.
+own modules.  Beyond ``cli``, ``_json``, ``_record`` and ``words``, which
+every certificate command loads, ``verify-tl`` adds ``tlcert``, ``walks``,
+``codes`` and ``certificate``; ``certify-rho0`` ``faithful``, ``rank``,
+``certificate``, ``codes``, ``tensorrep`` and ``rings``; and
+``verify-blob`` ``blobrep``, ``tensorrep`` and ``rings``.  No certificate
+command builds a diagram object, so ``diagrams`` loads only for the
+workbench subcommands, whose handlers live in ``reference``, which no
+certificate command loads.  No certificate command loads ``json`` either:
+``_json.dumps_canonical`` writes the output.  ``_json`` loads with this
+module, because ``perfbench/traced.py`` rewrites the bindings only of the
+modules loaded when it installs; the writer is called through its module
+(``_json.dumps_canonical(...)``), looked up when the call runs.
 
 A well-formed command line, a subcommand followed by ``--option value``
 pairs, is parsed by ``_parse_fast`` without argparse.  Any other (help,
@@ -29,7 +32,7 @@ failing ``--jobs`` import argparse, so a certificate command never loads it.
 import os
 import sys
 
-from . import DEFAULT_SEED, __version__
+from . import DEFAULT_SEED, __version__, _json
 
 
 def _positive_int(text):
@@ -247,9 +250,7 @@ def main(argv=None):
         print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 2
-    from . import rings
-
-    text = rings.dumps_canonical(payload)
+    text = _json.dumps_canonical(payload)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

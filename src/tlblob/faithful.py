@@ -10,8 +10,8 @@ elimination over the coefficient ring's fraction field
 
 Every word matrix comes from one shared-prefix product chain
 (``_prefix_products``), one product per distinct word prefix.  The
-certificate chains (``_word_vectors``) run it on ``CodedMatrix``: each
-entry is the int code of a signed unit monomial under a packed key
+certificate chains (``_word_vectors``) run it on ``codes.CodedMatrix``:
+each entry is the int code of a signed unit monomial under a packed key
 row << dim_log2 | col, which sorts like (row, col), so the modular witness
 picks the same pivots; they become (row, col) again for the JSON.  When an
 image entry has no code or two summands meet at one position, the chain
@@ -46,12 +46,11 @@ loaded is still reached.
 from math import comb
 
 from . import DEFAULT_SEED, _forwarder, rings, tensorrep, words
-from .rank import FaithfulnessCertificate, check_full_rank_witness, \
-    full_rank_witness
+from .certificate import FaithfulnessCertificate
+from .codes import CodedMatrix, SummandCollision
+from .rank import check_full_rank_witness, full_rank_witness
 from .tensorrep import (
-    CodedMatrix,
     SparseRepMatrix,
-    SummandCollision,
     _expanded,
     _on_union,
     _placed,

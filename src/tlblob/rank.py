@@ -1,25 +1,21 @@
 """Re-checkable modular full-rank witnesses.
 
 The vectors are sparse mappings {column: entry}.  An entry is a ring
-element of ``rings`` or its one-int code (``rings._unit_code``); one call
+element of ``rings`` or its one-int code (``codes._unit_code``); one call
 takes one kind.  ``full_rank_witness`` and ``check_full_rank_witness``
-prove full rank by a minor that is nonzero at a point mod p.  The
-certificates' fallback, fraction-free (Bareiss) elimination over the
-fraction field (``rank_exact``), and the witness-free lower bound
-``rank_modular`` live in ``tlblob.reference``: a certificate whose witness
-checks never runs them.  ``FaithfulnessCertificate``, the rank with its
-method and witness, lives here with them, so that ``verify-tl`` writes one
-without loading ``faithful``.
+prove full rank by a minor that is nonzero at a point mod p, drawn from
+the seed (``certificate._trial_points``).  The certificates' fallback,
+fraction-free (Bareiss) elimination over the fraction field
+(``rank_exact``), and the witness-free lower bound ``rank_modular`` live
+in ``tlblob.reference``: a certificate whose witness checks never runs
+them.  ``FaithfulnessCertificate``, the rank with its method and witness,
+lives in ``tlblob.certificate``, so that ``verify-tl`` writes one without
+loading this module.
 """
 
-import random
+from .certificate import _MODULAR_PRIME, _trial_points
 
-from . import __version__
-from ._record import Record
-from .rings import dumps_canonical
-
-__all__ = ["FaithfulnessCertificate", "full_rank_witness",
-           "check_full_rank_witness"]
+__all__ = ["full_rank_witness", "check_full_rank_witness"]
 
 
 def _holds_codes(vectors):
@@ -28,17 +24,6 @@ def _holds_codes(vectors):
         for value in vec.values():
             return type(value) is int
     return False
-
-
-_MODULAR_PRIME = 998244353  # prime, = 1 mod 8, so a with a^4 = -1 exists
-
-
-def _modular_eighth_root(rng, p):
-    while True:
-        z = rng.randrange(2, p - 1)
-        a = pow(z, (p - 1) // 8, p)
-        if pow(a, 4, p) == p - 1:
-            return a
 
 
 def _restrict(vectors, cols):
@@ -139,15 +124,6 @@ def _rank_mod_p(int_rows, p):
     return list(pivot_rows)
 
 
-def _trial_points(trials, seed, p):
-    """Seeded (x, a) points: x a unit mod p, a a root of a^4 + 1 mod p."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    return [(rng.randrange(2, p - 1), _modular_eighth_root(rng, p))
-            for _ in range(trials)]
-
-
 def full_rank_witness(vectors, trials=5, seed=0):
     """A re-checkable proof that ``vectors`` are independent, or None.
 
@@ -156,7 +132,7 @@ def full_rank_witness(vectors, trials=5, seed=0):
     a nonzero minor over the ring.  The witness names the point and the
     columns of one such minor: {"p", "x", "a", "pivots"}.  None means no
     trial reached full rank; it proves nothing either way.  The entries may
-    be ring elements or codes (``_unit_code``).
+    be ring elements or codes (``codes._unit_code``).
     """
     p = _MODULAR_PRIME
     points = _trial_points(trials, seed, p)
@@ -201,39 +177,3 @@ def check_full_rank_witness(vectors, witness):
     evaluate = _evaluate_codes if _holds_codes(vecs) else _evaluate_rows
     minor = evaluate(vecs, x_val, a_val, p, cols=pivots)
     return len(_rank_mod_p(minor, p)) == len(vecs)
-
-
-class FaithfulnessCertificate(Record):
-    __slots__ = ("n", "basis_size", "rank", "method", "mask_checks", "witness",
-                 "tool_version")
-    __hash__ = None
-
-    def __init__(self, n, basis_size, rank, method, mask_checks=None, witness=None,
-                 tool_version=__version__):
-        self.n = n
-        self.basis_size = basis_size
-        self.rank = rank
-        self.method = method
-        self.mask_checks = [] if mask_checks is None else mask_checks
-        self.witness = witness
-        self.tool_version = tool_version
-
-    @property
-    def valid(self):
-        return self.basis_size >= 1 and self.rank == self.basis_size and \
-            all(c["ok"] for c in self.mask_checks)
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "basis_size": self.basis_size,
-            "rank": self.rank,
-            "method": self.method,
-            "mask_checks": self.mask_checks,
-            "witness": self.witness,
-            "tool_version": self.tool_version,
-            "valid": self.valid,
-        }
-
-    def dumps(self):
-        return dumps_canonical(self.to_json())

@@ -27,8 +27,8 @@ from functools import lru_cache
 from . import blobrep, diagrams, faithful, rings, tensorrep, walks, words
 from ._record import Record
 from .diagrams import BlobPairing, Pairing
-from .rank import (_MODULAR_PRIME, _evaluate_rows, _holds_codes, _rank_mod_p,
-                   _trial_points)
+from .certificate import _MODULAR_PRIME, _trial_points
+from .rank import _evaluate_rows, _holds_codes, _rank_mod_p
 from .rings import RINGS, LaurentInt, _code_element, _Laurent
 from .tensorrep import SparseRepMatrix
 from .walks import Walk
@@ -174,7 +174,7 @@ def rank_exact(vectors):
     first, so the near-triangular matrices this package produces eliminate
     with almost no fill-in.  Since x is a unit, each row is first normalized
     by a power of x (clearing denominators cannot change the rank).
-    Entries that are codes (``_unit_code``) are decoded first.
+    Entries that are codes (``codes._unit_code``) are decoded first.
     """
     active = []
     for vec in vectors:

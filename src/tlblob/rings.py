@@ -21,26 +21,27 @@ coefficient stored, equality is dict equality, equal elements hash equal
 in either ring, and values are hashable and immutable.
 
 A signed unit monomial +-a^k x^e also has a one-int form, its code
-(8e + k) << 1 | sign (``_unit_code``), which the certificate word chains
-multiply without building elements.  ``dumps_canonical`` writes the
-canonical JSON text of certificates and CLI output itself, so no
-certificate command loads ``json``.
+(8e + k) << 1 | sign, which the certificate word chains multiply without
+building elements: the kernel is ``tlblob.codes``, and ``_code_element``
+here turns a code back into its element.
 
 The modular full-rank witnesses live in ``tlblob.rank``.  Exact rank and
 the tagged JSON form of an element, which only the fallbacks and the
-workbench commands use, live in ``tlblob.reference``.
+workbench commands use, live in ``tlblob.reference``, and the canonical
+JSON writer in ``tlblob._json``.
 """
 
 from . import _forwarder
 
 __all__ = [
     "LaurentInt", "CycloInt", "CycloLaurent", "BlobParams", "quantum_integer",
-    "rank_exact", "rank_modular",
+    "rank_exact", "rank_modular", "dumps_canonical",
 ]
 
-# perfbench/traced.py wraps these by this module's name; ``reference`` defines
-# them.
-__getattr__ = _forwarder(__name__, reference=("rank_exact", "rank_modular"))
+# perfbench/traced.py wraps these by this module's name; ``reference`` and
+# ``_json`` define them.
+__getattr__ = _forwarder(__name__, reference=("rank_exact", "rank_modular"),
+                         _json=("dumps_canonical",))
 
 
 class ExactDivisionError(ArithmeticError):
@@ -405,16 +406,6 @@ class BlobParams:
             * (self.delta_e ** blob_merges)
 
 
-def _unit_code(elem):
-    """(8e + k) << 1 | sign for elem = +-a^k x^e (sign 1 for minus), else None."""
-    terms = elem.terms
-    if len(terms) == 1:
-        ((key, c),) = terms.items()
-        if c == 1 or c == -1:
-            return key << 1 | (c < 0)
-    return None
-
-
 def _code_element(code):
     """The element +-a^k x^e of a code; integer Laurent when k = 0."""
     key = code >> 1
@@ -422,53 +413,3 @@ def _code_element(code):
 
 
 RINGS = {"laurent": LaurentInt, "cyclo": CycloLaurent}
-
-
-# The characters json escapes by name; other controls, DEL and non-ASCII
-# characters become \uXXXX (a surrogate pair outside the BMP).
-_JSON_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f",
-                 "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _json_char(ch):
-    code = ord(ch)
-    if code > 0xFFFF:
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return _JSON_ESCAPES.get(ch) or (ch if 0x20 <= code < 0x7F else f"\\u{code:04x}")
-
-
-def _json_string(text):
-    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
-        text = "".join(map(_json_char, text))
-    return f'"{text}"'
-
-
-def _json(obj):
-    if isinstance(obj, str):
-        return _json_string(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
-        return f"[{','.join(map(_json, obj))}]"
-    if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-        return "{%s}" % ",".join(f"{_json_string(k)}:{_json(obj[k])}"
-                                 for k in sorted(obj))
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def dumps_canonical(obj):
-    """Deterministic JSON used by certificates and the CLI.
-
-    Dicts with str keys (written in sorted order), lists, tuples, str, int,
-    bool and None, written byte for byte as
-    ``json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\\n"``
-    writes them: ASCII only, with json's escapes.  Any other value or key
-    type raises TypeError.
-    """
-    return _json(obj) + "\n"

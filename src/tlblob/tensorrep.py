@@ -1,19 +1,21 @@
 """Tensor-space matrices for diagrams: R-matrices, local blocks, and rho0.
 
 Rows and columns are indexed by sequences in {1,2}^n, encoded as integers
-with 1 before 2 lexicographically: seq s maps to sum (s_i - 1) * 2^(n-i).
+with 1 before 2 lexicographically: seq s maps to sum (s_i - 1) * 2^(n-i)
+(``codes.seq_to_index``).
 
 The matrix of a diagram multiplies one factor per line: a propagating line
 (i, j') forces v_i = w_j; a northern arc (i, j), i < j, forces v_i != v_j
 and contributes u^+1 on (1,2) and u^-1 on (2,1), where u is the arc unit
 (u = x by default, so u^2 = q); southern arcs act the same on w.  The
 orientation is calibrated so that the (12,12) entry of a single cup-cap
-generator is q.
+generator is q.  ``r_matrix`` reads its entries' positions and exponents
+from ``codes._r_entries``, the lists ``codes.r_matrix_codes`` reads.
 
 Every entry of a generator image is a signed unit monomial +-a^k x^e, and
 along a loop-free word each product position gets one summand.  So the
-certificate word chains run on ``CodedMatrix``: entries are the ints of
-``rings._unit_code`` under packed keys row << dim_log2 | col.
+certificate word chains run on ``codes.CodedMatrix``, whose entries are
+one-int codes: that kernel loads without this module or ``rings``.
 
 ``Placed`` holds an image as a block on a few factors tensored with I.
 It is the one form in which generator images travel from their build to a
@@ -25,16 +27,11 @@ matrices a word chain multiplies.  ``rho0``, ``Rho0Rep`` and
 """
 
 from ._record import Record
-from .rings import RINGS, CycloLaurent, LaurentInt, _unit_code
+from .rings import RINGS, CycloLaurent, LaurentInt
 
 __all__ = [
     "SparseRepMatrix",
-    "CodedMatrix",
-    "SummandCollision",
-    "seq_to_index",
-    "index_to_seq",
     "r_matrix",
-    "r_matrix_codes",
     "mask",
     "mask_eq",
     "local_u_matrix",
@@ -45,17 +42,6 @@ __all__ = [
     "rho0",
     "rho0_placed",
 ]
-
-
-def seq_to_index(seq):
-    idx = 0
-    for s in seq:
-        idx = (idx << 1) | (s - 1)
-    return idx
-
-
-def index_to_seq(idx, n):
-    return tuple(((idx >> (n - 1 - i)) & 1) + 1 for i in range(n))
 
 
 class SparseRepMatrix(Record):
@@ -157,86 +143,6 @@ class SparseRepMatrix(Record):
         return dict(self.entries)
 
 
-class SummandCollision(ArithmeticError):
-    """Two summands met at one position of a ``CodedMatrix`` product."""
-
-
-class CodedMatrix:
-    """A square matrix of signed unit monomials +-a^k x^e, held as ints.
-
-    ``entries`` maps row << dim_log2 | col to the code (8e + k) << 1 | sign
-    (``rings._unit_code``); packed keys sort like (row, col) tuples.  When
-    each product position gets one summand, a product entry is the product
-    of two codes: their keys add, their signs XOR, and a^k with k >= 4
-    folds to -a^(k-4) (only cyclotomic codes have k > 0).  A position
-    reached twice would need a sum: ``mul`` raises ``SummandCollision``,
-    and the caller takes the ring path.
-
-    A chain multiplies by a few letters over and over, so a matrix indexes
-    its rows for ``mul`` once, the first time it is a right factor
-    (``_rows``).  ``entries`` is not to be changed after that.
-    """
-
-    __slots__ = ("dim_log2", "entries", "_row_index")
-
-    def __init__(self, dim_log2, entries):
-        self.dim_log2 = dim_log2
-        self.entries = entries
-        self._row_index = None
-
-    def _rows(self):
-        """{row: [(col, sign bit, code without it)]}, built on first use."""
-        rows = self._row_index
-        if rows is None:
-            shift = self.dim_log2
-            low = (1 << shift) - 1
-            rows = self._row_index = {}
-            for key, code in self.entries.items():
-                rows.setdefault(key >> shift, []).append(
-                    (key & low, code & 1, code & -2))
-        return rows
-
-    @classmethod
-    def identity(cls, dim_log2):
-        return cls(dim_log2, {i << dim_log2 | i: 0 for i in range(1 << dim_log2)})
-
-    @classmethod
-    def from_matrix(cls, mat):
-        """mat's codes, or None unless mat is square with every entry +-a^k x^e."""
-        if mat.rows_log2 != mat.cols_log2:
-            return None
-        shift = mat.cols_log2
-        entries = {}
-        for (r, c), v in mat.entries.items():
-            code = _unit_code(v)
-            if code is None:
-                return None
-            entries[r << shift | c] = code
-        return cls(shift, entries)
-
-    def mul(self, other):
-        shift = self.dim_log2
-        if other.dim_log2 != shift:
-            raise ValueError("shape mismatch in matrix product")
-        low = (1 << shift) - 1
-        rows_of_b = other._rows()
-        out = {}
-        summands = 0
-        for key, code in self.entries.items():
-            row = rows_of_b.get(key & low)
-            if row:
-                base = key ^ (key & low)
-                summands += len(row)
-                for col, sign, even in row:
-                    t = (code ^ sign) + even
-                    if t & 8:  # a^k with k >= 4
-                        t = (t - 8) ^ 1
-                    out[base | col] = t
-        if len(out) != summands:
-            raise SummandCollision("two summands at one product position")
-        return CodedMatrix(shift, out)
-
-
 def mask(a):
     """The set of nonzero positions of a matrix."""
     return frozenset(a.entries)
@@ -248,28 +154,6 @@ def mask_eq(a, b):
     return mask(a) == mask(b)
 
 
-def _r_entries(n, m, pairs, step=1):
-    """(keys row << m | col, step times the arc unit's exponents) of R of
-    the diagram with n top nodes, m bottom nodes and lines ``pairs``.
-
-    ``pairs`` holds each line (a, b) once, a < b; node i is key bit
-    n + m - 1 - i.  The lists double line by line from the last (R is a
-    product over the lines, the last varying fastest): an arc gives u with
-    b's bit set, then 1/u with a's; a through line 1 with neither, then both.
-    """
-    top, keys, exps = n + m - 1, [0], [0]
-    for a, b in reversed(pairs):
-        if b < n or a >= n:  # northern or southern arc
-            u, inv = 1 << top - b, 1 << top - a
-            keys = [k | u for k in keys] + [k | inv for k in keys]
-            exps = [e + step for e in exps] + [e - step for e in exps]
-        else:
-            both = 1 << top - a | 1 << top - b
-            keys += [k | both for k in keys]
-            exps += exps
-    return keys, exps
-
-
 def r_matrix(d, unit=None):
     """The tensor-space matrix of a planar diagram.
 
@@ -277,6 +161,8 @@ def r_matrix(d, unit=None):
     Laurent ring); passing a different unit, possibly in the cyclotomic
     ring, realizes the same matrix at an independent formal parameter.
     """
+    from .codes import _r_entries  # only here: verify-blob never loads codes
+
     if unit is None:
         unit = LaurentInt.x_power(1)
     inv = unit.unit_inverse()
@@ -284,14 +170,6 @@ def r_matrix(d, unit=None):
     entries = {(k >> d.m, k & low): unit ** exp if exp >= 0 else inv ** -exp
                for k, exp in zip(*_r_entries(d.n, d.m, d.pairs))}
     return SparseRepMatrix._unchecked(d.n, d.m, entries, unit.ring)
-
-
-def r_matrix_codes(n, m, pairs):
-    """``r_matrix`` of the diagram (n, m, pairs) as codes,
-    {row << m | col: code of x^exp}: a diagram ``d`` gives
-    ``r_matrix_codes(d.n, d.m, d.pairs)``, and none need be built.
-    """
-    return dict(zip(*_r_entries(n, m, pairs, 1 << 4)))
 
 
 def local_u_matrix(chi, param):

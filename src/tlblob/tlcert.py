@@ -1,7 +1,7 @@
 """The TL_n certificate of ``verify-tl``: one pass over R(D), one diagram
 at a time.
 
-R(D) (``tensorrep.r_matrix_codes``) is a product over the lines of D of
+R(D) (``codes.r_matrix_codes``) is a product over the lines of D of
 one fixed tensor per line: C on a cup or a cap, with C[1][2] = x and
 C[2][1] = 1/x, and the identity on a through line.  In R(D) R(D') the sum
 over the middle indices factors over the components of the glued picture.
@@ -21,14 +21,17 @@ make the walk-pair word matrices the R(D) of all diagrams, each led by its
 own position; the pairs are distinct, so the leads are too.  Ordered by
 lead, the minor on the leads is triangular with a unit diagonal, so it is
 nonzero at every point: the witness names the first seeded point
-(``rank._trial_points``) and the leads as pivots.  They are the pivots
-elimination would find, since those depend only on the span
+(``certificate._trial_points``) and the leads as pivots.  They are the
+pivots elimination would find, since those depend only on the span
 (``rank._rank_mod_p``).
 
 A check that fails raises RuntimeError naming it: a bug (exit 2), never a
 certificate.  The word chain (``reference._pair_word_vectors``) and the
 sweep (``faithful.verify_r_composition``) are test oracles for the pass,
-not fallbacks; it loads neither module, nor ``tlblob.diagrams``.
+not fallbacks; it loads neither module, nor ``tlblob.diagrams``.  It
+runs on the unit-code kernel (``tlblob.codes``) and the certificate
+record (``tlblob.certificate``) alone, so it loads no ring
+(``tlblob.rings``), ``tensorrep`` or witness search (``tlblob.rank``).
 
 Every function of ``walks`` and ``words`` is called through its module,
 looked up when the call runs, so a wrapper that ``perfbench/traced.py``
@@ -39,9 +42,9 @@ from math import comb
 
 from . import DEFAULT_SEED, walks, words
 from ._record import Record
-from .rank import _MODULAR_PRIME, FaithfulnessCertificate, _trial_points
-from .tensorrep import (CodedMatrix, SummandCollision, index_to_seq,
-                        r_matrix_codes, seq_to_index)
+from .certificate import _MODULAR_PRIME, FaithfulnessCertificate, _trial_points
+from .codes import (CodedMatrix, SummandCollision, index_to_seq,
+                    r_matrix_codes, seq_to_index)
 
 __all__ = ["TriangularityReport", "verify_tl"]
 

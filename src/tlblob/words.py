@@ -16,14 +16,16 @@ certificates read its words in order (``_basis_words``) and build no
 diagram; ``blob_basis_words`` turns the same states into ``BlobPairing``
 keys, and only it and ``eval_word`` load ``tlblob.diagrams``.  The fold
 itself (``_fold``) builds no diagram either: the TL composition proof
-(``tlcert``) checks its partner arrays with the same scan.
+(``tlcert``) checks its partner arrays with the same scan.  Only
+``verify_presentation`` multiplies matrices, and it loads
+``tlblob.tensorrep`` when called, so ``verify-tl``, which folds words,
+loads neither it nor ``rings``.
 """
 
 from collections import deque
 from math import comb
 
 from ._record import Record
-from .tensorrep import Placed, _on_union, _placed
 
 __all__ = [
     "GenWord",
@@ -307,6 +309,8 @@ def verify_presentation(rep, n, delta, blob_params=None):
     (A(x)I)(B(x)I) = AB(x)I, X(x)I = Y(x)I iff X = Y, and operators on
     disjoint factors commute without a product.
     """
+    from .tensorrep import Placed, _on_union, _placed  # verify-tl needs none
+
     idx = [i for i in rep if i != "e"]
     if set(idx) != set(range(1, n)):
         raise ValueError(f"generator images must be indexed 1..{n - 1} "

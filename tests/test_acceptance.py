@@ -10,7 +10,8 @@ from math import comb
 from tlblob.blobrep import verify_blob_representation
 from tlblob.diagrams import compose_tl, generator_u
 from tlblob.rings import BlobParams, CycloInt, CycloLaurent, LaurentInt, quantum_integer
-from tlblob.tensorrep import mask, r_matrix, rho0, Rho0Config, seq_to_index
+from tlblob.codes import seq_to_index
+from tlblob.tensorrep import mask, r_matrix, rho0, Rho0Config
 from tlblob.faithful import (
     certify_rho0,
     tl_word_matrix,

@@ -28,17 +28,15 @@ from tlblob.reference import (
 )
 from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, \
     _code_element, quantum_integer
+from tlblob.codes import CodedMatrix, index_to_seq, r_matrix_codes, seq_to_index
 from tlblob.tensorrep import (
-    CodedMatrix,
     Placed,
     Rho0Config,
     SparseRepMatrix,
     _rho0_placed,
-    index_to_seq,
     r_matrix,
     rho0,
     rho0_placed,
-    seq_to_index,
 )
 from tlblob.faithful import (
     DEFAULT_SEED,
@@ -209,8 +207,6 @@ class TestTriangularity:
         # fewer than two 2-steps.
         low = walk_from_string("1212")
         mat = tl_word_matrix(pair_word(WalkPair(low, low)))
-        from tlblob.tensorrep import index_to_seq
-
         for (u, v) in mat.entries:
             useq = index_to_seq(u, 4)
             assert sum(1 for s in useq if s == 2) >= 2
@@ -391,10 +387,10 @@ class TestContraction:
         # C read from R of a cap and of a cup, in the ring this time.
         x = LaurentInt.x_power(1)
         for shape in ((2, 0), (0, 2)):
-            codes = tensorrep.r_matrix_codes(*shape, ((0, 1),))
+            codes = r_matrix_codes(*shape, ((0, 1),))
             assert {k: _code_element(c) for k, c in codes.items()} == \
                 {1: x, 2: x.unit_inverse()}
-        assert tensorrep.r_matrix_codes(1, 1, ((0, 1),)) == {0: 0, 3: 0}
+        assert r_matrix_codes(1, 1, ((0, 1),)) == {0: 0, 3: 0}
         c = [[LaurentInt.zero(), x], [x.unit_inverse(), LaurentInt.zero()]]
         t = [list(col) for col in zip(*c)]
 
@@ -490,7 +486,7 @@ class TestContraction:
         for word, mat in zip(word_list, chain):
             partner, _, _ = words_module._fold(word)
             assert mat.entries == \
-                tensorrep.r_matrix_codes(n, n, tlcert._lines(partner))
+                r_matrix_codes(n, n, tlcert._lines(partner))
 
     @pytest.mark.parametrize("n", range(9))
     def test_streamed_witness_is_the_chain_witness(self, n):

@@ -2,10 +2,12 @@
 fallbacks that need it still give the same results.  ``import tlblob``
 loads no module of the package, each certificate command loads only the
 modules it runs (``certify-rho0`` and ``verify-blob`` no ``tlcert``,
-``verify-tl`` no ``faithful``, and none of them ``argparse``), the package
-root serves every export from its home module, every module's ``__all__``
-star-imports, and ``perfbench/traced.py`` still sees every layer it wraps,
-the proof fallbacks included."""
+``verify-tl`` no ``faithful``, ``rings``, ``tensorrep`` or ``rank``,
+``verify-blob`` no ``codes``, ``rank`` or ``certificate``, and none of
+them ``argparse``), the package root serves every export from its home
+module, every module's ``__all__`` star-imports, and
+``perfbench/traced.py`` still sees every layer it wraps, the proof
+fallbacks included."""
 
 import ast
 import importlib
@@ -178,25 +180,26 @@ def test_traced_spans_resolve_on_their_modules():
 
 
 # The only names a module serves from another one: perfbench/traced.py
-# wraps them by these modules' names.  Module -> (home module, names).
+# wraps them by these modules' names.  Module -> {home module: names}.
 SPLIT = {
-    "tlblob.rings": ("tlblob.reference", ("rank_exact", "rank_modular")),
-    "tlblob.faithful": ("tlblob.blobrep", ("verify_blob_representation",)),
+    "tlblob.rings": {"tlblob.reference": ("rank_exact", "rank_modular"),
+                     "tlblob._json": ("dumps_canonical",)},
+    "tlblob.faithful": {"tlblob.blobrep": ("verify_blob_representation",)},
 }
 
 
 @pytest.mark.parametrize("module_name", sorted(SPLIT))
 def test_split_names_resolve_to_one_object(module_name):
     module = importlib.import_module(module_name)
-    home_name, names = SPLIT[module_name]
-    home = importlib.import_module(home_name)
-    for name in names:
-        obj = vars(home)[name]
-        assert obj.__module__ == home_name
-        assert module.__getattr__(name) is obj
-        assert getattr(module, name) is obj
-        if name in EXPORTED:
-            assert getattr(tlblob, name) is obj
+    for home_name, names in SPLIT[module_name].items():
+        home = importlib.import_module(home_name)
+        for name in names:
+            obj = vars(home)[name]
+            assert obj.__module__ == home_name
+            assert module.__getattr__(name) is obj
+            assert getattr(module, name) is obj
+            if name in EXPORTED:
+                assert getattr(tlblob, name) is obj
 
 
 def test_only_the_traced_names_are_forwarded():
@@ -210,7 +213,8 @@ for info in pkgutil.iter_modules(tlblob.__path__):
             print(info.name, sorted(set(module.__all__) - set(vars(module))))
 """
     assert run_python(code) == ("faithful ['verify_blob_representation']\n"
-                                "rings ['rank_exact', 'rank_modular']\n")
+                                "rings ['dumps_canonical', 'rank_exact',"
+                                " 'rank_modular']\n")
 
 
 # Every module of the package; ``__main__`` runs the command line instead.
@@ -233,6 +237,15 @@ def test_import_tlblob_loads_no_submodule():
     assert run_python(code) == "[]\n"
 
 
+def test_import_cli_loads_only_the_json_writer():
+    # Every command pays this import (the benchmark's setup probe); the
+    # writer loads with cli so that the tracer reaches it.
+    code = ("import sys, tlblob.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'tlblob' or m.startswith('tlblob.')))\n")
+    assert run_python(code) == "['tlblob', 'tlblob._json', 'tlblob.cli']\n"
+
+
 def loaded_modules(*args):
     """Modules that ``python -X importtime -m tlblob *args`` loads."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -248,21 +261,27 @@ def imported_modules(*args):
     return {m for m in loaded_modules(*args) if "tlblob" in m}
 
 
-BASE = {"tlblob", "tlblob._record", "tlblob.cli", "tlblob.rings",
-        "tlblob.tensorrep", "tlblob.words"}
+BASE = {"tlblob", "tlblob._json", "tlblob._record", "tlblob.cli",
+        "tlblob.words"}
 
 
 @pytest.mark.parametrize("argv,extra", [
     # No walks, faithful or rank: the relations and the table are the proof.
-    # No diagrams: the table is the search's words on partner arrays.
-    (["verify-blob", "--n", "3", "--m", "2"], {"tlblob.blobrep"}),
+    # No diagrams: the table is the search's words on partner arrays.  No
+    # codes or certificate: nothing is coded and no rank is certified.
+    (["verify-blob", "--n", "3", "--m", "2"],
+     {"tlblob.blobrep", "tlblob.rings", "tlblob.tensorrep"}),
     # No walks or diagrams: the blob basis words come from words.
-    (["certify-rho0", "--n", "2", "--m", "1"], {"tlblob.faithful", "tlblob.rank"}),
+    (["certify-rho0", "--n", "2", "--m", "1"],
+     {"tlblob.certificate", "tlblob.codes", "tlblob.faithful", "tlblob.rank",
+      "tlblob.rings", "tlblob.tensorrep"}),
     # No blob structure-constant proof, and no diagrams: the composition
     # proof checks the words' partner arrays.  No faithful either: the
-    # pass builds no word chain and eliminates nothing.
-    (["verify-tl", "--n", "3"], {"tlblob.rank", "tlblob.tlcert",
-                                 "tlblob.walks"}),
+    # pass builds no word chain and eliminates nothing.  No rings,
+    # tensorrep or rank: R(D) is built as codes and the witness's minor is
+    # triangular, so no element, full matrix or elimination is made.
+    (["verify-tl", "--n", "3"],
+     {"tlblob.certificate", "tlblob.codes", "tlblob.tlcert", "tlblob.walks"}),
 ])
 def test_certificate_commands_load_only_their_modules(argv, extra):
     assert imported_modules(*argv) == BASE | extra
@@ -286,7 +305,7 @@ def test_certificate_commands_never_load_argparse(argv):
     ["certify-rho0", "--n", "3", "--m", "1"],
 ])
 def test_certificate_commands_never_load_json(argv):
-    # rings.dumps_canonical writes the JSON itself.
+    # _json.dumps_canonical writes the JSON itself.
     assert not {m for m in loaded_modules(*argv)
                 if m in ("json", "_json") or m.startswith("json.")}
 
@@ -322,6 +341,18 @@ MOVED = [
     ("tlblob.reference", "tlblob.words", ("format_word",)),
     # The chain-tracing composition, next to the diagrams it composes.
     ("tlblob.reference", "tlblob.diagrams", ("_trace_concatenation",)),
+    # The unit-code kernel, the certificate record and the JSON writer,
+    # off the modules ``verify-tl`` never calls.  ``rank`` imports the
+    # prime and the points from ``certificate``; ``rings`` forwards
+    # ``dumps_canonical`` (SPLIT).
+    ("tlblob.rings", "tlblob.codes", ("_unit_code",)),
+    ("tlblob.tensorrep", "tlblob.codes",
+     ("seq_to_index", "index_to_seq", "SummandCollision", "CodedMatrix",
+      "_r_entries", "r_matrix_codes")),
+    ("tlblob.rank", "tlblob.certificate",
+     ("FaithfulnessCertificate", "_modular_eighth_root")),
+    ("tlblob.rings", "tlblob._json",
+     ("dumps_canonical", "_json", "_json_string", "_json_char")),
 ]
 
 

@@ -15,11 +15,13 @@ from tlblob.rings import (
     LaurentInt,
     quantum_integer,
 )
+from tlblob._json import dumps_canonical
+from tlblob.certificate import _trial_points
+from tlblob.codes import _unit_code
 from tlblob.rank import (
     _evaluate_codes,
     _evaluate_rows,
     _rank_mod_p,
-    _trial_points,
 )
 from tlblob.reference import (
     element_from_json,
@@ -27,7 +29,7 @@ from tlblob.reference import (
     rank_exact,
     rank_modular,
 )
-from tlblob.rings import _code_element, _unit_code, dumps_canonical
+from tlblob.rings import _code_element
 
 X = LaurentInt.x_power(1)
 Q = LaurentInt.x_power(2)

@@ -13,24 +13,27 @@ from tlblob.reference import (
     matrix_to_json,
     product_summand_counts,
 )
-from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer, \
-    _code_element, _unit_code
-from tlblob.tensorrep import (
+from tlblob.codes import (
     CodedMatrix,
+    SummandCollision,
+    _unit_code,
+    index_to_seq,
+    r_matrix_codes,
+    seq_to_index,
+)
+from tlblob.rings import CycloInt, CycloLaurent, LaurentInt, quantum_integer, \
+    _code_element
+from tlblob.tensorrep import (
     Rho0Config,
     SparseRepMatrix,
-    SummandCollision,
     _expanded,
-    index_to_seq,
     local_u_matrix,
     mask,
     mask_eq,
     place_local,
     r_matrix,
-    r_matrix_codes,
     rho0,
     rho0_placed,
-    seq_to_index,
 )
 from tlblob.walks import enumerate_pairs, pair_word
 from tlblob.words import GenWord, _basis_words, eval_word

@@ -14,7 +14,8 @@ from tlblob.reference import (
     tl_basis_word_table,
     walk_from_string,
 )
-from tlblob.tensorrep import r_matrix, seq_to_index
+from tlblob.codes import seq_to_index
+from tlblob.tensorrep import r_matrix
 from tlblob.walks import (
     Walk,
     WalkPair,
