@@ -3,29 +3,25 @@ presentation.
 
 ``verify-blob`` runs this module alone: ``verify_rho0`` checks the blob
 relations on ``rho0``'s generator images, held as blocks on the tensor
-factors they act on (``tensorrep.Placed``), and the default basis, the
-words of ``words._search``, is complete and loop free by construction, so
-the relations prove the structure constants for every basis pair; no
-diagram is built.  A caller's table is folded again
-(``_is_loop_free_table``).  When the relations fail in both sign
-conventions, or the table is not complete and loop free,
+factors they act on (``tensorrep.Placed``).  The basis is the words of
+``words._search``, complete and loop free by construction, so the
+relations prove the structure constants for every basis pair; no diagram
+is built.  When the relations fail in both sign conventions,
 ``prove_blob_representation`` returns the exhaustive sweep's report
 (``verify_blob_representation``; its per-pair checks live in
-``reference``).  One stated relation check also decides the sign-flipped
-relations (``PresentationReport.ok_with``).
+``reference``), which also takes a caller's own word table.  One stated
+relation check also decides the sign-flipped relations
+(``PresentationReport.ok_with``).
 
 The sweep is called as ``faithful.verify_blob_representation``, the name
 ``perfbench/traced.py`` wraps; the fallback loads ``faithful`` anyway,
 through ``reference``.
 """
 
-from math import comb
-
 from . import words
 from ._record import Record
 from .rings import BlobParams
 from .tensorrep import Rho0Config, _expanded, _on_union, _placed, rho0_placed
-from .words import eval_word
 
 __all__ = [
     "BlobRepReport",
@@ -119,75 +115,49 @@ def verify_blob_representation(images, n, params, basis=None):
                         sign_normalized)
 
 
-def _is_loop_free_table(basis, n):
-    """Whether each word is a standard word on n strands that evaluates,
-    discarding nothing, to its own key."""
-    for d, word in basis.items():
-        if word.n != n or word.convention != "standard":
-            return False
-        ev = eval_word(word)
-        if not ev.loop_free or ev.diagram != d:
-            return False
-    return True
+def prove_blob_representation(images, n, params):
+    """verify_blob_representation's report on the default basis, proved
+    from the presentation.
 
-
-def prove_blob_representation(images, n, params, basis=None):
-    """verify_blob_representation's report, proved from the presentation.
-
-    The basis must be a complete loop-free table: comb(2n, n) blob diagrams
-    when some word uses e, else the Catalan(n) TL diagrams.  When the images
-    of its letters satisfy the stated defining relations, they define an
-    algebra map that sends each diagram to rep(D), so no pair fails.  The
-    sign flip changes only e.e = delta_e e and u1 e u1 = gamma u1, and
-    (e, e) and (u1, D(e u1)) are basis pairs of a blob basis: when the
-    stated relations fail there but the flipped ones hold, the sweep finds
-    a stated failure and no flipped one, so the report is sign_normalized.
-    In every other case the exhaustive sweep's report is returned.
+    The basis is the complete loop-free table of ``words._search``: one
+    word per blob diagram, comb(2n, n) of them.  When the images of its
+    letters satisfy the stated defining relations, they define an algebra
+    map that sends each diagram to rep(D), so no pair fails.  The sign flip
+    changes only e.e = delta_e e and u1 e u1 = gamma u1, and (e, e) and
+    (u1, D(e u1)) are basis pairs: when the stated relations fail there but
+    the flipped ones hold, the sweep finds a stated failure and no flipped
+    one, so the report is sign_normalized.  When the relations fail in both
+    conventions, the exhaustive sweep's report is returned.
     """
-    return _prove_blob(images, n, params, basis)[0]
+    return _prove_blob(images, n, params)[0]
 
 
-def _prove_blob(images, n, params, basis):
+def _prove_blob(images, n, params):
     """(prove_blob_representation's report, the stated relation check).
 
-    The check is None when the basis table failed and the relations were
-    never checked.  ``images`` may be ``Placed``.
-    Only a caller's table is checked.  The default basis is
-    ``words._search``'s, complete and loop free by construction (README
-    "Certification"): only its states are counted, and the sweep builds the
-    diagram table itself.
+    ``images`` may be ``Placed``.  The search's table is complete and loop
+    free by construction (README "Certification"): only its states are
+    counted, and the sweep builds the diagram table itself.
     """
-    own_table = basis is None
-    if own_table:
-        blob, size = True, sum(1 for _ in words._search(n))
-    else:
-        blob = any("e" in w.letters for w in basis.values())
-        size = comb(2 * n, n) if blob else comb(2 * n, n) // (n + 1)
+    size = sum(1 for _ in words._search(n))
     _image_dimension(images)  # images of two sizes raise, as in the sweep
-    relations = None
-    if own_table or len(basis) == size and _is_loop_free_table(basis, n):
-        rep = {i: images[i] for i in range(1, n)}
-        if blob:
-            rep["e"] = images["e"]
-        relations = words.verify_presentation(rep, n, params.delta, params)
-        if relations.ok or relations.ok_with(params.sign_flipped()):
-            return _blob_report(images, n, params, size, [], not relations.ok,
-                                relations.empirical_scalars), relations
+    rep = {k: images[k] for k in (*range(1, n), "e")}
+    relations = words.verify_presentation(rep, n, params.delta, params)
+    if relations.ok or relations.ok_with(params.sign_flipped()):
+        return _blob_report(images, n, params, size, [], not relations.ok,
+                            relations.empirical_scalars), relations
     from . import faithful  # the sweep's span in perfbench/traced.py
 
-    sweep = faithful.verify_blob_representation(images, n, params, basis)
-    return sweep, relations
+    return faithful.verify_blob_representation(images, n, params), relations
 
 
 def verify_rho0(n, m):
     """rho0(n, m)'s structure-constant report, and whether its generator
     images satisfy the blob relations with the sign-flipped parameters.
 
-    The report is prove_blob_representation's on the default basis, a
-    complete loop-free table, so the relations are always checked; that one
-    check serves the proof and the sign-flip verdict.
+    The report is prove_blob_representation's; its one relation check
+    serves the proof and the sign-flip verdict.
     """
     params = BlobParams.integral_form(m, cyclo=True)
-    report, relations = _prove_blob(rho0_placed(Rho0Config(n, m)), n, params,
-                                    None)
+    report, relations = _prove_blob(rho0_placed(Rho0Config(n, m)), n, params)
     return report, relations.ok_with(params.sign_flipped())

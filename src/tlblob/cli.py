@@ -158,8 +158,8 @@ def _workbench(args):
 def _cmd_verify_tl(args):
     from .tlcert import verify_tl
 
-    tri, comp_failures, cert = verify_tl(args.n, seed=args.seed)
-    ok = tri.ok and not comp_failures and cert.valid
+    tri, cert = verify_tl(args.n, seed=args.seed)
+    ok = tri.ok and cert.valid
     payload = {
         "n": args.n,
         "seed": args.seed,
@@ -168,10 +168,8 @@ def _cmd_verify_tl(args):
             "failures": len(tri.failures),
             "nonwalk_entries": tri.nonwalk_entries,
         },
-        "composition_identity": {
-            "ok": not comp_failures,
-            "failures": len(comp_failures),
-        },
+        # proved by verify_tl's pass, which raises if a check refuses
+        "composition_identity": {"ok": True, "failures": 0},
         "certificate": cert.to_json(),
     }
     return payload, ok

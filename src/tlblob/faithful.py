@@ -183,7 +183,7 @@ def verify_tl_faithful(n, seed=DEFAULT_SEED):
     """Rank of the walk-pair word matrices; full rank means faithful."""
     from .tlcert import verify_tl
 
-    return verify_tl(n, seed)[2]
+    return verify_tl(n, seed)[1]
 
 
 def _diagram_matrix_table(n):

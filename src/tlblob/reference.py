@@ -573,14 +573,15 @@ def matrix_from_json(obj):
 
 def _load_diagram(path):
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    # accept the output of `compose` directly
-    if isinstance(obj, dict) and "pairs" not in obj and "diagram" in obj:
-        obj = obj["diagram"]
-    try:
-        return diagram_from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} does not hold a diagram: {exc}") from exc
+        try:
+            obj = json.load(fh)
+            # accept the output of `compose` directly
+            if isinstance(obj, dict) and "pairs" not in obj \
+                    and "diagram" in obj:
+                obj = obj["diagram"]
+            return diagram_from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+            raise ValueError(f"{path} does not hold a diagram: {exc}") from exc
 
 
 def _cmd_enumerate(args):

@@ -188,12 +188,13 @@ def _walk_pair_codes(n, pairs, arrays, leads):
 
 
 def verify_tl(n, seed=DEFAULT_SEED):
-    """(triangularity report, composition failures, rank certificate) of n.
+    """(triangularity report, rank certificate) of n.
 
-    One pass over R(D): no composition failure, and the leads as the
-    witness's pivots.  A check that fails raises RuntimeError naming it:
-    the line-tensor identities, the loop-free TL fold, the Catalan(n)
-    distinct arrays or the lead check.  Raises ValueError for n < 0.
+    One pass over R(D) proves the composition identity for every pair, and
+    gives the leads as the witness's pivots.  A check that fails raises
+    RuntimeError naming it: the line-tensor identities, the loop-free TL
+    fold, the Catalan(n) distinct arrays or the lead check.  Raises
+    ValueError for n < 0.
     """
     pairs = walks.enumerate_pairs(n)
     if not _identities_hold():
@@ -209,6 +210,6 @@ def verify_tl(n, seed=DEFAULT_SEED):
     low = (1 << n) - 1
     witness = {"p": p, "x": x, "a": a,
                "pivots": [(k >> n, k & low) for k in sorted(leads)]}
-    return report, [], FaithfulnessCertificate(
+    return report, FaithfulnessCertificate(
         n=n, basis_size=size, rank=size, method="modular-witness",
         witness=witness)

@@ -118,6 +118,25 @@ class TestCompose:
         good.write_text(json.dumps(diagram_to_json(identity(2))))
         assert main(["compose", str(tmp_path / "absent.json"), str(good)]) == 2
 
+    @pytest.mark.parametrize("text,why", [
+        ("{not json", "Expecting property name"),
+        (json.dumps({"n": 1, "m": 1, "pairs": [["t1", "t1"]]}), "fixed point"),
+        (json.dumps({"n": 1, "m": 1, "pairs": "ab"}), "not enough values"),
+    ], ids=["json", "fixed-point", "unpack"])
+    def test_malformed_file_is_named(self, capsys, tmp_path, text, why):
+        # With two files, the error says which one is malformed.
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(diagram_to_json(identity(1))))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for argv in (["compose", str(good), str(bad)],
+                     ["rmatrix", "--file", str(bad)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {bad} does not hold a diagram: ")
+            assert why in err and str(good) not in err
+
 
 class TestSmallCommands:
     def test_walkword(self, capsys):
@@ -293,7 +312,7 @@ class TestUsageErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
 
-class TestParserPruning:
+class TestFullParserFallback:
     """``main`` returns the full parser's exit code and output.
 
     Each command line here is one that ``_parse_fast`` declines, so

@@ -1,6 +1,5 @@
 import pytest
 
-import tlblob.blobrep as blobrep_module
 import tlblob.faithful as faithful
 import tlblob.reference as reference_module
 import tlblob.tensorrep as tensorrep
@@ -12,13 +11,12 @@ from tlblob.blobrep import (
     verify_blob_representation,
     verify_rho0,
 )
-from tlblob.diagrams import BlobPairing, compose_blob, generator_u
+from tlblob.diagrams import compose_blob, generator_u
 from tlblob.rank import check_full_rank_witness, full_rank_witness
 from tlblob.reference import (
     OVERLAY_MENU,
     _structure_constant_failures,
     enumerate_blob,
-    enumerate_tl,
     f_map,
     leq,
     rank_exact,
@@ -53,7 +51,7 @@ from tlblob.faithful import (
 )
 from tlblob.tlcert import verify_tl
 from tlblob.walks import Walk, WalkPair, enumerate_pairs, pair_word
-from tlblob.words import GenWord, WordEval, blob_basis_words, eval_word, \
+from tlblob.words import GenWord, blob_basis_words, eval_word, \
     verify_presentation
 
 
@@ -103,26 +101,11 @@ def two_pass_sweep(images, basis, params):
     return failures, False
 
 
-def sweep_required(images, n, params, basis):
-    """Whether the presentation proof must fall back to the sweep.
-
-    It must when the basis is not one loop-free word per diagram of its
-    algebra (blob diagrams when some word uses e, TL diagrams otherwise),
-    or when the relations on the basis letters fail in both conventions.
-    """
-    blob = any("e" in w.letters for w in basis.values())
-    diagrams = enumerate_blob(n) if blob else \
-        [BlobPairing(d) for d in enumerate_tl(n, n)]
-    if set(basis) != set(diagrams) or any(
-            eval_word(w) != WordEval(d, 0, 0, 0) for d, w in basis.items()):
-        return True
-    rep = {i: images[i] for i in range(1, n)}
-    conventions = [None]
-    if blob:
-        rep["e"] = images["e"]
-        conventions = [params, params.sign_flipped()]
-    return not any(verify_presentation(rep, n, params.delta, p).ok
-                   for p in conventions)
+def sweep_required(images, n, params):
+    """Whether the presentation proof must fall back to the sweep: when the
+    blob relations fail in both conventions."""
+    return not any(verify_presentation(images, n, params.delta, p).ok
+                   for p in (params, params.sign_flipped()))
 
 
 def reference_triangularity(n):
@@ -328,8 +311,8 @@ class TestOneBuild:
     @pytest.mark.parametrize("n", range(6))
     def test_verify_tl_gives_the_three_results(self, n):
         assert verify_tl(n, seed=3) == (triangularity_report(n),
-                                        verify_r_composition(n),
                                         verify_tl_faithful(n, seed=3))
+        assert verify_r_composition(n) == []
 
     def test_cli_builds_no_word_matrix_when_the_pass_holds(self, monkeypatch,
                                                            capsys):
@@ -634,14 +617,15 @@ class TestComposition:
 
 class TestGeneratorStepProof:
     """The presentation proofs give the sweeps' results and run them only
-    when the relations or the basis word table fail."""
+    when the relations fail."""
 
     @pytest.mark.parametrize("n", range(6))
     def test_tl_correct_runs_no_sweep(self, monkeypatch, n):
         expected = verify_r_composition(n)
         sweeps = count_calls(monkeypatch, "verify_r_composition")
-        assert verify_tl(n)[1] == expected == []
-        assert sweeps == []
+        report, cert = verify_tl(n)
+        assert report.ok and cert.valid
+        assert expected == sweeps == []
 
     def test_untampered_folds_prove(self, monkeypatch):
         # The harness of ``TestContraction``'s refusals refuses nothing alone.
@@ -668,21 +652,20 @@ class TestGeneratorStepProof:
             assert repr(enumerate_pairs(3)[k]) in str(refusal.value)
 
     @staticmethod
-    def check_blob(monkeypatch, images, n, params, basis=None):
+    def check_blob(monkeypatch, images, n, params):
         """The proof's report; it is the sweep's, which runs iff it must."""
-        table = blob_basis_words(n) if basis is None else basis
-        required = sweep_required(images, n, params, table)
+        required = sweep_required(images, n, params)
         sweeps = count_calls(monkeypatch, "verify_blob_representation")
-        report = prove_blob_representation(images, n, params, basis)
+        report = prove_blob_representation(images, n, params)
         assert len(sweeps) == int(required)
         if sweeps:
             assert report is sweeps[0]
         else:
-            sweep = verify_blob_representation(images, n, params, basis)
+            sweep = verify_blob_representation(images, n, params)
             assert report.to_json() == sweep.to_json()
             assert report.failures == sweep.failures
             assert report.empirical_scalars == sweep.empirical_scalars
-        assert report.pairs_checked == len(table) ** 2
+        assert report.pairs_checked == len(enumerate_blob(n)) ** 2
         return report
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -707,64 +690,18 @@ class TestGeneratorStepProof:
                         BlobParams.integral_form(m, cyclo=True))
 
     @pytest.mark.parametrize("scale_u1", [False, True])
-    def test_non_prefix_closed_tl_table(self, monkeypatch, scale_u1):
+    def test_non_prefix_closed_tl_table(self, scale_u1):
+        # A caller's own table goes to the sweep, whose prefix chain takes
+        # a table that is not prefix closed.
         images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
         if scale_u1:
             images[1] = images[1].scalar_mul(LaurentInt.from_int(2))
-        report = self.check_blob(monkeypatch, images, 3,
-                                 BlobParams.integral_form(1),
-                                 basis=tl_basis_word_table(3))
+        report = verify_blob_representation(images, 3,
+                                            BlobParams.integral_form(1),
+                                            tl_basis_word_table(3))
         assert report.ok != scale_u1
         assert not report.sign_normalized
-
-    def test_word_off_its_diagram_falls_back(self, monkeypatch):
-        # Zero generator images satisfy every relation, but two swapped words
-        # no longer evaluate to their own diagrams: only the sweep may decide.
-        basis = tl_basis_word_table(3)
-        (d1, w1), (d2, w2) = [(d, w) for d, w in basis.items() if w.letters][:2]
-        basis[d1], basis[d2] = w2, w1
-        images = {i: SparseRepMatrix(3, 3, {}, "laurent") for i in (1, 2)}
-        params = BlobParams.integral_form(1)
-        assert verify_presentation(images, 3, params.delta).ok
-        sweeps = count_calls(monkeypatch, "verify_blob_representation")
-        report = prove_blob_representation(images, 3, params, basis)
-        assert report is sweeps[0]
-
-    def test_word_with_discard_falls_back(self, monkeypatch):
-        # u1 u1 reaches u1's diagram, but through a loop: every relation
-        # holds for zero images, yet the word's matrix is the image of
-        # [2] u1, not of u1.
-        basis = tl_basis_word_table(3)
-        u1 = eval_word(GenWord((1,), 3)).diagram
-        basis[u1] = GenWord((1, 1), 3)
-        images = {i: SparseRepMatrix(3, 3, {}, "laurent") for i in (1, 2)}
-        params = BlobParams.integral_form(1)
-        assert verify_presentation(images, 3, params.delta).ok
-        sweeps = count_calls(monkeypatch, "verify_blob_representation")
-        report = prove_blob_representation(images, 3, params, basis)
-        assert report is sweeps[0]
-
-    def test_step_leaving_the_basis_falls_back(self, monkeypatch):
-        basis = blob_basis_words(2)
-        del basis[next(d for d in basis if d.blobbed)]
-        images = rho0(Rho0Config(2, 1)).letter_images()
-        sweeps = count_calls(monkeypatch, "verify_blob_representation")
-        report = prove_blob_representation(
-            images, 2, BlobParams.integral_form(1, cyclo=True), basis)
-        assert report is sweeps[0]
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_only_a_caller_table_is_folded_again(self, monkeypatch, n):
-        # blob_basis_words' search already folded every word of its own
-        # table; a table passed in is folded by _is_loop_free_table.
-        checks = count_calls(monkeypatch, "_is_loop_free_table",
-                             blobrep_module)
-        verify_rho0(n, 1)
-        assert checks == []
-        prove_blob_representation(rho0_placed(Rho0Config(n, 1)), n,
-                                  BlobParams.integral_form(1, cyclo=True),
-                                  blob_basis_words(n))
-        assert checks == [True]
+        assert report.pairs_checked == 5 ** 2
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 2), (4, 1)])
     def test_tl_scaled_letter_needs_no_sweep(self, monkeypatch, n, i):
@@ -777,7 +714,7 @@ class TestGeneratorStepProof:
         monkeypatch.setattr(faithful, "_tl_letter_matrices", lambda size: letters)
         sweeps = count_calls(monkeypatch, "verify_r_composition")
         assert verify_tl(n) == expected
-        assert expected[1] == sweeps == []
+        assert sweeps == []
 
     @pytest.mark.parametrize("flaw", ["doubled-letters", "looped-word"])
     def test_tl_table_matching_its_words_is_not_enough(self, monkeypatch,
@@ -817,15 +754,16 @@ class TestGeneratorStepProof:
             verify_tl(n)
 
     def test_missing_letter_or_mixed_sizes_raise(self):
-        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
-        params = BlobParams.integral_form(1)
-        with pytest.raises(KeyError):
-            prove_blob_representation({1: images[1]}, 3, params,
-                                      basis=tl_basis_word_table(3))
-        images[2] = r_matrix(generator_u(1, 2))
+        images = rho0(Rho0Config(3, 1)).letter_images()
+        params = BlobParams.integral_form(1, cyclo=True)
+        for missing in (2, "e"):
+            with pytest.raises(KeyError):
+                prove_blob_representation(
+                    {k: v for k, v in images.items() if k != missing}, 3,
+                    params)
+        images[2] = rho0(Rho0Config(2, 1)).letter_images()[1]
         with pytest.raises(ValueError):
-            prove_blob_representation(images, 3, params,
-                                      basis=tl_basis_word_table(3))
+            prove_blob_representation(images, 3, params)
 
 
 def image_variant(n, m, variant):
@@ -868,14 +806,12 @@ class TestProofEqualsSweep:
 
     def test_tl_table_ignores_the_blob_image(self):
         # rho0's stated blob relations fail, but no TL pair involves e: the
-        # sweep finds nothing to normalize, and neither may the proof.
+        # sweep finds nothing to normalize.
         images = rho0(Rho0Config(3, 1)).letter_images()
         params = BlobParams.integral_form(1, cyclo=True)
-        basis = tl_basis_word_table(3)
-        proof = prove_blob_representation(images, 3, params, basis)
-        sweep = verify_blob_representation(images, 3, params, basis)
-        assert proof.to_json() == sweep.to_json()
-        assert proof.ok and not proof.sign_normalized
+        sweep = verify_blob_representation(images, 3, params,
+                                           tl_basis_word_table(3))
+        assert sweep.ok and not sweep.sign_normalized
 
 
 class TestPlacedImages:
@@ -921,16 +857,18 @@ class TestPlacedImages:
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (3, 0)])
     def test_fallbacks_expand_the_images(self, n, m):
+        # A doubled e fails the relations in both conventions, so the proof
+        # falls back to the sweep, which expands the blocks.
         params = BlobParams.integral_form(m, cyclo=True)
         placed = rho0_placed(Rho0Config(n, m))
-        full = rho0(Rho0Config(n, m)).letter_images()
+        placed["e"] = scaled(placed["e"], CycloLaurent.from_int(2))
+        full = broken_e_images(n, m)
         assert {k: p.expand() for k, p in placed.items()} == full
-        incomplete = dict(list(blob_basis_words(n).items())[1:])
-        for basis in (tl_basis_word_table(n), incomplete):
-            got = prove_blob_representation(placed, n, params, basis)
-            want = prove_blob_representation(full, n, params, basis)
-            assert got.to_json() == want.to_json()
-            assert got.failures == want.failures
+        got = prove_blob_representation(placed, n, params)
+        want = prove_blob_representation(full, n, params)
+        assert got.failures
+        assert got.to_json() == want.to_json()
+        assert got.failures == want.failures
 
 
     @pytest.mark.parametrize("n", [1, 2, 3])
