@@ -136,14 +136,15 @@ def _prove_blob(images, n, params):
     """(prove_blob_representation's report, the stated relation check).
 
     ``images`` may be ``Placed``.  The search's table is complete and loop
-    free by construction (README "Certification"): only its states are
-    counted, and the sweep builds the diagram table itself.
+    free by construction (README "Certification"): its states are counted
+    only once the relations hold, and otherwise the sweep's diagram table
+    is the one search.
     """
-    size = sum(1 for _ in words._search(n))
     _image_dimension(images)  # images of two sizes raise, as in the sweep
     rep = {k: images[k] for k in (*range(1, n), "e")}
     relations = words.verify_presentation(rep, n, params.delta, params)
     if relations.ok or relations.ok_with(params.sign_flipped()):
+        size = sum(1 for _ in words._search(n))
         return _blob_report(images, n, params, size, [], not relations.ok,
                             relations.empirical_scalars), relations
     from . import faithful  # the sweep's span in perfbench/traced.py

@@ -2,10 +2,10 @@
 
 ``FaithfulnessCertificate`` is the rank with its method and witness.  A
 witness names a point x -> x0, a -> a0 mod ``_MODULAR_PRIME`` with
-a0^4 = -1, drawn by ``_trial_points`` from the seed.  ``verify-tl``
-writes its certificate from these alone: its minor is triangular with a
-unit diagonal, so it loads neither the witness search (``tlblob.rank``)
-nor ``faithful``.
+a0^4 = -1, drawn by ``_trial_points`` from the seed.  ``verify-tl`` and
+``certify-rho0`` write their witnesses from these alone
+(``_lead_witness``): their minors are triangular with units on the
+diagonal, so neither loads the witness search (``tlblob.rank``).
 """
 
 import random
@@ -34,6 +34,24 @@ def _trial_points(trials, seed, p):
     rng = random.Random(seed)
     return [(rng.randrange(2, p - 1), _modular_eighth_root(rng, p))
             for _ in range(trials)]
+
+
+def _lead_witness(leads, seed, cols_log2):
+    """The witness of vectors of unit codes with distinct smallest keys
+    ``leads``, packed row << cols_log2 | col.
+
+    Ordered by lead, the minor on the leads is triangular with units
+    +-a^k x^e on its diagonal, so it is nonzero at every point where x and
+    a are units, as every seeded point's are: the witness names the first
+    seeded point and the sorted leads as (row, col) pivots.  They are the
+    pivots elimination would name there, since those depend only on the
+    span (``rank._rank_mod_p``).
+    """
+    p = _MODULAR_PRIME
+    x, a = _trial_points(1, seed, p)[0]
+    low = (1 << cols_log2) - 1
+    return {"p": p, "x": x, "a": a,
+            "pivots": [(k >> cols_log2, k & low) for k in sorted(leads)]}
 
 
 class FaithfulnessCertificate(Record):

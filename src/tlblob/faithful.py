@@ -2,21 +2,31 @@
 
 Everything here is exact.  A full rank is certified by a modular witness:
 a point x -> x0, a -> a0 mod p and a minor that is nonzero there.  The
-substitution is a ring map, so that minor is nonzero over the ring too; the
-witness goes into the certificate and is re-checked before it is trusted.
-When no witness is found, the rank comes from fraction-free (Bareiss)
-elimination over the coefficient ring's fraction field
-(``reference.rank_exact``, loaded only then).
+substitution is a ring map, so that minor is nonzero over the ring too.
 
 Every word matrix comes from one shared-prefix product chain
 (``_prefix_products``), one product per distinct word prefix.  The
-certificate chains (``_word_vectors``) run it on ``codes.CodedMatrix``:
-each entry is the int code of a signed unit monomial under a packed key
-row << dim_log2 | col, which sorts like (row, col), so the modular witness
-picks the same pivots; they become (row, col) again for the JSON.  When an
-image entry has no code or two summands meet at one position, the chain
-runs on ring elements instead, with the same packed keys.  Everything runs
-in one process.
+certificate chains run it on ``codes.CodedMatrix``: each entry is the int
+code of a signed unit monomial under a packed key row << dim_log2 | col,
+which sorts like (row, col); the witness's pivots become (row, col) again
+for the JSON.
+
+``certify_mirror`` streams the chain (``_distinct_leads``): the basis words
+run in trie order, so only the products along one word are held, and each
+vector is dropped once its smallest key, its lead, is read.  When the leads
+are distinct, the minor on them is triangular with a unit-monomial
+diagonal, so it is nonzero at every point where x and a are units: the
+witness names the first seeded point and the sorted leads
+(``certificate._lead_witness``), and nothing is eliminated.  When an image
+entry has no code, two summands meet at one position or a lead repeats,
+the vectors are built in full (``_word_vectors``, on ring elements when
+the code chain fails) and ``_certified_rank`` certifies them.  It is the
+one caller of the witness search (``tlblob.rank``, loaded on first use);
+the overlay test ``reference.verify_mask_independence`` reaches the search
+through it too.  When no witness re-checks, the rank comes from
+fraction-free (Bareiss) elimination over the coefficient ring's fraction
+field (``reference.rank_exact``, loaded only then).  ``rho0`` reaches
+neither.  Everything runs in one process.
 
 Generator images arrive as ``tensorrep.Placed`` blocks or full matrices,
 read through ``tensorrep._placed`` (a full matrix is a block on every
@@ -35,7 +45,7 @@ check from ``reference``), are test oracles for that pass, not fallbacks.
 ``triangularity_report`` and ``verify_tl_faithful`` read the pass and
 load ``tlcert`` on first use.  The blob structure-constant proof lives in
 ``tlblob.blobrep``.  So ``certify_rho0`` loads neither ``tlcert``,
-``walks`` nor ``reference``.
+``walks``, ``rank`` nor ``reference``.
 
 The functions ``perfbench/traced.py`` wraps are called through the module
 its span names (``tensorrep.r_matrix(...)``, ``rings.rank_exact(...)``),
@@ -46,9 +56,8 @@ loaded is still reached.
 from math import comb
 
 from . import DEFAULT_SEED, _forwarder, rings, tensorrep, words
-from .certificate import FaithfulnessCertificate
+from .certificate import FaithfulnessCertificate, _lead_witness
 from .codes import CodedMatrix, SummandCollision
-from .rank import check_full_rank_witness, full_rank_witness
 from .tensorrep import (
     SparseRepMatrix,
     _expanded,
@@ -128,6 +137,13 @@ def tl_word_matrix(word):
     return rep_word_matrix(word, _tl_letter_matrices(word.n), word.n, "laurent")
 
 
+def _coded_images(images):
+    """Each full image as a ``CodedMatrix``, or None when an entry of one
+    is no signed unit monomial."""
+    coded = {letter: CodedMatrix.from_matrix(m) for letter, m in images.items()}
+    return None if None in coded.values() else coded
+
+
 def _word_vectors(words, images, dim_log2, ring):
     """Each word's matrix as a vector {row << dim_log2 | col: entry}.
 
@@ -137,8 +153,8 @@ def _word_vectors(words, images, dim_log2, ring):
     elements from ``_rep_word_matrices``.
     """
     words, images = list(words), _expanded(images)
-    coded = {letter: CodedMatrix.from_matrix(m) for letter, m in images.items()}
-    if all(m is not None for m in coded.values()):
+    coded = _coded_images(images)
+    if coded is not None:
         try:
             return [m.entries for m in _prefix_products(
                 CodedMatrix.identity(dim_log2), words, coded)]
@@ -146,6 +162,38 @@ def _word_vectors(words, images, dim_log2, ring):
             pass
     return [{r << dim_log2 | c: v for (r, c), v in m.entries.items()}
             for m in _rep_word_matrices(words, images, dim_log2, ring)]
+
+
+def _trie_order(word):
+    """Sort key of a word: its letters, e before U_1 .. U_{n-1}, so the
+    words a word prefixes come right after it, together."""
+    return tuple(0 if letter == "e" else letter for letter in word.letters)
+
+
+def _distinct_leads(words, images, dim_log2):
+    """The set of the words' leads, or None when it is no proof of full rank.
+
+    A word's lead is the smallest key of its coded vector.  The images are
+    expanded and coded once; the words run through the chain in trie order
+    (``_trie_order``), so it holds only the products along the current
+    word, and each vector is dropped once its lead is read.  None when an
+    image entry has no code, two summands meet at one position
+    (``SummandCollision``), or a vector is empty or has another's lead.
+    """
+    coded = _coded_images(_expanded(images))
+    if coded is None:
+        return None
+    leads = set()
+    try:
+        for m in _prefix_products(CodedMatrix.identity(dim_log2),
+                                  sorted(words, key=_trie_order), coded):
+            lead = min(m.entries, default=None)
+            if lead is None or lead in leads:
+                return None
+            leads.add(lead)
+    except SummandCollision:
+        return None
+    return leads
 
 
 def _require_size(n):
@@ -168,6 +216,8 @@ def _certified_rank(vectors, seed, cols_log2=None):
     method "exact" and no witness.  With ``cols_log2`` the keys are packed
     row << cols_log2 | col, and the witness names its pivots as (row, col).
     """
+    from .rank import check_full_rank_witness, full_rank_witness
+
     vectors = list(vectors)
     witness = full_rank_witness(vectors, trials=5, seed=seed)
     if witness is not None and check_full_rank_witness(vectors, witness):
@@ -231,8 +281,10 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     (``tensorrep._window_product``).  On mask success the images must
     satisfy the blob relations (``_relations_hold``), else the method is
     "relations-failed"; then the basis words are evaluated through the
-    representation and their certified rank must reach the blob diagram
-    count.
+    representation and their rank must reach the blob diagram count.  The
+    rank is the number of distinct leads (``_distinct_leads``), with the
+    triangular witness on them; when the leads prove nothing, it is
+    ``_certified_rank``'s on the full vectors.
     """
     total = 2 * n
     if n < 1 or set(factored_u) != set(range(1, n)):
@@ -261,8 +313,14 @@ def certify_mirror(e_matrix, factored_u, n, seed=DEFAULT_SEED):
     elif not _relations_hold(images, n, ring):
         method = "relations-failed"
     else:
-        vectors = _word_vectors(words._basis_words(n), images, total, ring)
-        rank, method, witness = _certified_rank(vectors, seed, total)
+        basis = words._basis_words(n)
+        leads = _distinct_leads(basis, images, total)
+        if leads is not None:
+            rank, method = len(leads), "modular-witness"
+            witness = _lead_witness(leads, seed, total)
+        else:
+            vectors = _word_vectors(basis, images, total, ring)
+            rank, method, witness = _certified_rank(vectors, seed, total)
     return FaithfulnessCertificate(n=n, basis_size=comb(2 * n, n), rank=rank,
                                    method=method, mask_checks=checks,
                                    witness=witness)

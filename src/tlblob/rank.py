@@ -11,6 +11,14 @@ in ``tlblob.reference``: a certificate whose witness checks never runs
 them.  ``FaithfulnessCertificate``, the rank with its method and witness,
 lives in ``tlblob.certificate``, so that ``verify-tl`` writes one without
 loading this module.
+
+The search's one caller is ``faithful._certified_rank``: ``certify_mirror``
+reaches it only when the leads of its vectors prove nothing (a repeated
+lead, two summands at one position, or an image entry with no code), and
+the overlay test ``reference.verify_mask_independence`` certifies each
+overlaid family through it.  ``verify-tl`` never loads this module, and
+``certify-rho0`` does not on ``rho0``: their minors are triangular
+(``certificate._lead_witness``).
 """
 
 from .certificate import _MODULAR_PRIME, _trial_points

@@ -20,10 +20,9 @@ their smallest key, and dropped.  Catalan(n) distinct partner arrays then
 make the walk-pair word matrices the R(D) of all diagrams, each led by its
 own position; the pairs are distinct, so the leads are too.  Ordered by
 lead, the minor on the leads is triangular with a unit diagonal, so it is
-nonzero at every point: the witness names the first seeded point
-(``certificate._trial_points``) and the leads as pivots.  They are the
-pivots elimination would find, since those depend only on the span
-(``rank._rank_mod_p``).
+nonzero at every point: the witness names the first seeded point and the
+leads as pivots (``certificate._lead_witness``), the pivots elimination
+would find.
 
 A check that fails raises RuntimeError naming it: a bug (exit 2), never a
 certificate.  The word chain (``reference._pair_word_vectors``) and the
@@ -42,7 +41,7 @@ from math import comb
 
 from . import DEFAULT_SEED, walks, words
 from ._record import Record
-from .certificate import _MODULAR_PRIME, FaithfulnessCertificate, _trial_points
+from .certificate import FaithfulnessCertificate, _lead_witness
 from .codes import (CodedMatrix, SummandCollision, index_to_seq,
                     r_matrix_codes, seq_to_index)
 
@@ -205,11 +204,6 @@ def verify_tl(n, seed=DEFAULT_SEED):
     if not len(pairs) == len(arrays) == size:
         raise RuntimeError(f"verify-tl: Catalan(n) distinct arrays refused: "
                            f"{len(arrays)} from {len(pairs)} pairs, not {size}")
-    p = _MODULAR_PRIME
-    x, a = _trial_points(1, seed, p)[0]
-    low = (1 << n) - 1
-    witness = {"p": p, "x": x, "a": a,
-               "pivots": [(k >> n, k & low) for k in sorted(leads)]}
     return report, FaithfulnessCertificate(
         n=n, basis_size=size, rank=size, method="modular-witness",
-        witness=witness)
+        witness=_lead_witness(leads, seed, n))

@@ -1,6 +1,7 @@
 import pytest
 
 import tlblob.faithful as faithful
+import tlblob.rank as rank_module
 import tlblob.reference as reference_module
 import tlblob.tensorrep as tensorrep
 import tlblob.tlcert as tlcert
@@ -273,7 +274,8 @@ class TestTlFaithful:
 
     def test_failed_witness_search_gives_exact_certificate(self, monkeypatch):
         # The word chain's vectors, certified when no witness is found.
-        monkeypatch.setattr(faithful, "full_rank_witness", lambda *a, **k: None)
+        monkeypatch.setattr(rank_module, "full_rank_witness",
+                            lambda *a, **k: None)
         _, _, vectors = reference_module._pair_word_vectors(3)
         rank, method, witness = _certified_rank(vectors, DEFAULT_SEED, 3)
         cert = FaithfulnessCertificate(n=3, basis_size=5, rank=rank,
@@ -282,11 +284,10 @@ class TestTlFaithful:
         assert cert.to_json()["witness"] is None
 
     def test_rejected_witness_gives_exact(self, monkeypatch):
-        import tlblob.faithful as faithful
-
         vectors = tl_vectors(3)
         forged = dict(full_rank_witness(vectors, seed=7), x=0)
-        monkeypatch.setattr(faithful, "full_rank_witness", lambda *a, **k: forged)
+        monkeypatch.setattr(rank_module, "full_rank_witness",
+                            lambda *a, **k: forged)
         assert _certified_rank(vectors, 7) == (5, "exact", None)
 
     def test_empty_basis_is_never_valid(self):
@@ -682,6 +683,20 @@ class TestGeneratorStepProof:
                                  BlobParams.integral_form(1, cyclo=True))
         assert not report.ok
 
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_basis_is_searched_once(self, monkeypatch, n, broken):
+        # The relations path counts the search's states; a doubled e fails
+        # the relations in both conventions, and the sweep's diagram table
+        # is then the one search.
+        images = broken_e_images(n, 1) if broken else \
+            rho0(Rho0Config(n, 1)).letter_images()
+        searches = count_calls(monkeypatch, "_search", words_module)
+        report = prove_blob_representation(
+            images, n, BlobParams.integral_form(1, cyclo=True))
+        assert report.ok != broken
+        assert len(searches) == 1
+
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_zero_blob_image(self, monkeypatch, n, m):
         images = rho0(Rho0Config(n, m)).letter_images()
@@ -1050,6 +1065,46 @@ class TestMirror:
             certify_mirror(rep.e, None, 2)
         with pytest.raises(TypeError):
             certify_mirror(rep.e, rep.u_factors, 2, unfactored_u=rep.u)
+
+
+def mirror_images(e, factors):
+    """certify_mirror's letter images: e, and each u_i as X_i Y_i."""
+    images = {"e": e}
+    for i, (x_i, y_i) in factors.items():
+        images[i] = tensorrep._window_product(x_i, y_i)
+    return images
+
+
+def full_vector_rank(e, factors, n, seed=DEFAULT_SEED):
+    """(``_certified_rank`` of the basis vectors built in full, the vectors):
+    the elimination path that the streamed leads stand in for."""
+    ring = tensorrep._placed(e).block.ring
+    vectors = faithful._word_vectors(words_module._basis_words(n),
+                                     mirror_images(e, factors), 2 * n, ring)
+    return _certified_rank(vectors, seed, 2 * n), vectors
+
+
+class TestStreamedLeads:
+    """certify_mirror's distinct leads against the full vectors."""
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 3])
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6)
+                                     for m in range(-1, 4)])
+    def test_streamed_certificate_is_the_full_vectors(self, monkeypatch, n,
+                                                      m, seed):
+        e, factors = _rho0_placed(Rho0Config(n, m))
+        searches = count_calls(monkeypatch, "full_rank_witness", rank_module)
+        cert = certify_mirror(e, factors, n, seed=seed)
+        assert searches == []
+        (rank, method, witness), vectors = full_vector_rank(e, factors, n,
+                                                            seed)
+        assert (cert.rank, cert.method, cert.witness) == \
+            (rank, method, witness)
+        assert cert.valid and method == "modular-witness"
+        total = 2 * n
+        packed = [r << total | c for r, c in cert.witness["pivots"]]
+        assert check_full_rank_witness(vectors, dict(cert.witness,
+                                                     pivots=packed))
 
 
 class TestBlobRepVerification:

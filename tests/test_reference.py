@@ -2,6 +2,7 @@
 fallbacks that need it still give the same results.  ``import tlblob``
 loads no module of the package, each certificate command loads only the
 modules it runs (``certify-rho0`` and ``verify-blob`` no ``tlcert``,
+``certify-rho0`` no ``rank`` unless its leads prove nothing,
 ``verify-tl`` no ``faithful``, ``rings``, ``tensorrep`` or ``rank``,
 ``verify-blob`` no ``codes``, ``rank`` or ``certificate``, and none of
 them ``argparse``), the package root serves every export from its home
@@ -271,9 +272,10 @@ BASE = {"tlblob", "tlblob._json", "tlblob._record", "tlblob.cli",
     # codes or certificate: nothing is coded and no rank is certified.
     (["verify-blob", "--n", "3", "--m", "2"],
      {"tlblob.blobrep", "tlblob.rings", "tlblob.tensorrep"}),
-    # No walks or diagrams: the blob basis words come from words.
+    # No walks or diagrams: the blob basis words come from words.  No
+    # rank: the leads are distinct, so the witness's minor is triangular.
     (["certify-rho0", "--n", "2", "--m", "1"],
-     {"tlblob.certificate", "tlblob.codes", "tlblob.faithful", "tlblob.rank",
+     {"tlblob.certificate", "tlblob.codes", "tlblob.faithful",
       "tlblob.rings", "tlblob.tensorrep"}),
     # No blob structure-constant proof, and no diagrams: the composition
     # proof checks the words' partner arrays.  No faithful either: the
@@ -285,6 +287,54 @@ BASE = {"tlblob", "tlblob._json", "tlblob._record", "tlblob.cli",
 ])
 def test_certificate_commands_load_only_their_modules(argv, extra):
     assert imported_modules(*argv) == BASE | extra
+
+
+@pytest.mark.parametrize("n,m", [(n, 1) for n in range(1, 6)] +
+                         [(4, m) for m in (-1, 0, 2, 3)])
+def test_certify_rho0_loads_no_witness_search(n, m):
+    assert "tlblob.rank" not in imported_modules(
+        "certify-rho0", "--n", str(n), "--m", str(m))
+
+
+# A fallback case in a fresh interpreter: the mirror certificate, whether
+# tlblob.rank was loaded before and after it, and the full-vector
+# certificate of the same inputs.
+FALLBACK_CASE = """
+import json, sys
+from tlblob import faithful, tensorrep, words
+from tlblob.rings import CycloLaurent
+
+n, case = int(sys.argv[1]), sys.argv[2]
+e, factors = tensorrep._rho0_placed(tensorrep.Rho0Config(n, 1))
+basis = words._basis_words(n)
+if case == "repeated-lead":  # a word twice: the two vectors share a lead
+    basis[-1] = basis[0]
+elif case == "summand-collision":  # u1 u1 closes a loop: two summands meet
+    basis[-1] = words.GenWord((1, 1), n)
+else:  # a doubled e: its entries 2 a^k x^e have no code
+    e = tensorrep.Placed(e.support, e.block.scalar_mul(CycloLaurent.from_int(2)))
+words._basis_words = lambda size: list(basis)
+loaded = ["tlblob.rank" in sys.modules]
+cert = faithful.certify_mirror(e, factors, n)
+loaded.append("tlblob.rank" in sys.modules)
+images = {"e": e}
+for i, (x_i, y_i) in factors.items():
+    images[i] = tensorrep._window_product(x_i, y_i)
+vectors = faithful._word_vectors(basis, images, 2 * n, "cyclo")
+rank, method, witness = faithful._certified_rank(vectors, 7, 2 * n)
+print(json.dumps({"loaded": loaded, "cert": cert.to_json(),
+                  "full": {"rank": rank, "method": method, "witness": witness}}))
+"""
+
+
+@pytest.mark.parametrize("case", ["repeated-lead", "summand-collision",
+                                  "no-code"])
+def test_mirror_fallback_is_the_full_vectors_and_loads_rank(case):
+    out = json.loads(run_python(FALLBACK_CASE, "2", case))
+    assert out["loaded"] == [False, True]
+    cert, full = out["cert"], out["full"]
+    assert {k: cert[k] for k in full} == full
+    assert cert["valid"] == (case == "no-code")
 
 
 @pytest.mark.parametrize("argv", [
