@@ -6,11 +6,12 @@ canonical JSON (sorted keys), so identical flags and seed give identical
 bytes; the seed is echoed in every payload that could involve randomness.
 
 Each command handler imports the code it runs, so a command loads only its
-own modules.  Beyond ``cli``, ``_json``, ``_record`` and ``words``, which
-every certificate command loads, ``verify-tl`` adds ``tlcert``, ``walks``,
-``codes`` and ``certificate``; ``certify-rho0`` ``faithful``, ``rank``,
-``certificate``, ``codes``, ``tensorrep`` and ``rings``; and
-``verify-blob`` ``blobrep``, ``tensorrep`` and ``rings``.  No certificate
+own modules.  Beyond ``cli``, ``_json`` and ``_record``, which every
+certificate command loads, ``verify-tl`` adds ``tlcert``, ``walks``,
+``codes`` and ``certificate``; ``certify-rho0`` ``words``, ``faithful``,
+``certificate``, ``codes``, ``tensorrep`` and ``rings`` (and ``rank``
+only when its leads prove nothing); and ``verify-blob`` ``words``,
+``blobrep``, ``tensorrep`` and ``rings``.  No certificate
 command builds a diagram object, so ``diagrams`` loads only for the
 workbench subcommands, whose handlers live in ``reference``, which no
 certificate command loads.  No certificate command loads ``json`` either:

@@ -38,8 +38,9 @@ windows (``tensorrep._window_product``), so the only 2^(2n)-square
 matrices are the letter images the chain multiplies.
 
 This module holds what ``certify-rho0`` runs: the chains, the certified
-rank and ``certify_mirror``.  ``verify-tl`` runs none of it: its one pass
-over R(D) lives in ``tlblob.tlcert``.  The TL word chain and
+rank and ``certify_mirror``.  ``verify-tl`` runs none of it: its pass,
+which decodes each walk pair's diagram and proves its lead by lemma,
+lives in ``tlblob.tlcert``.  The TL word chain and
 ``verify_r_composition``, the exhaustive sweep (which loads its per-pair
 check from ``reference``), are test oracles for that pass, not fallbacks.
 ``triangularity_report`` and ``verify_tl_faithful`` read the pass and

@@ -4,8 +4,9 @@ The three certificate commands prove their claims from the algebra
 presentations, the contraction argument and a modular rank witness
 (README "Certification").  The code here serves everything else: the
 blob structure-constant sweep that the presentation proof falls back to,
-the TL composition sweep and the walk-pair word chain (test oracles for
-``verify-tl``'s pass, not fallbacks), the exact (Bareiss) rank that a
+the TL composition sweep, the walk-pair word chain and the sweep over
+every R(D) that ``verify-tl``'s lemmas replace (test oracles for its
+pass, not fallbacks), the exact (Bareiss) rank that a
 failed witness search falls back to, enumeration, the walk-pair order,
 word text forms, the overlay test, the JSON readers and writers, and the
 handlers of the workbench subcommands (``enumerate``, ``compose``,
@@ -24,15 +25,131 @@ import json
 import re
 from functools import lru_cache
 
-from . import blobrep, diagrams, faithful, rings, tensorrep, walks, words
+from math import comb
+
+from . import (DEFAULT_SEED, blobrep, diagrams, faithful, rings, tensorrep,
+               tlcert, walks, words)
 from ._record import Record
 from .diagrams import BlobPairing, Pairing
-from .certificate import _MODULAR_PRIME, _trial_points
+from .certificate import (_MODULAR_PRIME, FaithfulnessCertificate,
+                          _lead_witness, _trial_points)
+from .codes import index_to_seq, r_matrix_codes, seq_to_index
 from .rank import _evaluate_rows, _holds_codes, _rank_mod_p
 from .rings import RINGS, LaurentInt, _code_element, _Laurent
 from .tensorrep import SparseRepMatrix
 from .walks import Walk
 from .words import GenWord
+
+# -- tlcert: the sweep over every R(D) that the lemmas replace ---------------
+
+
+def _is_walk(seq):
+    h = 0
+    for s in seq:
+        h += 1 if s == 1 else -1
+        if h < 0:
+            return False
+    return True
+
+
+def _triangularity(n, pair_vectors):
+    """Check that each walk pair's matrix is supported below the pair.
+
+    Clause 1: the entry at the pair's own position is nonzero.  Clause 2:
+    every nonzero entry whose row and column are valid walks sits at a pair
+    dominated by the defining pair.  The (pair, vector) items of
+    ``pair_vectors`` are read one at a time, in enumeration order.
+    """
+    failures, nonwalk = [], 0
+    # Column profile of each index's walk, None where the index is no walk.
+    profiles = [walks.Walk(seq).profile if _is_walk(seq) else None
+                for seq in (index_to_seq(i, n) for i in range(1 << n))]
+    on_walk = [i for i, prof in enumerate(profiles) if prof is not None]
+    walk_keys = {row << n | col for row in on_walk for col in on_walk}
+    # below[i]: the walks whose profile is pointwise <= walk i's.  A pair
+    # (r, c) <= (a, b) iff end(r) < end(a), or end(r) = end(a) with
+    # r in below[a] and c in below[b] (``leq``).
+    below = {i: {j for j in on_walk
+                 if all(x <= y for x, y in zip(profiles[j], profiles[i]))}
+             for i in on_walk}
+    low = (1 << n) - 1
+    for p, vec in pair_vectors:
+        row, col = seq_to_index(p.a.steps), seq_to_index(p.b.steps)
+        if row << n | col not in vec:
+            failures.append((p, (row, col), "diagonal-zero"))
+        end, below_a, below_b = profiles[row][-1], below[row], below[col]
+        # Most entries sit off the walks; the intersection skips them in C.
+        on_walks = walk_keys.intersection(vec)
+        nonwalk += len(vec) - len(on_walks)
+        above = []
+        for key in on_walks:
+            r = key >> n
+            e = profiles[r][-1]
+            if e > end or e == end and (r not in below_a
+                                        or key & low not in below_b):
+                above.append(key)
+        # Only the (rare) failures are sorted: keys sort like (row, col).
+        failures.extend((p, (key >> n, key & low), "above-pair")
+                        for key in sorted(above))
+    return tlcert.TriangularityReport(n, failures, nonwalk)
+
+
+def _is_loop_free_tl(fold, n):
+    """Whether a ``words._fold`` result is a TL diagram reached with nothing
+    discarded: no count, no blob flag, and a partner array that
+    ``words._is_blob_state`` accepts (the checks ``Pairing`` makes)."""
+    partner, blob, counts = fold
+    return not any(counts) and not any(blob) and \
+        words._is_blob_state(partner, blob, n)
+
+
+def _lines(partner):
+    """The lines (i, j), i < j, of a partner array: ``Pairing``'s pairs."""
+    return tuple((i, j) for i, j in enumerate(partner) if i < j)
+
+
+def _walk_pair_codes(n, pairs, arrays, leads):
+    """Yield (p, codes of R(D)) for each walk pair p in turn, D the fold of
+    p's word.
+
+    Each fold must be a TL diagram reached with nothing discarded; its
+    partner array joins the set ``arrays``.  R(D)'s smallest key must be
+    p's own position, seq_to_index(a) << n | seq_to_index(b), which joins
+    the list ``leads``.  A check that fails raises RuntimeError.
+    """
+    for p in pairs:
+        fold = words._fold(walks.pair_word(p))
+        if not _is_loop_free_tl(fold, n):
+            raise RuntimeError(f"verify-tl: loop-free TL fold refused at {p!r}")
+        arrays.add(bytes(fold[0]))
+        vec = r_matrix_codes(n, n, _lines(fold[0]))
+        own = seq_to_index(p.a.steps) << n | seq_to_index(p.b.steps)
+        if min(vec) != own:
+            raise RuntimeError(f"verify-tl: lead check refused at {p!r}")
+        leads.append(own)
+        yield p, vec
+
+
+def _verify_tl_sweep(n, seed=DEFAULT_SEED):
+    """``tlcert.verify_tl`` by the sweep its lemmas replace: each walk
+    pair's word is folded (``words._fold``), R(D) of the fold is built in
+    full, swept for triangularity and checked to be led by the pair, and
+    the folds must be Catalan(n) distinct arrays.  A test oracle, not a
+    fallback; a check that fails raises RuntimeError naming it.
+    """
+    pairs = walks.enumerate_pairs(n)
+    if not tlcert._identities_hold():
+        raise RuntimeError("verify-tl: line-tensor identities refused")
+    arrays, leads = set(), []
+    report = _triangularity(n, _walk_pair_codes(n, pairs, arrays, leads))
+    size = comb(2 * n, n) // (n + 1)
+    if not len(pairs) == len(arrays) == size:
+        raise RuntimeError(f"verify-tl: Catalan(n) distinct arrays refused: "
+                           f"{len(arrays)} from {len(pairs)} pairs, not {size}")
+    return report, FaithfulnessCertificate(
+        n=n, basis_size=size, rank=size, method="modular-witness",
+        witness=_lead_witness(leads, seed, n))
+
 
 # -- faithful: the exhaustive sweeps and the overlay test --------------------
 
@@ -51,8 +168,8 @@ def _pair_word_vectors(n):
 
     The lists are in enumeration order, and the matrices come from the
     letter chain (``faithful._word_vectors``): the family ``verify-tl``
-    certifies, built as it was before its one pass over R(D).  It is a
-    test oracle for that pass, not a fallback.  Raises ValueError for
+    certifies, built as it was before ``tlcert`` read R(D) from its lines.
+    It is a test oracle, not a fallback.  Raises ValueError for
     n < 0.
     """
     faithful._require_size(n)

@@ -1,5 +1,5 @@
-"""The TL_n certificate of ``verify-tl``: one pass over R(D), one diagram
-at a time.
+"""The TL_n certificate of ``verify-tl``: two lemmas and a count per walk
+pair, with no R(D) built and no word folded.
 
 R(D) (``codes.r_matrix_codes``) is a product over the lines of D of
 one fixed tensor per line: C on a cup or a cap, with C[1][2] = x and
@@ -8,57 +8,63 @@ over the middle indices factors over the components of the glued picture.
 An open component contracts to its line's tensor, since C C = I and
 C^T C^T = I (the two zig-zags), and a closed loop to
 tr(C C^T) = x^2 + x^-2 = [2].  So R(D) R(D') = [2]^loops R(D o D') for
-every n, and a word that folds to D with nothing discarded has the matrix
-R(D).  ``_identities_hold`` checks the three identities, and that a
-through line gives I, on the tensors that ``r_matrix_codes`` itself uses.
+every n: R is an algebra map on the diagram algebra.  ``_identities_hold``
+checks the three identities, and that a through line gives I, on the
+tensors that ``r_matrix_codes`` itself uses.
 
-``verify_tl`` makes one pass over the walk pairs (``_walk_pair_codes``).
-Each pair's word is folded by ``words._fold`` and must reach a TL diagram
-D with nothing discarded (``_is_loop_free_tl``).  R(D)'s codes are built,
-fed to the triangularity sweep, checked to have the pair's own position as
-their smallest key, and dropped.  Catalan(n) distinct partner arrays then
-make the walk-pair word matrices the R(D) of all diagrams, each led by its
-own position; the pairs are distinct, so the leads are too.  Ordered by
-lead, the minor on the leads is triangular with a unit diagonal, so it is
-nonzero at every point: the witness names the first seeded point and the
-leads as pivots (``certificate._lead_witness``), the pivots elimination
-would find.
+``verify_tl`` makes one pass over the walk pairs.  Each pair (a, b) is
+decoded into its diagram D by bracket matching (``_side``): an up step
+opens a line, a down step closes the innermost open one, and the openers
+left open on the two sides are the through lines, joined in order.  So D
+is a TL diagram.  An arc (i, j), i < j, of D sets either j's key bit
+(weight x) or i's (weight 1/x) of an entry of R(D); a through line sets
+neither bit or both; node i is key bit 2n - 1 - i.
+
+- Lead lemma: R(D)'s smallest key takes each arc's closer bit and no
+  through-line bit (``_lead``), since the lines set disjoint bits and i's
+  bit is above j's.  That key is a unit x^e, and it must be the pair's own
+  position seq_to_index(a) << n | seq_to_index(b).  Over Catalan(n)
+  distinct positions this round trip proves the decoded diagrams
+  distinct, so they are all of TL_n, and R is injective on them: ordered
+  by lead, the minor on the leads is triangular with a unit diagonal, so
+  it is nonzero at every point.  The witness names the first seeded point
+  and the leads as pivots (``certificate._lead_witness``), the pivots
+  elimination would find.
+- Profile lemma: flipping an arc lowers its side's walk by 2 on [i, j);
+  flipping a through line lowers both sides' walks by 2 from its ends on,
+  ends included.  So an entry whose row and column are walks lies below
+  the pair in the walk-pair order: its end is lower, or its two profiles
+  are pointwise lower.  The triangularity report has no failures.
+- Count: ``nonwalk_entries`` is Catalan(n) 2^n minus the entries whose
+  row and column are walks, which ``_walk_entries`` counts from the two
+  sides' arc forests.
 
 A check that fails raises RuntimeError naming it: a bug (exit 2), never a
-certificate.  The word chain (``reference._pair_word_vectors``) and the
-sweep (``faithful.verify_r_composition``) are test oracles for the pass,
-not fallbacks; it loads neither module, nor ``tlblob.diagrams``.  It
-runs on the unit-code kernel (``tlblob.codes``) and the certificate
-record (``tlblob.certificate``) alone, so it loads no ring
-(``tlblob.rings``), ``tensorrep`` or witness search (``tlblob.rank``).
+certificate.  The sweep over every entry of every R(D) and the word fold
+it read D from (``reference._verify_tl_sweep``) are test oracles for the
+pass, not fallbacks.  The pass runs on the unit-code kernel
+(``tlblob.codes``) and the certificate record (``tlblob.certificate``)
+alone, so it loads no ``words``, ring (``tlblob.rings``), ``tensorrep``
+or witness search (``tlblob.rank``).
 
-Every function of ``walks`` and ``words`` is called through its module,
-looked up when the call runs, so a wrapper that ``perfbench/traced.py``
-or a test installs there is reached.
+``walks.enumerate_pairs`` is called through its module, looked up when the
+call runs, so a wrapper that ``perfbench/traced.py`` or a test installs
+there is reached.
 """
 
 from math import comb
+from operator import add, mul
 
-from . import DEFAULT_SEED, walks, words
+from . import DEFAULT_SEED, walks
 from ._record import Record
 from .certificate import FaithfulnessCertificate, _lead_witness
-from .codes import (CodedMatrix, SummandCollision, index_to_seq,
-                    r_matrix_codes, seq_to_index)
+from .codes import CodedMatrix, SummandCollision, r_matrix_codes, seq_to_index
 
 __all__ = ["TriangularityReport", "verify_tl"]
 
 
-def _is_walk(seq):
-    h = 0
-    for s in seq:
-        h += 1 if s == 1 else -1
-        if h < 0:
-            return False
-    return True
-
-
 class TriangularityReport(Record):
-    """Clause-by-clause outcome of the triangularity sweep at size n.
+    """Clause-by-clause outcome of the triangularity check at size n.
 
     ``failures`` holds (pair, position, clause) triples; nonzero entries at
     positions that are not valid walk pairs are counted separately in
@@ -77,62 +83,6 @@ class TriangularityReport(Record):
     @property
     def ok(self):
         return not self.failures
-
-
-def _triangularity(n, pair_vectors):
-    """Check that each walk pair's matrix is supported below the pair.
-
-    Clause 1: the entry at the pair's own position is nonzero.  Clause 2:
-    every nonzero entry whose row and column are valid walks sits at a pair
-    dominated by the defining pair.  The (pair, vector) items of
-    ``pair_vectors`` are read one at a time, in enumeration order.
-    """
-    failures, nonwalk = [], 0
-    # Column profile of each index's walk, None where the index is no walk.
-    profiles = [walks.Walk(seq).profile if _is_walk(seq) else None
-                for seq in (index_to_seq(i, n) for i in range(1 << n))]
-    on_walk = [i for i, prof in enumerate(profiles) if prof is not None]
-    walk_keys = {row << n | col for row in on_walk for col in on_walk}
-    # below[i]: the walks whose profile is pointwise <= walk i's.  A pair
-    # (r, c) <= (a, b) iff end(r) < end(a), or end(r) = end(a) with
-    # r in below[a] and c in below[b] (``leq``).
-    below = {i: {j for j in on_walk
-                 if all(x <= y for x, y in zip(profiles[j], profiles[i]))}
-             for i in on_walk}
-    low = (1 << n) - 1
-    for p, vec in pair_vectors:
-        row, col = seq_to_index(p.a.steps), seq_to_index(p.b.steps)
-        if row << n | col not in vec:
-            failures.append((p, (row, col), "diagonal-zero"))
-        end, below_a, below_b = profiles[row][-1], below[row], below[col]
-        # Most entries sit off the walks; the intersection skips them in C.
-        on_walks = walk_keys.intersection(vec)
-        nonwalk += len(vec) - len(on_walks)
-        above = []
-        for key in on_walks:
-            r = key >> n
-            e = profiles[r][-1]
-            if e > end or e == end and (r not in below_a
-                                        or key & low not in below_b):
-                above.append(key)
-        # Only the (rare) failures are sorted: keys sort like (row, col).
-        failures.extend((p, (key >> n, key & low), "above-pair")
-                        for key in sorted(above))
-    return TriangularityReport(n, failures, nonwalk)
-
-
-def _is_loop_free_tl(fold, n):
-    """Whether a ``words._fold`` result is a TL diagram reached with nothing
-    discarded: no count, no blob flag, and a partner array that
-    ``words._is_blob_state`` accepts (the checks ``Pairing`` makes)."""
-    partner, blob, counts = fold
-    return not any(counts) and not any(blob) and \
-        words._is_blob_state(partner, blob, n)
-
-
-def _lines(partner):
-    """The lines (i, j), i < j, of a partner array: ``Pairing``'s pairs."""
-    return tuple((i, j) for i, j in enumerate(partner) if i < j)
 
 
 def _transposed(c):
@@ -164,46 +114,117 @@ def _identities_hold():
         sorted(v for k, v in loop.items() if k in one) == [-2 << 4, 2 << 4]
 
 
-def _walk_pair_codes(n, pairs, arrays, leads):
-    """Yield (p, codes of R(D)) for each walk pair p in turn, D the fold of
-    p's word.
+def _side(steps, first, width):
+    """(arcs, openers, segments) of one side of a walk pair's diagram.
 
-    Each fold must be a TL diagram reached with nothing discarded; its
-    partner array joins the set ``arrays``.  R(D)'s smallest key must be
-    p's own position, seq_to_index(a) << n | seq_to_index(b), which joins
-    the list ``leads``.  A check that fails raises RuntimeError.
+    The side's walk ``steps`` is read on nodes first, first + 1, ...: an up
+    step opens a line and a down step closes the innermost open one, the
+    arc (i, j), i < j.  The openers left open are the side's through-line
+    ends, in order.  No arc spans one, so they cut the side's arcs into
+    segments, one before each through line and one after the last.
+
+    segments[k][h] counts the sets of segment k's arcs whose flip keeps the
+    walk >= 0 from height h, for h < ``width``.  The arcs of a segment form
+    a forest, and the count is a product over its trees.  A tree rooted at
+    the arc (i, j) gives g(h) = F(h + 1) + [h >= 1] F(h - 1), F the product
+    over its children: unflipped, i steps up and the children start at
+    h + 1; flipped, i steps down and they start at h - 1.  Either way j
+    returns the walk to h.  A height the walk never reaches is read as 0
+    past the top; that touches no count at a reachable height, since a
+    tree of depth t that starts at h rises to h + t <= len(steps).
     """
+    arcs, root, stack = [], [1] * width, []
+    for node, step in enumerate(steps, first):
+        if step == 1:
+            stack.append((node, [1] * width))
+            continue
+        opener, inner = stack.pop()
+        arcs.append((opener, node))
+        g = [inner[1], *map(add, inner, inner[2:]), inner[-2]]
+        outer = stack[-1][1] if stack else root
+        outer[:] = map(mul, outer, g)
+    return arcs, [node for node, _ in stack], \
+        [root, *(inner for _, inner in stack)]
+
+
+def _walk_entries(top, bottom):
+    """The number of R(D)'s entries whose row and column are both walks,
+    from the segments (``_side``) of D's top and bottom.
+
+    Before through line k both walks stand at height k - 2f, f the through
+    lines flipped so far, and flipping it needs that height >= 1.  Only
+    through lines couple the two sides, so ways[f] sums, over the flips
+    so far with f through lines flipped, the product of both sides' segment
+    counts.
+    """
+    ways = [top[0][0] * bottom[0][0]]
+    for k in range(1, len(top)):
+        seg_top, seg_bottom, nxt = top[k], bottom[k], [0] * (len(ways) + 1)
+        for f, w in enumerate(ways):
+            if w:
+                h = k - 2 * f  # after through line k - 1, unflipped
+                nxt[f] += w * seg_top[h] * seg_bottom[h]
+                if h >= 2:
+                    nxt[f + 1] += w * seg_top[h - 2] * seg_bottom[h - 2]
+        ways = nxt
+    return sum(ways)
+
+
+def _decoded_pairs(n, pairs):
+    """Yield (p, partner, walk entries) for each walk pair p in turn.
+
+    ``partner`` is the partner array of p's diagram D, on top nodes 0..n-1
+    and bottom nodes n..2n-1: the two sides' arcs (``_side``) and their
+    through-line ends joined in order.  The walk entries are
+    ``_walk_entries`` of D.  Each walk's side is decoded once.
+    """
+    width, tops, bottoms = n + 1, {}, {}
     for p in pairs:
-        fold = words._fold(walks.pair_word(p))
-        if not _is_loop_free_tl(fold, n):
-            raise RuntimeError(f"verify-tl: loop-free TL fold refused at {p!r}")
-        arrays.add(bytes(fold[0]))
-        vec = r_matrix_codes(n, n, _lines(fold[0]))
-        own = seq_to_index(p.a.steps) << n | seq_to_index(p.b.steps)
-        if min(vec) != own:
-            raise RuntimeError(f"verify-tl: lead check refused at {p!r}")
-        leads.append(own)
-        yield p, vec
+        a, b = p.a.steps, p.b.steps
+        top = tops.get(a) or tops.setdefault(a, _side(a, 0, width))
+        bottom = bottoms.get(b) or bottoms.setdefault(b, _side(b, n, width))
+        partner = [0] * (2 * n)
+        for i, j in (*top[0], *bottom[0], *zip(top[1], bottom[1],
+                                                strict=True)):
+            partner[i], partner[j] = j, i
+        yield p, partner, _walk_entries(top[2], bottom[2])
+
+
+def _lead(partner, n):
+    """R(D)'s smallest key by the lead lemma, D the partner array's
+    diagram: each arc (i, j), i < j, sets j's bit 2n - 1 - j, and a through
+    line sets none."""
+    top = 2 * n - 1
+    return sum(1 << top - j for i, j in enumerate(partner)
+               if i < j and (j < n or i >= n))
 
 
 def verify_tl(n, seed=DEFAULT_SEED):
     """(triangularity report, rank certificate) of n.
 
-    One pass over R(D) proves the composition identity for every pair, and
-    gives the leads as the witness's pivots.  A check that fails raises
-    RuntimeError naming it: the line-tensor identities, the loop-free TL
-    fold, the Catalan(n) distinct arrays or the lead check.  Raises
-    ValueError for n < 0.
+    The line-tensor identities prove the composition identity for every
+    pair, and the lemmas the triangularity and the leads, which are the
+    witness's pivots.  A check
+    that fails raises RuntimeError naming it: the line-tensor identities,
+    the lead check or the Catalan(n) distinct leads.  Raises ValueError
+    for n < 0.
     """
     pairs = walks.enumerate_pairs(n)
     if not _identities_hold():
         raise RuntimeError("verify-tl: line-tensor identities refused")
-    arrays, leads = set(), []
-    report = _triangularity(n, _walk_pair_codes(n, pairs, arrays, leads))
+    leads, on_walks = [], 0
+    for p, partner, count in _decoded_pairs(n, pairs):
+        own = seq_to_index(p.a.steps) << n | seq_to_index(p.b.steps)
+        if _lead(partner, n) != own:
+            raise RuntimeError(f"verify-tl: lead check refused at {p!r}")
+        leads.append(own)
+        on_walks += count
     size = comb(2 * n, n) // (n + 1)
-    if not len(pairs) == len(arrays) == size:
-        raise RuntimeError(f"verify-tl: Catalan(n) distinct arrays refused: "
-                           f"{len(arrays)} from {len(pairs)} pairs, not {size}")
-    return report, FaithfulnessCertificate(
-        n=n, basis_size=size, rank=size, method="modular-witness",
-        witness=_lead_witness(leads, seed, n))
+    distinct = len(set(leads))
+    if not len(pairs) == distinct == size:
+        raise RuntimeError(f"verify-tl: Catalan(n) distinct leads refused: "
+                           f"{distinct} from {len(pairs)} pairs, not {size}")
+    return TriangularityReport(n, [], (size << n) - on_walks), \
+        FaithfulnessCertificate(
+            n=n, basis_size=size, rank=size, method="modular-witness",
+            witness=_lead_witness(leads, seed, n))

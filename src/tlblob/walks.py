@@ -12,7 +12,6 @@ across different endpoints.
 """
 
 from ._record import Record
-from .words import GenWord
 
 __all__ = [
     "Walk",
@@ -162,6 +161,8 @@ def pair_word(p):
     legal position first, left walk before right; any other chain yields the
     same diagram.
     """
+    from .words import GenWord  # verify-tl decodes pairs without words
+
     base = [2 * j + 1 for j in range(p.a.steps.count(2))]
     letters = (*_lowerings(p.a.steps), *base,
                *reversed(_lowerings(p.b.steps)))

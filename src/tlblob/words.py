@@ -15,11 +15,11 @@ checked by an O(n) scan (``_is_blob_state``) before it counts.  The
 certificates read its words in order (``_basis_words``) and build no
 diagram; ``blob_basis_words`` turns the same states into ``BlobPairing``
 keys, and only it and ``eval_word`` load ``tlblob.diagrams``.  The fold
-itself (``_fold``) builds no diagram either: the TL composition proof
-(``tlcert``) checks its partner arrays with the same scan.  Only
+itself (``_fold``) builds no diagram either.  Only
 ``verify_presentation`` multiplies matrices, and it loads
-``tlblob.tensorrep`` when called, so ``verify-tl``, which folds words,
-loads neither it nor ``rings``.
+``tlblob.tensorrep`` when called.  ``verify-tl`` folds no word and does
+not load this module: it decodes each walk pair's diagram directly
+(``tlcert``), and the fold of the pair's word is a test oracle for that.
 """
 
 from collections import deque
@@ -165,6 +165,16 @@ def _stack(partner, blob, n, a):
     return discarded
 
 
+def _discards(partner, blob, n, a):
+    """Whether ``_stack(partner, blob, n, a)`` would discard anything, with
+    nothing changed: e on a flagged line through bottom node n, or U_k on
+    a bottom cup at a, a + 1 (a loop) or on two flagged lines (a merge)."""
+    if a is None:
+        return blob[n]
+    x = partner[a]
+    return x == a + 1 or blob[x] and blob[partner[a + 1]]
+
+
 def _partner_diagram(partner, blob, n):
     """The blob diagram of a partner array and its blob flags."""
     from .diagrams import BlobPairing, Pairing
@@ -206,7 +216,8 @@ def _search(n):
     Breadth first from the identity: right-multiplication by the generators
     (fixed order: e, U_1, .., U_{n-1}) extends the frontier, and an
     extension survives only when the stacked letter discards nothing
-    (``_stack`` on the partner array).  Each state comes with the first word
+    (``_discards``, asked before the arrays are copied; ``_stack`` then
+    stacks the letter on the copies).  Each state comes with the first word
     that reached it, so the order is deterministic, and only after
     ``_is_blob_state`` accepts it: a state that is no blob diagram raises
     RuntimeError.  So does a search that ends short of all (2n)!/(n!n!)
@@ -227,9 +238,10 @@ def _search(n):
         found += 1
         yield state
         for letter, a in letters:
-            p, b = partner[:], blob[:]
-            if _stack(p, b, n, a):
+            if _discards(partner, blob, n, a):
                 continue
+            p, b = partner[:], blob[:]
+            _stack(p, b, n, a)
             key = bytes(p + b)
             if key not in seen:
                 seen.add(key)

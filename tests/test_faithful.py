@@ -232,9 +232,9 @@ class TestTriangularity:
         original = faithful._tl_letter_matrices
         monkeypatch.setattr(faithful, "_tl_letter_matrices",
                             lambda size: {**original(size), i: original(size)[j]})
-        # The pass reads R(D), not the letters: the chain's report is checked.
+        # The pass reads no letter: the chain's report is checked.
         pairs, _, vectors = reference_module._pair_word_vectors(n)
-        report = tlcert._triangularity(n, zip(pairs, vectors))
+        report = reference_module._triangularity(n, zip(pairs, vectors))
         failures, nonwalk = reference_triangularity(n)
         assert (report.failures, report.nonwalk_entries) == \
             (failures, len(nonwalk))
@@ -253,7 +253,7 @@ class TestTriangularity:
 
         monkeypatch.setattr(CodedMatrix, "mul", counted)
         pairs, _, vectors = reference_module._pair_word_vectors(n)
-        assert tlcert._triangularity(n, zip(pairs, vectors)).ok
+        assert reference_module._triangularity(n, zip(pairs, vectors)).ok
         assert len(calls) == len(prefixes) == products
 
 
@@ -347,10 +347,12 @@ def tampered_folds(monkeypatch, tamper):
 
 
 def mutated_codes(monkeypatch, mutate):
-    """Pass each ``tlcert.r_matrix_codes(n, m, pairs)`` through mutate."""
+    """Pass each ``r_matrix_codes(n, m, pairs)`` that ``tlcert`` (the
+    identities) or ``reference`` (the sweep) reads through mutate."""
     codes = tlcert.r_matrix_codes
-    monkeypatch.setattr(tlcert, "r_matrix_codes", lambda n, m, pairs:
-                        mutate(n, m, pairs, codes(n, m, pairs)))
+    for module in (tlcert, reference_module):
+        monkeypatch.setattr(module, "r_matrix_codes", lambda n, m, pairs:
+                            mutate(n, m, pairs, codes(n, m, pairs)))
 
 
 def chain_codes(monkeypatch, size):
@@ -362,10 +364,12 @@ def chain_codes(monkeypatch, size):
 
 
 class TestContraction:
-    """``verify_tl``'s pass: R is a functor by three 2x2 identities on its
-    line tensor, and each walk pair's word folds with nothing discarded to
-    the diagram whose R(D) is the word's matrix, led by the pair's own
-    position.  A refused check raises RuntimeError naming it."""
+    """R is a functor by three 2x2 identities on its line tensor, and, in
+    the sweep that ``verify_tl``'s lemmas replace
+    (``reference._verify_tl_sweep``), each walk pair's word folds with
+    nothing discarded to the diagram whose R(D) is the word's matrix, led
+    by the pair's own position.  A refused check raises RuntimeError
+    naming it."""
 
     def test_line_tensors_satisfy_the_identities(self):
         # C read from R of a cap and of a cup, in the ring this time.
@@ -457,7 +461,7 @@ class TestContraction:
                                     GenWord((), 3) if pair_word(p) == u1
                                     else pair_word(p))
         with pytest.raises(RuntimeError, match=self.REFUSALS[check]):
-            verify_tl(3)
+            reference_module._verify_tl_sweep(3)
 
     @pytest.mark.parametrize("n", range(10))
     def test_word_chain_is_r_of_the_fold(self, n):
@@ -470,7 +474,7 @@ class TestContraction:
         for word, mat in zip(word_list, chain):
             partner, _, _ = words_module._fold(word)
             assert mat.entries == \
-                r_matrix_codes(n, n, tlcert._lines(partner))
+                r_matrix_codes(n, n, reference_module._lines(partner))
 
     @pytest.mark.parametrize("n", range(9))
     def test_streamed_witness_is_the_chain_witness(self, n):
@@ -481,6 +485,84 @@ class TestContraction:
                                                      pivots=packed))
         assert faithful._certified_rank(vectors, DEFAULT_SEED, n) == \
             (cert.rank, cert.method, cert.witness)
+
+
+def brute_walk_entries(n, pairs):
+    """The number of keys of R(D) = ``r_matrix_codes(n, n, pairs)`` whose
+    row and column are both walks."""
+    low = (1 << n) - 1
+    return sum(reference_module._is_walk(index_to_seq(k >> n, n)) and
+               reference_module._is_walk(index_to_seq(k & low, n))
+               for k in r_matrix_codes(n, n, pairs))
+
+
+class TestLemmas:
+    """``verify_tl`` decodes each walk pair's diagram and proves its lead
+    and triangularity by lemma, and counts its entries on walks; the
+    sweep it replaced (``reference._verify_tl_sweep``) is its oracle."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_pass_is_the_sweep(self, n):
+        report, cert = verify_tl(n, seed=3)
+        assert (report, cert) == reference_module._verify_tl_sweep(n, seed=3)
+        assert report.ok and cert.valid
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_decoded_diagram_is_the_fold(self, n):
+        # The word map, kept as a test: each pair's word folds to the
+        # diagram the pass decodes from the pair.
+        pairs = enumerate_pairs(n)
+        decoded = list(tlcert._decoded_pairs(n, pairs))
+        assert [p for p, _, _ in decoded] == pairs
+        for p, partner, _ in decoded:
+            assert partner == words_module._fold(pair_word(p))[0]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_count_is_the_brute_force_count(self, n):
+        counts = {reference_module._lines(partner): count for _, partner, count
+                  in tlcert._decoded_pairs(n, enumerate_pairs(n))}
+        diagrams = reference_module.enumerate_tl(n, n)
+        assert len(counts) == len(diagrams)
+        for d in diagrams:
+            assert counts[d.pairs] == brute_walk_entries(n, d.pairs)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_lead_lemma_is_the_smallest_key(self, n):
+        for _, partner, _ in tlcert._decoded_pairs(n, enumerate_pairs(n)):
+            codes = r_matrix_codes(n, n, reference_module._lines(partner))
+            assert tlcert._lead(partner, n) == min(codes)
+
+    def test_tampered_lead_is_refused(self, monkeypatch, capsys):
+        from tlblob import cli
+
+        decode = tlcert._decoded_pairs
+
+        def tampered(n, pairs):
+            # The second walk pair decoded to the first pair's diagram.
+            items = list(decode(n, pairs))
+            items[1] = (items[1][0], *items[0][1:])
+            return iter(items)
+
+        monkeypatch.setattr(tlcert, "_decoded_pairs", tampered)
+        with pytest.raises(RuntimeError, match="lead check") as refusal:
+            verify_tl(3)
+        assert repr(enumerate_pairs(3)[1]) in str(refusal.value)
+        assert cli.main(["verify-tl", "--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "lead check" in err
+
+    def test_repeated_pair_is_refused(self, monkeypatch):
+        pairs = enumerate_pairs(3)
+        monkeypatch.setattr(walks_module, "enumerate_pairs",
+                            lambda n: [*pairs[:-1], pairs[0]])
+        with pytest.raises(RuntimeError, match="distinct leads"):
+            verify_tl(3)
+
+    @pytest.mark.parametrize("mutation", sorted(TestContraction.MUTATIONS))
+    def test_mutated_line_tensor_is_refused(self, monkeypatch, mutation):
+        mutated_codes(monkeypatch, TestContraction.MUTATIONS[mutation])
+        with pytest.raises(RuntimeError, match="line-tensor identities"):
+            verify_tl(3)
 
 
 def ring_vectors(words, images, dim_log2, ring):
@@ -633,7 +715,7 @@ class TestGeneratorStepProof:
         expected = verify_tl(3)
         folds = tampered_folds(monkeypatch, lambda k, fold, earlier: fold)
         chain_codes(monkeypatch, 3)
-        assert verify_tl(3) == expected
+        assert reference_module._verify_tl_sweep(3) == expected
         assert len(folds) == 5
 
     # The word at which each tampered fold of ``TestContraction`` is
@@ -646,7 +728,7 @@ class TestGeneratorStepProof:
         folds = tampered_folds(monkeypatch, TestContraction.TAMPERS[tamper])
         chain_codes(monkeypatch, 3)
         with pytest.raises(RuntimeError) as refusal:
-            verify_tl(3)
+            reference_module._verify_tl_sweep(3)
         k = self.REFUSED_AT[tamper]
         assert len(folds) == k + 1
         if k < 4:
@@ -707,7 +789,8 @@ class TestGeneratorStepProof:
     @pytest.mark.parametrize("scale_u1", [False, True])
     def test_non_prefix_closed_tl_table(self, scale_u1):
         # A caller's own table goes to the sweep, whose prefix chain takes
-        # a table that is not prefix closed.
+        # a table that is not prefix closed.  Unscaled, these are TL's own
+        # images: they hold with no sign flip.
         images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
         if scale_u1:
             images[1] = images[1].scalar_mul(LaurentInt.from_int(2))
@@ -738,8 +821,10 @@ class TestGeneratorStepProof:
         # diagram; but letters with doubled exponents (R at x^2, in the
         # pass's codes too) break u_i.u_i = [2] u_i, and the word u1 u1
         # evaluates to u1 through a loop.  The sweep finds failures, and
-        # the loop identity or the fold check refuses the pass.
+        # the loop identity or the fold check refuses the sweep over R(D).
+        # The pass reads no word, so only the loop identity refuses it.
         n = 3
+        expected = verify_tl(n)
         letters = dict(faithful._tl_letter_matrices(n))
         if flaw == "doubled-letters":
             block = tensorrep.local_u_matrix(None, LaurentInt.x_power(4))
@@ -766,7 +851,12 @@ class TestGeneratorStepProof:
         check = {"doubled-letters": "line-tensor identities",
                  "looped-word": "loop-free TL fold"}[flaw]
         with pytest.raises(RuntimeError, match=check):
-            verify_tl(n)
+            reference_module._verify_tl_sweep(n)
+        if flaw == "looped-word":
+            assert verify_tl(n) == expected
+        else:
+            with pytest.raises(RuntimeError, match=check):
+                verify_tl(n)
 
     def test_missing_letter_or_mixed_sizes_raise(self):
         images = rho0(Rho0Config(3, 1)).letter_images()
@@ -1108,14 +1198,6 @@ class TestStreamedLeads:
 
 
 class TestBlobRepVerification:
-    def test_tl_case_no_sign_flip(self):
-        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
-        report = verify_blob_representation(
-            images, 3, BlobParams.integral_form(1),
-            basis=tl_basis_word_table(3))
-        assert report.ok
-        assert not report.sign_normalized
-
     @pytest.mark.parametrize("m", [1, 2])
     def test_rho0_passes_after_global_flip(self, m):
         rep = rho0(Rho0Config(2, m))

@@ -2,8 +2,8 @@
 fallbacks that need it still give the same results.  ``import tlblob``
 loads no module of the package, each certificate command loads only the
 modules it runs (``certify-rho0`` and ``verify-blob`` no ``tlcert``,
-``certify-rho0`` no ``rank`` unless its leads prove nothing,
-``verify-tl`` no ``faithful``, ``rings``, ``tensorrep`` or ``rank``,
+``certify-rho0`` no ``rank`` unless its leads prove nothing, ``verify-tl``
+no ``words``, ``faithful``, ``rings``, ``tensorrep`` or ``rank``,
 ``verify-blob`` no ``codes``, ``rank`` or ``certificate``, and none of
 them ``argparse``), the package root serves every export from its home
 module, every module's ``__all__`` star-imports, and
@@ -262,8 +262,7 @@ def imported_modules(*args):
     return {m for m in loaded_modules(*args) if "tlblob" in m}
 
 
-BASE = {"tlblob", "tlblob._json", "tlblob._record", "tlblob.cli",
-        "tlblob.words"}
+BASE = {"tlblob", "tlblob._json", "tlblob._record", "tlblob.cli"}
 
 
 @pytest.mark.parametrize("argv,extra", [
@@ -271,17 +270,17 @@ BASE = {"tlblob", "tlblob._json", "tlblob._record", "tlblob.cli",
     # No diagrams: the table is the search's words on partner arrays.  No
     # codes or certificate: nothing is coded and no rank is certified.
     (["verify-blob", "--n", "3", "--m", "2"],
-     {"tlblob.blobrep", "tlblob.rings", "tlblob.tensorrep"}),
+     {"tlblob.blobrep", "tlblob.rings", "tlblob.tensorrep", "tlblob.words"}),
     # No walks or diagrams: the blob basis words come from words.  No
     # rank: the leads are distinct, so the witness's minor is triangular.
     (["certify-rho0", "--n", "2", "--m", "1"],
      {"tlblob.certificate", "tlblob.codes", "tlblob.faithful",
-      "tlblob.rings", "tlblob.tensorrep"}),
-    # No blob structure-constant proof, and no diagrams: the composition
-    # proof checks the words' partner arrays.  No faithful either: the
-    # pass builds no word chain and eliminates nothing.  No rings,
-    # tensorrep or rank: R(D) is built as codes and the witness's minor is
-    # triangular, so no element, full matrix or elimination is made.
+      "tlblob.rings", "tlblob.tensorrep", "tlblob.words"}),
+    # No words, diagrams or blob proof: each walk pair's diagram is decoded
+    # from the pair, and no word is folded.  No faithful: no word chain is
+    # built and nothing is eliminated.  No rings, tensorrep or rank: the
+    # lead and the count come from the lines, and the witness's minor is
+    # triangular, so no element, matrix or elimination is made.
     (["verify-tl", "--n", "3"],
      {"tlblob.certificate", "tlblob.codes", "tlblob.tlcert", "tlblob.walks"}),
 ])
@@ -379,10 +378,12 @@ def test_mirror_and_blob_commands_leave_tlcert_unloaded(argv):
 # Definitions moved off the modules ``certify-rho0`` loads, and
 # ``format_word`` next to ``GenWord``: (old module, new home, names).
 MOVED = [
-    ("tlblob.faithful", "tlblob.tlcert",
-     ("TriangularityReport", "verify_tl", "_triangularity", "_is_walk")),
-    # The word chain's build, off ``verify-tl``'s path.
-    ("tlblob.tlcert", "tlblob.reference", ("_pair_word_vectors",)),
+    ("tlblob.faithful", "tlblob.tlcert", ("TriangularityReport", "verify_tl")),
+    # The word chain's build, and the sweep over R(D) with the fold it
+    # read D from, off ``verify-tl``'s path: test oracles for its lemmas.
+    ("tlblob.tlcert", "tlblob.reference",
+     ("_pair_word_vectors", "_triangularity", "_is_walk", "_is_loop_free_tl",
+      "_lines", "_walk_pair_codes")),
     ("tlblob.rank", "tlblob.reference",
      ("rank_exact", "rank_modular", "_row_cleanup")),
     ("tlblob.cli", "tlblob.reference",
@@ -421,10 +422,10 @@ def test_moved_names_resolve_from_their_new_home(old_name, home_name, names):
 # perfbench/traced.py span calls (nonzero only) and counts, recorded before
 # the per-command split; the split must not hide a call from the tracer.
 TRACED_CASES = [
-    # The pass over R(D) checks no relation on the letter images.
+    # The pass checks no relation on the letter images, and it decodes
+    # each walk pair's diagram without its word.
     (["verify-tl", "--n", "3"],
-     {"walks.pair_word": 5, "walks.enumerate_pairs": 1,
-      "cli.dumps_canonical": 1},
+     {"walks.enumerate_pairs": 1, "cli.dumps_canonical": 1},
      {"rings.rank_exact.nnz_in": 0, "tensorrep.SparseRepMatrix.mul.nnz_out": 0,
       "cli.output_bytes": 348}),
     # The mirror certificate checks the blob relations on its images.

@@ -20,7 +20,8 @@ from tlblob.rings import BlobParams, CycloLaurent, LaurentInt, quantum_integer
 from tlblob.tensorrep import Placed, Rho0Config, SparseRepMatrix, r_matrix, \
     rho0, rho0_placed
 from tlblob.words import _SCALAR_RELATIONS, PresentationReport, \
-    _basis_words, _is_blob_state, _partner_diagram, _search
+    _basis_words, _discards, _is_blob_state, _partner_diagram, _search, \
+    _stack
 from tlblob.words import (
     GenWord,
     WordEval,
@@ -238,6 +239,18 @@ class TestBasisSearchGuards:
             assert eval_word(GenWord(word, n)).diagram == diagram
             found += 1
         assert found == comb(2 * n, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_discard_test_is_the_stack(self, n):
+        # The search asks _discards before it copies a state: it must
+        # answer what _stack on a copy returns, and change nothing.
+        for partner, blob, _ in _search(n):
+            before = partner[:], blob[:]
+            for a in (None, *range(n, 2 * n - 1)):
+                p, b = partner[:], blob[:]
+                assert _discards(partner, blob, n, a) == \
+                    bool(_stack(p, b, n, a))
+                assert (partner, blob) == before
 
     def test_fault_free_arrays_pass(self):
         assert _is_blob_state([2, 3, 0, 1], [True, False, True, False], 2)
