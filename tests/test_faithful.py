@@ -789,8 +789,7 @@ class TestGeneratorStepProof:
     @pytest.mark.parametrize("scale_u1", [False, True])
     def test_non_prefix_closed_tl_table(self, scale_u1):
         # A caller's own table goes to the sweep, whose prefix chain takes
-        # a table that is not prefix closed.  Unscaled, these are TL's own
-        # images: they hold with no sign flip.
+        # a table that is not prefix closed.
         images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
         if scale_u1:
             images[1] = images[1].scalar_mul(LaurentInt.from_int(2))
@@ -1198,6 +1197,14 @@ class TestStreamedLeads:
 
 
 class TestBlobRepVerification:
+    def test_tl_case_no_sign_flip(self):
+        images = {i: r_matrix(generator_u(i, 3)) for i in (1, 2)}
+        report = verify_blob_representation(
+            images, 3, BlobParams.integral_form(1),
+            basis=tl_basis_word_table(3))
+        assert report.ok
+        assert not report.sign_normalized
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_rho0_passes_after_global_flip(self, m):
         rep = rho0(Rho0Config(2, m))
